@@ -43,7 +43,6 @@ from .core import (
     ShiftCorrector,
     ShiftWeights,
     apply,
-    _bin_indices,
 )
 
 __all__ = [
@@ -454,7 +453,9 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     Only piecewise maps (and composites, flattened) are supported. Bin
     masses and bin means are empirical frequencies, so when ``data`` is
     the sample the recalibrator was fitted on, the fitted values equal
-    the bin means and the calibration risk is zero exactly.
+    the bin means and the calibration risk is zero exactly: each level
+    set's mean is pooled from integer label sums and counts, the same
+    ratio the fit computed.
 
     The sharpness risk compares each bin's conditional mean against the
     optimal map at sub-bin resolution: every bin is sliced into
@@ -466,6 +467,10 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     correction, estimate the irreducible term that turns the total risk
     into the mse; both r_total and mse are assembled by addition so the
     report identities hold exactly.
+
+    Cost: one stable argsort of the scores (tie order decides which slice
+    a record lands in), then one ``np.add.reduceat`` of the sorted labels
+    over the slices of every bin at once.
     """
     if isinstance(h, Composite):
         pw = h.flatten()
@@ -473,45 +478,41 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
         pw = h
     else:
         raise TypeError("plug-in risks are defined for piecewise recalibrators")
-    edges = np.asarray(pw.scheme.edges)
     B = pw.scheme.B
+    n = data.n
     order = np.argsort(data.z, kind="stable")
-    z_sorted = data.z[order]
-    y_sorted = data.y[order].astype(np.float64)
     # Bins are contiguous in sorted order; the boundary of bin b is the
     # first index strictly past edge u_b (right-closed bins).
-    bounds = np.searchsorted(z_sorted, edges[1:-1], side="right")
-    starts = np.concatenate(([0], bounds)).astype(np.int64)
-    stops = np.concatenate((bounds, [data.n])).astype(np.int64)
-    counts = stops - starts
+    stops = np.searchsorted(data.z[order], pw.scheme.edges[1:-1], side="right")
+    starts = np.concatenate(([0], stops))
+    counts = np.diff(starts, append=n)
     if counts.min() == 0:
         empty = int(np.argmin(counts)) + 1
         raise EmptyBinError(f"bin {empty} of {B} received no evaluation points")
-    masses = counts / data.n
-    means = np.array([y_sorted[starts[b]:stops[b]].mean() for b in range(B)])
-    level_mean = _merge_by_value(pw.values, masses.tolist(), means.tolist())
 
-    r_cal = 0.0
-    r_sha = 0.0
-    bayes = 0.0
-    for b in range(B):
-        r_cal += masses[b] * (pw.values[b] - level_mean[b]) ** 2
-        m = int(counts[b])
-        n_slices = math.isqrt(m - 1) + 1
-        cuts = starts[b] + (m * np.arange(n_slices + 1)) // n_slices
-        for s in range(n_slices):
-            chunk = y_sorted[cuts[s]:cuts[s + 1]]
-            m_s = chunk.size
-            mu_s = chunk.mean()
-            p_s = m_s / data.n
-            r_sha += p_s * (level_mean[b] - mu_s) ** 2
-            if m_s > 1:
-                var_hat = mu_s * (1.0 - mu_s) / (m_s - 1)
-                r_sha -= p_s * var_hat
-                bayes += p_s * var_hat * m_s
-    r_sha = max(r_sha, 0.0)
+    # Slice j of bin b starts at sorted record starts[b] + floor(m j / k),
+    # with m = counts[b] and k = ceil(sqrt(m)) slices; the float square
+    # root is exact here, as any count is far below 2**52.
+    k = np.ceil(np.sqrt(counts)).astype(np.int64)
+    bin_of = np.repeat(np.arange(B), k)
+    j = np.arange(bin_of.size) - np.repeat(np.cumsum(k) - k, k)
+    m, kb = counts[bin_of], k[bin_of]
+    offset = (m * j) // kb
+    m_s = (m * (j + 1)) // kb - offset
+    lo = starts[bin_of] + offset
+    pos_s = np.add.reduceat(data.y[order], lo)
+    pos = np.bincount(bin_of, weights=pos_s, minlength=B)
+
+    values = np.asarray(pw.values)
+    _, level = np.unique(values, return_inverse=True)
+    level_mean = (np.bincount(level, weights=pos) / np.bincount(level, weights=counts))[level]
+    r_cal = float(np.sum(counts / n * (values - level_mean) ** 2))
+
+    mu_s = pos_s / m_s
+    p_s = m_s / n
+    # A one-record slice has mu_s (1 - mu_s) = 0; the clamp only avoids 0/0.
+    var_hat = mu_s * (1.0 - mu_s) / np.maximum(m_s - 1, 1)
+    r_sha = max(float(np.sum(p_s * (level_mean[bin_of] - mu_s) ** 2 - p_s * var_hat)), 0.0)
+    bayes = float(np.sum(p_s * var_hat * m_s))
     r_tot = r_cal + r_sha
-    return RiskReport(
-        float(r_cal), float(r_sha), float(r_tot), float(r_tot + bayes),
-        "monte_carlo", 1e-14,
-    )
+    return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, "monte_carlo", 1e-14)

@@ -3,7 +3,10 @@
 Nothing here imports recalib. Bound formulas are recomputed with mpmath
 at 40 decimal digits, Gaussian-mixture population quantities by mpmath
 quadrature over the real line, and the fit oracle by a sort-and-slice
-pass that never touches searchsorted. Running this file as a script
+pass that never touches searchsorted. ``bincount_fit_ref`` and
+``plugin_loop_ref`` keep earlier, loop-based implementations of the fit
+and of the plug-in risk as references for their vectorised successors.
+Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
 """
@@ -247,6 +250,82 @@ def sort_slice_fit(z, y, B: int):
         counts.append(int(chunk.size))
         values.append(float(chunk.sum()) / chunk.size)
     return tuple(edges), tuple(values), tuple(counts)
+
+
+def bincount_fit_ref(z, y, B: int):
+    """The fit by per-point bin lookup: sort for the edges, then bin the
+    unsorted scores with searchsorted and total them with two bincounts.
+
+    Returns (edges, values, counts) without any degeneracy check, so
+    coincident edges show as repeated entries and an empty bin as a zero
+    count with a NaN value.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    n = z.size
+    zs = np.sort(z)
+    cut = (n * np.arange(1, B)) // B
+    edges = np.concatenate(([0.0], zs[cut - 1], [1.0]))
+    idx = np.maximum(np.searchsorted(edges, z, side="left"), 1) - 1
+    counts = np.bincount(idx, minlength=B)
+    sums = np.bincount(idx, weights=np.asarray(y, dtype=np.float64), minlength=B)
+    with np.errstate(invalid="ignore"):
+        values = sums / counts
+    return tuple(edges.tolist()), tuple(values.tolist()), tuple(counts.tolist())
+
+
+def _merge_by_value_ref(values, masses, means):
+    groups = {}
+    for b, v in enumerate(values):
+        groups.setdefault(v, []).append(b)
+    level_mean = [None] * len(values)
+    for members in groups.values():
+        mass = sum(masses[b] for b in members)
+        nu = sum(masses[b] * means[b] for b in members) / mass
+        for b in members:
+            level_mean[b] = nu
+    return level_mean
+
+
+def plugin_loop_ref(z, y, edges, values):
+    """The plug-in risks (r_cal, r_sha, r_total, mse) by a loop over bins
+    and over the ceil(sqrt(m)) slices of each bin, with level sets merged
+    through mass-weighted means. Every bin must receive a record.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    n = z.size
+    order = np.argsort(z, kind="stable")
+    z_sorted = z[order]
+    y_sorted = np.asarray(y)[order].astype(np.float64)
+    bounds = np.searchsorted(z_sorted, np.asarray(edges)[1:-1], side="right")
+    starts = np.concatenate(([0], bounds)).astype(np.int64)
+    stops = np.concatenate((bounds, [n])).astype(np.int64)
+    counts = stops - starts
+    B = len(values)
+    masses = counts / n
+    means = np.array([y_sorted[starts[b]:stops[b]].mean() for b in range(B)])
+    level_mean = _merge_by_value_ref(values, masses.tolist(), means.tolist())
+
+    r_cal = 0.0
+    r_sha = 0.0
+    bayes = 0.0
+    for b in range(B):
+        r_cal += masses[b] * (values[b] - level_mean[b]) ** 2
+        m = int(counts[b])
+        n_slices = math.isqrt(m - 1) + 1
+        cuts = starts[b] + (m * np.arange(n_slices + 1)) // n_slices
+        for s in range(n_slices):
+            chunk = y_sorted[cuts[s]:cuts[s + 1]]
+            m_s = chunk.size
+            mu_s = chunk.mean()
+            p_s = m_s / n
+            r_sha += p_s * (level_mean[b] - mu_s) ** 2
+            if m_s > 1:
+                var_hat = mu_s * (1.0 - mu_s) / (m_s - 1)
+                r_sha -= p_s * var_hat
+                bayes += p_s * var_hat * m_s
+    r_sha = max(r_sha, 0.0)
+    r_tot = r_cal + r_sha
+    return float(r_cal), float(r_sha), float(r_tot), float(r_tot + bayes)
 
 
 def _print_frozen() -> None:

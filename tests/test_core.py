@@ -1,5 +1,7 @@
 """Binning, fitting, shift correction, and the recalibrator algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from recalib.core import (
     umb_fit,
 )
 
-from oracles import sort_slice_fit
+from oracles import bincount_fit_ref, sort_slice_fit
 
 
 def distinct_scores(n: int, seed: int) -> np.ndarray:
@@ -173,6 +175,65 @@ def test_fit_boundary_ties_fail_loudly():
     data = LabeledSample(z=[0.2, 0.2, 0.2, 0.4, 0.4, 0.4], y=[0, 1, 0, 1, 0, 1])
     with pytest.raises(DegenerateBinsError):
         fit_recalibrator(data, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), decimals=st.integers(1, 2),
+       data=st.data())
+def test_fit_on_tied_scores_equals_bincount_reference(seed, n, decimals, data):
+    # Right-closed counts read off the sorted scores are the per-point bin
+    # counts, so an empty bin is always caught as DegenerateBinsError by the
+    # edge step and EmptyBinError cannot escape the fit.
+    B = data.draw(st.integers(1, n), label="B")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = np.round(rng.random(n), decimals)
+    y = (rng.random(n) < 0.5).astype(int)
+    edges, values, counts = bincount_fit_ref(z, y, B)
+    degenerate = len(set(edges)) < len(edges) or min(counts) == 0
+    try:
+        h = fit_recalibrator(LabeledSample(z=z, y=y), B)
+    except DegenerateBinsError:
+        assert degenerate
+        return
+    assert not degenerate
+    assert (h.scheme.edges, h.values, h.counts) == (edges, values, counts)
+
+
+def test_sorted_view_is_cached_and_read_only():
+    data = LabeledSample(z=distinct_scores(200, 4), y=(distinct_scores(200, 5) < 0.3).astype(int))
+    first = fit_recalibrator(data, 7)
+    zs, zs_pos = data.sorted_view
+    assert fit_recalibrator(data, 7) == first
+    assert data.sorted_view[0] is zs and data.sorted_view[1] is zs_pos
+    assert zs.tolist() == sorted(data.z.tolist())
+    assert zs_pos.tolist() == sorted(data.z[data.y == 1].tolist())
+    for arr in (zs, zs_pos):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_sorted_view_stays_out_of_fields_eq_and_repr():
+    a = LabeledSample(z=[0.3], y=[1])
+    b = LabeledSample(z=[0.3], y=[1])
+    text = repr(a)
+    a.sorted_view
+    assert [f.name for f in dataclasses.fields(LabeledSample)] == ["z", "y"]
+    assert repr(a) == text
+    assert a == b and b == a
+
+
+def test_fit_ignores_later_mutation_of_caller_arrays():
+    z = distinct_scores(300, 6)
+    y = (distinct_scores(300, 7) < 0.5).astype(int)
+    want = sort_slice_fit(z, y, 9)
+    data = LabeledSample(z=z, y=y)
+    z[:] = 0.5  # before the first fit computes the sorted view
+    y[:] = 1
+    h = fit_recalibrator(data, 9)
+    z[::2] = 0.25  # after it
+    assert (h.scheme.edges, h.values, h.counts) == want
+    assert fit_recalibrator(data, 9) == h
 
 
 # ------------------------------------------------------------------ apply

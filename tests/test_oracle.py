@@ -40,6 +40,8 @@ from recalib.oracle import (
 )
 from recalib.oracle import EmptyBinError
 
+from oracles import plugin_loop_ref
+
 # Frozen reference values, independent 40-digit arithmetic; regenerate
 # with `python3 tests/oracles.py`.
 SIGMOID_4 = 0.98201379003790844
@@ -377,6 +379,32 @@ def test_plugin_in_sample_calibration_risk_is_zero():
     assert rep.method == "monte_carlo"
     assert rep.r_total == rep.r_cal + rep.r_sha
     assert rep.mse >= rep.r_total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("B", [7, 96, 501])
+def test_plugin_in_sample_calibration_risk_is_exactly_zero_at_scale(seed, B):
+    s = sample(TASK05, 200_000, seed=seed)
+    assert empirical_risk_plugin(s, fit_recalibrator(s, B)).r_cal == 0.0
+
+
+def test_plugin_matches_loop_reference():
+    g = ShiftCorrector(exact_shift_weights(0.5, 0.3))
+    for n, B in ((2_000, 1), (2_000, 5), (50_000, 96), (200_000, 501)):
+        fitted_on = sample(TASK05, n, seed=(n, B))
+        h = fit_recalibrator(fitted_on, B)
+        comp = compose(g, h)
+        for data in (fitted_on, sample(TASK05, n, seed=(n, B, 1))):
+            for m, pw in ((h, h), (comp, comp.flatten())):
+                want = plugin_loop_ref(data.z, data.y, pw.scheme.edges, pw.values)
+                got = empirical_risk_plugin(data, m)
+                # The loop's level means leave r_cal near 1e-33 where the
+                # pooled integer means give exactly 0; r_total inherits that.
+                for field, ref, floor in zip(("r_cal", "r_sha", "r_total", "mse"), want,
+                                             (1e-30, 0.0, 1e-30, 0.0)):
+                    assert getattr(got, field) == pytest.approx(ref, rel=1e-12, abs=floor), \
+                        (field, n, B)
+                assert got.r_total == got.r_cal + got.r_sha
 
 
 def test_plugin_agrees_with_population_risk_on_fresh_sample():
