@@ -10,12 +10,12 @@ only.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import click
 
@@ -38,7 +38,7 @@ from .core import (
     Recalibrator,
     ShiftCorrector,
     ShiftWeights,
-    apply as apply_recalibrator,
+    apply_batch,
     compose,
     estimate_weights,
     fit_recalibrator,
@@ -82,6 +82,8 @@ def _recalibrator_to_obj(h: Recalibrator) -> dict:
 
 
 def _recalibrator_from_obj(obj: dict) -> Recalibrator:
+    if not isinstance(obj, dict):
+        raise ValueError("a model must be a JSON object")
     kind = obj.get("kind")
     if kind == "piecewise":
         return PiecewiseRecalibrator(
@@ -122,17 +124,40 @@ def save_model(path: str, h: Recalibrator, metadata: dict) -> None:
 def load_model(path: str) -> tuple[Recalibrator, dict]:
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError("a model file must hold a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
         )
-    return _recalibrator_from_obj(payload["model"]), payload.get("metadata", {})
+    try:
+        model = _recalibrator_from_obj(payload["model"])
+    except TypeError as e:  # a field of the wrong JSON type, such as "edges": 5
+        raise ValueError(f"malformed model: {e}") from e
+    return model, payload.get("metadata", {})
 
 
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Exit 2 with a one-line message when an output file cannot be written."""
+    try:
+        yield
+    except OSError as e:
+        _fail(f"{path}: {e.strerror or e}", 2)
+
+
+def _echo_bound_report(report) -> None:
+    click.echo(f"calibration risk bound: {fmt_float(report.cal_bound)}")
+    click.echo(f"sharpness risk bound:   {fmt_float(report.sha_bound)}")
+    click.echo(f"total risk bound:       {fmt_float(report.risk_bound)}")
+    click.echo(f"sample-size gate:       {'ok' if report.conditions_met else 'NOT MET'} "
+               f"({report.condition_detail})")
 
 
 def _parse_float(text: str, row: int, column: str, lo: float, hi: float) -> float:
@@ -225,13 +250,16 @@ def main() -> None:
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     data = _read_scores_labels(input_path)
-    if bins == "auto":
+    auto = bins == "auto"
+    K = BoundParams.K
+    if auto:
         K = _resolve_K(k_const, task_name, pi)
         try:
             B, zeta_min = optimal_bins(data.n, delta, K)
         except ValueError as e:
             _fail(str(e), 3)
         click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
+        click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
     else:
         try:
             B = int(bins)
@@ -242,12 +270,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     except ValueError as e:
         _fail(str(e), 3)
     try:
-        report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta))
-        click.echo(f"calibration risk bound: {fmt_float(report.cal_bound)}")
-        click.echo(f"sharpness risk bound:   {fmt_float(report.sha_bound)}")
-        click.echo(f"total risk bound:       {fmt_float(report.risk_bound)}")
-        click.echo(f"sample-size gate:       {'ok' if report.conditions_met else 'NOT MET'} "
-                   f"({report.condition_detail})")
+        _echo_bound_report(risk_bound_report(
+            BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto)))
     except InsufficientSampleError as e:
         click.echo(f"risk bound unavailable: {e}", err=True)
     metadata = {
@@ -256,7 +280,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         "delta": delta,
         "source_sha256": _sha256(input_path),
     }
-    save_model(out_path, model, metadata)
+    with _writing(out_path):
+        save_model(out_path, model, metadata)
     click.echo(f"model written to {out_path}")
 
 
@@ -272,21 +297,12 @@ def cmd_apply(model_path, input_path, out_path) -> None:
         model, _ = load_model(model_path)
     except (ModelVersionError, ValueError, KeyError) as e:
         _fail(f"{model_path}: {e}", 2)
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", text=True)
-    try:
-        with os.fdopen(fd, "w") as out:
-            out.write("z,z_cal\n")
-            for i, (z_text,) in _read_csv_columns(input_path, ("z",)):
-                z = _parse_float(z_text, i, "z", 0.0, 1.0)
-                out.write(f"{fmt_float(z)},{fmt_float(apply_recalibrator(model, z))}\n")
-        os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    zs = [_parse_float(z_text, i, "z", 0.0, 1.0)
+          for i, (z_text,) in _read_csv_columns(input_path, ("z",))]
+    z_cal = apply_batch(model, zs).tolist()
+    text = "".join(f"{fmt_float(z)},{fmt_float(c)}\n" for z, c in zip(zs, z_cal))
+    with _writing(out_path):
+        write_text_atomic(out_path, "z,z_cal\n" + text)
     click.echo(f"recalibrated scores written to {out_path}")
 
 
@@ -316,9 +332,8 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
         "source_sha256": _sha256(labels_p_path),
         "target_sha256": _sha256(labels_q_path),
     }
-    if base_model_path is None:
-        save_model(out_path, corrector, metadata)
-    else:
+    model = corrector
+    if base_model_path is not None:
         try:
             base, base_meta = load_model(base_model_path)
         except (ModelVersionError, ValueError, KeyError) as e:
@@ -326,7 +341,9 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
         if not isinstance(base, PiecewiseRecalibrator):
             _fail(f"{base_model_path}: --base-model must hold a piecewise model", 2)
         metadata["base_model"] = base_meta
-        save_model(out_path, compose(corrector, base), metadata)
+        model = compose(corrector, base)
+    with _writing(out_path):
+        save_model(out_path, model, metadata)
     click.echo(f"model written to {out_path}")
 
 

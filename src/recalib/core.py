@@ -13,7 +13,6 @@ worker processes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -137,7 +136,7 @@ class BinningScheme:
                     f"bin edges u_{i} and u_{i + 1} coincide at {edges[i]!r}; the scores "
                     "contain ties at a quantile boundary. Jitter the scores or use fewer bins."
                 )
-            if edges[i + 1] < edges[i]:
+            if not edges[i + 1] > edges[i]:
                 raise ValueError("edges must be strictly increasing")
         object.__setattr__(self, "edges", edges)
 
@@ -202,6 +201,8 @@ class ShiftWeights:
             q = tuple(float(x) for x in self.q_hat)
             if len(p) != len(w) or len(q) != len(w):
                 raise ValueError("frequency vectors must match the number of classes")
+            if any(not 0.0 < x <= 1.0 for x in p + q):
+                raise ValueError("class frequencies must lie in (0, 1]")
             for k in range(len(w)):
                 if w[k] != q[k] / p[k]:
                     raise ValueError(f"w[{k}] must equal q_hat[{k}] / p_hat[{k}] exactly")
@@ -219,8 +220,8 @@ class ShiftCorrector:
     """The odds-reweighting map g(z) = w_1 z / (w_1 z + w_0 (1 - z)).
 
     Defined for binary weights only. The map is strictly increasing and
-    fixes the endpoints, g(0) = 0 and g(1) = 1, which ``apply`` pins
-    exactly rather than leaving to floating point.
+    fixes the endpoints, g(0) = 0 and g(1) = 1, and the formula lands on
+    both exactly in floating point.
     """
 
     weights: ShiftWeights
@@ -240,7 +241,7 @@ class Composite:
     def flatten(self) -> PiecewiseRecalibrator:
         """The composite as a single piecewise map: bin edges are preserved
         exactly and each bin value v becomes outer(v)."""
-        values = tuple(apply(self.outer, v) for v in self.inner.values)
+        values = _evaluate(self.outer, np.asarray(self.inner.values)).tolist()
         return PiecewiseRecalibrator(self.inner.scheme, values, self.inner.counts)
 
 
@@ -313,11 +314,11 @@ def bin_index(scheme: BinningScheme, z: float) -> int:
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"score {z!r} outside [0, 1]")
-    return max(bisect_left(scheme.edges, z), 1)
+    return int(_bin_indices(scheme.edges, np.float64(z)))
 
 
-def _bin_indices(edges: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized ``bin_index`` over an array of scores already validated."""
+def _bin_indices(edges: Sequence[float], z: np.ndarray) -> np.ndarray:
+    """``bin_index`` of validated scores, an array or a ``np.float64`` scalar."""
     idx = np.searchsorted(edges, z, side="left")
     return np.maximum(idx, 1)
 
@@ -342,54 +343,47 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())
 
 
-def apply(h: Recalibrator, z: float) -> float:
-    """Evaluate a recalibrator at a single score z in [0, 1]."""
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"score {z!r} outside [0, 1]")
-    if isinstance(h, PiecewiseRecalibrator):
-        return h.values[bin_index(h.scheme, z) - 1]
-    if isinstance(h, ShiftCorrector):
-        if z == 0.0:
-            return 0.0
-        if z == 1.0:
-            return 1.0
-        w0, w1 = h.weights.w
-        return w1 * z / (w1 * z + w0 * (1.0 - z))
-    if isinstance(h, Composite):
-        return apply(h.outer, apply(h.inner, z))
-    if isinstance(h, Constant):
-        return h.value
-    if isinstance(h, Identity):
-        return z
-    raise TypeError(f"not a recalibrator: {type(h).__name__}")
+def _evaluate(h: Recalibrator, z):
+    """Evaluate h on validated scores, an array or a ``np.float64`` scalar.
 
-
-def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Evaluate a recalibrator over an array of scores.
-
-    Agrees with ``apply`` bit for bit at every point (the shift formula
-    already lands on exact 0.0 and 1.0 at the endpoints). Exists because
-    Monte Carlo evaluation at 1e7 points cannot afford a Python-level
-    loop.
+    A scalar stays a numpy scalar: as a one-element array a call on the
+    shift map cost about 15x more, and injective-map quadrature makes
+    thousands of calls.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.size and not np.all((z >= 0.0) & (z <= 1.0)):
-        raise ValueError("scores must lie in [0, 1]; no clamping is applied")
     if isinstance(h, PiecewiseRecalibrator):
-        values = np.asarray(h.values)
-        return values[_bin_indices(np.asarray(h.scheme.edges), z) - 1]
+        return np.asarray(h.values)[_bin_indices(h.scheme.edges, z) - 1]
     if isinstance(h, ShiftCorrector):
         w0, w1 = h.weights.w
         num = w1 * z
         return num / (num + w0 * (1.0 - z))
     if isinstance(h, Composite):
-        return apply_batch(h.outer, apply_batch(h.inner, z))
+        return _evaluate(h.outer, _evaluate(h.inner, z))
     if isinstance(h, Constant):
-        return np.full(z.shape, h.value)
+        return np.full(np.shape(z), h.value)
     if isinstance(h, Identity):
         return z.copy()
     raise TypeError(f"not a recalibrator: {type(h).__name__}")
+
+
+def apply(h: Recalibrator, z: float) -> float:
+    """Evaluate a recalibrator at a single score z in [0, 1]."""
+    z = float(z)
+    if not 0.0 <= z <= 1.0:
+        raise ValueError(f"score {z!r} outside [0, 1]")
+    return float(_evaluate(h, np.float64(z)))
+
+
+def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Evaluate a recalibrator over an array of scores.
+
+    Shares its evaluation with ``apply``, so the two agree bit for bit at
+    every point. Exists because Monte Carlo evaluation at 1e7 points
+    cannot afford a Python-level loop.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all((z >= 0.0) & (z <= 1.0)):
+        raise ValueError("scores must lie in [0, 1]; no clamping is applied")
+    return _evaluate(h, z)
 
 
 def estimate_weights(labels_P: Sequence[int] | np.ndarray,

@@ -33,6 +33,7 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .core import (
+    BinningScheme,
     Composite,
     Constant,
     EmptyBinError,
@@ -358,24 +359,6 @@ def _piecewise_risk(task: GaussianMixtureTask, pw: PiecewiseRecalibrator) -> Ris
     return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, "quadrature", tolerance)
 
 
-def _constant_risk(task: GaussianMixtureTask, c: float) -> RiskReport:
-    ell = logit(task.pi)
-    ey = task.pi  # E[Y], the conditional mean given the trivial sigma-algebra
-
-    def f_sha(x: float) -> float:
-        return (ey - sigmoid(4.0 * x + ell)) ** 2 * _density_x(task, x)
-
-    def f_tot(x: float) -> float:
-        return (c - sigmoid(4.0 * x + ell)) ** 2 * _density_x(task, x)
-
-    r_cal = (c - ey) ** 2
-    r_sha, e1 = _quad(f_sha, -X_WINDOW, X_WINDOW)
-    r_tot, e2 = _quad(f_tot, -X_WINDOW, X_WINDOW)
-    bayes, e3 = _bayes_mse_term(task)
-    tolerance = max(e1 + e2 + e3, 1e-14)
-    return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, "quadrature", tolerance)
-
-
 def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
     ell = logit(task.pi)
     fn = h.fn if isinstance(h, MonotoneRecalibrator) else (lambda z: apply(h, z))
@@ -395,7 +378,7 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
     Piecewise maps (including composites, through their flattened form)
     use per-bin integrals with closed-form bin masses and means; strictly
     increasing maps have zero sharpness risk by injectivity and need a
-    single integral; the constant map conditions on nothing, so its
+    single integral; the constant map is the one-bin piecewise map, whose
     conditional mean is E[Y]. Raises ``QuadratureFailureError`` if any
     integral cannot be resolved to within ``QUAD_TOL``.
     """
@@ -404,7 +387,8 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
     if isinstance(h, PiecewiseRecalibrator):
         return _piecewise_risk(task, h)
     if isinstance(h, Constant):
-        return _constant_risk(task, h.value)
+        one_bin = PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (h.value,), (1,))
+        return _piecewise_risk(task, one_bin)
     if isinstance(h, (ShiftCorrector, Identity, MonotoneRecalibrator)):
         return _injective_risk(task, h)
     raise TypeError(f"cannot evaluate risk of {type(h).__name__}")

@@ -70,6 +70,10 @@ def test_fit_auto_bins_picks_scan_minimizer(tmp_path):
     res = run("fit", "--input", inp, "--bins", "auto", "--K", 1.0, "--out", out)
     assert res.exit_code == 0, res.output + res.stderr
     assert "auto bin count: B = 76" in res.output
+    # The reported sharpness bound is the smooth term the selection minimised.
+    assert "sharpness bound: 8K^2/B^2" in res.output
+    sha_line = next(l for l in res.output.splitlines() if l.startswith("sharpness risk bound:"))
+    assert sha_line.split(":", 1)[1].strip() == fmt_float(8 * 1.0 * 1.0 / (76 * 76))
     model, meta = load_model(str(out))
     assert meta["B"] == 76
     assert model.scheme.B == 76
@@ -101,6 +105,15 @@ def test_fit_bad_bins_flag(tmp_path):
     res = run("fit", "--input", inp, "--bins", "several", "--out", tmp_path / "m.json")
     assert res.exit_code == 2
     assert "--bins must be an integer or 'auto'" in res.stderr
+
+
+def test_fit_unwritable_out_exits_2(tmp_path):
+    inp = tmp_path / "data.csv"
+    inp.write_text(FIT_CSV)
+    out = tmp_path / "nodir" / "m.json"
+    res = run("fit", "--input", inp, "--bins", 2, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {out}: No such file or directory\n"
 
 
 def test_fit_degenerate_and_infeasible_exit_3(tmp_path):
@@ -137,6 +150,21 @@ def test_apply_piecewise_bin_edges(tmp_path):
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp.")]
 
 
+def test_apply_composite_writes_apply_batch_values(tmp_path):
+    pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.3, 0.7, 1.0)), (0.1, 0.45, 0.8), (2, 3, 4))
+    h = compose(ShiftCorrector(exact_shift_weights(0.5, 0.2)), pw)
+    model_path = tmp_path / "composite.json"
+    save_model(str(model_path), h, {})
+    z = np.concatenate(([0.0, 0.3, 0.7, 1.0], sample(GaussianMixtureTask(0.5), 500, seed=4).z))
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n" + "".join(f"{fmt_float(v)}\n" for v in z))
+    out = tmp_path / "calibrated.csv"
+    res = run("apply", "--model", model_path, "--input", inp, "--out", out)
+    assert res.exit_code == 0, res.stderr
+    want = "".join(f"{fmt_float(a)},{fmt_float(b)}\n" for a, b in zip(z, apply_batch(h, z)))
+    assert out.read_text() == "z,z_cal\n" + want
+
+
 def test_apply_identity_passthrough(tmp_path):
     model_path = tmp_path / "identity.json"
     save_model(str(model_path), Identity(), {})
@@ -170,6 +198,31 @@ def test_apply_model_file_errors(tmp_path):
     assert res3.exit_code == 2
     assert "unknown model kind" in res3.stderr
 
+    p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+    labels_csv(p_path, 10, 10)
+    labels_csv(q_path, 5, 5)
+    malformed = (
+        [],
+        {"format_version": 1, "model": "x"},
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": 5, "values": [0.5], "counts": [1]}},
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": [0.0, math.nan, 1.0],
+                   "values": [0.5, 0.5], "counts": [1, 1]}},
+        {"format_version": 1,
+         "model": {"kind": "shift", "w": [1.0, 1.0], "provenance": "plug-in",
+                   "p_hat": [0.0, 1.0], "q_hat": [0.5, 0.5]}},
+        {"format_version": 1, "model": {"kind": "constant", "value": None}},
+    )
+    for i, obj in enumerate(malformed):
+        path = tmp_path / f"malformed_{i}.json"
+        path.write_text(json.dumps(obj))
+        for res in (run("apply", "--model", path, "--input", inp, "--out", out),
+                    run("shift", "--labels-p", p_path, "--labels-q", q_path,
+                        "--base-model", path, "--out", tmp_path / "m.json")):
+            assert res.exit_code == 2, (obj, res.output, res.exception)
+            assert res.stderr.startswith(f"error: {path}: ") and res.stderr.count("\n") == 1, obj
+
 
 def test_apply_rejects_out_of_range_scores(tmp_path):
     model_path = tmp_path / "identity.json"
@@ -179,6 +232,28 @@ def test_apply_rejects_out_of_range_scores(tmp_path):
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
     assert res.exit_code == 2
     assert "outside [0.0, 1.0]" in res.stderr
+
+
+def test_apply_bad_last_row_leaves_no_file(tmp_path):
+    model_path = tmp_path / "identity.json"
+    save_model(str(model_path), Identity(), {})
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n" + "0.5\n" * 1000 + "nan?\n")
+    res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
+    assert res.exit_code == 2
+    assert "row 1002, column z" in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["identity.json", "scores.csv"]
+
+
+def test_apply_unwritable_out_exits_2(tmp_path):
+    model_path = tmp_path / "identity.json"
+    save_model(str(model_path), Identity(), {})
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n0.5\n")
+    out = tmp_path / "nodir" / "o.csv"
+    res = run("apply", "--model", model_path, "--input", inp, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {out}: No such file or directory\n"
 
 
 def test_model_round_trip_is_bitwise(tmp_path):
@@ -263,6 +338,16 @@ def test_shift_absent_class_exits_2(tmp_path):
     res = run("shift", "--labels-p", p_path, "--labels-q", q_path,
               "--out", tmp_path / "m.json")
     assert res.exit_code == 2
+
+
+def test_shift_unwritable_out_exits_2(tmp_path):
+    p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+    labels_csv(p_path, 10, 10)
+    labels_csv(q_path, 5, 5)
+    out = tmp_path / "nodir" / "m.json"
+    res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", out)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {out}: No such file or directory\n"
 
 
 def test_shift_base_model_must_be_piecewise(tmp_path):

@@ -238,6 +238,13 @@ def test_constant_risk_components():
     assert off.r_sha == pytest.approx(VAR_HSTAR_05, abs=1e-10)
 
 
+def test_constant_risk_is_the_one_bin_map():
+    for task in (TASK05, TASK01):
+        for c in (0.0, 0.3, 1.0):
+            one_bin = PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (c,), (1,))
+            assert population_risk(task, Constant(c)) == population_risk(task, one_bin)
+
+
 def test_identity_risk_and_bayes_term():
     rep = population_risk(TASK01, Identity())
     assert rep.r_sha == 0.0
