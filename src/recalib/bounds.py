@@ -64,8 +64,8 @@ class BoundParams:
             raise ValueError("n and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.K < 0.0:
-            raise ValueError("K must be nonnegative")
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError("K must be finite and nonnegative")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
 
@@ -102,8 +102,8 @@ class ShiftBoundParams:
                 raise ValueError(f"{name} must lie in (0, 1/2]")
         if not 0.0 < self.w_min <= self.w_max:
             raise ValueError("weight bracket must satisfy 0 < w_min <= w_max")
-        if self.K < 0.0:
-            raise ValueError("K must be nonnegative")
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError("K must be finite and nonnegative")
         if self.rho is not None:
             rho = (float(self.rho[0]), float(self.rho[1]))
             if any(r <= 0.0 for r in rho):
@@ -187,8 +187,8 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
         raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
+    if not 0.0 <= K < math.inf:
+        raise ValueError("K must be finite and nonnegative")
     Bs = np.arange(2, n // 2 + 1, dtype=np.float64)
     vals = (4.0 * Bs / n) * np.log(4.0 * Bs / delta) + 8.0 * K * K / (Bs * Bs)
     i = int(np.argmin(vals))  # first minimum, hence the smallest B on ties

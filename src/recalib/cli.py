@@ -14,6 +14,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -221,10 +222,17 @@ def _sha256(path: str) -> str:
 
 
 def _resolve_K(k_const, task_name, pi) -> float:
+    """The smoothness constant from --K, or estimated from --task; exits 2 on bad flags."""
     if k_const is not None:
+        if not 0.0 <= k_const < math.inf:
+            _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
         return float(k_const)
     if task_name == "gaussian":
-        return estimate_K(GaussianMixtureTask(pi), 100_000)
+        try:
+            task = GaussianMixtureTask(pi)
+        except ValueError as e:
+            _fail(f"--pi: {e}", 2)
+        return estimate_K(task, 100_000)
     click.echo("warning: no smoothness constant given; assuming K=1 "
                "(pass --K or --task gaussian)", err=True)
     return 1.0
@@ -250,6 +258,8 @@ def main() -> None:
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     data = _read_scores_labels(input_path)
+    if not 0.0 < delta < 1.0:
+        _fail(f"--delta must lie in (0, 1), got {delta!r}", 2)
     auto = bins == "auto"
     K = BoundParams.K
     if auto:
@@ -390,12 +400,8 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
         else:
             if n is None:
                 _fail("--n is required outside label-shift mode", 2)
-            report = risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K, use_smooth=smooth))
-            click.echo(f"calibration risk bound: {fmt_float(report.cal_bound)}")
-            click.echo(f"sharpness risk bound:   {fmt_float(report.sha_bound)}")
-            click.echo(f"total risk bound:       {fmt_float(report.risk_bound)}")
-            click.echo(f"sample-size gate:       {'ok' if report.conditions_met else 'NOT MET'} "
-                       f"({report.condition_detail})")
+            _echo_bound_report(
+                risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K, use_smooth=smooth)))
     except ValueError as e:
         _fail(str(e), 2)
 

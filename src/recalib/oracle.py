@@ -3,9 +3,7 @@
 The task family fixes the class-conditional score model X | Y=0 ~ N(-2, 1),
 X | Y=1 ~ N(+2, 1) with the logistic link Z = sigmoid(X), and varies only
 the positive-class prior pi. Under this family the posterior, the score
-distribution, bin masses and bin means all have closed forms, and the
-population risks of a recalibrator reduce to one-dimensional integrals in
-x-space that adaptive quadrature evaluates to high accuracy.
+distribution, bin masses and bin means all have closed forms.
 
 Risk conventions. For a recalibrator h and the optimal map
 hstar(z) = E[Y | Z = z]:
@@ -16,9 +14,11 @@ hstar(z) = E[Y | Z = z]:
     mse               mse   = E[(h(Z) - Y)^2] = r + E[hstar(Z)(1 - hstar(Z))]
 
 For piecewise-constant h the conditioning sigma-algebra is generated by
-the bins, except that bins sharing the same output value are merged, and
-for injective h the conditional mean E[Y | h(Z)] equals hstar(Z), so the
-sharpness risk vanishes identically.
+the bins, except that bins sharing the same output value are merged into
+one level set, and each risk is closed-form arithmetic on the bin masses
+and positive masses plus one cached task integral, E[hstar(Z)^2]. For
+injective h the conditional mean E[Y | h(Z)] equals hstar(Z), so the
+sharpness risk vanishes identically and the total risk is one quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .core import (
@@ -163,7 +162,7 @@ class RiskReport:
     """Population (or plug-in) risks of one recalibrator under one task.
 
     ``tolerance`` is the absolute numerical error budget of the report:
-    the summed achieved quadrature errors on the quadrature path, or an
+    the summed achieved errors of the quadratures the report uses, or an
     accumulated-roundoff allowance on the plug-in path. The decomposition
     r_total = r_cal + r_sha holds within 10x that budget, and mse is
     never below r_total.
@@ -249,32 +248,45 @@ def _density_x(task: GaussianMixtureTask, x: float) -> float:
     return (task.pi * a + (1.0 - task.pi) * b) / _SQRT_2PI
 
 
-def interval_mass(task: GaussianMixtureTask, z_lo: float, z_hi: float) -> float:
-    """P[Z in (z_lo, z_hi]] through the mixture CDF in x-space."""
+def _bin_moments(task: GaussianMixtureTask, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Masses P[Z in bin] and positive masses P[Z in bin, Y = 1] of the bins
+    (edges[b], edges[b + 1]], through the component CDFs in x-space."""
+    z = np.asarray(edges, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        x = np.log(z) - np.log1p(-z)
+    d1, d0 = np.diff(ndtr(x - np.array([[MU1], [MU0]])), axis=1)
+    pos = task.pi * d1
+    return pos + (1.0 - task.pi) * d0, pos
+
+
+def _interval_moments(task: GaussianMixtureTask, z_lo: float, z_hi: float):
     if not 0.0 <= z_lo <= z_hi <= 1.0:
         raise ValueError("need 0 <= z_lo <= z_hi <= 1")
-    x_lo = logit(z_lo)
-    x_hi = logit(z_hi)
-    return float(
-        task.pi * (ndtr(x_hi - MU1) - ndtr(x_lo - MU1))
-        + (1.0 - task.pi) * (ndtr(x_hi - MU0) - ndtr(x_lo - MU0))
-    )
+    (mass,), (pos,) = _bin_moments(task, (z_lo, z_hi))
+    return float(mass), float(pos)
+
+
+def interval_mass(task: GaussianMixtureTask, z_lo: float, z_hi: float) -> float:
+    """P[Z in (z_lo, z_hi]] through the mixture CDF in x-space."""
+    return _interval_moments(task, z_lo, z_hi)[0]
 
 
 def interval_mean(task: GaussianMixtureTask, z_lo: float, z_hi: float) -> float:
     """E[Y | Z in (z_lo, z_hi]], the positive component over the mass."""
-    mass = interval_mass(task, z_lo, z_hi)
+    mass, pos = _interval_moments(task, z_lo, z_hi)
     if mass <= 0.0:
         raise ZeroMassError(f"the interval ({z_lo}, {z_hi}] carries no score mass")
-    x_lo = logit(z_lo)
-    x_hi = logit(z_hi)
-    return float(task.pi * (ndtr(x_hi - MU1) - ndtr(x_lo - MU1)) / mass)
+    return pos / mass
 
 
 def _quad(f: Callable[[float], float], x_lo: float, x_hi: float) -> tuple[float, float]:
     """Adaptive quadrature of f over [x_lo, x_hi]; returns (value, abserr)."""
     if x_lo >= x_hi:
         return 0.0, 0.0
+    # Imported here: only analytic-map risks and the cached H integrate,
+    # so the command line starts without scipy.integrate.
+    from scipy import integrate
+
     val, err = integrate.quad(f, x_lo, x_hi, epsabs=1e-12, epsrel=1e-12, limit=200)
     if err > QUAD_TOL:
         raise QuadratureFailureError(
@@ -284,79 +296,37 @@ def _quad(f: Callable[[float], float], x_lo: float, x_hi: float) -> tuple[float,
 
 
 @functools.lru_cache(maxsize=64)
-def _bayes_mse_term(task: GaussianMixtureTask) -> tuple[float, float]:
-    """E[hstar(Z)(1 - hstar(Z))], the irreducible part of the mse."""
+def _hstar_sq_moment(task: GaussianMixtureTask) -> tuple[float, float]:
+    """H = E[hstar(Z)^2]; the irreducible mse term E[hstar (1 - hstar)] is pi - H."""
     ell = logit(task.pi)
 
     def f(x: float) -> float:
         p = sigmoid(4.0 * x + ell)
-        return p * (1.0 - p) * _density_x(task, x)
+        return p * p * _density_x(task, x)
 
     return _quad(f, -X_WINDOW, X_WINDOW)
 
 
-def _clipped_window(z_lo: float, z_hi: float) -> tuple[float, float]:
-    return max(logit(z_lo), -X_WINDOW), min(logit(z_hi), X_WINDOW)
-
-
-def _merge_by_value(values, masses, means):
-    """Group bins with exactly equal output values; returns for each bin the
-    conditional mean of Y given the merged level set, or None on zero mass."""
-    groups: dict[float, list[int]] = {}
-    for b, v in enumerate(values):
-        groups.setdefault(v, []).append(b)
-    level_mean = [None] * len(values)
-    for v, members in groups.items():
-        mass = sum(masses[b] for b in members)
-        if mass <= 0.0:
-            continue
-        nu = sum(masses[b] * means[b] for b in members) / mass
-        for b in members:
-            level_mean[b] = nu
-    return level_mean
+def _level_means(values: np.ndarray, pos, mass) -> np.ndarray:
+    """Per bin, the mean of Y over its level set: bins with exactly equal
+    values pool their positive mass and mass. A level set of zero mass
+    gets 0, which leaves every risk term it enters at zero."""
+    _, level = np.unique(values, return_inverse=True)
+    pos_l = np.bincount(level, weights=pos)
+    mass_l = np.bincount(level, weights=mass)
+    nu = np.divide(pos_l, mass_l, out=np.zeros_like(pos_l), where=mass_l > 0.0)
+    return nu[level]
 
 
 def _piecewise_risk(task: GaussianMixtureTask, pw: PiecewiseRecalibrator) -> RiskReport:
-    edges = pw.scheme.edges
-    B = pw.scheme.B
-    ell = logit(task.pi)
-    masses = [interval_mass(task, edges[b], edges[b + 1]) for b in range(B)]
-    means = [
-        interval_mean(task, edges[b], edges[b + 1]) if masses[b] > 0.0 else 0.0
-        for b in range(B)
-    ]
-    level_mean = _merge_by_value(pw.values, masses, means)
-
-    r_cal = 0.0
-    for b in range(B):
-        if level_mean[b] is not None and masses[b] > 0.0:
-            r_cal += masses[b] * (pw.values[b] - level_mean[b]) ** 2
-
-    r_sha = 0.0
-    r_tot = 0.0
-    err_sum = 0.0
-    for b in range(B):
-        if masses[b] <= 0.0:
-            continue
-        x_lo, x_hi = _clipped_window(edges[b], edges[b + 1])
-        v = pw.values[b]
-        nu = level_mean[b]
-
-        def f_sha(x: float) -> float:
-            return (nu - sigmoid(4.0 * x + ell)) ** 2 * _density_x(task, x)
-
-        def f_tot(x: float) -> float:
-            return (v - sigmoid(4.0 * x + ell)) ** 2 * _density_x(task, x)
-
-        s, e1 = _quad(f_sha, x_lo, x_hi)
-        t, e2 = _quad(f_tot, x_lo, x_hi)
-        r_sha += s
-        r_tot += t
-        err_sum += e1 + e2
-
-    bayes, e3 = _bayes_mse_term(task)
-    tolerance = max(err_sum + e3, 1e-14)
-    return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, "quadrature", tolerance)
+    mass, pos = _bin_moments(task, pw.scheme.edges)
+    v = np.asarray(pw.values)
+    nu = _level_means(v, pos, mass)
+    H, err = _hstar_sq_moment(task)
+    r_tot = H + float(np.sum(v * (v * mass - 2.0 * pos)))
+    r_sha = H + float(np.sum(nu * (nu * mass - 2.0 * pos)))
+    r_cal = float(np.sum(mass * (v - nu) ** 2))
+    return RiskReport(r_cal, r_sha, r_tot, r_tot + (task.pi - H), "quadrature", max(err, 1e-14))
 
 
 def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
@@ -367,19 +337,23 @@ def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
         return (fn(sigmoid(x)) - sigmoid(4.0 * x + ell)) ** 2 * _density_x(task, x)
 
     r, e1 = _quad(f, -X_WINDOW, X_WINDOW)
-    bayes, e2 = _bayes_mse_term(task)
-    tolerance = max(e1 + e2, 1e-14)
-    return RiskReport(r, 0.0, r, r + bayes, "quadrature", tolerance)
+    H, e2 = _hstar_sq_moment(task)
+    return RiskReport(r, 0.0, r, r + (task.pi - H), "quadrature", max(e1 + e2, 1e-14))
 
 
 def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
-    """Exact population risks of a recalibrator under the task, by quadrature.
+    """Exact population risks of a recalibrator under the task.
 
     Piecewise maps (including composites, through their flattened form)
-    use per-bin integrals with closed-form bin masses and means; strictly
+    take bin masses m_b, positive masses a_b = P[Z in bin b, Y = 1] and
+    the cached task constant H = E[hstar(Z)^2]. As the integral of
+    (c - hstar)^2 over a bin is c (c m_b - 2 a_b) plus that bin's share
+    of H, r_total = H + sum_b v_b (v_b m_b - 2 a_b), r_sha is the same
+    with the level-set means nu_b in place of the values v_b,
+    r_cal = sum_b m_b (v_b - nu_b)^2 and mse = r_total + pi - H. Strictly
     increasing maps have zero sharpness risk by injectivity and need a
     single integral; the constant map is the one-bin piecewise map, whose
-    conditional mean is E[Y]. Raises ``QuadratureFailureError`` if any
+    conditional mean is E[Y]. Raises ``QuadratureFailureError`` if an
     integral cannot be resolved to within ``QUAD_TOL``.
     """
     if isinstance(h, Composite):
@@ -488,8 +462,7 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     pos = np.bincount(bin_of, weights=pos_s, minlength=B)
 
     values = np.asarray(pw.values)
-    _, level = np.unique(values, return_inverse=True)
-    level_mean = (np.bincount(level, weights=pos) / np.bincount(level, weights=counts))[level]
+    level_mean = _level_means(values, pos, counts)
     r_cal = float(np.sum(counts / n * (values - level_mean) ** 2))
 
     mu_s = pos_s / m_s

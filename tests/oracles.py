@@ -5,7 +5,9 @@ at 40 decimal digits, Gaussian-mixture population quantities by mpmath
 quadrature over the real line, and the fit oracle by a sort-and-slice
 pass that never touches searchsorted. ``bincount_fit_ref`` and
 ``plugin_loop_ref`` keep earlier, loop-based implementations of the fit
-and of the plug-in risk as references for their vectorised successors.
+and of the plug-in risk as references for their vectorised successors,
+and ``piecewise_quad_ref`` the earlier per-bin scipy quadrature of
+piecewise population risks as a reference for their closed form.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -17,6 +19,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate
+from scipy.special import ndtr
 
 mp.mp.dps = 40
 
@@ -274,16 +278,78 @@ def bincount_fit_ref(z, y, B: int):
 
 
 def _merge_by_value_ref(values, masses, means):
+    """Per bin, the mass-weighted mean over the bins sharing its value;
+    None where that level set has zero mass."""
     groups = {}
     for b, v in enumerate(values):
         groups.setdefault(v, []).append(b)
     level_mean = [None] * len(values)
     for members in groups.values():
         mass = sum(masses[b] for b in members)
+        if mass <= 0.0:
+            continue
         nu = sum(masses[b] * means[b] for b in members) / mass
         for b in members:
             level_mean[b] = nu
     return level_mean
+
+
+def _logit_float(z: float) -> float:
+    if z == 0.0:
+        return -math.inf
+    if z == 1.0:
+        return math.inf
+    return math.log(z) - math.log1p(-z)
+
+
+def _sigmoid_float(x: float) -> float:
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def piecewise_quad_ref(pi: float, edges, values):
+    """Population risks (r_cal, r_sha, r_total, mse) of a piecewise map by
+    two adaptive scipy quadratures per bin of positive mass, each over the
+    bin's x-window clipped to [-12, 12]. Bin masses and means come from
+    ndtr differences, bins with exactly equal values are merged before
+    conditioning, and the irreducible term E[h*(1 - h*)] is one more
+    quadrature over [-12, 12]. Float64 throughout, for comparison with the
+    closed form at roundoff level.
+    """
+    ell = math.log(pi) - math.log1p(-pi)
+
+    def density(x):
+        return (pi * math.exp(-0.5 * (x - 2.0) ** 2)
+                + (1.0 - pi) * math.exp(-0.5 * (x + 2.0) ** 2)) / math.sqrt(2.0 * math.pi)
+
+    def post(x):
+        return _sigmoid_float(4.0 * x + ell)
+
+    def quad(f, lo, hi):
+        lo, hi = max(lo, -12.0), min(hi, 12.0)
+        if lo >= hi:
+            return 0.0
+        return integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+
+    xs = [_logit_float(float(u)) for u in edges]
+    B = len(values)
+    hits = [pi * (ndtr(xs[b + 1] - 2.0) - ndtr(xs[b] - 2.0)) for b in range(B)]
+    masses = [hits[b] + (1.0 - pi) * (ndtr(xs[b + 1] + 2.0) - ndtr(xs[b] + 2.0))
+              for b in range(B)]
+    means = [hits[b] / masses[b] if masses[b] > 0.0 else 0.0 for b in range(B)]
+    level_mean = _merge_by_value_ref(values, masses, means)
+    r_cal = r_sha = r_tot = 0.0
+    for b in range(B):
+        if masses[b] <= 0.0:
+            continue
+        v, nu = values[b], level_mean[b]
+        r_cal += masses[b] * (v - nu) ** 2
+        r_sha += quad(lambda x: (nu - post(x)) ** 2 * density(x), xs[b], xs[b + 1])
+        r_tot += quad(lambda x: (v - post(x)) ** 2 * density(x), xs[b], xs[b + 1])
+    bayes = quad(lambda x: post(x) * (1.0 - post(x)) * density(x), -12.0, 12.0)
+    return r_cal, r_sha, r_tot, r_tot + bayes
 
 
 def plugin_loop_ref(z, y, edges, values):

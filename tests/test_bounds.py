@@ -154,6 +154,9 @@ def test_optimal_bins_validation():
         optimal_bins(1000, 1.5, 1.0)
     with pytest.raises(ValueError):
         optimal_bins(1000, 0.1, -1.0)
+    for K in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_bins(1000, 0.1, K)
 
 
 # ------------------------------------------------- shift bounds (realized)
@@ -247,6 +250,10 @@ def test_shift_params_validation():
     with pytest.raises(ValueError):
         ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
                          p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8, rho=(0.0, 1.0))
+    for K in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, K=K,
+                             p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
 
 
 # ------------------------------------------------------- chernoff requirement
@@ -367,6 +374,9 @@ def test_bound_params_validation():
         BoundParams(n=10, B=10, delta=1.0)
     with pytest.raises(ValueError):
         BoundParams(n=10, B=10, delta=0.1, K=-1.0)
+    for K in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BoundParams(n=10, B=10, delta=0.1, K=K)
     with pytest.raises(ValueError):
         BoundParams(n=10, B=10, delta=0.1, c=0.0)
     assert DEFAULT_C == 2420.0

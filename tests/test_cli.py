@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import recalib
 from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
 from recalib.core import (
     BinningScheme,
@@ -41,6 +45,20 @@ def line_value(output: str, prefix: str) -> float:
 
 def labels_csv(path, zeros: int, ones: int) -> None:
     path.write_text("y\n" + "0\n" * zeros + "1\n" * ones)
+
+
+# --------------------------------------------------------------- start-up
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # Quadrature is imported on first use, so fit, apply and shift start
+    # without it.
+    src = os.path.dirname(os.path.dirname(recalib.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, recalib.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 # ------------------------------------------------------------------- fit
@@ -99,12 +117,27 @@ def test_fit_parse_errors(tmp_path):
             assert needle in res.stderr, (text, res.stderr)
 
 
+def assert_input_error(res) -> None:
+    """Exit 2 with exactly one stderr line, an ``error:`` message."""
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
 def test_fit_bad_bins_flag(tmp_path):
     inp = tmp_path / "data.csv"
     inp.write_text(FIT_CSV)
     res = run("fit", "--input", inp, "--bins", "several", "--out", tmp_path / "m.json")
     assert res.exit_code == 2
     assert "--bins must be an integer or 'auto'" in res.stderr
+    # Bad --delta, --K and --pi are input problems, caught before fitting.
+    out = tmp_path / "m2.json"
+    for flags in (("--bins", 2, "--delta", 0), ("--bins", 2, "--delta", "nan"),
+                  ("--bins", "auto", "--K", 1, "--delta", 5),
+                  ("--bins", "auto", "--K", "nan"), ("--bins", "auto", "--K", "inf"),
+                  ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
+        res = run("fit", "--input", inp, *flags, "--out", out)
+        assert_input_error(res)
+        assert not out.exists(), flags
 
 
 def test_fit_unwritable_out_exits_2(tmp_path):
@@ -404,6 +437,9 @@ def test_bound_argument_errors():
     assert run("bound", "--B", 10).exit_code == 2
     res = run("bound", "--n", 10, "--B", 10)
     assert res.exit_code == 2
+    assert_input_error(run("bound", "--n", 1000, "--B", 10, "--K", "nan"))
+    assert_input_error(run("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
+                           "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8, "--K", "inf"))
 
 
 # --------------------------------------------------------------- optbins
@@ -438,6 +474,9 @@ def test_optbins_task_estimates_K():
 
 def test_optbins_small_n_exits_2():
     assert run("optbins", "--n", 3, "--K", 1).exit_code == 2
+    for flags in (("--K", "nan"), ("--K", "inf"), ("--K", -1), ("--K", 1, "--delta", "nan"),
+                  ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
+        assert_input_error(run("optbins", "--n", 1000, *flags))
 
 
 # -------------------------------------------------------------- simulate

@@ -40,7 +40,7 @@ from recalib.oracle import (
 )
 from recalib.oracle import EmptyBinError
 
-from oracles import plugin_loop_ref
+from oracles import piecewise_quad_ref, plugin_loop_ref
 
 # Frozen reference values, independent 40-digit arithmetic; regenerate
 # with `python3 tests/oracles.py`.
@@ -277,6 +277,53 @@ def test_decomposition_identity_random_maps():
         assert abs(rep.r_total - (rep.r_cal + rep.r_sha)) <= 1e-8
         assert min(rep.r_cal, rep.r_sha) >= 0.0
         assert rep.mse >= rep.r_total
+
+
+def assert_matches_quad_ref(task, h, pw=None):
+    pw = h if pw is None else pw
+    want = piecewise_quad_ref(task.pi, pw.scheme.edges, pw.values)
+    got = population_risk(task, h)
+    for field, ref in zip(("r_cal", "r_sha", "r_total", "mse"), want):
+        assert abs(getattr(got, field) - ref) <= 1e-14, (field, task.pi, pw.scheme.B)
+
+
+def test_piecewise_risk_matches_per_bin_quadrature_reference():
+    rng = np.random.Generator(np.random.PCG64(2025))
+    maps = [PW3, PW3M] + [random_piecewise(rng) for _ in range(20)]
+    for task in (TASK01, TASK03, TASK05):
+        for pw in maps:
+            assert_matches_quad_ref(task, pw)
+
+
+@pytest.mark.parametrize("n, B", [(10_000, 24), (100_000, 192), (1_000_000, 1024)])
+def test_fitted_and_composite_risks_match_per_bin_quadrature_reference(n, B):
+    h = fit_recalibrator(sample(TASK05, n, seed=(n, B)), B)
+    comp = compose(ShiftCorrector(exact_shift_weights(0.5, 0.3)), h)
+    assert_matches_quad_ref(TASK05, h)
+    assert_matches_quad_ref(TASK03, comp, comp.flatten())
+
+
+def test_piecewise_risk_on_hairline_and_zero_mass_bins():
+    # A bin one ulp wide above 0.5, and two bins above 1 - 1e-12 whose
+    # mass is exactly 0: one shares its value with a bin of positive
+    # mass, the other is a level set of its own.
+    edges = (0.0, 0.5, math.nextafter(0.5, 1.0), 0.8, 1.0 - 1e-12, 1.0 - 1e-13, 1.0)
+    for b in (4, 5):
+        assert interval_mass(TASK05, edges[b], edges[b + 1]) == 0.0
+    pw = PiecewiseRecalibrator(BinningScheme(edges), (0.2, 0.4, 0.6, 0.9, 0.9, 0.7), (1,) * 6)
+    for task in (TASK01, TASK03, TASK05):
+        assert_matches_quad_ref(task, pw)
+
+
+def test_piecewise_risk_needs_no_quadrature_once_H_is_cached(monkeypatch):
+    population_risk(TASK05, PW3)
+
+    def refuse(*args):
+        raise AssertionError("piecewise risk called _quad")
+
+    monkeypatch.setattr("recalib.oracle._quad", refuse)
+    h = fit_recalibrator(sample(TASK05, 100_000, seed=5), 1024)
+    assert population_risk(TASK05, h).r_total > 0.0
 
 
 def test_reflection_symmetry_of_risks():
