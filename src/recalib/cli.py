@@ -134,7 +134,9 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
         )
     try:
         model = _recalibrator_from_obj(payload["model"])
-    except TypeError as e:  # a field of the wrong JSON type, such as "edges": 5
+    except (TypeError, OverflowError) as e:
+        # A field of the wrong JSON type, such as "edges": 5, or a number
+        # with no int or float value, such as "counts": [Infinity].
         raise ValueError(f"malformed model: {e}") from e
     return model, payload.get("metadata", {})
 
@@ -279,11 +281,13 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         model = fit_recalibrator(data, B)
     except ValueError as e:
         _fail(str(e), 3)
+    report = None
     try:
-        _echo_bound_report(risk_bound_report(
-            BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto)))
+        report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto))
     except InsufficientSampleError as e:
         click.echo(f"risk bound unavailable: {e}", err=True)
+    else:
+        _echo_bound_report(report)
     metadata = {
         "n": data.n,
         "B": B,
@@ -293,6 +297,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     with _writing(out_path):
         save_model(out_path, model, metadata)
     click.echo(f"model written to {out_path}")
+    if report is not None and not report.conditions_met:
+        click.echo(f"warning: sample-size gate not met ({report.condition_detail})", err=True)
 
 
 @main.command(name="apply")
@@ -389,13 +395,15 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
                                       p_min=p_min, q_min=q_min,
                                       w_min=w_min, w_max=w_max, rho=rho)
             report = shift_risk_bound_apriori(params)
+            realized = None
+            if rho is not None and risk_p is not None:
+                realized = shift_risk_bound_realized(params, risk_p)
             click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                        f"sha {fmt_float(report.sha_bound)}")
             click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
             click.echo(f"gates: {'ok' if report.conditions_met else 'NOT MET'} "
                        f"({report.condition_detail})")
-            if rho is not None and risk_p is not None:
-                realized = shift_risk_bound_realized(params, risk_p)
+            if realized is not None:
                 click.echo(f"realized-ratio bound: {fmt_float(realized)}")
         else:
             if n is None:

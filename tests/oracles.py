@@ -6,8 +6,10 @@ quadrature over the real line, and the fit oracle by a sort-and-slice
 pass that never touches searchsorted. ``bincount_fit_ref`` and
 ``plugin_loop_ref`` keep earlier, loop-based implementations of the fit
 and of the plug-in risk as references for their vectorised successors,
-and ``piecewise_quad_ref`` the earlier per-bin scipy quadrature of
-piecewise population risks as a reference for their closed form.
+``piecewise_quad_ref`` the earlier per-bin scipy quadrature of
+piecewise population risks as a reference for their closed form, and
+``optimal_bins_scan_ref`` the earlier exhaustive bin-count scan as a
+reference for its bounded search.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -36,6 +38,18 @@ def cal_bound_ref(n: int, B: int, delta: float) -> mp.mpf:
 
 def zeta_ref(B: int, n: int, delta: float, K: float) -> mp.mpf:
     return (4 * mp.mpf(B) / n) * mp.log(4 * B / mp.mpf(delta)) + 8 * mp.mpf(K) ** 2 / B ** 2
+
+
+def optimal_bins_scan_ref(n: int, delta: float, K: float,
+                          B_max: int | None = None) -> tuple[int, float]:
+    """The exhaustive float64 scan of the bin-count objective over
+    B in [2, min(floor(n / 2), B_max)], first minimum on ties: the
+    earlier ``optimal_bins``, kept as the reference for its bounded search."""
+    top = n // 2 if B_max is None else min(n // 2, B_max)
+    Bs = np.arange(2, top + 1, dtype=np.float64)
+    vals = (4.0 * Bs / n) * np.log(4.0 * Bs / delta) + 8.0 * K * K / (Bs * Bs)
+    i = int(np.argmin(vals))
+    return int(Bs[i]), float(vals[i])
 
 
 def gate_threshold_ref(B: int, delta: float, c: float) -> mp.mpf:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import optimal_bins_scan_ref
 from recalib.bounds import (
     BoundParams,
     DEFAULT_C,
@@ -140,6 +141,24 @@ def test_optimal_bins_local_minimality():
         assert zeta_min <= zeta(B_star + 1, n, 0.1, 1.0)
 
 
+def test_optimal_bins_matches_exhaustive_scan():
+    # The bounded search returns the exhaustive scan's (B_star, zeta_min)
+    # bit for bit, and zeta_min is zeta(B_star) bit for bit.
+    rng = np.random.default_rng(6)
+    ns = list(range(4, 3001)) + rng.integers(3001, 2_000_001, size=50).tolist()
+    for delta, K in ((0.1, 1.0), (0.05, 2.0), (0.5, 0.0), (0.01, 0.3)):
+        for n in ns:
+            got = optimal_bins(n, delta, K)
+            assert got == optimal_bins_scan_ref(n, delta, K), (n, delta, K)
+            assert zeta(got[0], n, delta, K) == got[1], (n, delta, K)
+        # Past n = 2e6 the full scan is too large to run, so the reference
+        # stops at B = 2^17, far above every minimizer here (3154 at 1e11).
+        for n in (10**8, 10**9, 10**11):
+            got = optimal_bins(n, delta, K)
+            assert got == optimal_bins_scan_ref(n, delta, K, B_max=2**17), (n, delta, K)
+            assert zeta(got[0], n, delta, K) == got[1], (n, delta, K)
+
+
 def test_optimal_bins_cube_root_scaling():
     ns = [10**3, 10**4, 10**5, 10**6, 10**7]
     Bs = [optimal_bins(n, 0.1, 1.0)[0] for n in ns]
@@ -254,6 +273,16 @@ def test_shift_params_validation():
         with pytest.raises(ValueError, match="finite"):
             ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, K=K,
                              p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+    good = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("p_min", "q_min", "w_min", "w_max"):
+            with pytest.raises(ValueError):
+                ShiftBoundParams(**dict(good, **{field: bad}))
+        for rho in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError):
+                ShiftBoundParams(**good, rho=rho)
+        with pytest.raises(ValueError, match="finite"):
+            shift_risk_bound_realized(ShiftBoundParams(**good, rho=(1.0, 1.0)), bad)
 
 
 # ------------------------------------------------------- chernoff requirement

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import recalib
 from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
@@ -96,6 +98,31 @@ def test_fit_auto_bins_picks_scan_minimizer(tmp_path):
     assert meta["B"] == 76
     assert model.scheme.B == 76
     assert sum(model.counts) == 1_000_000
+
+
+def test_fit_warns_on_stderr_when_gate_not_met(tmp_path):
+    inp = tmp_path / "data.csv"
+    inp.write_text(FIT_CSV)
+    out = tmp_path / "model.json"
+    res = run("fit", "--input", inp, "--bins", 2, "--out", out)
+    assert res.exit_code == 0, res.stderr
+    detail = "n = 4 fails n >= c B log(2B/delta) = 17854.2"
+    assert res.stderr == f"warning: sample-size gate not met ({detail})\n"
+    # The warning adds nothing to stdout.
+    assert res.stdout == (
+        "calibration risk bound: 3.9212205046377386\n"
+        "sharpness risk bound:   1.0\n"
+        "total risk bound:       4.921220504637739\n"
+        f"sample-size gate:       NOT MET ({detail})\n"
+        f"model written to {out}\n"
+    )
+    # 20,000 points meet the gate for B = 2 (threshold 17854.2): no warning.
+    big = tmp_path / "big.csv"
+    big.write_text("z,y\n" + "".join(f"{(i + 0.5) / 20_000},{i % 2}\n" for i in range(20_000)))
+    res = run("fit", "--input", big, "--bins", 2, "--out", out)
+    assert res.exit_code == 0, res.stderr
+    assert res.stderr == ""
+    assert "sample-size gate:       ok" in res.stdout
 
 
 def test_fit_parse_errors(tmp_path):
@@ -246,6 +273,12 @@ def test_apply_model_file_errors(tmp_path):
          "model": {"kind": "shift", "w": [1.0, 1.0], "provenance": "plug-in",
                    "p_hat": [0.0, 1.0], "q_hat": [0.5, 0.5]}},
         {"format_version": 1, "model": {"kind": "constant", "value": None}},
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                   "values": [0.5, 0.5], "counts": [10, math.inf]}},
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": [0.0, 10 ** 400, 1.0],
+                   "values": [0.5, 0.5], "counts": [1, 1]}},
     )
     for i, obj in enumerate(malformed):
         path = tmp_path / f"malformed_{i}.json"
@@ -255,6 +288,88 @@ def test_apply_model_file_errors(tmp_path):
                         "--base-model", path, "--out", tmp_path / "m.json")):
             assert res.exit_code == 2, (obj, res.output, res.exception)
             assert res.stderr.startswith(f"error: {path}: ") and res.stderr.count("\n") == 1, obj
+
+
+FUZZ_PIECEWISE = {
+    "format_version": 1,
+    "model": {"kind": "piecewise", "edges": [0.0, 0.3, 1.0],
+              "values": [0.25, 0.75], "counts": [3, 7]},
+    "metadata": {"n": 10, "B": 2},
+}
+FUZZ_COMPOSITE = {
+    "format_version": 1,
+    "model": {"kind": "composite",
+              "outer": {"kind": "shift", "w": [1.6, 0.4], "provenance": "plug-in",
+                        "p_hat": [0.5, 0.5], "q_hat": [0.8, 0.2]},
+              "inner": FUZZ_PIECEWISE["model"]},
+    "metadata": {},
+}
+FUZZ_JUNK = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, 0, -1, 1.5]),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.floats(), st.text(max_size=2)),
+                    max_size=2),
+)
+
+
+_DELETE = object()
+
+
+def _json_paths(obj, prefix=()):
+    """Every path (tuple of keys and indices) into a JSON value, the root included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(obj, path, junk):
+    """A copy of ``obj`` with the value at ``path`` replaced by ``junk``, or
+    removed when ``junk`` is ``_DELETE``."""
+    if not path:
+        return junk
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if junk is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return obj
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_model_file_fuzz_exits_0_or_2(tmp_path, data):
+    # Replacing, deleting or junk-typing any field of a valid model file
+    # ends apply and shift --base-model in exit 0 or a one-line exit 2.
+    obj = data.draw(st.sampled_from([FUZZ_PIECEWISE, FUZZ_COMPOSITE]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(obj))))
+        junk = data.draw(st.one_of(st.just(_DELETE), FUZZ_JUNK) if path else FUZZ_JUNK)
+        obj = _mutate(obj, path, junk)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
+    scores.write_text("z\n0\n0.3\n0.5\n1\n")
+    labels_csv(p_path, 10, 10)
+    labels_csv(q_path, 5, 5)
+    for res in (run("apply", "--model", model, "--input", scores, "--out", tmp_path / "o.csv"),
+                run("shift", "--labels-p", p_path, "--labels-q", q_path,
+                    "--base-model", model, "--out", tmp_path / "m.json")):
+        assert res.exit_code in (0, 2), (obj, res.exception)
+        if res.exit_code == 2:
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, obj
 
 
 def test_apply_rejects_out_of_range_scores(tmp_path):
@@ -438,8 +553,19 @@ def test_bound_argument_errors():
     res = run("bound", "--n", 10, "--B", 10)
     assert res.exit_code == 2
     assert_input_error(run("bound", "--n", 1000, "--B", 10, "--K", "nan"))
-    assert_input_error(run("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
-                           "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8, "--K", "inf"))
+    shift = ("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
+             "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8)
+    assert_input_error(run(*shift, "--K", "inf"))
+    # Non-finite label-shift inputs are refused, not printed as inf or nan.
+    for flags in (("--w-max", "inf"), ("--w-min", "nan"), ("--p-min", "inf"),
+                  ("--q-min", "nan"),
+                  ("--rho0", "nan", "--rho1", 1, "--risk-p", 0.1),
+                  ("--rho0", "inf", "--rho1", 1, "--risk-p", 0.1),
+                  ("--rho0", 1, "--rho1", 1, "--risk-p", "nan"),
+                  ("--rho0", 1, "--rho1", 1, "--risk-p", "inf")):
+        res = run(*shift, *flags)
+        assert_input_error(res)
+        assert res.stdout == "", flags
 
 
 # --------------------------------------------------------------- optbins
