@@ -6,7 +6,13 @@ bin-count selection, `oracle` an analytic Gaussian-mixture task whose
 population risks are computable exactly, and `experiments` the
 simulation harness that ties them together. The `recalib` console
 script exposes the same functionality from the shell.
+
+`oracle` and `experiments`, and the oracle names re-exported here, load
+on first use (PEP 562), so `import recalib` and the CLI commands that
+need no oracle start without importing scipy.
 """
+
+from importlib import import_module as _import_module
 
 from ._version import __version__
 from .core import (
@@ -50,24 +56,6 @@ from .bounds import (
     shift_risk_bound_apriori,
     shift_risk_bound_realized,
     zeta,
-)
-from .oracle import (
-    GaussianMixtureTask,
-    MonotoneRecalibrator,
-    QuadratureFailureError,
-    RiskReport,
-    ZeroMassError,
-    empirical_risk_plugin,
-    estimate_K,
-    exact_shift_weights,
-    hstar,
-    interval_mass,
-    interval_mean,
-    logit,
-    population_risk,
-    posterior,
-    sample,
-    sigmoid,
 )
 
 __all__ = [
@@ -127,3 +115,42 @@ __all__ = [
     "umb_fit",
     "zeta",
 ]
+
+# Names resolved on first use, each mapped to the submodule that holds it,
+# so that `import recalib` and the CLI start without loading scipy.
+_LAZY = {
+    "oracle": "oracle",
+    "experiments": "experiments",
+    **dict.fromkeys((
+        "GaussianMixtureTask",
+        "MonotoneRecalibrator",
+        "QuadratureFailureError",
+        "RiskReport",
+        "ZeroMassError",
+        "empirical_risk_plugin",
+        "estimate_K",
+        "exact_shift_weights",
+        "hstar",
+        "interval_mass",
+        "interval_mean",
+        "logit",
+        "population_risk",
+        "posterior",
+        "sample",
+        "sigmoid",
+    ), "oracle"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _import_module(f"{__name__}.{module}")
+    value = mod if name == module else getattr(mod, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -45,8 +45,6 @@ from .core import (
     fit_recalibrator,
 )
 from .fileio import fmt_float, write_text_atomic
-from .oracle import GaussianMixtureTask, estimate_K
-from . import experiments as exp
 
 MODEL_FORMAT_VERSION = 1
 
@@ -82,15 +80,23 @@ def _recalibrator_to_obj(h: Recalibrator) -> dict:
     raise TypeError(f"cannot serialize {type(h).__name__}")
 
 
+def _is_json_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _recalibrator_from_obj(obj: dict) -> Recalibrator:
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
     kind = obj.get("kind")
     if kind == "piecewise":
+        counts = obj["counts"]
+        if not all(map(_is_json_int, counts)):
+            raise ValueError("piecewise counts must be a list of integers")
         return PiecewiseRecalibrator(
             BinningScheme(tuple(obj["edges"])),
             tuple(obj["values"]),
-            tuple(obj["counts"]),
+            tuple(counts),
         )
     if kind == "shift":
         weights = ShiftWeights(
@@ -128,7 +134,7 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
     if not isinstance(payload, dict):
         raise ValueError("a model file must hold a JSON object")
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not _is_json_int(version) or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
         )
@@ -230,6 +236,8 @@ def _resolve_K(k_const, task_name, pi) -> float:
             _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
         return float(k_const)
     if task_name == "gaussian":
+        from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
+
         try:
             task = GaussianMixtureTask(pi)
         except ValueError as e:
@@ -390,14 +398,16 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
                                             ("--w-max", w_max)) if v is None]
             if missing:
                 _fail(f"label-shift mode needs {', '.join(missing)}", 2)
-            rho = (rho0, rho1) if rho0 is not None and rho1 is not None else None
+            missing = [name for name, v in (("--rho0", rho0), ("--rho1", rho1),
+                                            ("--risk-p", risk_p)) if v is None]
+            if 0 < len(missing) < 3:
+                _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
+            rho = None if missing else (rho0, rho1)
             params = ShiftBoundParams(n_P=n_P, n_Q=n_Q, B=B, delta=delta, K=K,
                                       p_min=p_min, q_min=q_min,
                                       w_min=w_min, w_max=w_max, rho=rho)
             report = shift_risk_bound_apriori(params)
-            realized = None
-            if rho is not None and risk_p is not None:
-                realized = shift_risk_bound_realized(params, risk_p)
+            realized = None if rho is None else shift_risk_bound_realized(params, risk_p)
             click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                        f"sha {fmt_float(report.sha_bound)}")
             click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
@@ -439,6 +449,8 @@ def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
 @click.option("--out-dir", "out_dir", required=True, type=click.Path(file_okay=False))
 def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
+    from . import experiments as exp  # loads scipy
+
     defaults = {
         "risk-grid": exp.default_risk_grid_config,
         "opt-b": exp.default_opt_b_config,

@@ -51,16 +51,75 @@ def labels_csv(path, zeros: int, ones: int) -> None:
 
 # --------------------------------------------------------------- start-up
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # Quadrature is imported on first use, so fit, apply and shift start
-    # without it.
+def _src_env() -> dict:
     src = os.path.dirname(os.path.dirname(recalib.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, recalib.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+
+
+def _scipy_modules_after(code: str, *args: str) -> str:
+    """Last stdout line of a fresh interpreter that runs ``code`` and then
+    prints the recalib.oracle flag and the sorted loaded scipy modules."""
+    code += ("\nprint('recalib.oracle' in sys.modules, "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy():
+    # The oracle and the experiments load on first use, so no command
+    # pays for scipy at start-up.
+    assert _scipy_modules_after("import sys, recalib.cli") == "False []"
+
+
+def test_deployment_commands_do_not_load_scipy(tmp_path):
+    # fit without --task, apply, shift, bound and optbins --K never need
+    # the Gaussian-mixture oracle.
+    data, scores = tmp_path / "data.csv", tmp_path / "scores.csv"
+    data.write_text(FIT_CSV)
+    scores.write_text("z\n0.1\n0.9\n")
+    p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+    labels_csv(p_path, 3, 2)
+    labels_csv(q_path, 1, 4)
+    model, composite = str(tmp_path / "model.json"), str(tmp_path / "composite.json")
+    commands = [
+        ["fit", "--input", data, "--bins", 2, "--out", model],
+        ["apply", "--model", model, "--input", scores, "--out", tmp_path / "a.csv"],
+        ["shift", "--labels-p", p_path, "--labels-q", q_path, "--base-model", model,
+         "--out", composite],
+        ["apply", "--model", composite, "--input", scores, "--out", tmp_path / "b.csv"],
+        ["bound", "--n", 1000, "--B", 10],
+        ["bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
+         "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8],
+        ["optbins", "--n", 1_000_000, "--K", 1],
+    ]
+    code = ("import json, sys\n"
+            "from recalib.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    main(args, standalone_mode=False)")
+    argv = json.dumps([[str(a) for a in c] for c in commands])
+    assert _scipy_modules_after(code, argv) == "False []"
+    assert (tmp_path / "b.csv").read_text().startswith("z,z_cal\n")
+
+
+def test_lazy_names_resolve_like_eager_ones():
+    namespace: dict = {}
+    exec("from recalib import *", namespace)
+    listing = dir(recalib)
+    for name in recalib.__all__:
+        assert getattr(recalib, name) is namespace[name], name
+        assert name in listing, name
+    assert {"oracle", "experiments"} <= set(listing)
+    from recalib import experiments, oracle
+
+    assert oracle is recalib.oracle is sys.modules["recalib.oracle"]
+    assert experiments is recalib.experiments is sys.modules["recalib.experiments"]
+    assert recalib.population_risk is oracle.population_risk
+    assert recalib.GaussianMixtureTask is oracle.GaussianMixtureTask
+    assert not hasattr(recalib, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from recalib import no_such_name", {})
 
 
 # ------------------------------------------------------------------- fit
@@ -279,6 +338,20 @@ def test_apply_model_file_errors(tmp_path):
         {"format_version": 1,
          "model": {"kind": "piecewise", "edges": [0.0, 10 ** 400, 1.0],
                    "values": [0.5, 0.5], "counts": [1, 1]}},
+        # true == 1 and 1.0 == 1 in Python, but neither is version 1.
+        {"format_version": True,
+         "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                   "values": [0.5, 0.5], "counts": [1, 1]}},
+        {"format_version": 1.0,
+         "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                   "values": [0.5, 0.5], "counts": [1, 1]}},
+        # Fractional counts, which int() would truncate to (1, 2).
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                   "values": [0.5, 0.5], "counts": [1.7, 2.2]}},
+        {"format_version": 1,
+         "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                   "values": [0.5, 0.5], "counts": [1, True]}},
     )
     for i, obj in enumerate(malformed):
         path = tmp_path / f"malformed_{i}.json"
@@ -566,6 +639,15 @@ def test_bound_argument_errors():
         res = run(*shift, *flags)
         assert_input_error(res)
         assert res.stdout == "", flags
+    # The realized-ratio bound needs all three of its flags or none.
+    for flags, missing in ((("--rho0", 1.1, "--risk-p", 0.1), "--rho1"),
+                           (("--rho0", 1.1, "--rho1", 0.9), "--risk-p"),
+                           (("--risk-p", 0.1,), "--rho0, --rho1"),
+                           (("--rho1", 0.9,), "--rho0, --risk-p")):
+        res = run(*shift, *flags)
+        assert_input_error(res)
+        assert res.stdout == "", flags
+        assert res.stderr == f"error: the realized-ratio bound needs {missing}\n"
 
 
 # --------------------------------------------------------------- optbins
