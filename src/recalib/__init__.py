@@ -30,11 +30,9 @@ from .core import (
     ShiftWeights,
     apply,
     apply_batch,
-    bin_index,
     compose,
     estimate_weights,
     fit_recalibrator,
-    shift_correct_multiclass,
     umb_fit,
 )
 from .bounds import (
@@ -84,7 +82,6 @@ __all__ = [
     "ZeroMassError",
     "apply",
     "apply_batch",
-    "bin_index",
     "cal_risk_bound",
     "chernoff_sample_requirement",
     "compose",
@@ -108,7 +105,6 @@ __all__ = [
     "sample",
     "sample_size_ok",
     "sha_risk_bound",
-    "shift_correct_multiclass",
     "shift_risk_bound_apriori",
     "shift_risk_bound_realized",
     "sigmoid",

@@ -231,18 +231,14 @@ def shift_risk_bound_realized(p: ShiftBoundParams, risk_P: float) -> float:
 def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
     """A-priori target risk bound for the two-stage (shift after binning) fit.
 
-    The recalibration part is the source bound at failure level delta / 2
-    scaled by 2 w_max^3 / w_min^2; the weight-estimation part is
+    The recalibration part is the source bound at failure level delta / 2,
+    epsilon_delta(n_P, B, delta / 4)^2 + 8 K^2 / B^2, scaled by
+    2 w_max^3 / w_min^2; the weight-estimation part is
     54 max(1 / (p_min n_P), 1 / (q_min n_Q)) log(16 / delta). Gates:
     n_P >= max(c, 27 / p_min) B log(4B / delta) and
     n_Q >= (27 / q_min) log(16 / delta).
     """
-    m = p.n_P // p.B
-    if m < 2:
-        raise InsufficientSampleError(
-            f"floor(n_P / B) = {m} < 2; at least two source points per bin are required"
-        )
-    cal_term = (math.sqrt(math.log(8.0 * p.B / p.delta) / (2.0 * (m - 1))) + 1.0 / m) ** 2
+    cal_term = epsilon_delta(p.n_P, p.B, p.delta / 4.0) ** 2
     sha_term = 8.0 * p.K * p.K / (p.B * p.B)
     scale = 2.0 * p.w_max ** 3 / p.w_min ** 2
     weight_term = 54.0 * max(1.0 / (p.p_min * p.n_P), 1.0 / (p.q_min * p.n_Q)) * math.log(16.0 / p.delta)
@@ -301,8 +297,6 @@ def phi_approx(fitted: PiecewiseRecalibrator, true_bin_means, epsilon: float) ->
 
 def phi_ratio(plug_in: ShiftWeights, exact: ShiftWeights, beta: float) -> bool:
     """Whether each ratio plug_in.w[k] / exact.w[k] lies in [1 / beta, beta]."""
-    if plug_in.n_classes != 2 or exact.n_classes != 2:
-        raise ValueError("the ratio diagnostic is defined for binary weights")
     if beta < 1.0:
         raise ValueError("beta must be at least 1")
     for k in (0, 1):

@@ -49,10 +49,6 @@ from .fileio import fmt_float, write_text_atomic
 MODEL_FORMAT_VERSION = 1
 
 
-class ModelVersionError(ValueError):
-    """The model file's format version is not supported."""
-
-
 def _recalibrator_to_obj(h: Recalibrator) -> dict:
     if isinstance(h, PiecewiseRecalibrator):
         return {
@@ -107,11 +103,8 @@ def _recalibrator_from_obj(obj: dict) -> Recalibrator:
         )
         return ShiftCorrector(weights)
     if kind == "composite":
-        outer = _recalibrator_from_obj(obj["outer"])
-        inner = _recalibrator_from_obj(obj["inner"])
-        if not isinstance(outer, ShiftCorrector) or not isinstance(inner, PiecewiseRecalibrator):
-            raise ValueError("a composite model needs a shift outer part and a piecewise inner part")
-        return Composite(outer=outer, inner=inner)
+        return Composite(outer=_recalibrator_from_obj(obj["outer"]),
+                         inner=_recalibrator_from_obj(obj["inner"]))
     if kind == "constant":
         return Constant(obj["value"])
     if kind == "identity":
@@ -135,14 +128,15 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
         raise ValueError("a model file must hold a JSON object")
     version = payload.get("format_version")
     if not _is_json_int(version) or version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
+        raise ValueError(
             f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
         )
     try:
         model = _recalibrator_from_obj(payload["model"])
     except (TypeError, OverflowError) as e:
-        # A field of the wrong JSON type, such as "edges": 5, or a number
-        # with no int or float value, such as "counts": [Infinity].
+        # A field of the wrong JSON type, such as "edges": 5, a number with
+        # no int or float value, such as "counts": [Infinity], or a
+        # composite whose parts are of the wrong kinds.
         raise ValueError(f"malformed model: {e}") from e
     return model, payload.get("metadata", {})
 
@@ -150,6 +144,13 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _load_model_or_exit(path: str) -> tuple[Recalibrator, dict]:
+    try:
+        return load_model(path)
+    except (ValueError, KeyError) as e:
+        _fail(f"{path}: {e}", 2)
 
 
 @contextlib.contextmanager
@@ -169,14 +170,21 @@ def _echo_bound_report(report) -> None:
                f"({report.condition_detail})")
 
 
-def _parse_float(text: str, row: int, column: str, lo: float, hi: float) -> float:
+def _parse_score(path: str, row: int, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        _fail(f"row {row}, column {column}: {text!r} is not a number", 2)
-    if not lo <= value <= hi:
-        _fail(f"row {row}, column {column}: {value!r} outside [{lo}, {hi}]", 2)
+        _fail(f"{path}: row {row}, column z: {text!r} is not a number", 2)
+    if not 0.0 <= value <= 1.0:
+        _fail(f"{path}: row {row}, column z: {value!r} outside [0.0, 1.0]", 2)
     return value
+
+
+def _parse_label(path: str, row: int, text: str) -> int:
+    y = text.strip()
+    if y not in ("0", "1"):
+        _fail(f"{path}: row {row}, column y: {text!r} is not 0 or 1", 2)
+    return int(y)
 
 
 def _read_csv_columns(path: str, header: tuple[str, ...]):
@@ -199,23 +207,15 @@ def _read_scores_labels(path: str) -> LabeledSample:
     zs: list[float] = []
     ys: list[int] = []
     for i, (z_text, y_text) in _read_csv_columns(path, ("z", "y")):
-        zs.append(_parse_float(z_text, i, "z", 0.0, 1.0))
-        y = y_text.strip()
-        if y not in ("0", "1"):
-            _fail(f"row {i}, column y: {y_text!r} is not 0 or 1", 2)
-        ys.append(int(y))
+        zs.append(_parse_score(path, i, z_text))
+        ys.append(_parse_label(path, i, y_text))
     if not zs:
         _fail(f"{path}: no data rows", 2)
     return LabeledSample(z=zs, y=ys)
 
 
 def _read_labels(path: str) -> list[int]:
-    ys: list[int] = []
-    for i, (y_text,) in _read_csv_columns(path, ("y",)):
-        y = y_text.strip()
-        if y not in ("0", "1"):
-            _fail(f"{path}: row {i}, column y: {y_text!r} is not 0 or 1", 2)
-        ys.append(int(y))
+    ys = [_parse_label(path, i, y_text) for i, (y_text,) in _read_csv_columns(path, ("y",))]
     if not ys:
         _fail(f"{path}: no data rows", 2)
     return ys
@@ -317,11 +317,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_apply(model_path, input_path, out_path) -> None:
     """Recalibrate a stream of scores; writes CSV with header z,z_cal."""
-    try:
-        model, _ = load_model(model_path)
-    except (ModelVersionError, ValueError, KeyError) as e:
-        _fail(f"{model_path}: {e}", 2)
-    zs = [_parse_float(z_text, i, "z", 0.0, 1.0)
+    model, _ = _load_model_or_exit(model_path)
+    zs = [_parse_score(input_path, i, z_text)
           for i, (z_text,) in _read_csv_columns(input_path, ("z",))]
     z_cal = apply_batch(model, zs).tolist()
     text = "".join(f"{fmt_float(z)},{fmt_float(c)}\n" for z, c in zip(zs, z_cal))
@@ -358,10 +355,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     }
     model = corrector
     if base_model_path is not None:
-        try:
-            base, base_meta = load_model(base_model_path)
-        except (ModelVersionError, ValueError, KeyError) as e:
-            _fail(f"{base_model_path}: {e}", 2)
+        base, base_meta = _load_model_or_exit(base_model_path)
         if not isinstance(base, PiecewiseRecalibrator):
             _fail(f"{base_model_path}: --base-model must hold a piecewise model", 2)
         metadata["base_model"] = base_meta
@@ -376,7 +370,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
 @click.option("--B", "B", type=int, required=True)
 @click.option("--delta", default=0.1, show_default=True)
 @click.option("--K", "K", type=float, default=1.0, show_default=True)
-@click.option("--smooth/--no-smooth", default=False,
+@click.option("--smooth/--no-smooth", default=None,
               help="Use the smoothness-based sharpness bound 8K^2/B^2 instead of 2/B.")
 @click.option("--n-p", "n_P", type=int, default=None, help="Source size (label-shift mode).")
 @click.option("--n-q", "n_Q", type=int, default=None, help="Target size (label-shift mode).")
@@ -390,16 +384,22 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
               help="Known source risk for the realized bound.")
 def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
               rho0, rho1, risk_p) -> None:
-    """Print risk bounds: single-distribution by default, label-shift with --n-p."""
+    """Print risk bounds: single-distribution by default, label-shift with --n-p.
+
+    Each mode refuses the flags of the other, which it would ignore.
+    """
+    shift_flags = (("--n-q", n_Q), ("--p-min", p_min), ("--q-min", q_min),
+                   ("--w-min", w_min), ("--w-max", w_max))
+    realized_flags = (("--rho0", rho0), ("--rho1", rho1), ("--risk-p", risk_p))
     try:
         if n_P is not None:
-            missing = [name for name, v in (("--n-q", n_Q), ("--p-min", p_min),
-                                            ("--q-min", q_min), ("--w-min", w_min),
-                                            ("--w-max", w_max)) if v is None]
+            stray = [name for name, v in (("--n", n), ("--smooth", smooth)) if v is not None]
+            if stray:
+                _fail(f"label-shift mode (--n-p) does not use {', '.join(stray)}", 2)
+            missing = [name for name, v in shift_flags if v is None]
             if missing:
                 _fail(f"label-shift mode needs {', '.join(missing)}", 2)
-            missing = [name for name, v in (("--rho0", rho0), ("--rho1", rho1),
-                                            ("--risk-p", risk_p)) if v is None]
+            missing = [name for name, v in realized_flags if v is None]
             if 0 < len(missing) < 3:
                 _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
             rho = None if missing else (rho0, rho1)
@@ -416,10 +416,13 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
             if realized is not None:
                 click.echo(f"realized-ratio bound: {fmt_float(realized)}")
         else:
+            stray = [name for name, v in shift_flags + realized_flags if v is not None]
+            if stray:
+                _fail(f"label-shift flags need --n-p: {', '.join(stray)}", 2)
             if n is None:
                 _fail("--n is required outside label-shift mode", 2)
-            _echo_bound_report(
-                risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K, use_smooth=smooth)))
+            _echo_bound_report(risk_bound_report(
+                BoundParams(n=n, B=B, delta=delta, K=K, use_smooth=bool(smooth))))
     except ValueError as e:
         _fail(str(e), 2)
 

@@ -33,12 +33,10 @@ __all__ = [
     "Identity",
     "Recalibrator",
     "umb_fit",
-    "bin_index",
     "fit_recalibrator",
     "apply",
     "apply_batch",
     "estimate_weights",
-    "shift_correct_multiclass",
     "compose",
 ]
 
@@ -173,7 +171,7 @@ class PiecewiseRecalibrator:
 
 @dataclass(frozen=True)
 class ShiftWeights:
-    """Per-class importance weights w_k between two label distributions.
+    """Importance weights (w_0, w_1) between two binary label distributions.
 
     ``provenance`` records whether the weights are population quantities
     ("exact") or plug-in ratios of empirical class frequencies
@@ -181,15 +179,15 @@ class ShiftWeights:
     must satisfy w_k == q_hat_k / p_hat_k bit for bit.
     """
 
-    w: tuple[float, ...]
+    w: tuple[float, float]
     provenance: str
-    p_hat: tuple[float, ...] | None = None
-    q_hat: tuple[float, ...] | None = None
+    p_hat: tuple[float, float] | None = None
+    q_hat: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         w = tuple(float(x) for x in self.w)
-        if len(w) < 2:
-            raise ValueError("at least two class weights are required")
+        if len(w) != 2:
+            raise ValueError(f"exactly two class weights are required, got {len(w)}")
         if any(not np.isfinite(x) or x <= 0.0 for x in w):
             raise ValueError("class weights must be finite and strictly positive")
         if self.provenance not in ("exact", "plug-in"):
@@ -199,36 +197,27 @@ class ShiftWeights:
                 raise ValueError("plug-in weights must carry their source frequencies")
             p = tuple(float(x) for x in self.p_hat)
             q = tuple(float(x) for x in self.q_hat)
-            if len(p) != len(w) or len(q) != len(w):
-                raise ValueError("frequency vectors must match the number of classes")
+            if len(p) != 2 or len(q) != 2:
+                raise ValueError("frequency vectors must have one entry per class")
             if any(not 0.0 < x <= 1.0 for x in p + q):
                 raise ValueError("class frequencies must lie in (0, 1]")
-            for k in range(len(w)):
+            for k in (0, 1):
                 if w[k] != q[k] / p[k]:
                     raise ValueError(f"w[{k}] must equal q_hat[{k}] / p_hat[{k}] exactly")
             object.__setattr__(self, "p_hat", p)
             object.__setattr__(self, "q_hat", q)
         object.__setattr__(self, "w", w)
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.w)
-
 
 @dataclass(frozen=True)
 class ShiftCorrector:
     """The odds-reweighting map g(z) = w_1 z / (w_1 z + w_0 (1 - z)).
 
-    Defined for binary weights only. The map is strictly increasing and
-    fixes the endpoints, g(0) = 0 and g(1) = 1, and the formula lands on
-    both exactly in floating point.
+    The map is strictly increasing and fixes the endpoints, g(0) = 0 and
+    g(1) = 1, and the formula lands on both exactly in floating point.
     """
 
     weights: ShiftWeights
-
-    def __post_init__(self) -> None:
-        if self.weights.n_classes != 2:
-            raise ValueError("the shift corrector is defined for binary weights")
 
 
 @dataclass(frozen=True)
@@ -237,6 +226,12 @@ class Composite:
 
     outer: ShiftCorrector
     inner: PiecewiseRecalibrator
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.outer, ShiftCorrector):
+            raise TypeError("the outer map must be a ShiftCorrector")
+        if not isinstance(self.inner, PiecewiseRecalibrator):
+            raise TypeError("the inner map must be a PiecewiseRecalibrator")
 
     def flatten(self) -> PiecewiseRecalibrator:
         """The composite as a single piecewise map: bin edges are preserved
@@ -305,20 +300,10 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     return _uniform_mass_bins(np.sort(z), int(B))[0]
 
 
-def bin_index(scheme: BinningScheme, z: float) -> int:
-    """The 1-based index of the bin containing score z.
-
-    Scores equal to an interior edge u_b belong to bin b (bins are closed
-    on the right), and z = 0 belongs to bin 1.
-    """
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"score {z!r} outside [0, 1]")
-    return int(_bin_indices(scheme.edges, np.float64(z)))
-
-
 def _bin_indices(edges: Sequence[float], z: np.ndarray) -> np.ndarray:
-    """``bin_index`` of validated scores, an array or a ``np.float64`` scalar."""
+    """1-based bin indices of validated scores, an array or a ``np.float64``
+    scalar. Bins are closed on the right, so a score equal to an interior
+    edge u_b lies in bin b, and z = 0 lies in bin 1."""
     idx = np.searchsorted(edges, z, side="left")
     return np.maximum(idx, 1)
 
@@ -417,33 +402,10 @@ def estimate_weights(labels_P: Sequence[int] | np.ndarray,
     return ShiftWeights(w=w, provenance="plug-in", p_hat=p_hat, q_hat=q_hat)
 
 
-def shift_correct_multiclass(w: Sequence[float], alpha: Sequence[float]) -> tuple[float, ...]:
-    """Reweight a probability vector: output_k = w_k alpha_k / sum_j w_j alpha_j.
-
-    For two classes with alpha = (1 - z, z) the second coordinate equals
-    the binary shift corrector applied to z.
-    """
-    w = tuple(float(x) for x in w)
-    a = tuple(float(x) for x in alpha)
-    if len(w) != len(a):
-        raise ValueError(f"got {len(w)} weights for {len(a)} classes")
-    if any(not np.isfinite(x) or x <= 0.0 for x in w):
-        raise ValueError("class weights must be finite and strictly positive")
-    if any(x < 0.0 for x in a) or abs(sum(a) - 1.0) > 1e-12:
-        raise ValueError("alpha must lie on the probability simplex (tolerance 1e-12)")
-    num = [wk * ak for wk, ak in zip(w, a)]
-    s = sum(num)
-    return tuple(x / s for x in num)
-
-
 def compose(g: ShiftCorrector, h: PiecewiseRecalibrator) -> Composite:
-    """The two-stage recalibrator z -> g(h(z)).
+    """The two-stage recalibrator z -> g(h(z)); ``Composite`` checks the types.
 
     The result is itself piecewise constant; ``Composite.flatten`` gives
     that form with the inner edges preserved exactly.
     """
-    if not isinstance(g, ShiftCorrector):
-        raise TypeError("the outer map must be a ShiftCorrector")
-    if not isinstance(h, PiecewiseRecalibrator):
-        raise TypeError("the inner map must be a PiecewiseRecalibrator")
     return Composite(outer=g, inner=h)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundParams, cal_risk_bound, optimal_bins, sample_size_ok, sha_risk_bound
+from .bounds import BoundParams, optimal_bins, risk_bound_report
 from .core import ClassAbsentError, ShiftCorrector, compose, estimate_weights, fit_recalibrator
 from .fileio import fmt_float, write_text_atomic
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
@@ -251,16 +251,14 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
             if n // B < 2:
                 cells.append(GridCell(n, B, True, False, None, None, None, ()))
                 continue
-            params = BoundParams(n=n, B=B, delta=cfg.delta)
-            cal_b = cal_risk_bound(params)
-            sha_b = sha_risk_bound(params)
-            gates_ok, _ = sample_size_ok(params)
+            bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
             reports = []
             for k in range(cfg.seeds):
                 data = sample(task, n, cell_seed(cfg.base_seed, n, B, k))
                 fitted = fit_recalibrator(data, B)
                 reports.append(population_risk(task, fitted))
-            cells.append(GridCell(n, B, False, gates_ok, cal_b, sha_b, cal_b + sha_b, tuple(reports)))
+            cells.append(GridCell(n, B, False, bound.conditions_met, bound.cal_bound,
+                                  bound.sha_bound, bound.risk_bound, tuple(reports)))
     return tuple(cells)
 
 

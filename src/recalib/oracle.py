@@ -104,11 +104,14 @@ def sigmoid(x: float) -> float:
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    """``sigmoid`` over an array in one pass: with e = exp(-|x|), the map is
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, both without overflow."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0.0, 1.0, e)
+    e += 1.0
+    out /= e
     out[x > _SAT] = 1.0
     out[x < -_SAT] = 0.0
     return out

@@ -9,7 +9,8 @@ and of the plug-in risk as references for their vectorised successors,
 ``piecewise_quad_ref`` the earlier per-bin scipy quadrature of
 piecewise population risks as a reference for their closed form, and
 ``optimal_bins_scan_ref`` the earlier exhaustive bin-count scan as a
-reference for its bounded search.
+reference for its bounded search, and ``sigmoid_array_masked_ref`` the
+earlier two-mask logistic map as a reference for its one-pass form.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -321,6 +322,19 @@ def _sigmoid_float(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid_array_masked_ref(x: np.ndarray) -> np.ndarray:
+    """The logistic map over an array, one branch per sign mask, saturated
+    to exactly 0 and 1 for |x| > 36."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    out[x > 36.0] = 1.0
+    out[x < -36.0] = 0.0
+    return out
 
 
 def piecewise_quad_ref(pi: float, edges, values):

@@ -199,6 +199,8 @@ def test_fit_parse_errors(tmp_path):
         inp.write_text(text)
         res = run("fit", "--input", inp, "--bins", 2, "--out", out)
         assert res.exit_code == 2, text
+        # Every message names the file, row and column errors included.
+        assert res.stderr.startswith(f"error: {inp}: ") and res.stderr.count("\n") == 1, text
         for needle in needles:
             assert needle in res.stderr, (text, res.stderr)
 
@@ -352,6 +354,15 @@ def test_apply_model_file_errors(tmp_path):
         {"format_version": 1,
          "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
                    "values": [0.5, 0.5], "counts": [1, True]}},
+        # Label shift is binary: three weights are refused.
+        {"format_version": 1,
+         "model": {"kind": "shift", "w": [1.0, 1.0, 1.0], "provenance": "exact"}},
+        # A composite with its parts swapped.
+        {"format_version": 1,
+         "model": {"kind": "composite",
+                   "outer": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                             "values": [0.5, 0.5], "counts": [1, 1]},
+                   "inner": {"kind": "shift", "w": [1.0, 1.0], "provenance": "exact"}}},
     )
     for i, obj in enumerate(malformed):
         path = tmp_path / f"malformed_{i}.json"
@@ -452,7 +463,7 @@ def test_apply_rejects_out_of_range_scores(tmp_path):
     inp.write_text("z\n1.5\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
     assert res.exit_code == 2
-    assert "outside [0.0, 1.0]" in res.stderr
+    assert res.stderr == f"error: {inp}: row 2, column z: 1.5 outside [0.0, 1.0]\n"
 
 
 def test_apply_bad_last_row_leaves_no_file(tmp_path):
@@ -462,7 +473,7 @@ def test_apply_bad_last_row_leaves_no_file(tmp_path):
     inp.write_text("z\n" + "0.5\n" * 1000 + "nan?\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
     assert res.exit_code == 2
-    assert "row 1002, column z" in res.stderr
+    assert res.stderr == f"error: {inp}: row 1002, column z: 'nan?' is not a number\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["identity.json", "scores.csv"]
 
 
@@ -561,6 +572,15 @@ def test_shift_absent_class_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_shift_bad_label_row_names_file(tmp_path):
+    p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
+    labels_csv(p_path, 10, 10)
+    q_path.write_text("y\n0\n1\n0.5\n")
+    res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", tmp_path / "m.json")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {q_path}: row 4, column y: '0.5' is not 0 or 1\n"
+
+
 def test_shift_unwritable_out_exits_2(tmp_path):
     p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
     labels_csv(p_path, 10, 10)
@@ -648,6 +668,23 @@ def test_bound_argument_errors():
         assert_input_error(res)
         assert res.stdout == "", flags
         assert res.stderr == f"error: the realized-ratio bound needs {missing}\n"
+    # Each mode refuses the flags of the other instead of ignoring them.
+    single = ("bound", "--n", 1000, "--B", 10)
+    for args, message in (
+        ((*single, "--rho0", 1.1, "--w-max", 3), "label-shift flags need --n-p: --w-max, --rho0"),
+        ((*single, "--rho0", 1.1), "label-shift flags need --n-p: --rho0"),
+        ((*single, "--n-q", 100, "--p-min", 0.1, "--q-min", 0.1, "--w-min", 1,
+          "--rho1", 1, "--risk-p", 0),
+         "label-shift flags need --n-p: --n-q, --p-min, --q-min, --w-min, --rho1, --risk-p"),
+        ((*shift, "--n", 1000), "label-shift mode (--n-p) does not use --n"),
+        ((*shift, "--smooth"), "label-shift mode (--n-p) does not use --smooth"),
+        ((*shift, "--no-smooth"), "label-shift mode (--n-p) does not use --smooth"),
+        ((*shift, "--n", 1000, "--smooth"), "label-shift mode (--n-p) does not use --n, --smooth"),
+    ):
+        res = run(*args)
+        assert_input_error(res)
+        assert res.stdout == "", args
+        assert res.stderr == f"error: {message}\n", args
 
 
 # --------------------------------------------------------------- optbins

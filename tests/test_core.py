@@ -21,11 +21,9 @@ from recalib.core import (
     ShiftWeights,
     apply,
     apply_batch,
-    bin_index,
     compose,
     estimate_weights,
     fit_recalibrator,
-    shift_correct_multiclass,
     umb_fit,
 )
 
@@ -72,22 +70,27 @@ def test_umb_fit_rejects_out_of_range_scores():
         umb_fit([-0.2, 0.5], 1)
 
 
-# -------------------------------------------------------------- bin_index
+# ----------------------------------------------------------- bin membership
+
+def bins_of(scheme: BinningScheme, z) -> np.ndarray:
+    """1-based bins of the scores z, read through ``apply_batch`` on a map
+    whose value in bin b is (b - 1) / B, distinct per bin."""
+    values = np.arange(scheme.B) / scheme.B
+    h = PiecewiseRecalibrator(scheme, values.tolist(), (1,) * scheme.B)
+    return np.searchsorted(values, apply_batch(h, z)) + 1
+
 
 def test_bin_index_right_closed_edges():
     scheme = BinningScheme((0.0, 0.2, 1.0))
-    assert bin_index(scheme, 0.2) == 1
-    assert bin_index(scheme, 0.200001) == 2
-    assert bin_index(scheme, 1.0) == 2
-    assert bin_index(scheme, 0.0) == 1
+    assert bins_of(scheme, [0.2, 0.200001, 1.0, 0.0]).tolist() == [1, 2, 2, 1]
 
 
 def test_bin_index_rejects_out_of_range():
     scheme = BinningScheme((0.0, 0.2, 1.0))
     with pytest.raises(ValueError):
-        bin_index(scheme, 1.0000001)
+        bins_of(scheme, [1.0000001])
     with pytest.raises(ValueError):
-        bin_index(scheme, -0.1)
+        bins_of(scheme, [-0.1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,7 +103,7 @@ def test_bin_index_rejects_out_of_range():
 def test_bin_index_partitions_unit_interval(seed, n, B, z):
     B = min(B, n)
     scheme = umb_fit(distinct_scores(n, seed), B)
-    b = bin_index(scheme, z)
+    b = int(bins_of(scheme, [z])[0])
     assert 1 <= b <= scheme.B
     # Membership of the returned bin, and of no other bin.
     edges = scheme.edges
@@ -118,9 +121,7 @@ def test_count_balance_on_distinct_scores(seed, n, B):
     B = min(B, n)
     z = distinct_scores(n, seed)
     scheme = umb_fit(z, B)
-    counts = np.zeros(scheme.B, dtype=int)
-    for v in z:
-        counts[bin_index(scheme, v) - 1] += 1
+    counts = np.bincount(bins_of(scheme, z) - 1, minlength=scheme.B)
     expected = [(n * b) // B - (n * (b - 1)) // B for b in range(1, B)]
     expected.append(n - (n * (B - 1)) // B)
     assert counts.tolist() == expected
@@ -343,39 +344,6 @@ def test_estimate_weights_rejects_bad_input():
         estimate_weights([0, 2], [0, 1])
 
 
-# -------------------------------------------- shift_correct_multiclass
-
-def test_multiclass_uniform_weights_fix_alpha():
-    assert shift_correct_multiclass((1, 1, 1), (0.2, 0.3, 0.5)) == (0.2, 0.3, 0.5)
-
-
-def test_multiclass_binary_hand_value():
-    assert shift_correct_multiclass((1.8, 0.2), (0.5, 0.5)) == (0.9, 0.1)
-
-
-def test_multiclass_simplex_vertex_is_fixed():
-    assert shift_correct_multiclass((2, 3, 5), (1, 0, 0)) == (1.0, 0.0, 0.0)
-
-
-def test_multiclass_agrees_with_binary_corrector():
-    g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
-    for z in np.linspace(0.0, 1.0, 101):
-        out = shift_correct_multiclass((1.8, 0.2), (1.0 - z, z))
-        assert out[1] == pytest.approx(apply(g, z), abs=1e-14)
-        assert out[0] + out[1] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_multiclass_validation():
-    with pytest.raises(ValueError):
-        shift_correct_multiclass((1, 1), (0.3, 0.3))  # off the simplex
-    with pytest.raises(ValueError):
-        shift_correct_multiclass((1, -1), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        shift_correct_multiclass((1, 1, 1), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        shift_correct_multiclass((1, 1), (-0.1, 1.1))
-
-
 # ---------------------------------------------------------------- compose
 
 def test_compose_identity_weights_equals_inner():
@@ -406,6 +374,11 @@ def test_compose_rejects_wrong_component_types():
         compose(h, h)
     with pytest.raises(TypeError):
         compose(g, g)
+    # The check lives in Composite itself, so every construction path has it.
+    with pytest.raises(TypeError):
+        Composite(outer=h, inner=g)
+    with pytest.raises(TypeError):
+        Composite(outer=g, inner=Identity())
 
 
 # -------------------------------------------------------- type validation
@@ -459,8 +432,11 @@ def test_shift_weights_validation():
         ShiftWeights((1.0, 1.0), "plug-in")  # missing frequencies
     with pytest.raises(ValueError):
         ShiftWeights((1.7, 0.2), "plug-in", p_hat=(0.5, 0.5), q_hat=(0.9, 0.1))
-    w = ShiftWeights((1.8, 0.2), "plug-in", p_hat=(0.5, 0.5), q_hat=(0.9, 0.1))
-    assert w.n_classes == 2
+    with pytest.raises(ValueError):
+        ShiftWeights((1.0, 1.0, 1.0), "exact")  # binary weights only
+    with pytest.raises(ValueError):
+        ShiftWeights((1.8, 0.2), "plug-in", p_hat=(0.5, 0.5, 0.0), q_hat=(0.9, 0.1))
+    ShiftWeights((1.8, 0.2), "plug-in", p_hat=(0.5, 0.5), q_hat=(0.9, 0.1))
 
 
 def test_shift_corrector_needs_binary_weights():

@@ -26,6 +26,7 @@ from recalib.oracle import (
     RiskReport,
     ZeroMassError,
     _quad,
+    _sigmoid_array,
     empirical_risk_plugin,
     estimate_K,
     exact_shift_weights,
@@ -40,7 +41,7 @@ from recalib.oracle import (
 )
 from recalib.oracle import EmptyBinError
 
-from oracles import piecewise_quad_ref, plugin_loop_ref
+from oracles import piecewise_quad_ref, plugin_loop_ref, sigmoid_array_masked_ref
 
 # Frozen reference values, independent 40-digit arithmetic; regenerate
 # with `python3 tests/oracles.py`.
@@ -90,6 +91,18 @@ def test_sigmoid_saturation_and_value():
     assert sigmoid(-37.0) == 0.0
     assert sigmoid(0.0) == 0.5
     assert sigmoid(4.0) == pytest.approx(SIGMOID_4, rel=1e-15)
+
+
+def test_sigmoid_array_matches_masked_reference_bitwise():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [36.0, np.nextafter(36.0, 0.0), np.nextafter(36.0, 99.0), 0.0, -0.0,
+             tiny, 2.2e-308, 1e-300, 1e-17, 700.0, 745.2, np.inf]
+    x = np.concatenate((edges, np.negative(edges),
+                        np.random.default_rng(11).normal(0.0, 12.0, 100_000)))
+    got = _sigmoid_array(x)
+    want = sigmoid_array_masked_ref(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(_sigmoid_array(np.array([np.nan]))[0])
 
 
 def test_logit_endpoints_and_roundtrip():
