@@ -231,6 +231,10 @@ def _sha256(path: str) -> str:
 
 def _resolve_K(k_const, task_name, pi) -> float:
     """The smoothness constant from --K, or estimated from --task; exits 2 on bad flags."""
+    if k_const is not None and task_name is not None:
+        _fail("--K and --task both set the smoothness constant; pass one", 2)
+    if pi is not None and task_name is None:
+        _fail("--pi needs --task", 2)
     if k_const is not None:
         if not 0.0 <= k_const < math.inf:
             _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
@@ -239,7 +243,7 @@ def _resolve_K(k_const, task_name, pi) -> float:
         from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
 
         try:
-            task = GaussianMixtureTask(pi)
+            task = GaussianMixtureTask(0.5 if pi is None else pi)
         except ValueError as e:
             _fail(f"--pi: {e}", 2)
         return estimate_K(task, 100_000)
@@ -263,7 +267,7 @@ def main() -> None:
               help="Smoothness constant for --bins auto.")
 @click.option("--task", "task_name", type=click.Choice(["gaussian"]), default=None,
               help="Estimate the smoothness constant from this simulation family.")
-@click.option("--pi", default=0.5, show_default=True, help="Prior for --task gaussian.")
+@click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
@@ -285,6 +289,10 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             B = int(bins)
         except ValueError:
             _fail(f"--bins must be an integer or 'auto', got {bins!r}", 2)
+        stray = [name for name, v in (("--K", k_const), ("--task", task_name), ("--pi", pi))
+                 if v is not None]
+        if stray:
+            _fail(f"an integer --bins does not use {', '.join(stray)}", 2)
     try:
         model = fit_recalibrator(data, B)
     except ValueError as e:
@@ -369,7 +377,8 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
 @click.option("--n", type=int, default=None, help="Calibration sample size.")
 @click.option("--B", "B", type=int, required=True)
 @click.option("--delta", default=0.1, show_default=True)
-@click.option("--K", "K", type=float, default=1.0, show_default=True)
+@click.option("--K", "K", type=float, default=None,
+              help="Smoothness constant for --smooth and label-shift mode; 1 if not given.")
 @click.option("--smooth/--no-smooth", default=None,
               help="Use the smoothness-based sharpness bound 8K^2/B^2 instead of 2/B.")
 @click.option("--n-p", "n_P", type=int, default=None, help="Source size (label-shift mode).")
@@ -386,7 +395,8 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
               rho0, rho1, risk_p) -> None:
     """Print risk bounds: single-distribution by default, label-shift with --n-p.
 
-    Each mode refuses the flags of the other, which it would ignore.
+    Each mode refuses the flags of the other, which it would ignore, and
+    the 2/B sharpness bound of single-distribution mode refuses --K.
     """
     shift_flags = (("--n-q", n_Q), ("--p-min", p_min), ("--q-min", q_min),
                    ("--w-min", w_min), ("--w-max", w_max))
@@ -403,7 +413,8 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
             if 0 < len(missing) < 3:
                 _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
             rho = None if missing else (rho0, rho1)
-            params = ShiftBoundParams(n_P=n_P, n_Q=n_Q, B=B, delta=delta, K=K,
+            params = ShiftBoundParams(n_P=n_P, n_Q=n_Q, B=B, delta=delta,
+                                      K=ShiftBoundParams.K if K is None else K,
                                       p_min=p_min, q_min=q_min,
                                       w_min=w_min, w_max=w_max, rho=rho)
             report = shift_risk_bound_apriori(params)
@@ -419,10 +430,13 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
             stray = [name for name, v in shift_flags + realized_flags if v is not None]
             if stray:
                 _fail(f"label-shift flags need --n-p: {', '.join(stray)}", 2)
+            if K is not None and not smooth:
+                _fail("--K needs --smooth outside label-shift mode", 2)
             if n is None:
                 _fail("--n is required outside label-shift mode", 2)
             _echo_bound_report(risk_bound_report(
-                BoundParams(n=n, B=B, delta=delta, K=K, use_smooth=bool(smooth))))
+                BoundParams(n=n, B=B, delta=delta, K=BoundParams.K if K is None else K,
+                            use_smooth=bool(smooth))))
     except ValueError as e:
         _fail(str(e), 2)
 
@@ -432,7 +446,7 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
 @click.option("--delta", default=0.1, show_default=True)
 @click.option("--K", "k_const", type=float, default=None)
 @click.option("--task", "task_name", type=click.Choice(["gaussian"]), default=None)
-@click.option("--pi", default=0.5, show_default=True)
+@click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
 def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
     """Print the bin count minimizing the risk bound objective."""
     K = _resolve_K(k_const, task_name, pi)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -103,23 +104,36 @@ def test_deployment_commands_do_not_load_scipy(tmp_path):
     assert (tmp_path / "b.csv").read_text().startswith("z,z_cal\n")
 
 
-def test_lazy_names_resolve_like_eager_ones():
+def test_public_names_resolve():
+    # The package namespace is the public names of core and bounds; the
+    # oracle and the experiments are submodules, imported on request.
+    from recalib import bounds, core
+
+    assert set(recalib.__all__) == {"__version__", *core.__all__, *bounds.__all__}
     namespace: dict = {}
     exec("from recalib import *", namespace)
     listing = dir(recalib)
     for name in recalib.__all__:
         assert getattr(recalib, name) is namespace[name], name
         assert name in listing, name
-    assert {"oracle", "experiments"} <= set(listing)
     from recalib import experiments, oracle
 
+    assert {"oracle", "experiments"} <= set(dir(recalib))
     assert oracle is recalib.oracle is sys.modules["recalib.oracle"]
     assert experiments is recalib.experiments is sys.modules["recalib.experiments"]
-    assert recalib.population_risk is oracle.population_risk
-    assert recalib.GaussianMixtureTask is oracle.GaussianMixtureTask
     assert not hasattr(recalib, "no_such_name")
     with pytest.raises(ImportError):
         exec("from recalib import no_such_name", {})
+    assert _scipy_modules_after("import sys, recalib") == "False []"
+
+
+def test_pyproject_version_matches_package():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as f:
+        match = re.search(r'^version = "([^"]+)"$', f.read(), re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == recalib.__version__
 
 
 # ------------------------------------------------------------------- fit
@@ -225,6 +239,24 @@ def test_fit_bad_bins_flag(tmp_path):
                   ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
         res = run("fit", "--input", inp, *flags, "--out", out)
         assert_input_error(res)
+        assert res.stdout == "", flags
+        assert not out.exists(), flags
+    # A flag the chosen mode would ignore is refused, not dropped.
+    for flags, message in (
+        (("--bins", 2, "--K", 5), "an integer --bins does not use --K"),
+        (("--bins", 2, "--task", "gaussian"), "an integer --bins does not use --task"),
+        (("--bins", 2, "--pi", 0.3), "an integer --bins does not use --pi"),
+        (("--bins", 2, "--K", 1, "--task", "gaussian", "--pi", 0.3),
+         "an integer --bins does not use --K, --task, --pi"),
+        (("--K", 1, "--task", "gaussian"),
+         "--K and --task both set the smoothness constant; pass one"),
+        (("--K", 1, "--pi", 0.3), "--pi needs --task"),
+        (("--pi", 0.3,), "--pi needs --task"),
+    ):
+        res = run("fit", "--input", inp, *flags, "--out", out)
+        assert_input_error(res)
+        assert res.stdout == "", flags
+        assert res.stderr == f"error: {message}\n", flags
         assert not out.exists(), flags
 
 
@@ -615,6 +647,10 @@ def test_bound_single_distribution():
 
     smooth = run("bound", "--n", 1000, "--B", 10, "--smooth")
     assert line_value(smooth.output, "sharpness risk bound:") == pytest.approx(0.08, rel=1e-15)
+    # An unset --K means K = 1; a given one, even 0, is used as given.
+    assert run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", 1).output == smooth.output
+    flat = run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", 0)
+    assert line_value(flat.output, "sharpness risk bound:") == 0.0
 
 
 def test_bound_label_shift_mode():
@@ -646,6 +682,7 @@ def test_bound_argument_errors():
     res = run("bound", "--n", 10, "--B", 10)
     assert res.exit_code == 2
     assert_input_error(run("bound", "--n", 1000, "--B", 10, "--K", "nan"))
+    assert_input_error(run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", "nan"))
     shift = ("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
              "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8)
     assert_input_error(run(*shift, "--K", "inf"))
@@ -680,6 +717,9 @@ def test_bound_argument_errors():
         ((*shift, "--smooth"), "label-shift mode (--n-p) does not use --smooth"),
         ((*shift, "--no-smooth"), "label-shift mode (--n-p) does not use --smooth"),
         ((*shift, "--n", 1000, "--smooth"), "label-shift mode (--n-p) does not use --n, --smooth"),
+        # The 2/B sharpness bound does not use K.
+        ((*single, "--K", 5), "--K needs --smooth outside label-shift mode"),
+        ((*single, "--no-smooth", "--K", 1), "--K needs --smooth outside label-shift mode"),
     ):
         res = run(*args)
         assert_input_error(res)
@@ -722,6 +762,16 @@ def test_optbins_small_n_exits_2():
     for flags in (("--K", "nan"), ("--K", "inf"), ("--K", -1), ("--K", 1, "--delta", "nan"),
                   ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
         assert_input_error(run("optbins", "--n", 1000, *flags))
+    for flags, message in (
+        (("--K", 1, "--task", "gaussian"),
+         "--K and --task both set the smoothness constant; pass one"),
+        (("--K", 1, "--pi", 0.3), "--pi needs --task"),
+        (("--pi", 0.3), "--pi needs --task"),
+    ):
+        res = run("optbins", "--n", 100_000, *flags)
+        assert_input_error(res)
+        assert res.stdout == "", flags
+        assert res.stderr == f"error: {message}\n", flags
 
 
 # -------------------------------------------------------------- simulate

@@ -392,8 +392,19 @@ def test_labeled_sample_validation():
         LabeledSample(z=[0.5], y=[0, 1])
     with pytest.raises(ValueError):
         LabeledSample(z=[], y=[])
-    s = LabeledSample(z=[0.5, 0.6], y=[0, 1])
+    for bad in (0.5, float("nan"), "1"):
+        with pytest.raises(ValueError):
+            LabeledSample(z=[0.5, 0.6], y=[0, bad])
+        with pytest.raises(ValueError):
+            estimate_weights([0, 1, bad], [0, 1])
+    for labels in ([True, False], [1.0, 0.0], [1, 0.0]):
+        s = LabeledSample(z=[0.5, 0.6], y=labels)
+        assert s.y.dtype == np.int64 and s.y.tolist() == [1, 0], labels
+    y = np.array([0, 1])
+    s = LabeledSample(z=[0.5, 0.6], y=y)
     assert s.n == 2
+    y[0] = 7  # the sample holds its own copy
+    assert s.y.tolist() == [0, 1]
     with pytest.raises(ValueError):
         s.z[0] = 0.9  # arrays are frozen
 
