@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable
 
 import click
 
@@ -229,8 +230,9 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _resolve_K(k_const, task_name, pi) -> float:
-    """The smoothness constant from --K, or estimated from --task; exits 2 on bad flags."""
+def _smoothness(k_const, task_name, pi) -> Callable[[], float]:
+    """Check the smoothness flags, exiting 2 on bad ones, and return how to
+    get K: --K as given, the --task estimate, or 1 with a warning."""
     if k_const is not None and task_name is not None:
         _fail("--K and --task both set the smoothness constant; pass one", 2)
     if pi is not None and task_name is None:
@@ -238,7 +240,7 @@ def _resolve_K(k_const, task_name, pi) -> float:
     if k_const is not None:
         if not 0.0 <= k_const < math.inf:
             _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
-        return float(k_const)
+        return lambda: float(k_const)
     if task_name == "gaussian":
         from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
 
@@ -246,10 +248,14 @@ def _resolve_K(k_const, task_name, pi) -> float:
             task = GaussianMixtureTask(0.5 if pi is None else pi)
         except ValueError as e:
             _fail(f"--pi: {e}", 2)
-        return estimate_K(task, 100_000)
-    click.echo("warning: no smoothness constant given; assuming K=1 "
-               "(pass --K or --task gaussian)", err=True)
-    return 1.0
+        return lambda: estimate_K(task, 100_000)
+
+    def assume_one() -> float:
+        click.echo("warning: no smoothness constant given; assuming K=1 "
+                   "(pass --K or --task gaussian)", err=True)
+        return 1.0
+
+    return assume_one
 
 
 @click.group()
@@ -271,19 +277,12 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
-    data = _read_scores_labels(input_path)
+    # Every flag is checked before the CSV is read, so a refusal is cheap.
     if not 0.0 < delta < 1.0:
         _fail(f"--delta must lie in (0, 1), got {delta!r}", 2)
     auto = bins == "auto"
-    K = BoundParams.K
     if auto:
-        K = _resolve_K(k_const, task_name, pi)
-        try:
-            B, zeta_min = optimal_bins(data.n, delta, K)
-        except ValueError as e:
-            _fail(str(e), 3)
-        click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
-        click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
+        smoothness = _smoothness(k_const, task_name, pi)
     else:
         try:
             B = int(bins)
@@ -293,6 +292,16 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
                  if v is not None]
         if stray:
             _fail(f"an integer --bins does not use {', '.join(stray)}", 2)
+    data = _read_scores_labels(input_path)
+    K = BoundParams.K
+    if auto:
+        K = smoothness()
+        try:
+            B, zeta_min = optimal_bins(data.n, delta, K)
+        except ValueError as e:
+            _fail(str(e), 3)
+        click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
+        click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
     try:
         model = fit_recalibrator(data, B)
     except ValueError as e:
@@ -449,7 +458,7 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
 @click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
 def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
     """Print the bin count minimizing the risk bound objective."""
-    K = _resolve_K(k_const, task_name, pi)
+    K = _smoothness(k_const, task_name, pi)()
     try:
         B_star, zeta_min = optimal_bins(n, delta, K)
     except ValueError as e:

@@ -148,6 +148,13 @@ class BinningScheme:
     def B(self) -> int:
         return len(self.edges) - 1
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """``edges`` as a read-only float64 array, built on first use and
+        kept, so evaluation does not convert the tuple on every call. Not a
+        dataclass field: it takes no part in ``==`` or ``repr``."""
+        return _frozen_float_array(self.edges, "edges")
+
 
 @dataclass(frozen=True)
 class PiecewiseRecalibrator:
@@ -173,6 +180,12 @@ class PiecewiseRecalibrator:
             raise EmptyBinError("every bin must contain at least one fitting point")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def value_array(self) -> np.ndarray:
+        """``values`` as a read-only float64 array, cached like
+        ``BinningScheme.edge_array``."""
+        return _frozen_float_array(self.values, "values")
 
 
 @dataclass(frozen=True)
@@ -242,7 +255,7 @@ class Composite:
     def flatten(self) -> PiecewiseRecalibrator:
         """The composite as a single piecewise map: bin edges are preserved
         exactly and each bin value v becomes outer(v)."""
-        values = _evaluate(self.outer, np.asarray(self.inner.values)).tolist()
+        values = _evaluate(self.outer, self.inner.value_array).tolist()
         return PiecewiseRecalibrator(self.inner.scheme, values, self.inner.counts)
 
 
@@ -281,7 +294,7 @@ def _uniform_mass_bins(zs: np.ndarray, B: int) -> tuple[BinningScheme, np.ndarra
     # For distinct scores every bin holds at least floor(n / B) >= 1 points,
     # so an empty bin here means ties pushed mass across a quantile edge,
     # the same continuity failure as coincident edges.
-    counts = np.diff(np.searchsorted(zs, scheme.edges[1:], side="right"), prepend=0)
+    counts = np.diff(np.searchsorted(zs, scheme.edge_array[1:], side="right"), prepend=0)
     if counts.min() == 0:
         empty = int(np.argmin(counts)) + 1
         raise DegenerateBinsError(
@@ -306,12 +319,13 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     return _uniform_mass_bins(np.sort(z), int(B))[0]
 
 
-def _bin_indices(edges: Sequence[float], z: np.ndarray) -> np.ndarray:
+def _bin_indices(edges: np.ndarray, z: np.ndarray) -> np.ndarray:
     """1-based bin indices of validated scores, an array or a ``np.float64``
     scalar. Bins are closed on the right, so a score equal to an interior
     edge u_b lies in bin b, and z = 0 lies in bin 1."""
-    idx = np.searchsorted(edges, z, side="left")
-    return np.maximum(idx, 1)
+    # The method skips np.searchsorted's dispatch layer, which took about
+    # 40% of a scalar ``apply`` on a piecewise map.
+    return np.maximum(edges.searchsorted(z, side="left"), 1)
 
 
 def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
@@ -329,7 +343,7 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     """
     zs, zs_pos = data.sorted_view
     scheme, counts = _uniform_mass_bins(zs, int(B))
-    pos = np.diff(np.searchsorted(zs_pos, scheme.edges[1:], side="right"), prepend=0)
+    pos = np.diff(np.searchsorted(zs_pos, scheme.edge_array[1:], side="right"), prepend=0)
     values = pos / counts
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())
 
@@ -342,7 +356,7 @@ def _evaluate(h: Recalibrator, z):
     thousands of calls.
     """
     if isinstance(h, PiecewiseRecalibrator):
-        return np.asarray(h.values)[_bin_indices(h.scheme.edges, z) - 1]
+        return h.value_array[_bin_indices(h.scheme.edge_array, z) - 1]
     if isinstance(h, ShiftCorrector):
         w0, w1 = h.weights.w
         num = w1 * z

@@ -9,8 +9,11 @@ and of the plug-in risk as references for their vectorised successors,
 ``piecewise_quad_ref`` the earlier per-bin scipy quadrature of
 piecewise population risks as a reference for their closed form, and
 ``optimal_bins_scan_ref`` the earlier exhaustive bin-count scan as a
-reference for its bounded search, and ``sigmoid_array_masked_ref`` the
-earlier two-mask logistic map as a reference for its one-pass form.
+reference for its bounded search, ``sigmoid_array_masked_ref`` the
+earlier two-mask logistic map as a reference for its one-pass form, and
+``estimate_K_bisect_ref`` and ``plugin_argsort_ref`` the earlier
+full-grid bisection of the smoothness estimate and the argsort plug-in
+risk as bitwise references for their faster successors.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -420,6 +423,67 @@ def plugin_loop_ref(z, y, edges, values):
     r_sha = max(r_sha, 0.0)
     r_tot = r_cal + r_sha
     return float(r_cal), float(r_sha), float(r_tot), float(r_tot + bayes)
+
+
+def estimate_K_bisect_ref(pi: float, G: int) -> float:
+    """The earlier ``estimate_K``: all G - 1 grid quantiles of the mixture
+    by a 60-step bisection on [-20, 20], then the largest difference
+    quotient of hstar against the CDF with (0, 0) and (1, 1) appended."""
+    t = np.arange(1, G, dtype=np.float64) / G
+
+    def cdf(x):
+        return pi * ndtr(x - 2.0) + (1.0 - pi) * ndtr(x + 2.0)
+
+    lo = np.full(t.shape, -20.0)
+    hi = np.full(t.shape, 20.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    h = sigmoid_array_masked_ref(4.0 * x + _logit_float(pi))
+    h_full = np.concatenate(([0.0], h, [1.0]))
+    f_full = np.concatenate(([0.0], cdf(x), [1.0]))
+    return float(np.max(np.diff(h_full) / np.diff(f_full)))
+
+
+def plugin_argsort_ref(z, y, edges, values):
+    """The earlier vectorised plug-in risks (r_cal, r_sha, r_total, mse):
+    one stable argsort of the scores, the slices of every bin at once and
+    one ``np.add.reduceat`` of the sorted labels; level-set means pooled
+    from integer label sums and counts. Every bin must receive a record."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y).astype(np.int64)
+    n = z.size
+    B = len(values)
+    order = np.argsort(z, kind="stable")
+    stops = np.searchsorted(z[order], np.asarray(edges, dtype=np.float64)[1:-1], side="right")
+    starts = np.concatenate(([0], stops))
+    counts = np.diff(starts, append=n)
+    k = np.ceil(np.sqrt(counts)).astype(np.int64)
+    bin_of = np.repeat(np.arange(B), k)
+    j = np.arange(bin_of.size) - np.repeat(np.cumsum(k) - k, k)
+    m, kb = counts[bin_of], k[bin_of]
+    offset = (m * j) // kb
+    m_s = (m * (j + 1)) // kb - offset
+    pos_s = np.add.reduceat(y[order], starts[bin_of] + offset)
+    pos = np.bincount(bin_of, weights=pos_s, minlength=B)
+
+    values = np.asarray(values, dtype=np.float64)
+    _, level = np.unique(values, return_inverse=True)
+    pos_l = np.bincount(level, weights=pos)
+    mass_l = np.bincount(level, weights=counts)
+    level_mean = np.divide(pos_l, mass_l, out=np.zeros_like(pos_l), where=mass_l > 0.0)[level]
+    r_cal = float(np.sum(counts / n * (values - level_mean) ** 2))
+
+    mu_s = pos_s / m_s
+    p_s = m_s / n
+    var_hat = mu_s * (1.0 - mu_s) / np.maximum(m_s - 1, 1)
+    r_sha = max(float(np.sum(p_s * (level_mean[bin_of] - mu_s) ** 2 - p_s * var_hat)), 0.0)
+    bayes = float(np.sum(p_s * var_hat * m_s))
+    r_tot = r_cal + r_sha
+    return r_cal, r_sha, r_tot, r_tot + bayes
 
 
 def _print_frozen() -> None:

@@ -258,6 +258,21 @@ def test_fit_bad_bins_flag(tmp_path):
         assert res.stdout == "", flags
         assert res.stderr == f"error: {message}\n", flags
         assert not out.exists(), flags
+    # Flags are checked before the input is read: a bad flag on a
+    # malformed CSV reports the flag.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("z,y\n0.1,2\n")
+    for flags, message in (
+        (("--bins", 2, "--delta", 0), "--delta must lie in (0, 1), got 0.0"),
+        (("--bins", "several"), "--bins must be an integer or 'auto', got 'several'"),
+        (("--bins", 2, "--K", 5), "an integer --bins does not use --K"),
+        (("--K", "nan"), "--K must be finite and nonnegative, got nan"),
+        (("--task", "gaussian", "--pi", 0), "--pi: pi must lie strictly between 0 and 1"),
+    ):
+        res = run("fit", "--input", bad, *flags, "--out", out)
+        assert res.stderr == f"error: {message}\n", flags
+        assert_input_error(res)
+        assert res.stdout == "" and not out.exists(), flags
 
 
 def test_fit_unwritable_out_exits_2(tmp_path):

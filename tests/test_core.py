@@ -224,6 +224,24 @@ def test_sorted_view_stays_out_of_fields_eq_and_repr():
     assert a == b and b == a
 
 
+def test_cached_arrays_are_read_only_and_stay_out_of_fields_eq_and_repr():
+    h = PiecewiseRecalibrator(BinningScheme((0.0, 0.25, 1.0)), (0.2, 0.7), (3, 4))
+    twin = PiecewiseRecalibrator(BinningScheme((0.0, 0.25, 1.0)), (0.2, 0.7), (3, 4))
+    text = repr(h)
+    assert apply(h, 0.25) == 0.2  # builds both arrays
+    for arr, want in ((h.scheme.edge_array, h.scheme.edges), (h.value_array, h.values)):
+        assert arr.dtype == np.float64 and arr.tolist() == list(want)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert h.scheme.edge_array is h.scheme.edge_array and h.value_array is h.value_array
+    assert [f.name for f in dataclasses.fields(BinningScheme)] == ["edges"]
+    assert [f.name for f in dataclasses.fields(PiecewiseRecalibrator)] == [
+        "scheme", "values", "counts"]
+    assert repr(h) == text
+    assert h == twin and twin == h and hash(h) == hash(twin)
+
+
 def test_fit_ignores_later_mutation_of_caller_arrays():
     z = distinct_scores(300, 6)
     y = (distinct_scores(300, 7) < 0.5).astype(int)

@@ -41,7 +41,13 @@ from recalib.oracle import (
 )
 from recalib.oracle import EmptyBinError
 
-from oracles import piecewise_quad_ref, plugin_loop_ref, sigmoid_array_masked_ref
+from oracles import (
+    estimate_K_bisect_ref,
+    piecewise_quad_ref,
+    plugin_argsort_ref,
+    plugin_loop_ref,
+    sigmoid_array_masked_ref,
+)
 
 # Frozen reference values, independent 40-digit arithmetic; regenerate
 # with `python3 tests/oracles.py`.
@@ -431,6 +437,14 @@ def test_estimate_K_matches_independent_reimplementation():
     assert abs(mine - estimate_K(TASK05, G)) <= 1e-9
 
 
+@pytest.mark.parametrize("pi", [1e-4, 0.01, 0.1, 0.5, 0.9, 0.9999])
+@pytest.mark.parametrize("G", [1000, 1003, 7777, 100_000])
+def test_estimate_K_equals_full_bisection_bitwise(pi, G):
+    # Only the quotients near the approximate maximum are bisected; the
+    # result must be the full-grid bisection's to the last bit.
+    assert estimate_K(GaussianMixtureTask(pi), G) == estimate_K_bisect_ref(pi, G)
+
+
 def test_estimate_K_validation():
     with pytest.raises(ValueError):
         estimate_K(TASK05, 999)
@@ -455,13 +469,21 @@ def test_plugin_in_sample_calibration_risk_is_exactly_zero_at_scale(seed, B):
     assert empirical_risk_plugin(s, fit_recalibrator(s, B)).r_cal == 0.0
 
 
+def _tied(data):
+    """The sample with scores rounded to 3 decimals: runs of tied scores
+    that straddle slice boundaries."""
+    return LabeledSample(np.round(data.z, 3), data.y)
+
+
 def test_plugin_matches_loop_reference():
     g = ShiftCorrector(exact_shift_weights(0.5, 0.3))
     for n, B in ((2_000, 1), (2_000, 5), (50_000, 96), (200_000, 501)):
         fitted_on = sample(TASK05, n, seed=(n, B))
         h = fit_recalibrator(fitted_on, B)
         comp = compose(g, h)
-        for data in (fitted_on, sample(TASK05, n, seed=(n, B, 1))):
+        fresh = sample(TASK05, n, seed=(n, B, 1))
+        tied = [_tied(fresh)] if B <= 96 else []  # 3 decimals leave bins of 501 empty
+        for data in (fitted_on, fresh, *tied):
             for m, pw in ((h, h), (comp, comp.flatten())):
                 want = plugin_loop_ref(data.z, data.y, pw.scheme.edges, pw.values)
                 got = empirical_risk_plugin(data, m)
@@ -472,6 +494,21 @@ def test_plugin_matches_loop_reference():
                     assert getattr(got, field) == pytest.approx(ref, rel=1e-12, abs=floor), \
                         (field, n, B)
                 assert got.r_total == got.r_cal + got.r_sha
+
+
+@pytest.mark.parametrize("n, B", [(2_000, 1), (2_000, 5), (50_000, 96), (200_000, 501)])
+def test_plugin_equals_argsort_reference_bitwise(n, B):
+    h = fit_recalibrator(sample(TASK03, n, seed=(n, B, 2)), B)
+    comp = compose(ShiftCorrector(exact_shift_weights(0.3, 0.1)), h)
+    fresh = sample(TASK03, n, seed=(n, B, 3))
+    samples = [fresh, LabeledSample(np.round(fresh.z, 5), fresh.y)]
+    if B <= 96:
+        samples.append(_tied(fresh))
+    for data in samples:
+        for m, pw in ((h, h), (comp, comp.flatten())):
+            got = empirical_risk_plugin(data, m)
+            want = plugin_argsort_ref(data.z, data.y, pw.scheme.edges, pw.values)
+            assert (got.r_cal, got.r_sha, got.r_total, got.mse) == want, (n, B)
 
 
 def test_plugin_agrees_with_population_risk_on_fresh_sample():
