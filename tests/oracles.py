@@ -13,7 +13,9 @@ reference for its bounded search, ``sigmoid_array_masked_ref`` the
 earlier two-mask logistic map as a reference for its one-pass form, and
 ``estimate_K_bisect_ref`` and ``plugin_argsort_ref`` the earlier
 full-grid bisection of the smoothness estimate and the argsort plug-in
-risk as bitwise references for their faster successors.
+risk as bitwise references for their faster successors, and
+``bin_indices_searchsorted_ref`` the earlier binary-search bin lookup
+as the bitwise reference for its grid-table successor.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -293,6 +295,14 @@ def bincount_fit_ref(z, y, B: int):
     with np.errstate(invalid="ignore"):
         values = sums / counts
     return tuple(edges.tolist()), tuple(values.tolist()), tuple(counts.tolist())
+
+
+def bin_indices_searchsorted_ref(edges, z):
+    """1-based bins of scores z (an array or a ``np.float64``) under
+    right-closed bins with z = 0 in bin 1, by binary search: the earlier
+    ``core._bin_indices``, kept as the bitwise reference for its grid
+    lookup."""
+    return np.maximum(np.asarray(edges, dtype=np.float64).searchsorted(z, side="left"), 1)
 
 
 def _merge_by_value_ref(values, masses, means):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import recalib
 from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
 from recalib.core import (
     BinningScheme,
+    Composite,
     Constant,
     Identity,
     PiecewiseRecalibrator,
@@ -556,6 +558,31 @@ def test_model_round_trip_is_bitwise(tmp_path):
         loaded, meta = load_model(str(path))
         assert meta == {"i": i}
         assert np.array_equal(apply_batch(h, grid), apply_batch(loaded, grid))
+
+
+def test_evaluation_caches_stay_out_of_identity_and_bytes(tmp_path):
+    inner = PiecewiseRecalibrator(
+        BinningScheme((0.0, 0.21221, 0.503, 0.77, 1.0)),
+        (0.13371, 0.4242, 0.586, 0.9192),
+        (3, 4, 5, 6),
+    )
+    comp = compose(ShiftCorrector(exact_shift_weights(0.5, 0.1)), inner)
+    for i, h in enumerate((inner, comp)):
+        path, again = tmp_path / f"model_{i}.json", tmp_path / f"again_{i}.json"
+        save_model(str(path), h, {})
+        # Evaluating builds the bin lookup and, for the composite, its
+        # flattened map; the loaded twin has neither.
+        apply_batch(h, np.linspace(0.0, 1.0, 101))
+        assert "_cells" in vars(inner.scheme)
+        assert isinstance(h, PiecewiseRecalibrator) or "_flat" in vars(h)
+        twin, _ = load_model(str(path))
+        assert h == twin and repr(h) == repr(twin) and hash(h) == hash(twin)
+        save_model(str(again), h, {})
+        assert again.read_bytes() == path.read_bytes()
+        save_model(str(again), twin, {})
+        assert again.read_bytes() == path.read_bytes()
+    fields = {f.name for cls in (BinningScheme, Composite) for f in dataclasses.fields(cls)}
+    assert fields == {"edges", "outer", "inner"}
 
 
 # ----------------------------------------------------------------- shift

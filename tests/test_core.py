@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recalib.core import (
@@ -19,6 +19,7 @@ from recalib.core import (
     PiecewiseRecalibrator,
     ShiftCorrector,
     ShiftWeights,
+    _bin_indices,
     apply,
     apply_batch,
     compose,
@@ -27,7 +28,7 @@ from recalib.core import (
     umb_fit,
 )
 
-from oracles import bincount_fit_ref, sort_slice_fit
+from oracles import bin_indices_searchsorted_ref, bincount_fit_ref, sort_slice_fit
 
 
 def distinct_scores(n: int, seed: int) -> np.ndarray:
@@ -113,6 +114,55 @@ def test_bin_index_partitions_unit_interval(seed, n, B, z):
     ]
     assert members[b - 1]
     assert sum(members) == 1
+
+
+def edge_family(family: str, B: int, seed: int) -> BinningScheme:
+    """A scheme of at most B bins whose interior edges are drawn uniform,
+    clustered near 0 or near 1, packed into a 1e-13 window (narrower than
+    any lookup cell, so cells hold many edges), or on the grid k / M with
+    M the smallest power of two >= 4B."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.random(B - 1)
+    M = 1 << (4 * B - 1).bit_length()
+    inner = {
+        "uniform": u,
+        "near0": u ** 8,
+        "near1": 1.0 - u ** 8,
+        "packed": rng.random() + 1e-13 * u,
+        "grid": np.floor(u * M) / M,
+    }[family]
+    inner = np.unique(inner[(inner > 0.0) & (inner < 1.0)])
+    return BinningScheme((0.0, *inner.tolist(), 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["uniform", "near0", "near1", "packed", "grid"]),
+    B=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="uniform", B=1, seed=0)
+@example(family="uniform", B=2, seed=0)
+@example(family="packed", B=2, seed=0)
+@example(family="grid", B=2, seed=0)
+def test_bin_lookup_matches_searchsorted(family, B, seed):
+    scheme = edge_family(family, B, seed)
+    e = scheme.edge_array
+    z = np.concatenate((e, np.nextafter(e, -1.0), np.nextafter(e, 2.0), [0.0, -0.0, 1.0, 5e-324]))
+    z = z[(z >= 0.0) & (z <= 1.0)]
+    want = bin_indices_searchsorted_ref(e, z)
+    assert np.array_equal(_bin_indices(scheme, z), want)
+    assert [_bin_indices(scheme, v) for v in z] == want.tolist()
+
+
+def test_bin_lookup_grid_is_capped():
+    # Above 2**18 bins the grid stops growing, so more cells hold several
+    # edges; the lookup must still equal the binary search.
+    scheme = edge_family("uniform", 2**18 + 2**16, 7)
+    assert scheme._cells[0] == 2.0**20
+    e = scheme.edge_array
+    z = np.concatenate((e, np.nextafter(e[1:], -1.0), np.nextafter(e[:-1], 2.0)))
+    assert np.array_equal(_bin_indices(scheme, z), bin_indices_searchsorted_ref(e, z))
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,14 +363,18 @@ def test_shift_corrector_lipschitz_constant():
 # ------------------------------------------------------------- apply_batch
 
 def test_apply_batch_agrees_bitwise_with_apply():
-    data = LabeledSample(z=distinct_scores(60, 2), y=(distinct_scores(60, 3) < 0.5).astype(int))
-    pw = fit_recalibrator(data, 6)
+    small = LabeledSample(z=distinct_scores(60, 2), y=(distinct_scores(60, 3) < 0.5).astype(int))
+    large = LabeledSample(z=distinct_scores(5000, 4), y=(distinct_scores(5000, 5) < 0.5).astype(int))
     g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
     grid = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 513)))
-    for h in (pw, g, compose(g, pw), Constant(0.25), Identity()):
-        batch = apply_batch(h, grid)
-        scalar = np.array([apply(h, z) for z in grid])
-        assert batch.tolist() == scalar.tolist()
+    pw_large = fit_recalibrator(large, 501)
+    # 2,000 points: every fitted edge plus fresh scores.
+    held = np.concatenate((pw_large.scheme.edge_array, distinct_scores(1498, 6)))
+    for pw, zs in ((fit_recalibrator(small, 6), grid), (pw_large, held)):
+        for h in (pw, g, compose(g, pw), Constant(0.25), Identity()):
+            batch = apply_batch(h, zs)
+            scalar = np.array([apply(h, z) for z in zs])
+            assert batch.tolist() == scalar.tolist()
 
 
 def test_apply_batch_validation():
