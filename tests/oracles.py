@@ -15,7 +15,9 @@ earlier two-mask logistic map as a reference for its one-pass form, and
 full-grid bisection of the smoothness estimate and the argsort plug-in
 risk as bitwise references for their faster successors, and
 ``bin_indices_searchsorted_ref`` the earlier binary-search bin lookup
-as the bitwise reference for its grid-table successor.
+as the bitwise reference for its grid-table successor, and
+``sample_where_ref`` the earlier masked-select sampler as the bitwise
+reference for the oracle's table-read sampler.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -28,7 +30,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 mp.mp.dps = 40
 
@@ -348,6 +350,17 @@ def sigmoid_array_masked_ref(x: np.ndarray) -> np.ndarray:
     out[x > 36.0] = 1.0
     out[x < -36.0] = 0.0
     return out
+
+
+def sample_where_ref(pi: float, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(z, y) of n draws from the two-Gaussian task with prior pi: the
+    earlier ``oracle.sample``, which picks each mean (+-2) by a label mask
+    and maps x to z by ``sigmoid_array_masked_ref``. Same PCG64 stream and
+    draw order: n uniforms for the labels, then n for the normals."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y = (rng.random(n) < pi).astype(np.int64)
+    x = np.where(y == 1, 2.0, -2.0) + ndtri(rng.random(n))
+    return sigmoid_array_masked_ref(x), y
 
 
 def piecewise_quad_ref(pi: float, edges, values):

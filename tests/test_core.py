@@ -27,6 +27,7 @@ from recalib.core import (
     fit_recalibrator,
     umb_fit,
 )
+from recalib.oracle import GaussianMixtureTask, sample
 
 from oracles import bin_indices_searchsorted_ref, bincount_fit_ref, sort_slice_fit
 
@@ -262,6 +263,23 @@ def test_sorted_view_is_cached_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+    rng = np.random.Generator(np.random.PCG64(9))
+    labels = (rng.random(5_000) < 0.4).astype(int)
+    signed_zeros = np.array([0.0, -0.0, 0.5, -0.0, 1.0, 0.0, -0.0])
+    samples = [
+        sample(GaussianMixtureTask(0.5), 100_000, seed=3),
+        LabeledSample(z=np.round(rng.random(5_000), 3), y=labels),  # ties
+        LabeledSample(z=signed_zeros, y=[1, 1, 0, 0, 1, 0, 1]),
+        LabeledSample(z=distinct_scores(50, 6), y=np.zeros(50, dtype=int)),  # no positives
+        LabeledSample(z=distinct_scores(50, 7), y=np.ones(50, dtype=int)),
+    ]
+    for data in samples:
+        zs, zs_pos = data.sorted_view
+        assert np.array_equal(zs.view(np.uint64), np.sort(data.z).view(np.uint64))
+        want = np.sort(data.z[data.y == 1])
+        assert np.array_equal(zs_pos.view(np.uint64), want.view(np.uint64))
+        assert not zs.flags.writeable and not zs_pos.flags.writeable
 
 
 def test_sorted_view_stays_out_of_fields_eq_and_repr():

@@ -46,6 +46,7 @@ from oracles import (
     piecewise_quad_ref,
     plugin_argsort_ref,
     plugin_loop_ref,
+    sample_where_ref,
     sigmoid_array_masked_ref,
 )
 
@@ -178,6 +179,18 @@ def test_sample_deterministic_and_frozen():
          0.17473071264020035, 0.9726175752381108],
     )
     np.testing.assert_array_equal(a.y, [1, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("pi", [1e-4, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 1000, 100_003])
+def test_sample_matches_masked_reference_bitwise(pi, n):
+    # Compared with a reference run on the same machine, not with frozen
+    # digests: np.exp may take a different SIMD path on another CPU.
+    for seed in (0, 20260, np.random.SeedSequence(7).spawn(3)[2]):
+        got = sample(GaussianMixtureTask(pi), n, seed)
+        z, y = sample_where_ref(pi, n, seed)
+        assert np.array_equal(got.z.view(np.uint64), z.view(np.uint64))
+        assert np.array_equal(got.y, y)
 
 
 def test_sample_validation():
