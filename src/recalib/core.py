@@ -410,8 +410,9 @@ def _evaluate(h: Recalibrator, z):
     """Evaluate h on validated scores, an array or a ``np.float64`` scalar.
 
     A scalar stays a numpy scalar: as a one-element array a call on the
-    shift map cost about 15x more, and injective-map quadrature makes
-    thousands of calls.
+    shift map cost about 15x more. On an array, each element gets the
+    same float operations as the scalar call, so ``apply`` and
+    ``apply_batch`` agree bit for bit.
     """
     if isinstance(h, PiecewiseRecalibrator):
         return h.value_array[_bin_indices(h.scheme, z) - 1]

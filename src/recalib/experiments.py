@@ -14,7 +14,8 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -129,16 +130,42 @@ def default_opt_b_config() -> ExperimentConfig:
     )
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a bool is an int subclass, and is refused
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+# What a JSON override of each ExperimentConfig field must look like, by
+# the field's type: a description for the error message and a check.
+_JSON_FORMS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "tuple[int, ...]": ("a list of integers", _list_of(_is_int)),
+    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: type(v) is str)),
+}
+_FIELD_FORMS = {f.name: _JSON_FORMS[f.type] for f in fields(ExperimentConfig)}
+
+
 def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from JSON-style overrides on top of defaults.
 
     Unknown keys raise ValueError so typos do not silently fall back to
-    defaults.
+    defaults. So does a value of the wrong JSON type, rather than being
+    truncated or coerced: integer fields take integers only (not 2.5,
+    1e400 or true), number fields finite numbers, ``full_scale`` true or
+    false, and the grids and ``methods`` lists.
     """
     base = asdict(defaults if defaults is not None else ExperimentConfig())
     for key, value in overrides.items():
         if key not in base:
             raise ValueError(f"unknown config key {key!r}")
+        what, ok = _FIELD_FORMS[key]
+        if not ok(value):
+            raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
         if isinstance(value, list):
             value = tuple(value)
         base[key] = value

@@ -17,7 +17,8 @@ risk as bitwise references for their faster successors, and
 ``bin_indices_searchsorted_ref`` the earlier binary-search bin lookup
 as the bitwise reference for its grid-table successor, and
 ``sample_where_ref`` the earlier masked-select sampler as the bitwise
-reference for the oracle's table-read sampler.
+reference for the oracle's table-read sampler. ``hstar_sq_ref`` and
+``injective_risk_ref`` check the oracle's trapezoid quadrature.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -147,6 +148,35 @@ def var_hstar_ref(pi):
     """Var(h*(Z)) = Var(E[Y | Z]), the sharpness lost by a constant map."""
     pi = mp.mpf(pi)
     return _expect(pi, lambda x: (posterior_ref(pi, x) - pi) ** 2)
+
+
+def hstar_sq_ref(pi):
+    """H = E[h*(Z)^2], the task integral behind every population risk."""
+    return _expect(pi, lambda x: posterior_ref(pi, x) ** 2)
+
+
+def injective_risk_ref(pi, fn, kinks=()):
+    """E[(fn(Z) - h*(Z))^2] for an injective map fn, written in mpmath.
+
+    The quadrature splits the line at the mixture modes and at the
+    x-positions ``kinks`` where fn is not smooth.
+    """
+    points = sorted({mp.mpf(-2), mp.mpf(0), mp.mpf(2), *map(mp.mpf, kinks)})
+    return mp.quad(lambda x: (fn(1 / (1 + mp.exp(-x))) - posterior_ref(pi, x)) ** 2
+                   * density_ref(pi, x), [-mp.inf, *points, mp.inf])
+
+
+def shift_map_ref(pi_source: float, pi_target: float):
+    """The exact label-shift corrector z -> w1 z / (w1 z + w0 (1 - z)),
+    with the float64 weights that the library computes."""
+    w0, w1 = (1.0 - pi_target) / (1.0 - pi_source), pi_target / pi_source
+    return lambda z: w1 * z / (w1 * z + w0 * (1 - z))
+
+
+def kinked_map(z):
+    """A strictly increasing map of [0, 1] with a kink at z = 1/3, that is
+    at x = -log 2; it works on floats and on mpmath numbers."""
+    return min(2 * z, (1 + z) / 2)
 
 
 def k_bulk_ref():
@@ -531,6 +561,15 @@ def _print_frozen() -> None:
     print("MASS_03_02_07 =", mp.nstr(interval_mass_ref(0.3, 0.2, 0.7), 17))
     print("MEAN_03_02_07 =", mp.nstr(interval_mean_ref(0.3, 0.2, 0.7), 17))
     print("K_BULK =", mp.nstr(k_bulk_ref(), 17))
+    print("H_05 =", mp.nstr(hstar_sq_ref(0.5), 17))
+    print("H_01 =", mp.nstr(hstar_sq_ref(0.1), 17))
+    print()
+    print("# injective risks: identity and the exact shift corrector from pi = 0.5")
+    for q in (0.1, 0.5):
+        tag = str(q).replace(".", "")
+        print(f"INJ_IDENTITY_{tag} =", mp.nstr(injective_risk_ref(q, lambda z: z), 17))
+        print(f"INJ_SHIFT_{tag} =", mp.nstr(injective_risk_ref(q, shift_map_ref(0.5, q)), 17))
+    print("INJ_KINKED_05 =", mp.nstr(injective_risk_ref(0.5, kinked_map, [-mp.log(2)]), 17))
     print()
     print("# a fixed 3-bin piecewise map under pi=0.5 (edges .25/.6, values .2/.5/.9)")
     r_cal, r_sha, r_tot, mse = piecewise_risk_ref(0.5, (0.0, 0.25, 0.6, 1.0), (0.2, 0.5, 0.9))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -104,6 +105,32 @@ def test_deployment_commands_do_not_load_scipy(tmp_path):
     argv = json.dumps([[str(a) for a in c] for c in commands])
     assert _scipy_modules_after(code, argv) == "False []"
     assert (tmp_path / "b.csv").read_text().startswith("z,z_cal\n")
+
+
+def test_studies_and_risks_do_not_load_scipy_integrate():
+    # The oracle integrates with numpy alone: a study, or the risk of any
+    # recalibrator form, loads scipy.special and nothing heavier.
+    code = """
+import sys
+import recalib.experiments as e
+from recalib.core import BinningScheme, Identity, PiecewiseRecalibrator, ShiftCorrector, compose
+from recalib.oracle import (GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights,
+                            population_risk)
+tiny = e.ExperimentConfig(n_grid=(1000,), B_grid=(6, 10), seeds=1, n_P=64, n_Q=27)
+e.run_risk_grid(tiny)
+e.run_optimal_B(tiny)
+e.run_label_shift(tiny)
+task = GaussianMixtureTask(0.3)
+pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.4, 1.0)), (0.2, 0.7), (1, 1))
+shift = ShiftCorrector(exact_shift_weights(0.5, 0.3))
+for h in (pw, compose(shift, pw), Identity(), shift, MonotoneRecalibrator(lambda z: z * z)):
+    population_risk(task, h)
+"""
+    flag, modules = _scipy_modules_after(code).split(" ", 1)
+    modules = ast.literal_eval(modules)
+    assert flag == "True" and "scipy.special" in modules
+    loaded = {m.split(".")[1] for m in modules if "." in m}
+    assert loaded.isdisjoint({"integrate", "optimize", "sparse"}), sorted(loaded)
 
 
 def test_public_names_resolve():
@@ -864,6 +891,80 @@ def test_simulate_config_errors(tmp_path):
     res2 = run("simulate", "risk-grid", "--config", typo, "--out-dir", tmp_path / "y")
     assert res2.exit_code == 2
     assert "bad config" in res2.stderr
+
+
+# Each config is small, so that a regression that accepts it runs quickly.
+MISTYPED_CONFIGS = [
+    ("risk-grid", '{"seeds": 2.5, "n_grid": [100], "B_grid": [6]}', "seeds must be an integer"),
+    ("label-shift", '{"n_P": 1e400, "seeds": 1}', "n_P must be an integer"),
+    ("risk-grid", '{"full_scale": "no", "n_grid": [100], "B_grid": [512], "seeds": 1}',
+     "full_scale must be true or false"),
+    ("risk-grid", '{"base_seed": 1.5, "n_grid": [100], "B_grid": [6], "seeds": 1}',
+     "base_seed must be an integer"),
+    ("risk-grid", '{"n_grid": [1000.7], "B_grid": [6], "seeds": 1}',
+     "n_grid must be a list of integers"),
+    ("risk-grid", '{"seeds": true, "n_grid": [100], "B_grid": [6]}', "seeds must be an integer"),
+    ("label-shift", '{"methods": "Source", "seeds": 1}', "methods must be a list of strings"),
+    ("label-shift", '{"pi_target": NaN, "seeds": 1}', "pi_target must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("experiment, text, message", MISTYPED_CONFIGS)
+def test_simulate_refuses_mistyped_config(tmp_path, experiment, text, message):
+    # A value of the wrong JSON type is refused, not truncated or coerced.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    res = run("simulate", experiment, "--config", cfg, "--out-dir", tmp_path / "out")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: bad config: {message}, got ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+VALID_LABEL_SHIFT_MANIFEST = """{
+  "B_P": 6,
+  "B_Q": 4,
+  "config": {
+    "B_grid": [
+      6
+    ],
+    "base_seed": 3,
+    "delta": 0.05,
+    "full_scale": false,
+    "methods": [
+      "Source",
+      "LabelShift"
+    ],
+    "n_P": 200,
+    "n_Q": 50,
+    "n_grid": [
+      100
+    ],
+    "pi_source": 0.5,
+    "pi_target": 0.25,
+    "seeds": 1
+  },
+  "experiment": "label-shift",
+  "library_version": "%s",
+  "replacements": 0,
+  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+}
+"""
+
+
+def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_grid": [100], "B_grid": [6], "delta": 0.05, "seeds": 1, "base_seed": 3,
+        "pi_source": 0.5, "pi_target": 0.25, "n_P": 200, "n_Q": 50,
+        "methods": ["Source", "LabelShift"], "full_scale": False,
+    }))
+    out_dir = tmp_path / "out"
+    res = run("simulate", "label-shift", "--config", cfg, "--out-dir", out_dir)
+    assert res.exit_code == 0, res.stderr
+    manifest = (out_dir / "manifest.json").read_text()
+    assert manifest == VALID_LABEL_SHIFT_MANIFEST % recalib.__version__
 
 
 def test_simulate_label_shift(tmp_path):

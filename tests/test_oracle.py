@@ -25,6 +25,7 @@ from recalib.oracle import (
     QuadratureFailureError,
     RiskReport,
     ZeroMassError,
+    _hstar_sq_moment,
     _quad,
     _sigmoid_array,
     empirical_risk_plugin,
@@ -43,6 +44,7 @@ from recalib.oracle import EmptyBinError
 
 from oracles import (
     estimate_K_bisect_ref,
+    kinked_map,
     piecewise_quad_ref,
     plugin_argsort_ref,
     plugin_loop_ref,
@@ -71,6 +73,17 @@ PW3M_R_CAL = 0.10684050804598736
 PW3M_R_SHA = 0.22383471251359156
 PW3M_R_TOT = 0.33067522055957892
 PW3M_MSE = 0.34782457275726362
+
+# The task integral H = E[hstar(Z)^2], and the total risks of injective
+# maps under pi: the identity, the exact shift corrector from pi = 0.5,
+# and (under pi = 0.5) the kinked map min(2z, (1 + z) / 2).
+H_05 = 0.4828506478023153
+H_01 = 0.090717260605561443
+INJ_IDENTITY_01 = 0.0304217955191008
+INJ_SHIFT_01 = 0.02539033198814049
+INJ_IDENTITY_05 = 0.022555182715854659
+INJ_SHIFT_05 = 0.022555182715854659
+INJ_KINKED_05 = 0.052799592228207199
 
 TASK05 = GaussianMixtureTask(0.5)
 TASK03 = GaussianMixtureTask(0.3)
@@ -591,4 +604,45 @@ def test_quadrature_failure_is_loud():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(QuadratureFailureError):
-            _quad(lambda x: math.sin(5e5 * x * x), -12.0, 12.0)
+            _quad(lambda x: np.sin(5e5 * x * x), -12.0, 12.0)
+
+
+def test_quadrature_matches_mpmath():
+    # Analytic integrands: the trapezoid rule is at roundoff after one halving.
+    for task, H in ((TASK05, H_05), (TASK01, H_01)):
+        assert abs(_hstar_sq_moment(task)[0] - H) <= 1e-15
+    cases = (
+        (TASK01, Identity(), INJ_IDENTITY_01),
+        (TASK01, ShiftCorrector(exact_shift_weights(0.5, 0.1)), INJ_SHIFT_01),
+        (TASK05, Identity(), INJ_IDENTITY_05),
+        (TASK05, ShiftCorrector(exact_shift_weights(0.5, 0.5)), INJ_SHIFT_05),
+    )
+    for task, h, want in cases:
+        rep = population_risk(task, h)
+        assert abs(rep.r_total - want) <= 1e-15, h
+        assert rep.tolerance == 1e-14, h
+
+
+def test_kinked_integrands_stay_within_their_error_budget():
+    # A kink slows the rule to O(h^2), with a constant that depends on
+    # where the kink falls in the grid. The reported error must still
+    # cover the true one, or the rule must refuse: never a quiet miss.
+    try:
+        rep = population_risk(TASK05, MonotoneRecalibrator(kinked_map))
+    except QuadratureFailureError:
+        pass
+    else:
+        assert abs(rep.r_total - INJ_KINKED_05) <= rep.tolerance
+    # The ramp max(x - a, 0) under the standard normal density integrates
+    # to phi(a) - a (1 - Phi(a)); its kink sweeps over the grid cells.
+    refused = 0
+    for a in np.random.default_rng(5).uniform(-4.0, 4.0, 24):
+        f = lambda x, a=a: np.maximum(x - a, 0.0) * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        want = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi) - a * float(ndtr(-a))
+        try:
+            value, err = _quad(f, -12.0, 12.0)
+        except QuadratureFailureError:
+            refused += 1
+            continue
+        assert abs(value - want) <= err, a
+    assert refused < 12
