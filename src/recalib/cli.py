@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import sys
 from typing import Callable
 
 import click
+import numpy as np
 
 from .bounds import (
     BoundParams,
@@ -188,46 +190,109 @@ def _parse_label(path: str, row: int, text: str) -> int:
     return int(y)
 
 
-def _read_csv_columns(path: str, header: tuple[str, ...]):
-    """Yield (row_number, fields) for a strict-header CSV; exits 2 on damage."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            first = next(reader)
-        except StopIteration:
+def _scores_column(texts: list[str]) -> np.ndarray | None:
+    """``_parse_score`` of every field in two C-level passes, or None."""
+    try:
+        z = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return None
+    return z if ((z >= 0.0) & (z <= 1.0)).all() else None
+
+
+def _labels_column(texts: list[str]) -> np.ndarray | None:
+    """The labels when every field is exactly "0" or "1", else None."""
+    if not set(texts) <= {"0", "1"}:
+        return None
+    return (np.frombuffer("".join(texts).encode(), np.uint8) == ord("1")).astype(np.int64)
+
+
+# Per column name: the row parser, the whole-column fast path and the dtype.
+_COLUMNS = {
+    "z": (_parse_score, _scores_column, np.float64),
+    "y": (_parse_label, _labels_column, np.int64),
+}
+
+
+def _parse_rows(path: str, text: str, header: tuple[str, ...],
+                empty_ok: bool) -> list[np.ndarray]:
+    """The row-by-row reader, which decides and names every refusal.
+
+    Parses the CSV with the csv module, each field with its column's
+    parser, and exits 2 at the first damaged row with its row number, or
+    when there are no data rows and ``empty_ok`` is false.
+    """
+    columns = [[] for _ in header]
+    parsers = [_COLUMNS[name][0] for name in header]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    row = 0
+    try:
+        first = next(reader, None)
+        if first is None:
             _fail(f"{path}: empty file, expected header {','.join(header)}", 2)
         if tuple(s.strip() for s in first) != header:
             _fail(f"{path}: row 1: expected header {','.join(header)}, got {','.join(first)}", 2)
-        for i, fields in enumerate(reader, start=2):
+        row = 1
+        for row, fields in enumerate(reader, start=2):
             if len(fields) != len(header):
-                _fail(f"{path}: row {i}: expected {len(header)} fields, got {len(fields)}", 2)
-            yield i, fields
-
-
-def _read_scores_labels(path: str) -> LabeledSample:
-    zs: list[float] = []
-    ys: list[int] = []
-    for i, (z_text, y_text) in _read_csv_columns(path, ("z", "y")):
-        zs.append(_parse_score(path, i, z_text))
-        ys.append(_parse_label(path, i, y_text))
-    if not zs:
+                _fail(f"{path}: row {row}: expected {len(header)} fields, got {len(fields)}", 2)
+            for column, parse, field in zip(columns, parsers, fields):
+                column.append(parse(path, row, field))
+    except csv.Error as e:
+        # Raised while reading the row after ``row``, e.g. a field longer
+        # than csv.field_size_limit().
+        _fail(f"{path}: row {row + 1}: {e}", 2)
+    if not columns[0] and not empty_ok:
         _fail(f"{path}: no data rows", 2)
-    return LabeledSample(z=zs, y=ys)
+    return [np.array(column, _COLUMNS[name][2]) for column, name in zip(columns, header)]
 
 
-def _read_labels(path: str) -> list[int]:
-    ys = [_parse_label(path, i, y_text) for i, (y_text,) in _read_csv_columns(path, ("y",))]
-    if not ys:
-        _fail(f"{path}: no data rows", 2)
-    return ys
+def _split_columns(raw: bytes, header: tuple[str, ...]) -> list[np.ndarray] | None:
+    """The columns of a plain CSV in whole-column passes, or None.
+
+    Plain means: ASCII with no quote, CR or NUL, the header exactly as
+    given, k - 1 commas and a newline in every row (k columns), no field
+    longer than csv.field_size_limit(), every score a number in [0, 1] and
+    every label exactly 0 or 1. csv.reader splits such a file at exactly
+    those commas and newlines, and each column converts the same strings
+    as its row parser, so the arrays equal those of ``_parse_rows``.
+    Anything else gets None, and ``_parse_rows`` accepts it or refuses it.
+    """
+    k = len(header)
+    head, _, body = raw.partition(b"\n")
+    if (head != ",".join(header).encode() or not body or not raw.isascii()
+            or b'"' in body or b"\r" in body or b"\0" in body):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"  # a last row without its newline
+    chars = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    if (ends.size % k
+            or (chars[ends].reshape(-1, k) != np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)).any()
+            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()):
+        return None
+    fields = body[:-1].decode().replace("\n", ",").split(",")
+    columns = [_COLUMNS[name][1](fields[j::k]) for j, name in enumerate(header)]
+    return None if any(column is None for column in columns) else columns
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def _read_columns(path: str, header: tuple[str, ...],
+                  empty_ok: bool = False) -> tuple[list[np.ndarray], str]:
+    """Read a UTF-8 CSV with the given header of columns z (scores, float64)
+    and y (labels, int64); return the columns and the file's SHA-256.
+
+    The file is read once. A plain file is parsed column-wise; anything
+    else goes to the row-by-row reader. Exits 2 on damage.
+    """
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        _fail(f"{path}: not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}", 2)
+    columns = _split_columns(raw, header)
+    if columns is None:
+        columns = _parse_rows(path, text, header, empty_ok)
+    return columns, hashlib.sha256(raw).hexdigest()
 
 
 def _smoothness(k_const, task_name, pi) -> Callable[[], float]:
@@ -292,7 +357,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
                  if v is not None]
         if stray:
             _fail(f"an integer --bins does not use {', '.join(stray)}", 2)
-    data = _read_scores_labels(input_path)
+    (z, y), digest = _read_columns(input_path, ("z", "y"))
+    data = LabeledSample(z=z, y=y)
     K = BoundParams.K
     if auto:
         K = smoothness()
@@ -317,7 +383,7 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         "n": data.n,
         "B": B,
         "delta": delta,
-        "source_sha256": _sha256(input_path),
+        "source_sha256": digest,
     }
     with _writing(out_path):
         save_model(out_path, model, metadata)
@@ -335,12 +401,16 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
 def cmd_apply(model_path, input_path, out_path) -> None:
     """Recalibrate a stream of scores; writes CSV with header z,z_cal."""
     model, _ = _load_model_or_exit(model_path)
-    zs = [_parse_score(input_path, i, z_text)
-          for i, (z_text,) in _read_csv_columns(input_path, ("z",))]
-    z_cal = apply_batch(model, zs).tolist()
-    text = "".join(f"{fmt_float(z)},{fmt_float(c)}\n" for z, c in zip(zs, z_cal))
+    (z,), _ = _read_columns(input_path, ("z",), empty_ok=True)  # no scores, no output rows
+    z_cal = apply_batch(model, z)
+    # A piecewise map takes few distinct values: render each bit pattern
+    # once (so -0.0 stays apart from 0.0). repr of a Python float is
+    # fmt_float.
+    bits, inverse = np.unique(z_cal.view(np.uint64), return_inverse=True)
+    rendered = np.array([fmt_float(c) for c in bits.view(np.float64)], dtype=object)
+    rows = map(",".join, zip(map(repr, z.tolist()), rendered[inverse].tolist()))
     with _writing(out_path):
-        write_text_atomic(out_path, "z,z_cal\n" + text)
+        write_text_atomic(out_path, "\n".join(["z,z_cal", *rows]) + "\n")
     click.echo(f"recalibrated scores written to {out_path}")
 
 
@@ -355,8 +425,8 @@ def cmd_apply(model_path, input_path, out_path) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     """Estimate label-shift weights and save a shift or composite model."""
-    labels_p = _read_labels(labels_p_path)
-    labels_q = _read_labels(labels_q_path)
+    (labels_p,), source_sha256 = _read_columns(labels_p_path, ("y",))
+    (labels_q,), target_sha256 = _read_columns(labels_q_path, ("y",))
     try:
         weights = estimate_weights(labels_p, labels_q)
     except ValueError as e:
@@ -367,8 +437,8 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     metadata = {
         "n_P": len(labels_p),
         "n_Q": len(labels_q),
-        "source_sha256": _sha256(labels_p_path),
-        "target_sha256": _sha256(labels_q_path),
+        "source_sha256": source_sha256,
+        "target_sha256": target_sha256,
     }
     model = corrector
     if base_model_path is not None:
@@ -477,11 +547,12 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
 
-    defaults = {
-        "risk-grid": exp.default_risk_grid_config,
-        "opt-b": exp.default_opt_b_config,
-        "label-shift": exp.default_label_shift_config,
-    }[experiment]()
+    default_config, run_study = {
+        "risk-grid": (exp.default_risk_grid_config, exp.run_risk_grid),
+        "opt-b": (exp.default_opt_b_config, exp.run_optimal_B),
+        "label-shift": (exp.default_label_shift_config, exp.run_label_shift),
+    }[experiment]
+    defaults = default_config()
     overrides = {}
     if config_path is not None:
         try:
@@ -499,8 +570,12 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         _fail(f"bad config: {e}", 2)
 
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        result = run_study(cfg)
+    except MemoryError:
+        _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
     if experiment == "risk-grid":
-        cells = exp.run_risk_grid(cfg)
+        cells = result
         exp.write_risk_grid_csv(cells, os.path.join(out_dir, "risk_grid.csv"))
         cell_summaries = [
             {"n": c.n, "B": c.B, "gates_ok": c.gates_ok, "skipped": c.skipped}
@@ -514,13 +589,11 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
                        err=True)
         click.echo(f"risk grid written to {out_dir} ({len(cells)} cells, {skipped} skipped)")
     elif experiment == "opt-b":
-        result = exp.run_optimal_B(cfg)
         exp.write_opt_b_csv(result, os.path.join(out_dir, "opt_b.csv"))
         exp.write_manifest(cfg, {"experiment": experiment, "K_hat": result.K_hat},
                            os.path.join(out_dir, "manifest.json"))
         click.echo(f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})")
     else:
-        result = exp.run_label_shift(cfg)
         exp.write_label_shift_csv(result, os.path.join(out_dir, "label_shift.csv"))
         exp.write_manifest(
             cfg,

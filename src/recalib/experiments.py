@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -58,6 +59,9 @@ __all__ = [
 # sets full_scale.
 DESK_N_CAP = 1_000_000
 DESK_B_CAP = 256
+# The most float64 values one array can hold (numpy sizes arrays in
+# signed bytes). A larger sample is refused even with full_scale.
+MAX_N = sys.maxsize // 8
 
 VALID_METHODS = ("Composite", "Source", "LabelShift", "Target")
 
@@ -111,6 +115,12 @@ class ExperimentConfig:
                     f"grid exceeds the desk-scale caps (n <= {DESK_N_CAP}, B <= {DESK_B_CAP}); "
                     "set full_scale to run it anyway"
                 )
+            if max(self.n_P, self.n_Q) > DESK_N_CAP:
+                raise ValueError(f"n_P and n_Q must be at most {DESK_N_CAP} (the desk-scale "
+                                 "cap); set full_scale to run larger samples")
+        if max(self.n_grid + (self.n_P, self.n_Q)) > MAX_N:
+            raise ValueError(f"sample sizes must be at most {MAX_N}, the most float64 "
+                             "values one array can address")
 
 
 def default_risk_grid_config() -> ExperimentConfig:

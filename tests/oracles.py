@@ -19,6 +19,8 @@ as the bitwise reference for its grid-table successor, and
 ``sample_where_ref`` the earlier masked-select sampler as the bitwise
 reference for the oracle's table-read sampler. ``hstar_sq_ref`` and
 ``injective_risk_ref`` check the oracle's trapezoid quadrature.
+``read_columns_rowwise_ref`` keeps the CLI's earlier row-by-row CSV
+reader as the reference for its column-wise successor.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -26,8 +28,13 @@ the tests were pasted from that output.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import math
+import sys
 
+import click
 import mpmath as mp
 import numpy as np
 from scipy import integrate
@@ -537,6 +544,72 @@ def plugin_argsort_ref(z, y, edges, values):
     bayes = float(np.sum(p_s * var_hat * m_s))
     r_tot = r_cal + r_sha
     return r_cal, r_sha, r_tot, r_tot + bayes
+
+
+# ------------------------------------------------------------- CLI readers
+
+def _cli_fail(message: str) -> None:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
+def _parse_score_ref(path: str, row: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        _cli_fail(f"{path}: row {row}, column z: {text!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        _cli_fail(f"{path}: row {row}, column z: {value!r} outside [0.0, 1.0]")
+    return value
+
+
+def _parse_label_ref(path: str, row: int, text: str) -> int:
+    y = text.strip()
+    if y not in ("0", "1"):
+        _cli_fail(f"{path}: row {row}, column y: {text!r} is not 0 or 1")
+    return int(y)
+
+
+def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool = False):
+    """The CLI's earlier CSV reader: csv.reader over the whole file, one
+    parse call per field, and exit 2 at the first damaged row.
+
+    It has the interface of the CLI's ``_read_columns`` (the columns as
+    float64 scores and int64 labels, and the file's SHA-256), so a test can
+    put it in that reader's place. The earlier reader crashed on a file that
+    is not UTF-8 and on a field over csv.field_size_limit(); this copy
+    refuses both, decoding the whole file before it parses a row.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        _cli_fail(f"{path}: not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}")
+    parse = {"z": _parse_score_ref, "y": _parse_label_ref}
+    columns = [[] for _ in header]
+    row = 1
+    try:
+        for fields in csv.reader(io.StringIO(text, newline="")):
+            if row == 1:
+                if tuple(s.strip() for s in fields) != header:
+                    _cli_fail(f"{path}: row 1: expected header {','.join(header)}, "
+                              f"got {','.join(fields)}")
+            elif len(fields) != len(header):
+                _cli_fail(f"{path}: row {row}: expected {len(header)} fields, got {len(fields)}")
+            else:
+                for column, name, field in zip(columns, header, fields):
+                    column.append(parse[name](path, row, field))
+            row += 1
+    except csv.Error as e:
+        _cli_fail(f"{path}: row {row}: {e}")
+    if row == 1:
+        _cli_fail(f"{path}: empty file, expected header {','.join(header)}")
+    if not columns[0] and not empty_ok:
+        _cli_fail(f"{path}: no data rows")
+    dtypes = {"z": np.float64, "y": np.int64}
+    return ([np.array(column, dtypes[name]) for column, name in zip(columns, header)],
+            hashlib.sha256(raw).hexdigest())
 
 
 def _print_frozen() -> None:

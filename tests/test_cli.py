@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recalib
+from recalib import cli
 from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
 from recalib.core import (
     BinningScheme,
@@ -30,6 +32,8 @@ from recalib.core import (
 )
 from recalib.fileio import fmt_float
 from recalib.oracle import GaussianMixtureTask, exact_shift_weights, sample
+
+from oracles import read_columns_rowwise_ref
 
 CAL_BOUND_1000_10_01 = 0.033838997806812986
 ZETA_76_1E6 = 0.0038230038407442187
@@ -564,6 +568,212 @@ def test_apply_unwritable_out_exits_2(tmp_path):
     assert res.stderr == f"error: {out}: No such file or directory\n"
 
 
+# ------------------------------------------------------- CSV readers, apply writer
+
+def test_non_utf8_csv_exits_2(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"z,y\n0.1,0\n0.\xff2,1\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b"z\n0.\xff2\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"y\n0\n\xff\n")
+    q_path = tmp_path / "q.csv"
+    labels_csv(q_path, 5, 5)
+    model_path = tmp_path / "identity.json"
+    save_model(str(model_path), Identity(), {})
+    for path, args in (
+            (bad, ("fit", "--input", bad, "--bins", 1)),
+            (scores, ("apply", "--model", model_path, "--input", scores)),
+            (labels, ("shift", "--labels-p", labels, "--labels-q", q_path))):
+        res = run(*args, "--out", tmp_path / "out")
+        assert_input_error(res)
+        assert res.stderr.startswith(f"error: {path}: not UTF-8: byte 0xff at offset "), res.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def test_oversized_csv_field_exits_2_naming_the_row(tmp_path):
+    model_path = tmp_path / "identity.json"
+    save_model(str(model_path), Identity(), {})
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n0.5\n" + "0" * 200_000 + "\n")
+    res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {inp}: row 3: field larger than field limit (131072)\n"
+    # A field at the limit is no error: 0.000... parses as 0.
+    inp.write_text("z\n0." + "0" * 131_070 + "\n")
+    res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
+    assert res.exit_code == 0, res.stderr
+    assert (tmp_path / "o.csv").read_text() == "z,z_cal\n0.0,0.0\n"
+
+
+def test_apply_empty_score_stream_writes_header_only(tmp_path):
+    model_path = tmp_path / "identity.json"
+    save_model(str(model_path), Identity(), {})
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n")
+    res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
+    assert res.exit_code == 0, res.stderr
+    assert (tmp_path / "o.csv").read_text() == "z,z_cal\n"
+
+
+def _writer_models():
+    # Values 0.0 and -0.0 in different bins, so both bit patterns of zero
+    # come out of each model.
+    pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.3, 0.6, 1.0)), (0.0, -0.0, 0.875), (2, 2, 2))
+    return pw, compose(ShiftCorrector(exact_shift_weights(0.5, 0.2)), pw)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["piecewise", "composite"])
+def test_apply_output_equals_per_row_formatting(tmp_path, which):
+    h = _writer_models()[which]
+    z = np.concatenate(([0.0, -0.0, 5e-324, 1.0, 0.3, 0.6, -0.0, 0.0],
+                        sample(GaussianMixtureTask(0.5), 300, seed=9).z))
+    model_path = tmp_path / "model.json"
+    save_model(str(model_path), h, {})
+    inp = tmp_path / "scores.csv"
+    inp.write_text("z\n" + "".join(f"{fmt_float(v)}\n" for v in z))
+    out = tmp_path / "calibrated.csv"
+    res = run("apply", "--model", model_path, "--input", inp, "--out", out)
+    assert res.exit_code == 0, res.stderr
+    z_cal = apply_batch(h, z)
+    want = "".join(f"{fmt_float(a)},{fmt_float(c)}\n" for a, c in zip(z, z_cal))
+    assert out.read_text() == "z,z_cal\n" + want
+    # The case the per-bit-pattern rendering must keep apart.
+    assert {fmt_float(c) for c in z_cal} >= {"0.0", "-0.0"}
+
+
+def test_plain_csv_takes_the_column_path(tmp_path):
+    # The column-wise path accepts the files the CLI is fed in practice
+    # (and the benchmark writes), with the row reader's arrays.
+    d = sample(GaussianMixtureTask(0.5), 2_000, seed=3)
+    files = {
+        ("z", "y"): "z,y\n" + "".join(f"{z!r},{y}\n" for z, y in zip(d.z.tolist(), d.y.tolist())),
+        ("z",): "z\n" + "\n".join(map(repr, d.z.tolist())),  # no final newline
+        ("y",): "y\n" + "".join(f"{y}\n" for y in d.y.tolist()),
+    }
+    for header, text in files.items():
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        fast = cli._split_columns(text.encode(), header)
+        assert fast is not None, header
+        ref, digest = read_columns_rowwise_ref(str(path), header)
+        got, got_digest = cli._read_columns(str(path), header)
+        assert got_digest == digest
+        for a, b, c in zip(fast, got, ref):
+            assert a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+# Rows of a valid file for each command, and the field values a mutation
+# may put in: every input the column path must refuse or agree on.
+CSV_BASES = {
+    "fit": (b"z,y", [[b"0.1", b"0"], [b"0.25", b"1"], [b"0.5", b"0"], [b"0.75", b"1"], [b"1", b"1"]]),
+    "apply": (b"z", [[b"0"], [b"0.3"], [b"0.5"], [b"1"]]),
+    "shift": (b"y", [[b"0"], [b"1"], [b"1"], [b"0"]]),
+}
+CSV_FIELDS = [
+    b"0", b"1", b"0.4", b"nan", b"inf", b"-0", b"-0.0", b"1e-400", b"-1e-400", b"5e-324",
+    b"0_5", b"0.2_5", b" 1", b"1 ", b"\t0.5", b"+.5", b"", b"x", b"2", b"1.5", b"0,5",
+    b'"0.5"', b'"1"', b'"0', b'0"', b"0" * 200_000, b"0." + b"0" * 131_070, b"\xff", b"0.5\x00",
+    "０.５".encode(), " 0.5".encode(), b"1\x85",
+]
+
+
+@st.composite
+def csv_inputs(draw):
+    command = draw(st.sampled_from(sorted(CSV_BASES)))
+    head, rows = CSV_BASES[command]
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["field", "extra", "drop", "blank", "pad"]))
+        if kind == "field" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(CSV_FIELDS))
+        elif kind == "extra":
+            rows[i].append(draw(st.sampled_from([b"", b"9", b"0"])))
+        elif kind == "drop" and rows[i]:
+            rows[i].pop()
+        elif kind == "blank":
+            rows.insert(i, [])
+        elif kind == "pad" and rows[i]:
+            rows[i][-1] = b" " + rows[i][-1] + b" "
+    if draw(st.integers(0, 5)) == 0:
+        head = draw(st.sampled_from([b"z,y", b"y,z", b" z , y", b"z", b"y", b"z,y,", b"Z", b""]))
+    eol = draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
+    data = eol.join([head] + [b",".join(r) for r in rows]) + eol
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\r", b"\n", b'"', b",", b" ", b"\x00"])) + data[k:]
+    if draw(st.booleans()):
+        data = data[:-draw(st.integers(1, 4))]  # a truncated last row
+    if draw(st.integers(0, 5)) == 0:
+        data = b"\xef\xbb\xbf" + data  # BOM
+    if draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return command, data
+
+
+def _cli_outcome(tmp_path, command, path):
+    out = tmp_path / "out"
+    if out.exists():
+        out.unlink()
+    args = {
+        "fit": ["fit", "--input", path, "--bins", 2],
+        "apply": ["apply", "--model", tmp_path / "model.json", "--input", path],
+        "shift": ["shift", "--labels-p", path, "--labels-q", tmp_path / "q.csv"],
+    }[command]
+    res = run(*args, "--out", out)
+    assert res.exit_code in (0, 2, 3), res.exception
+    if res.exit_code == 2:
+        assert res.stderr.startswith("error: "), res.stderr
+    return res.exit_code, res.stdout, res.stderr, out.read_bytes() if out.exists() else None
+
+
+def _assert_same_outcome_as_row_reader(tmp_path, command, data):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    got = _cli_outcome(tmp_path, command, path)
+    with mock.patch.object(cli, "_read_columns", read_columns_rowwise_ref):
+        want = _cli_outcome(tmp_path, command, path)
+    assert got == want, data[:200]
+
+
+def _reader_fixtures(tmp_path):
+    save_model(str(tmp_path / "model.json"), _writer_models()[0], {})
+    labels_csv(tmp_path / "q.csv", 5, 5)
+
+
+@pytest.mark.parametrize("command", sorted(CSV_BASES))
+def test_each_csv_edge_case_matches_the_row_reader(tmp_path, command):
+    # One change at a time to a valid file: each field value above in each
+    # column of the first data row, and each byte csv treats specially at
+    # each offset after the header.
+    _reader_fixtures(tmp_path)
+    head, rows = CSV_BASES[command]
+    for j in range(len(rows[0])):
+        for field in CSV_FIELDS:
+            changed = [list(r) for r in rows]
+            changed[0][j] = field
+            _assert_same_outcome_as_row_reader(
+                tmp_path, command, b"\n".join([head] + [b",".join(r) for r in changed]) + b"\n")
+    data = b"\n".join([head] + [b",".join(r) for r in rows[:2]]) + b"\n"
+    for k in range(len(head) + 1, len(data) + 1):
+        for byte in (b"\r", b"\n", b'"', b",", b" ", b"\x00", b"\xff"):
+            _assert_same_outcome_as_row_reader(tmp_path, command, data[:k] + byte + data[k:])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=csv_inputs())
+def test_csv_readers_match_the_row_reader(tmp_path, case):
+    # fit, apply and shift on a CSV with up to three changes to its rows,
+    # header, line ends and bytes give the same exit code, stdout, stderr
+    # and output bytes as with the row-by-row reader.
+    _reader_fixtures(tmp_path)
+    _assert_same_outcome_as_row_reader(tmp_path, *case)
+
+
 def test_model_round_trip_is_bitwise(tmp_path):
     fitted = PiecewiseRecalibrator(
         BinningScheme((0.0, 0.21221, 0.503, 0.77, 1.0)),
@@ -920,6 +1130,34 @@ def test_simulate_refuses_mistyped_config(tmp_path, experiment, text, message):
     assert res.stderr.startswith(f"error: bad config: {message}, got ")
     assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+# A sample past the desk-scale caps, past what an array can address, and
+# one that passes every check but cannot be allocated. Each config asks
+# for at most one draw, so a regression that runs it fails at once.
+HUGE = 10 ** 30
+UNALLOCATABLE = sys.maxsize // 8
+OVERSIZED_CONFIGS = [
+    ("label-shift", {"n_P": HUGE}, "bad config: n_P and n_Q must be at most 1000000"),
+    ("label-shift", {"n_Q": 2_000_000}, "bad config: n_P and n_Q must be at most 1000000"),
+    ("label-shift", {"n_P": HUGE, "full_scale": True}, "bad config: sample sizes must be at most"),
+    ("risk-grid", {"n_grid": [HUGE], "B_grid": [6], "full_scale": True},
+     "bad config: sample sizes must be at most"),
+    ("label-shift", {"n_P": UNALLOCATABLE, "full_scale": True}, "the study's samples do not fit"),
+    ("risk-grid", {"n_grid": [UNALLOCATABLE], "B_grid": [6], "full_scale": True},
+     "the study's samples do not fit"),
+]
+
+
+@pytest.mark.parametrize("experiment, overrides, message", OVERSIZED_CONFIGS)
+def test_simulate_refuses_oversized_samples(tmp_path, experiment, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**overrides, "seeds": 1}))
+    res = run("simulate", experiment, "--config", cfg, "--out-dir", tmp_path / "out")
+    assert_input_error(res)
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {message}")
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
 VALID_LABEL_SHIFT_MANIFEST = """{
