@@ -42,6 +42,7 @@ from .core import (
     Recalibrator,
     ShiftCorrector,
     ShiftWeights,
+    _within,
     apply_batch,
     compose,
     estimate_weights,
@@ -196,7 +197,7 @@ def _scores_column(texts: list[str]) -> np.ndarray | None:
         z = np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:
         return None
-    return z if ((z >= 0.0) & (z <= 1.0)).all() else None
+    return z if _within(z, 0.0, 1.0) else None
 
 
 def _labels_column(texts: list[str]) -> np.ndarray | None:
@@ -229,8 +230,9 @@ def _parse_rows(path: str, text: str, header: tuple[str, ...],
         first = next(reader, None)
         if first is None:
             _fail(f"{path}: empty file, expected header {','.join(header)}", 2)
-        if tuple(s.strip() for s in first) != header:
-            _fail(f"{path}: row 1: expected header {','.join(header)}, got {','.join(first)}", 2)
+        if tuple(s.strip(" \t") for s in first) != header:
+            _fail(f"{path}: row 1: expected header {','.join(header)}, "
+                  f"got {','.join(map(repr, first))}", 2)
         row = 1
         for row, fields in enumerate(reader, start=2):
             if len(fields) != len(header):

@@ -66,9 +66,17 @@ def _frozen_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _within(a: np.ndarray, lo, hi) -> bool:
+    """Whether every entry of a lies in [lo, hi]: two reductions and no
+    mask array. A NaN fails both comparisons, and an empty array passes."""
+    return a.size == 0 or bool(a.min() >= lo and a.max() <= hi)
+
+
 def _binary(y: np.ndarray) -> bool:
+    if y.dtype.kind in "biu":
+        return _within(y, 0, 1)
     # Two comparisons, several times cheaper than np.isin; NaN, 0.5 and
-    # strings fail both, while True, False and 1.0 pass.
+    # strings fail both, while 1.0 passes.
     return bool(np.all((y == 0) | (y == 1)))
 
 
@@ -90,7 +98,7 @@ class LabeledSample:
             raise ValueError("z and y must be one-dimensional and the same length")
         if z.size < 1:
             raise ValueError("a labeled sample needs at least one record")
-        if not np.all((z >= 0.0) & (z <= 1.0)):
+        if not _within(z, 0.0, 1.0):
             raise ValueError("scores must lie in [0, 1]; no clamping is applied")
         if not _binary(y):
             raise ValueError("labels must be 0 or 1")
@@ -98,6 +106,24 @@ class LabeledSample:
         y.flags.writeable = False
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
+
+    @classmethod
+    def _adopt(cls, z: np.ndarray, y: np.ndarray) -> LabeledSample:
+        """A sample that takes ownership of z (float64) and y (int64), locking
+        them instead of copying and checking them.
+
+        For ``oracle.sample`` only, whose arrays are fresh, unshared and valid
+        by construction: the public constructor's copy and checks would cost
+        a second n-sized buffer and two more passes per draw. A caller's
+        arrays must go through the public constructor, which keeps its own
+        copy, since the caller may still write to them.
+        """
+        z.flags.writeable = False
+        y.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "y", y)
+        return self
 
     @property
     def n(self) -> int:
@@ -348,7 +374,7 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     score falls outside [0, 1].
     """
     z = np.asarray(scores, dtype=np.float64)
-    if z.size == 0 or not np.all((z >= 0.0) & (z <= 1.0)):
+    if z.size == 0 or not _within(z, 0.0, 1.0):
         raise ValueError("scores must lie in [0, 1]; no clamping is applied")
     return _uniform_mass_bins(np.sort(z), int(B))[0]
 
@@ -449,7 +475,7 @@ def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
     composite is evaluated through its cached ``flatten``.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all((z >= 0.0) & (z <= 1.0)):
+    if not _within(z, 0.0, 1.0):
         raise ValueError("scores must lie in [0, 1]; no clamping is applied")
     return _evaluate(h, z)
 

@@ -96,6 +96,10 @@ _QUAD_INTERVALS = 240
 _QUAD_AGREE = 1e-13
 _QUAD_HALVINGS = 12
 
+# Elements per block of sample's in-place pass: 128 KiB of float64, so a
+# block and its temporaries stay in a core's L2 cache.
+_SAMPLE_BLOCK = 1 << 14
+
 # exp(-36) is below the spacing of floats near 1, so the logistic map is
 # saturated exactly past this point instead of being left to rounding.
 _SAT = 36.0
@@ -122,22 +126,28 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+def _sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``sigmoid`` over an array in one pass: with e = exp(-|x|), the map is
     1 / (1 + e) for x >= 0 and e / (1 + e) below, both without overflow.
 
     The numerator is max(e, x >= 0): since 0 <= e <= 1, that is 1 where
     x >= 0 and e elsewhere, and a NaN in x stays NaN. It gives the same
     bits as selecting by the sign mask, without a branch per element.
+    Saturation takes one mask, |x| > 36, from the |x| already computed,
+    and writes the sign there: 1 above 36, 0 below -36.
+
+    ``out`` may be x itself, for a map in place; the only other float
+    buffer is e.
     """
     e = np.abs(x)
+    saturated = e > _SAT
+    positive = x >= 0.0
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0.0)
+    out = np.maximum(e, positive, out=out)
     e += 1.0
     out /= e
-    out[x > _SAT] = 1.0
-    out[x < -_SAT] = 0.0
+    np.copyto(out, positive, where=saturated)
     return out
 
 
@@ -257,19 +267,34 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     uniforms map through the inverse normal CDF to x, then z = sigmoid(x).
     Identical seeds give bitwise identical samples on any platform.
 
-    Cost: about 25 ms at n = 1e6 on a 2-vCPU Xeon VM (up to 60 ms in its
-    slow clock phases), of which ``ndtri`` takes 15 to 24 ms. That is the
-    floor the fixed stream leaves: a faster normal sampler would change
-    the bits. The label means are read from a two-entry table and the
-    logistic map is branch-free.
+    Both uniform streams go through one float64 buffer, which becomes the
+    sample's z: the labels are read off the first stream before the second
+    overwrites it. The second stream is then drawn and mapped block by
+    block, in place: ``ndtri``, the label means (a two-entry table;
+    addition commutes, so the bits are those of mean + ndtri(u)) and the
+    logistic map. A block's passes stay in cache and its temporaries are
+    block-sized, so besides the labels the draw holds one n-sized float
+    array. Both arrays pass to ``LabeledSample`` without a copy.
+
+    Cost: 35-50 ms at n = 1e6 on a 2-vCPU Xeon VM, depending on its clock
+    phase, of which ``ndtri`` takes 18-23 ms. That is the floor the fixed
+    stream leaves: a faster normal sampler would change the bits. A draw
+    at n = 1e7 raises peak resident memory by about 162 MB, little more
+    than the 160 MB of the two arrays it returns.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    y = (rng.random(n) < task.pi).astype(np.int64)
-    x = _MEANS.take(y) + ndtri(rng.random(n))
-    return LabeledSample(z=_sigmoid_array(x), y=y)
+    x = rng.random(out=np.empty(n))
+    y = (x < task.pi).astype(np.int64)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        block = x[start:start + _SAMPLE_BLOCK]
+        rng.random(out=block)  # the stream continues across blocks
+        ndtri(block, out=block)
+        block += _MEANS.take(y[start:start + _SAMPLE_BLOCK])
+        _sigmoid_array(block, out=block)
+    return LabeledSample._adopt(x, y)
 
 
 def _mixture_cdf(task: GaussianMixtureTask, x) -> np.ndarray:
@@ -458,27 +483,20 @@ def _mixture_quantiles(task: GaussianMixtureTask, t: np.ndarray) -> np.ndarray:
 
 def _approx_mixture_quantiles(task: GaussianMixtureTask, t: np.ndarray) -> np.ndarray:
     """x-values with mixture CDF close to t: linear interpolation in a
-    coarse CDF table, then Newton steps kept inside the bisection bracket.
+    2**15 + 1-point CDF table on [-20, 20], then one Newton step kept
+    inside the bisection bracket.
 
-    Two steps reach the roundoff floor of the CDF near 1: the largest
-    error against bisection at grid_size 1e5 and priors 1e-4 to 0.9999
-    measured 5e-5 after interpolation, 6e-9 after one step and 1.5e-12
-    after two, where further steps no longer lower it.
+    The table's step is 40 / 2**15, so interpolation lands close enough
+    for one step, whose error is quadratic in the distance, to reach the
+    roundoff floor of the CDF near 1: against the 60-step bisection, for
+    priors 1e-4 to 0.9999 and grid sizes 1000 to 3e5, the largest error
+    measured 9.5e-12. The table costs 2**15 CDF evaluations, fewer than a
+    second step at the 1e5 levels the studies and the CLI ask for.
     """
-    table = np.linspace(-20.0, 20.0, 4001)
+    table = np.linspace(-20.0, 20.0, (1 << 15) + 1)
     x = np.interp(t, _mixture_cdf(task, table), table)
-    for _ in range(2):
-        x -= (_mixture_cdf(task, x) - t) / _mixture_density(task, x)
-        np.clip(x, -20.0, 20.0, out=x)
-    return x
-
-
-def _padded_curve(task: GaussianMixtureTask, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, hstar) at increasing points x, with (0, 0) prepended and
-    (1, 1) appended for the score range's end points."""
-    F = np.concatenate(([0.0], _mixture_cdf(task, x), [1.0]))
-    h = np.concatenate(([0.0], _sigmoid_array(4.0 * x + logit(task.pi)), [1.0]))
-    return F, h
+    x -= (_mixture_cdf(task, x) - t) / _mixture_density(task, x)
+    return np.clip(x, -20.0, 20.0, out=x)
 
 
 # Relative margin below the largest approximate quotient within which
@@ -503,33 +521,42 @@ def estimate_K(task: GaussianMixtureTask, grid_size: int) -> float:
     frozen K constants of the tests and the bytes of ``simulate opt-b``
     (which records K and the B* it chooses) depend on that. Bisecting all
     grid_size - 1 levels costs 60 CDF evaluations per level, so the
-    levels are first located approximately (table interpolation, then
-    Newton steps), and only the quotients within a relative 1e-6 of the
-    approximate maximum are recomputed from bisected endpoints, a handful
-    of levels. At grid_size = 1e5 this takes about 0.02 s instead of 0.3 s
-    (2-vCPU machine).
+    levels are first located approximately (interpolation in a 2**15 +
+    1-point CDF table, then one Newton step: within 9.5e-12 of the bisected
+    quantiles), with each level standing in for the CDF at its quantile.
+    Only the quotients within a relative 1e-6 of the approximate maximum
+    are recomputed from bisected endpoints, a handful of levels. At
+    grid_size = 1e5 this takes about 0.01 s instead of 0.3 s (2-vCPU
+    machine).
     """
     G = int(grid_size)
     if G < 1000:
         raise ValueError("grid_size must be at least 1000")
     t = np.arange(1, G, dtype=np.float64) / G
-    F, h = _padded_curve(task, _approx_mixture_quantiles(task, t))
+    ell = logit(task.pi)
+    # The curve (F, hstar) at the levels' quantiles, padded with the score
+    # range's ends (0, 0) and (1, 1). At the approximate quantiles the
+    # levels themselves stand in for F.
+    F = np.concatenate(([0.0], t, [1.0]))
+    h = np.concatenate(([0.0], _sigmoid_array(4.0 * _approx_mixture_quantiles(task, t) + ell), [1.0]))
     q = np.diff(h) / np.diff(F)
     # A quotient is the slope of a secant of the curve u -> hstar(F^-1(u));
     # moving one endpoint by eps along that curve moves the slope by about
     # eps |dq/du| / 2, where dq/du is how fast the local slope changes. The
-    # Newton quantiles sit within roundoff of the bisected ones, so that
-    # shift is orders of magnitude below the margin (at most 1.2e-10 of
-    # the maximum, measured for priors 1e-4 to 0.9999 and grids up to
-    # 3e5), and the true maximum is among the candidates. A NaN maximum makes every index a candidate,
-    # which falls back to bisecting the whole grid.
+    # Newton quantiles sit within roundoff of the bisected ones, and F at
+    # the bisected ones within 1e-10 / G of the levels, so that shift is
+    # orders of magnitude below the margin (at most 1.6e-10 of the
+    # maximum, measured for priors 1e-4 to 0.9999 and grids up to 3e5),
+    # and the true maximum is among the candidates. A NaN maximum makes
+    # every index a candidate, which falls back to bisecting the whole
+    # grid.
     cand = np.flatnonzero(~(q < (1.0 - _K_MARGIN) * np.max(q)))
     # Quotient i spans points i and i + 1 of the padded curve, whose
     # interior point j lies at level t[j - 1].
     ends = np.union1d(cand, cand + 1)
     ends = ends[(ends > 0) & (ends < G)]
-    F_exact, h_exact = _padded_curve(task, _mixture_quantiles(task, t[ends - 1]))
-    F[ends], h[ends] = F_exact[1:-1], h_exact[1:-1]
+    x = _mixture_quantiles(task, t[ends - 1])
+    F[ends], h[ends] = _mixture_cdf(task, x), _sigmoid_array(4.0 * x + ell)
     return float(np.max((h[cand + 1] - h[cand]) / (F[cand + 1] - F[cand])))
 
 

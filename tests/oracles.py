@@ -592,9 +592,9 @@ def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool 
     try:
         for fields in csv.reader(io.StringIO(text, newline="")):
             if row == 1:
-                if tuple(s.strip() for s in fields) != header:
+                if tuple(s.strip(" \t") for s in fields) != header:
                     _cli_fail(f"{path}: row 1: expected header {','.join(header)}, "
-                              f"got {','.join(fields)}")
+                              f"got {','.join(map(repr, fields))}")
             elif len(fields) != len(header):
                 _cli_fail(f"{path}: row {row}: expected {len(header)} fields, got {len(fields)}")
             else:

@@ -240,6 +240,10 @@ def test_fit_parse_errors(tmp_path):
         ("z,y\n1.5,1\n", ["outside [0.0, 1.0]"]),
         ("z,y\nfoo,1\n", ["row 2, column z", "is not a number"]),
         ("z,y\n0.5,1,9\n", ["expected 2 fields"]),
+        # Header fields are named by repr, so the message stays one line,
+        # and only spaces and tabs around them are ignored.
+        ('"q\nz",y\n0.5,1\n', ["row 1", "got 'q\\nz','y'"]),
+        ('"z\n",y\n0.5,1\n', ["row 1", "expected header z,y, got 'z\\n','y'"]),
     )
     for text, needles in cases:
         inp = tmp_path / "bad.csv"
@@ -250,6 +254,8 @@ def test_fit_parse_errors(tmp_path):
         assert res.stderr.startswith(f"error: {inp}: ") and res.stderr.count("\n") == 1, text
         for needle in needles:
             assert needle in res.stderr, (text, res.stderr)
+    inp.write_text(" z\t, y \n0.5,1\n0.25,0\n")
+    assert run("fit", "--input", inp, "--bins", 2, "--out", out).exit_code == 0
 
 
 def assert_input_error(res) -> None:
@@ -726,7 +732,7 @@ def _cli_outcome(tmp_path, command, path):
     res = run(*args, "--out", out)
     assert res.exit_code in (0, 2, 3), res.exception
     if res.exit_code == 2:
-        assert res.stderr.startswith("error: "), res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
     return res.exit_code, res.stdout, res.stderr, out.read_bytes() if out.exists() else None
 
 

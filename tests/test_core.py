@@ -396,8 +396,10 @@ def test_apply_batch_agrees_bitwise_with_apply():
 
 
 def test_apply_batch_validation():
-    with pytest.raises(ValueError):
-        apply_batch(Identity(), [0.5, 1.5])
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")], [float("nan")]):
+        with pytest.raises(ValueError):
+            apply_batch(Identity(), bad)
+    assert apply_batch(Identity(), []).size == 0
     with pytest.raises(TypeError):
         apply_batch(object(), [0.5])
 
@@ -487,7 +489,17 @@ def test_labeled_sample_validation():
             LabeledSample(z=[0.5, 0.6], y=[0, bad])
         with pytest.raises(ValueError):
             estimate_weights([0, 1, bad], [0, 1])
-    for labels in ([True, False], [1.0, 0.0], [1, 0.0]):
+    for bad in ([0.5, float("nan")], [float("nan"), float("nan")]):
+        with pytest.raises(ValueError):
+            LabeledSample(z=bad, y=[0, 1])
+    for bad in (np.array([0, -1], np.int8), np.array([0, 2], np.uint8),
+                np.array([1, -1]), np.array([0, 256], np.int16)):
+        with pytest.raises(ValueError):
+            LabeledSample(z=[0.5, 0.6], y=bad)
+        with pytest.raises(ValueError):
+            estimate_weights(bad, [0, 1])
+    for labels in ([True, False], np.array([True, False]), np.array([1, 0], np.uint8),
+                   np.array([1, 0], np.int8), [1.0, 0.0], [1, 0.0]):
         s = LabeledSample(z=[0.5, 0.6], y=labels)
         assert s.y.dtype == np.int64 and s.y.tolist() == [1, 0], labels
     y = np.array([0, 1])

@@ -119,10 +119,15 @@ def test_sigmoid_array_matches_masked_reference_bitwise():
              tiny, 2.2e-308, 1e-300, 1e-17, 700.0, 745.2, np.inf]
     x = np.concatenate((edges, np.negative(edges),
                         np.random.default_rng(11).normal(0.0, 12.0, 100_000)))
-    got = _sigmoid_array(x)
     want = sigmoid_array_masked_ref(x)
+    got = _sigmoid_array(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.isnan(_sigmoid_array(np.array([np.nan]))[0])
+    inplace = x.copy()
+    assert _sigmoid_array(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace.view(np.uint64), want.view(np.uint64))
+    nan = np.array([np.nan, 40.0, np.nan, -40.0])
+    for got in (_sigmoid_array(nan), _sigmoid_array(nan.copy(), out=nan.copy())):
+        assert np.isnan(got[::2]).all() and got[1::2].tolist() == [1.0, 0.0]
 
 
 def test_logit_endpoints_and_roundtrip():
@@ -199,11 +204,30 @@ def test_sample_deterministic_and_frozen():
 def test_sample_matches_masked_reference_bitwise(pi, n):
     # Compared with a reference run on the same machine, not with frozen
     # digests: np.exp may take a different SIMD path on another CPU.
-    for seed in (0, 20260, np.random.SeedSequence(7).spawn(3)[2]):
-        got = sample(GaussianMixtureTask(pi), n, seed)
-        z, y = sample_where_ref(pi, n, seed)
+    cases = [(n, seed) for seed in (0, 20260, np.random.SeedSequence(7).spawn(3)[2])]
+    if (pi, n) == (0.5, 100_003):
+        cases.append((1_000_000, 0))  # one draw at the benchmark's size
+    for size, seed in cases:
+        got = sample(GaussianMixtureTask(pi), size, seed)
+        z, y = sample_where_ref(pi, size, seed)
         assert np.array_equal(got.z.view(np.uint64), z.view(np.uint64))
         assert np.array_equal(got.y, y)
+
+
+def test_sample_owns_locked_arrays():
+    # sample hands its arrays to LabeledSample without the public
+    # constructor's copy; they must still be the sample's own and locked.
+    s = sample(TASK05, 10_000, seed=4)
+    assert not s.z.flags.writeable and not s.y.flags.writeable
+    assert not np.shares_memory(s.z, s.y)
+    with pytest.raises(ValueError):
+        s.z[0] = 0.5
+    copy = LabeledSample(z=s.z.copy(), y=s.y.copy())
+    assert (s.z.dtype, s.y.dtype) == (copy.z.dtype, copy.y.dtype) == (np.float64, np.int64)
+    assert np.array_equal(s.z, copy.z) and np.array_equal(s.y, copy.y)
+    for got, want in zip(s.sorted_view, copy.sorted_view):
+        assert np.array_equal(got, want)
+    assert fit_recalibrator(s, 20) == fit_recalibrator(copy, 20)
 
 
 def test_sample_validation():
@@ -463,7 +487,7 @@ def test_estimate_K_matches_independent_reimplementation():
     assert abs(mine - estimate_K(TASK05, G)) <= 1e-9
 
 
-@pytest.mark.parametrize("pi", [1e-4, 0.01, 0.1, 0.5, 0.9, 0.9999])
+@pytest.mark.parametrize("pi", [1e-4, 0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.9999])
 @pytest.mark.parametrize("G", [1000, 1003, 7777, 100_000])
 def test_estimate_K_equals_full_bisection_bitwise(pi, G):
     # Only the quotients near the approximate maximum are bisected; the
