@@ -1,4 +1,5 @@
-"""Command line interface: fit, apply, shift, bound, optbins, simulate.
+"""Command line interface: fit, apply, shift, bound, bound-shift, optbins,
+simulate.
 
 Exit codes: 0 on success, 2 for input problems (CSV parse errors, bad
 configs, unsupported model files, absent classes), 3 for fitting
@@ -166,6 +167,19 @@ def _writing(path: str):
         _fail(f"{path}: {e.strerror or e}", 2)
 
 
+@contextlib.contextmanager
+def _refusing_bad_numbers():
+    """Exit 2 with a one-line message when the library refuses a flag's
+    value (ValueError) or float arithmetic overflows or divides by an
+    underflowed zero on it, as with --n 1e400 or --w-min 1e-300."""
+    try:
+        yield
+    except ValueError as e:
+        _fail(str(e), 2)
+    except ArithmeticError as e:
+        _fail(f"the flags are out of floating-point range ({e})", 2)
+
+
 def _echo_bound_report(report) -> None:
     click.echo(f"calibration risk bound: {fmt_float(report.cal_bound)}")
     click.echo(f"sharpness risk bound:   {fmt_float(report.sha_bound)}")
@@ -175,8 +189,13 @@ def _echo_bound_report(report) -> None:
 
 
 def _parse_score(path: str, row: int, text: str) -> float:
+    # float() would also read digit-group underscores and strip any
+    # whitespace; a score may only be padded with spaces and tabs.
+    plain = text.strip(" \t")
     try:
-        value = float(text)
+        if "_" in plain or plain != plain.strip():
+            raise ValueError
+        value = float(plain)
     except ValueError:
         _fail(f"{path}: row {row}, column z: {text!r} is not a number", 2)
     if not 0.0 <= value <= 1.0:
@@ -185,7 +204,7 @@ def _parse_score(path: str, row: int, text: str) -> float:
 
 
 def _parse_label(path: str, row: int, text: str) -> int:
-    y = text.strip()
+    y = text.strip(" \t")
     if y not in ("0", "1"):
         _fail(f"{path}: row {row}, column y: {text!r} is not 0 or 1", 2)
     return int(y)
@@ -251,18 +270,20 @@ def _parse_rows(path: str, text: str, header: tuple[str, ...],
 def _split_columns(raw: bytes, header: tuple[str, ...]) -> list[np.ndarray] | None:
     """The columns of a plain CSV in whole-column passes, or None.
 
-    Plain means: ASCII with no quote, CR or NUL, the header exactly as
-    given, k - 1 commas and a newline in every row (k columns), no field
-    longer than csv.field_size_limit(), every score a number in [0, 1] and
-    every label exactly 0 or 1. csv.reader splits such a file at exactly
-    those commas and newlines, and each column converts the same strings
-    as its row parser, so the arrays equal those of ``_parse_rows``.
-    Anything else gets None, and ``_parse_rows`` accepts it or refuses it.
+    Plain means: ASCII with no quote, CR, NUL, underscore, VT or FF (the
+    last three are what float() reads and the row parsers refuse), the
+    header exactly as given, k - 1 commas and a newline in every row (k
+    columns), no field longer than csv.field_size_limit(), every score a
+    number in [0, 1] and every label exactly 0 or 1. csv.reader splits
+    such a file at exactly those commas and newlines, and each column
+    converts the same strings as its row parser, so the arrays equal those
+    of ``_parse_rows``. Anything else gets None, and ``_parse_rows``
+    accepts it or refuses it.
     """
     k = len(header)
     head, _, body = raw.partition(b"\n")
     if (head != ",".join(header).encode() or not body or not raw.isascii()
-            or b'"' in body or b"\r" in body or b"\0" in body):
+            or any(byte in body for byte in (b'"', b"\r", b"\0", b"_", b"\x0b", b"\x0c"))):
         return None
     if not body.endswith(b"\n"):
         body += b"\n"  # a last row without its newline
@@ -368,8 +389,6 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             B, zeta_min = optimal_bins(data.n, delta, K)
         except ValueError as e:
             _fail(str(e), 3)
-        click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
-        click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
     try:
         model = fit_recalibrator(data, B)
     except ValueError as e:
@@ -379,8 +398,6 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto))
     except InsufficientSampleError as e:
         click.echo(f"risk bound unavailable: {e}", err=True)
-    else:
-        _echo_bound_report(report)
     metadata = {
         "n": data.n,
         "B": B,
@@ -389,6 +406,13 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     }
     with _writing(out_path):
         save_model(out_path, model, metadata)
+    # Nothing goes to stdout until the model is written, so a failed fit
+    # prints nothing there.
+    if auto:
+        click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
+        click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
+    if report is not None:
+        _echo_bound_report(report)
     click.echo(f"model written to {out_path}")
     if report is not None and not report.conditions_met:
         click.echo(f"warning: sample-size gate not met ({report.condition_detail})", err=True)
@@ -434,8 +458,6 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     except ValueError as e:
         _fail(str(e), 2)
     corrector = ShiftCorrector(weights)
-    click.echo(f"estimated weights: w_0 = {fmt_float(weights.w[0])}, "
-               f"w_1 = {fmt_float(weights.w[1])}")
     metadata = {
         "n_P": len(labels_p),
         "n_Q": len(labels_q),
@@ -451,75 +473,61 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
         model = compose(corrector, base)
     with _writing(out_path):
         save_model(out_path, model, metadata)
+    click.echo(f"estimated weights: w_0 = {fmt_float(weights.w[0])}, "
+               f"w_1 = {fmt_float(weights.w[1])}")
     click.echo(f"model written to {out_path}")
 
 
 @main.command(name="bound")
-@click.option("--n", type=int, default=None, help="Calibration sample size.")
+@click.option("--n", type=int, required=True, help="Calibration sample size.")
 @click.option("--B", "B", type=int, required=True)
 @click.option("--delta", default=0.1, show_default=True)
 @click.option("--K", "K", type=float, default=None,
-              help="Smoothness constant for --smooth and label-shift mode; 1 if not given.")
-@click.option("--smooth/--no-smooth", default=None,
-              help="Use the smoothness-based sharpness bound 8K^2/B^2 instead of 2/B.")
-@click.option("--n-p", "n_P", type=int, default=None, help="Source size (label-shift mode).")
-@click.option("--n-q", "n_Q", type=int, default=None, help="Target size (label-shift mode).")
-@click.option("--p-min", type=float, default=None)
-@click.option("--q-min", type=float, default=None)
-@click.option("--w-min", type=float, default=None)
-@click.option("--w-max", type=float, default=None)
+              help="Smoothness constant; if given, the sharpness bound is 8K^2/B^2, not 2/B.")
+def cmd_bound(n, B, delta, K) -> None:
+    """Print the single-distribution risk bounds."""
+    with _refusing_bad_numbers():
+        report = risk_bound_report(BoundParams(
+            n=n, B=B, delta=delta, K=BoundParams.K if K is None else K, use_smooth=K is not None))
+    _echo_bound_report(report)
+
+
+@main.command(name="bound-shift")
+@click.option("--n-p", "n_P", type=int, required=True, help="Source sample size.")
+@click.option("--n-q", "n_Q", type=int, required=True, help="Target sample size.")
+@click.option("--B", "B", type=int, required=True)
+@click.option("--delta", default=0.1, show_default=True)
+@click.option("--K", "K", default=ShiftBoundParams.K, show_default=True,
+              help="Smoothness constant of the sharpness bound 8K^2/B^2.")
+@click.option("--p-min", type=float, required=True, help="Lower bound on the source priors.")
+@click.option("--q-min", type=float, required=True, help="Lower bound on the target priors.")
+@click.option("--w-min", type=float, required=True, help="Lower bound on the true weights.")
+@click.option("--w-max", type=float, required=True, help="Upper bound on the true weights.")
 @click.option("--rho0", type=float, default=None, help="Realized weight ratio for class 0.")
 @click.option("--rho1", type=float, default=None, help="Realized weight ratio for class 1.")
 @click.option("--risk-p", type=float, default=None,
               help="Known source risk for the realized bound.")
-def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
-              rho0, rho1, risk_p) -> None:
-    """Print risk bounds: single-distribution by default, label-shift with --n-p.
+def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
+    """Print the label-shift risk bounds on the target distribution.
 
-    Each mode refuses the flags of the other, which it would ignore, and
-    the 2/B sharpness bound of single-distribution mode refuses --K.
+    The realized-ratio bound is added when --rho0, --rho1 and --risk-p
+    are all given.
     """
-    shift_flags = (("--n-q", n_Q), ("--p-min", p_min), ("--q-min", q_min),
-                   ("--w-min", w_min), ("--w-max", w_max))
-    realized_flags = (("--rho0", rho0), ("--rho1", rho1), ("--risk-p", risk_p))
-    try:
-        if n_P is not None:
-            stray = [name for name, v in (("--n", n), ("--smooth", smooth)) if v is not None]
-            if stray:
-                _fail(f"label-shift mode (--n-p) does not use {', '.join(stray)}", 2)
-            missing = [name for name, v in shift_flags if v is None]
-            if missing:
-                _fail(f"label-shift mode needs {', '.join(missing)}", 2)
-            missing = [name for name, v in realized_flags if v is None]
-            if 0 < len(missing) < 3:
-                _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
-            rho = None if missing else (rho0, rho1)
-            params = ShiftBoundParams(n_P=n_P, n_Q=n_Q, B=B, delta=delta,
-                                      K=ShiftBoundParams.K if K is None else K,
-                                      p_min=p_min, q_min=q_min,
-                                      w_min=w_min, w_max=w_max, rho=rho)
-            report = shift_risk_bound_apriori(params)
-            realized = None if rho is None else shift_risk_bound_realized(params, risk_p)
-            click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
-                       f"sha {fmt_float(report.sha_bound)}")
-            click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
-            click.echo(f"gates: {'ok' if report.conditions_met else 'NOT MET'} "
-                       f"({report.condition_detail})")
-            if realized is not None:
-                click.echo(f"realized-ratio bound: {fmt_float(realized)}")
-        else:
-            stray = [name for name, v in shift_flags + realized_flags if v is not None]
-            if stray:
-                _fail(f"label-shift flags need --n-p: {', '.join(stray)}", 2)
-            if K is not None and not smooth:
-                _fail("--K needs --smooth outside label-shift mode", 2)
-            if n is None:
-                _fail("--n is required outside label-shift mode", 2)
-            _echo_bound_report(risk_bound_report(
-                BoundParams(n=n, B=B, delta=delta, K=BoundParams.K if K is None else K,
-                            use_smooth=bool(smooth))))
-    except ValueError as e:
-        _fail(str(e), 2)
+    missing = [name for name, v in (("--rho0", rho0), ("--rho1", rho1), ("--risk-p", risk_p))
+               if v is None]
+    if 0 < len(missing) < 3:
+        _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
+    with _refusing_bad_numbers():
+        params = ShiftBoundParams(**fields, rho=None if missing else (rho0, rho1))
+        report = shift_risk_bound_apriori(params)
+        realized = None if missing else shift_risk_bound_realized(params, risk_p)
+    click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
+               f"sha {fmt_float(report.sha_bound)}")
+    click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
+    click.echo(f"gates: {'ok' if report.conditions_met else 'NOT MET'} "
+               f"({report.condition_detail})")
+    if realized is not None:
+        click.echo(f"realized-ratio bound: {fmt_float(realized)}")
 
 
 @main.command(name="optbins")
@@ -531,10 +539,8 @@ def cmd_bound(n, B, delta, K, smooth, n_P, n_Q, p_min, q_min, w_min, w_max,
 def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
     """Print the bin count minimizing the risk bound objective."""
     K = _smoothness(k_const, task_name, pi)()
-    try:
+    with _refusing_bad_numbers():
         B_star, zeta_min = optimal_bins(n, delta, K)
-    except ValueError as e:
-        _fail(str(e), 2)
     click.echo(f"B_star = {B_star}")
     click.echo(f"zeta_min = {fmt_float(zeta_min)}")
 
@@ -549,12 +555,11 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
 
-    default_config, run_study = {
-        "risk-grid": (exp.default_risk_grid_config, exp.run_risk_grid),
-        "opt-b": (exp.default_opt_b_config, exp.run_optimal_B),
-        "label-shift": (exp.default_label_shift_config, exp.run_label_shift),
+    defaults, run_study = {
+        "risk-grid": (exp.ExperimentConfig(), exp.run_risk_grid),
+        "opt-b": (exp.default_opt_b_config(), exp.run_optimal_B),
+        "label-shift": (exp.ExperimentConfig(), exp.run_label_shift),
     }[experiment]
-    defaults = default_config()
     overrides = {}
     if config_path is not None:
         try:
@@ -571,7 +576,8 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     except (TypeError, ValueError) as e:
         _fail(f"bad config: {e}", 2)
 
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_study(cfg)
     except MemoryError:

@@ -39,13 +39,11 @@ __all__ = [
     "cell_seed",
     "bins_cube_root",
     "mean_risk",
-    "std_risk",
     "loglog_slope",
     "run_risk_grid",
     "run_label_shift",
     "run_optimal_B",
     "default_risk_grid_config",
-    "default_label_shift_config",
     "default_opt_b_config",
     "config_from_dict",
     "write_risk_grid_csv",
@@ -127,10 +125,6 @@ def default_risk_grid_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def default_label_shift_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def default_opt_b_config() -> ExperimentConfig:
     # Quarter-octave B grid so the argmin is well resolved on a log scale.
     return ExperimentConfig(
@@ -206,13 +200,6 @@ def bins_cube_root(n: int) -> int:
 
 def mean_risk(reports: tuple[RiskReport, ...], field: str) -> float:
     return float(np.mean([getattr(r, field) for r in reports]))
-
-
-def std_risk(reports: tuple[RiskReport, ...], field: str) -> float:
-    """Sample standard deviation (seeds - 1 denominator); nan for one seed."""
-    if len(reports) < 2:
-        return float("nan")
-    return float(np.std([getattr(r, field) for r in reports], ddof=1))
 
 
 def loglog_slope(x, y) -> tuple[float, float]:

@@ -58,7 +58,6 @@ from .core import (
 __all__ = [
     "MU0",
     "MU1",
-    "ZeroMassError",
     "QuadratureFailureError",
     "GaussianMixtureTask",
     "MonotoneRecalibrator",
@@ -69,8 +68,6 @@ __all__ = [
     "hstar",
     "exact_shift_weights",
     "sample",
-    "interval_mass",
-    "interval_mean",
     "population_risk",
     "estimate_K",
     "empirical_risk_plugin",
@@ -103,10 +100,6 @@ _SAMPLE_BLOCK = 1 << 14
 # exp(-36) is below the spacing of floats near 1, so the logistic map is
 # saturated exactly past this point instead of being left to rounding.
 _SAT = 36.0
-
-
-class ZeroMassError(ValueError):
-    """A conditional mean was requested on a score interval of zero mass."""
 
 
 class QuadratureFailureError(RuntimeError):
@@ -315,26 +308,6 @@ def _bin_moments(task: GaussianMixtureTask, edges) -> tuple[np.ndarray, np.ndarr
     d1, d0 = np.diff(ndtr(x - np.array([[MU1], [MU0]])), axis=1)
     pos = task.pi * d1
     return pos + (1.0 - task.pi) * d0, pos
-
-
-def _interval_moments(task: GaussianMixtureTask, z_lo: float, z_hi: float):
-    if not 0.0 <= z_lo <= z_hi <= 1.0:
-        raise ValueError("need 0 <= z_lo <= z_hi <= 1")
-    (mass,), (pos,) = _bin_moments(task, (z_lo, z_hi))
-    return float(mass), float(pos)
-
-
-def interval_mass(task: GaussianMixtureTask, z_lo: float, z_hi: float) -> float:
-    """P[Z in (z_lo, z_hi]] through the mixture CDF in x-space."""
-    return _interval_moments(task, z_lo, z_hi)[0]
-
-
-def interval_mean(task: GaussianMixtureTask, z_lo: float, z_hi: float) -> float:
-    """E[Y | Z in (z_lo, z_hi]], the positive component over the mass."""
-    mass, pos = _interval_moments(task, z_lo, z_hi)
-    if mass <= 0.0:
-        raise ZeroMassError(f"the interval ({z_lo}, {z_hi}] carries no score mass")
-    return pos / mass
 
 
 def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tuple[float, float]:

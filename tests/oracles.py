@@ -32,6 +32,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import sys
 
 import click
@@ -554,8 +555,11 @@ def _cli_fail(message: str) -> None:
 
 
 def _parse_score_ref(path: str, row: int, text: str) -> float:
+    # A number padded with spaces and tabs only, without digit-group
+    # underscores, both of which float() would read.
+    match = re.fullmatch(r"[ \t]*([^\s_]*)[ \t]*", text)
     try:
-        value = float(text)
+        value = float(match[1] if match else "no")
     except ValueError:
         _cli_fail(f"{path}: row {row}, column z: {text!r} is not a number")
     if not 0.0 <= value <= 1.0:
@@ -564,10 +568,10 @@ def _parse_score_ref(path: str, row: int, text: str) -> float:
 
 
 def _parse_label_ref(path: str, row: int, text: str) -> int:
-    y = text.strip()
-    if y not in ("0", "1"):
+    match = re.fullmatch(r"[ \t]*([01])[ \t]*", text)
+    if match is None:
         _cli_fail(f"{path}: row {row}, column y: {text!r} is not 0 or 1")
-    return int(y)
+    return int(match[1])
 
 
 def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool = False):

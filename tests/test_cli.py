@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -82,8 +83,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_deployment_commands_do_not_load_scipy(tmp_path):
-    # fit without --task, apply, shift, bound and optbins --K never need
-    # the Gaussian-mixture oracle.
+    # fit without --task, apply, shift, bound, bound-shift and optbins --K
+    # never need the Gaussian-mixture oracle.
     data, scores = tmp_path / "data.csv", tmp_path / "scores.csv"
     data.write_text(FIT_CSV)
     scores.write_text("z\n0.1\n0.9\n")
@@ -98,7 +99,7 @@ def test_deployment_commands_do_not_load_scipy(tmp_path):
          "--out", composite],
         ["apply", "--model", composite, "--input", scores, "--out", tmp_path / "b.csv"],
         ["bound", "--n", 1000, "--B", 10],
-        ["bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
+        ["bound-shift", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
          "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8],
         ["optbins", "--n", 1_000_000, "--K", 1],
     ]
@@ -321,6 +322,7 @@ def test_fit_unwritable_out_exits_2(tmp_path):
     res = run("fit", "--input", inp, "--bins", 2, "--out", out)
     assert res.exit_code == 2
     assert res.stderr == f"error: {out}: No such file or directory\n"
+    assert res.stdout == ""
 
 
 def test_fit_degenerate_and_infeasible_exit_3(tmp_path):
@@ -329,6 +331,10 @@ def test_fit_degenerate_and_infeasible_exit_3(tmp_path):
     res = run("fit", "--input", inp, "--bins", 2, "--out", tmp_path / "m.json")
     assert res.exit_code == 3
     assert "ties" in res.stderr
+    # The automatic bin count is only reported with a fitted model.
+    res = run("fit", "--input", inp, "--bins", "auto", "--K", 1, "--out", tmp_path / "m.json")
+    assert res.exit_code == 3 and res.stdout == ""
+    assert not (tmp_path / "m.json").exists()
 
     inp2 = tmp_path / "small.csv"
     inp2.write_text(FIT_CSV)
@@ -682,6 +688,10 @@ CSV_FIELDS = [
     b"0_5", b"0.2_5", b" 1", b"1 ", b"\t0.5", b"+.5", b"", b"x", b"2", b"1.5", b"0,5",
     b'"0.5"', b'"1"', b'"0', b'0"', b"0" * 200_000, b"0." + b"0" * 131_070, b"\xff", b"0.5\x00",
     "０.５".encode(), " 0.5".encode(), b"1\x85",
+    # float() reads these, and the field parsers refuse them.
+    b'"1\n"', b'"0.5\n"', b"\x0b1", b"0.5\x0c", b"\x0c0", "1 ".encode(),
+    # Spaces and tabs are the padding both readers allow.
+    b"\t1", b"1\t", b" 0 ", b"\t0.5 ",
 ]
 
 
@@ -906,6 +916,7 @@ def test_shift_unwritable_out_exits_2(tmp_path):
     res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", out)
     assert res.exit_code == 2
     assert res.stderr == f"error: {out}: No such file or directory\n"
+    assert res.stdout == ""
 
 
 def test_shift_base_model_must_be_piecewise(tmp_path):
@@ -918,9 +929,21 @@ def test_shift_base_model_must_be_piecewise(tmp_path):
               "--base-model", base_path, "--out", tmp_path / "m.json")
     assert res.exit_code == 2
     assert "--base-model must hold a piecewise model" in res.stderr
+    assert res.stdout == ""
 
 
 # ----------------------------------------------------------------- bound
+
+def assert_usage_error(res, *needles: str) -> None:
+    """Exit 2 from click's own checks: nothing on stdout, and a usage
+    block on stderr that ends in one ``Error:`` line holding the needles
+    (its exact wording differs between click versions)."""
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stdout == ""
+    assert res.stderr.startswith("Usage: ")
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("Error: ") and all(n in last for n in needles), res.stderr
+
 
 def test_bound_single_distribution():
     res = run("bound", "--n", 1000, "--B", 10)
@@ -930,17 +953,76 @@ def test_bound_single_distribution():
     assert line_value(res.output, "sharpness risk bound:") == 0.2
     assert "NOT MET" in res.output
 
-    smooth = run("bound", "--n", 1000, "--B", 10, "--smooth")
+    # A given --K selects the smooth sharpness term 8K^2/B^2, even K = 0.
+    smooth = run("bound", "--n", 1000, "--B", 10, "--K", 1)
     assert line_value(smooth.output, "sharpness risk bound:") == pytest.approx(0.08, rel=1e-15)
-    # An unset --K means K = 1; a given one, even 0, is used as given.
-    assert run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", 1).output == smooth.output
-    flat = run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", 0)
+    flat = run("bound", "--n", 1000, "--B", 10, "--K", 0)
     assert line_value(flat.output, "sharpness risk bound:") == 0.0
 
 
+SHIFT_FLAGS = ("--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
+               "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8)
+REALIZED_FLAGS = ("--B", 10, "--n-p", 1_000_000, "--n-q", 1_000_000,
+                  "--p-min", 0.5, "--q-min", 0.5, "--w-min", 1, "--w-max", 1,
+                  "--rho0", 1.1, "--rho1", 0.9, "--risk-p", 0)
+SINGLE_FLAGS = ("--n", 1000, "--B", 10)
+SINGLE_1000_10 = ("calibration risk bound: 0.03383899780681299\n"
+                  "sharpness risk bound:   {sha}\n"
+                  "total risk bound:       {total}\n"
+                  "sample-size gate:       NOT MET (n = 1000 fails n >= c B log(2B/delta) = 128219.3)\n")
+SHIFT_46 = ("recalibration terms (shift-scaled): cal 0.5628880103936224, sha {sha}\n"
+            "target risk bound: {total}\n"
+            "gates: NOT MET (n_P = 100000 fails threshold 836850.4; n_Q = 1000 fails threshold 1370.3)\n")
+REALIZED_10 = ("recalibration terms (shift-scaled): cal {cal}, sha {sha}\n"
+               "target risk bound: {total}\n"
+               "gates: ok (n_P = 1000000 meets threshold {gp}; n_Q = 1000000 meets threshold {gq})\n"
+               "realized-ratio bound: 0.020000000000000014\n")
+
+# Each accepted `bound` invocation of version 0.3, its spelling since 0.4.0,
+# and the stdout the 0.3 command printed, byte for byte.
+BOUND_SPELLINGS = [
+    (("bound", *SINGLE_FLAGS), ("bound", *SINGLE_FLAGS),
+     SINGLE_1000_10.format(sha="0.2", total="0.233838997806813")),
+    (("bound", *SINGLE_FLAGS, "--no-smooth"), ("bound", *SINGLE_FLAGS),
+     SINGLE_1000_10.format(sha="0.2", total="0.233838997806813")),
+    (("bound", *SINGLE_FLAGS, "--smooth"), ("bound", *SINGLE_FLAGS, "--K", 1),
+     SINGLE_1000_10.format(sha="0.08", total="0.11383899780681299")),
+    (("bound", *SINGLE_FLAGS, "--smooth", "--K", 0), ("bound", *SINGLE_FLAGS, "--K", 0),
+     SINGLE_1000_10.format(sha="0.0", total="0.03383899780681299")),
+    (("bound", *SINGLE_FLAGS, "--smooth", "--K", 1), ("bound", *SINGLE_FLAGS, "--K", 1),
+     SINGLE_1000_10.format(sha="0.08", total="0.11383899780681299")),
+    (("bound", *SINGLE_FLAGS, "--smooth", "--K", 5), ("bound", *SINGLE_FLAGS, "--K", 5),
+     SINGLE_1000_10.format(sha="2.0", total="2.033838997806813")),
+    (("bound", "--n", 100_000, "--B", 20, "--delta", 0.05, "--smooth", "--K", 2.5),
+     ("bound", "--n", 100_000, "--B", 20, "--delta", 0.05, "--K", 2.5),
+     "calibration risk bound: 0.0007488293742880278\n"
+     "sharpness risk bound:   0.125\n"
+     "total risk bound:       0.12574882937428802\n"
+     "sample-size gate:       NOT MET (n = 100000 fails n >= c B log(2B/delta) = 323535.2)\n"),
+    (("bound", *SHIFT_FLAGS), ("bound-shift", *SHIFT_FLAGS),
+     SHIFT_46.format(sha="1.1024574669187144", total="4.405939337538603")),
+    (("bound", *SHIFT_FLAGS, "--K", 3), ("bound-shift", *SHIFT_FLAGS, "--K", 3),
+     SHIFT_46.format(sha="9.92211720226843", total="13.225599072888318")),
+    (("bound", *REALIZED_FLAGS), ("bound-shift", *REALIZED_FLAGS),
+     REALIZED_10.format(cal="6.707823761716832e-05", sha="0.16", total="0.16061519700966242",
+                        gp="144993.4", gq="274.1")),
+    (("bound", *REALIZED_FLAGS, "--K", 0.5, "--delta", 0.2),
+     ("bound-shift", *REALIZED_FLAGS, "--K", 0.5, "--delta", 0.2),
+     REALIZED_10.format(cal="6.01343788504044e-05", sha="0.04", total="0.040533393255395185",
+                        gp="128219.3", gq="236.6")),
+]
+
+
+@pytest.mark.parametrize("old, new, stdout", BOUND_SPELLINGS,
+                         ids=[" ".join(map(str, old[5:])) or "plain" for old, _, _ in BOUND_SPELLINGS])
+def test_bound_new_spelling_prints_the_old_stdout(old, new, stdout):
+    res = run(*new)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == stdout
+
+
 def test_bound_label_shift_mode():
-    res = run("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000,
-              "--p-min", 0.1, "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8)
+    res = run("bound-shift", *SHIFT_FLAGS)
     assert res.exit_code == 0, res.stderr
     assert line_value(res.output, "target risk bound:") == pytest.approx(
         SHIFT_APRIORI_EXAMPLE, rel=1e-12
@@ -949,28 +1031,34 @@ def test_bound_label_shift_mode():
 
 
 def test_bound_label_shift_missing_flags():
-    res = run("bound", "--B", 46, "--n-p", 100)
-    assert res.exit_code == 2
-    assert "label-shift mode needs --n-q, --p-min, --q-min, --w-min, --w-max" in res.stderr
+    # click names the first missing required flag.
+    assert_usage_error(run("bound-shift", "--B", 46, "--n-p", 100), "Missing option", "--n-q")
+    assert_usage_error(run("bound-shift", *SHIFT_FLAGS[:-2]), "Missing option", "--w-max")
 
 
 def test_bound_realized_ratio_line():
-    res = run("bound", "--B", 10, "--n-p", 1_000_000, "--n-q", 1_000_000,
-              "--p-min", 0.5, "--q-min", 0.5, "--w-min", 1, "--w-max", 1,
-              "--rho0", 1.1, "--rho1", 0.9, "--risk-p", 0)
+    res = run("bound-shift", *REALIZED_FLAGS)
     assert res.exit_code == 0, res.stderr
     assert line_value(res.output, "realized-ratio bound:") == pytest.approx(0.02, abs=1e-12)
 
 
 def test_bound_argument_errors():
-    assert run("bound", "--B", 10).exit_code == 2
+    assert_usage_error(run("bound", "--B", 10), "Missing option", "'--n'")
     res = run("bound", "--n", 10, "--B", 10)
-    assert res.exit_code == 2
-    assert_input_error(run("bound", "--n", 1000, "--B", 10, "--K", "nan"))
-    assert_input_error(run("bound", "--n", 1000, "--B", 10, "--smooth", "--K", "nan"))
-    shift = ("bound", "--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
-             "--q-min", 0.1, "--w-min", 0.2, "--w-max", 1.8)
+    assert_input_error(res)
+    assert res.stdout == ""
+    assert_input_error(run(*("bound", *SINGLE_FLAGS), "--K", "nan"))
+    shift = ("bound-shift", *SHIFT_FLAGS)
     assert_input_error(run(*shift, "--K", "inf"))
+    # Finite flags whose arithmetic overflows, or divides by a square that
+    # underflows to 0, are refused rather than a traceback.
+    for args in (("bound", "--n", 10**400, "--B", 10),
+                 ("bound-shift", *SHIFT_FLAGS, "--n-q", 10**400),
+                 ("bound-shift", *SHIFT_FLAGS, "--w-min", 1e-300),
+                 ("bound-shift", *SHIFT_FLAGS, "--w-max", 1e200)):
+        res = run(*args)
+        assert_input_error(res)
+        assert res.stdout == "" and "out of floating-point range" in res.stderr, args
     # Non-finite label-shift inputs are refused, not printed as inf or nan.
     for flags in (("--w-max", "inf"), ("--w-min", "nan"), ("--p-min", "inf"),
                   ("--q-min", "nan"),
@@ -990,26 +1078,22 @@ def test_bound_argument_errors():
         assert_input_error(res)
         assert res.stdout == "", flags
         assert res.stderr == f"error: the realized-ratio bound needs {missing}\n"
-    # Each mode refuses the flags of the other instead of ignoring them.
-    single = ("bound", "--n", 1000, "--B", 10)
-    for args, message in (
-        ((*single, "--rho0", 1.1, "--w-max", 3), "label-shift flags need --n-p: --w-max, --rho0"),
-        ((*single, "--rho0", 1.1), "label-shift flags need --n-p: --rho0"),
+    # Each command has only its own mode's flags; click refuses the rest,
+    # which version 0.3 refused by hand.
+    single = ("bound", *SINGLE_FLAGS)
+    for args, flag in (
+        ((*single, "--rho0", 1.1, "--w-max", 3), "--rho0"),
+        ((*single, "--rho0", 1.1), "--rho0"),
         ((*single, "--n-q", 100, "--p-min", 0.1, "--q-min", 0.1, "--w-min", 1,
-          "--rho1", 1, "--risk-p", 0),
-         "label-shift flags need --n-p: --n-q, --p-min, --q-min, --w-min, --rho1, --risk-p"),
-        ((*shift, "--n", 1000), "label-shift mode (--n-p) does not use --n"),
-        ((*shift, "--smooth"), "label-shift mode (--n-p) does not use --smooth"),
-        ((*shift, "--no-smooth"), "label-shift mode (--n-p) does not use --smooth"),
-        ((*shift, "--n", 1000, "--smooth"), "label-shift mode (--n-p) does not use --n, --smooth"),
-        # The 2/B sharpness bound does not use K.
-        ((*single, "--K", 5), "--K needs --smooth outside label-shift mode"),
-        ((*single, "--no-smooth", "--K", 1), "--K needs --smooth outside label-shift mode"),
+          "--rho1", 1, "--risk-p", 0), "--n-q"),
+        ((*shift, "--n", 1000), "--n"),
+        ((*shift, "--smooth"), "--smooth"),
+        ((*shift, "--no-smooth"), "--no-smooth"),
+        ((*shift, "--n", 1000, "--smooth"), "--n"),
+        ((*single, "--smooth"), "--smooth"),
+        ((*single, "--no-smooth", "--K", 1), "--no-smooth"),
     ):
-        res = run(*args)
-        assert_input_error(res)
-        assert res.stdout == "", args
-        assert res.stderr == f"error: {message}\n", args
+        assert_usage_error(run(*args), "No such option", flag)
 
 
 # --------------------------------------------------------------- optbins
@@ -1044,6 +1128,10 @@ def test_optbins_task_estimates_K():
 
 def test_optbins_small_n_exits_2():
     assert run("optbins", "--n", 3, "--K", 1).exit_code == 2
+    # An n past the float range is refused, not a traceback.
+    res = run("optbins", "--n", 10**400, "--K", 1)
+    assert_input_error(res)
+    assert res.stdout == "" and "out of floating-point range" in res.stderr
     for flags in (("--K", "nan"), ("--K", "inf"), ("--K", -1), ("--K", 1, "--delta", "nan"),
                   ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
         assert_input_error(run("optbins", "--n", 1000, *flags))
@@ -1107,6 +1195,14 @@ def test_simulate_config_errors(tmp_path):
     res2 = run("simulate", "risk-grid", "--config", typo, "--out-dir", tmp_path / "y")
     assert res2.exit_code == 2
     assert "bad config" in res2.stderr
+
+    # An output directory that cannot be made is refused, not a traceback.
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1}))
+    for out_dir in ("", tmp_path / "tiny.json" / "d"):
+        res3 = run("simulate", "risk-grid", "--config", tiny, "--out-dir", out_dir)
+        assert_input_error(res3)
+        assert res3.stdout == ""
 
 
 # Each config is small, so that a regression that accepts it runs quickly.
@@ -1254,3 +1350,129 @@ def test_simulate_full_scale_flag(tmp_path):
     res2 = run("simulate", "risk-grid", "--config", capless, "--out-dir", tmp_path / "no")
     assert res2.exit_code == 2
     assert "full_scale" in res2.stderr
+
+
+# -------------------------------------------------------------- argv fuzz
+
+# Values an option may get: finite numbers, signed zeros, nan, infinities,
+# huge and negative integers, empty strings and words.
+ARGV_VALUES = [
+    "0", "-0", "0.0", "-0.0", "1", "2", "3", "4", "10", "46", "0.1", "0.3", "0.5", "0.99",
+    "1e-300", "1e-320", "1e200", "-1", "-0.5", "1000", "100000", "1000000", "1.5", "nan",
+    "-nan", "inf", "-inf", "1e400", str(2**63), str(10**30), str(-10**30), str(10**400),
+    "", " ", "auto", "gaussian", "x", "-", "risk-grid", "opt-b", "label-shift",
+]
+# Options of other commands and of no command.
+STRAY_OPTIONS = ["--n", "--B", "--K", "--bins", "--task", "--pi", "--n-p", "--rho0",
+                 "--smooth", "--no-smooth", "--out", "--config", "--seed", "--version"]
+
+
+def _argv_fixtures(root) -> dict:
+    """Input files for the argv fuzz, under ``root``; outputs go elsewhere."""
+    root.mkdir(exist_ok=True)
+    files = {
+        "data": FIT_CSV,
+        "ties": "z,y\n0.5,0\n0.5,1\n0.5,0\n0.5,1\n",
+        "bad": "z,y\n0.1,2\n",
+        "scores": "z\n0.1\n0.9\n",
+        "p": "y\n0\n0\n0\n1\n1\n",
+        "q": "y\n0\n1\n1\n1\n1\n",
+        "tiny": json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1, "n_P": 64, "n_Q": 27}),
+        "badcfg": json.dumps({"seeds": 2.5}),
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(root / name)
+        (root / name).write_text(text)
+    paths["model"] = str(root / "model")
+    save_model(paths["model"], _writer_models()[0], {})
+    return paths
+
+
+def _argv_bases(paths: dict) -> dict:
+    """A valid argv per command, as (option, values) pairs: the option
+    with any of its values parses."""
+    shift = (("--B", "46"), ("--n-p", "100000"), ("--n-q", "1000"), ("--p-min", "0.1"),
+             ("--q-min", "0.1"), ("--w-min", "0.2"), ("--w-max", "1.8"))
+    return {
+        "fit": (("--input", (paths["data"], paths["ties"])), ("--bins", ("2", "auto")),
+                ("--out", "m.json")),
+        "apply": (("--model", paths["model"]), ("--input", paths["scores"]), ("--out", "o.csv")),
+        "shift": (("--labels-p", paths["p"]), ("--labels-q", paths["q"]),
+                  ("--base-model", paths["model"]), ("--out", "s.json")),
+        "bound": (("--n", "1000"), ("--B", "10")),
+        "bound-shift": shift + (("--rho0", "1.1"), ("--rho1", "0.9"), ("--risk-p", "0")),
+        "optbins": (("--n", ("1000000", "100")), ("--K", "1")),
+        # Its --config always comes first, so the study stays tiny: a later
+        # --config wins, and every value it can get is small or refused.
+        "simulate": (("--config", paths["tiny"]), ("--out-dir", "d")),
+    }
+
+
+@st.composite
+def argv_cases(draw, paths: dict) -> list[str]:
+    """A valid argv with options dropped, values replaced and options of
+    the command or others added."""
+    bases = _argv_bases(paths)
+    name = draw(st.sampled_from(sorted(bases)))
+    own = [opt for p in main.commands[name].params for opt in p.opts if opt.startswith("--")]
+    values = st.sampled_from(ARGV_VALUES + sorted(paths.values())
+                             + ["sub/o.json", ".", "m.json"])
+    args = [name]
+    if name == "simulate":
+        args.append(draw(st.sampled_from(["risk-grid", "opt-b", "label-shift", "x"])))
+    # About one drop and one replaced value per argv, whatever its length.
+    odds = st.integers(0, 2 * len(bases[name]))
+    for i, (opt, valid) in enumerate(bases[name]):
+        if (name, i) != ("simulate", 0) and draw(odds) == 0:
+            continue
+        valid = st.sampled_from(valid) if isinstance(valid, tuple) else st.just(valid)
+        args += [opt, draw(values if draw(odds) == 0 else valid)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        args.append(draw(st.sampled_from(own + STRAY_OPTIONS)))
+        if draw(st.integers(0, 5)):
+            args.append(draw(values))
+    return args
+
+
+def check_argv(work, inputs, args: list[str]) -> None:
+    """Run ``recalib *args`` in-process with ``work`` as the working
+    directory, where every relative output path lands, and check that it
+    exits 0, 2 or 3; that a failure prints nothing on stdout, ends stderr
+    with one error line and leaves no file behind, in ``work`` or as a
+    temporary sibling of an input file under ``inputs``; then empty
+    ``work``."""
+    res = CliRunner().invoke(main, args)
+    created = sorted(str(p.relative_to(work)) for p in work.rglob("*"))
+    created += sorted(p.name for p in inputs.glob(".tmp.*"))
+    for entry in work.iterdir():
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+    assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+    assert res.exit_code in (0, 2, 3), args
+    if res.exit_code:
+        assert res.stdout == "", (args, res.stdout)
+        assert created == [], (args, created)
+        *before, last = res.stderr.splitlines()
+        # click's usage errors end in one "Error:" line, most after a usage
+        # block; the program's own are one "error:" line after any warnings.
+        if last.startswith("Error: "):
+            assert res.exit_code == 2, args
+        else:
+            assert last.startswith("error: "), (args, res.stderr)
+            assert all(line.startswith("warning: ") for line in before), (args, res.stderr)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_exits_0_2_or_3_and_fails_cleanly(tmp_path, monkeypatch, data):
+    # Each command, on argv drawn from its own options and stray ones,
+    # with numbers, nan, infinities, huge ints, empty strings and words.
+    paths = _argv_fixtures(tmp_path / "in")
+    work = tmp_path / "work"
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    check_argv(work, tmp_path / "in", data.draw(argv_cases(paths)))

@@ -2,7 +2,6 @@
 
 import json
 import math
-import statistics
 from dataclasses import asdict
 
 import numpy as np
@@ -25,7 +24,6 @@ from recalib.experiments import (
     run_label_shift,
     run_optimal_B,
     run_risk_grid,
-    std_risk,
     write_label_shift_csv,
     write_manifest,
     write_opt_b_csv,
@@ -139,14 +137,12 @@ def test_loglog_slope_recovers_exact_power_law():
         loglog_slope([10.0, 100.0], [1.0])
 
 
-def test_mean_and_std_risk():
+def test_mean_risk():
     reports = (
         RiskReport(0.1, 0.2, 0.3, 0.35, "quadrature", 1e-12),
         RiskReport(0.3, 0.2, 0.5, 0.55, "quadrature", 1e-12),
     )
     assert mean_risk(reports, "r_cal") == pytest.approx(0.2, rel=1e-15)
-    assert std_risk(reports, "r_cal") == pytest.approx(statistics.stdev([0.1, 0.3]), rel=1e-12)
-    assert math.isnan(std_risk(reports[:1], "r_cal"))
 
 
 def test_cell_seed_is_grid_shape_invariant():

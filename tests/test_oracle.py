@@ -24,7 +24,7 @@ from recalib.oracle import (
     MonotoneRecalibrator,
     QuadratureFailureError,
     RiskReport,
-    ZeroMassError,
+    _bin_moments,
     _hstar_sq_moment,
     _quad,
     _sigmoid_array,
@@ -32,8 +32,6 @@ from recalib.oracle import (
     estimate_K,
     exact_shift_weights,
     hstar,
-    interval_mass,
-    interval_mean,
     logit,
     population_risk,
     posterior,
@@ -237,6 +235,17 @@ def test_sample_validation():
 
 # ------------------------------------------------------ interval moments
 
+def interval_mass(task, z_lo, z_hi):
+    """P[Z in (z_lo, z_hi]] from ``_bin_moments``, the path the risks use."""
+    return float(_bin_moments(task, (z_lo, z_hi))[0][0])
+
+
+def interval_mean(task, z_lo, z_hi):
+    """E[Y | Z in (z_lo, z_hi]], the positive mass over the mass."""
+    (mass,), (pos,) = _bin_moments(task, (z_lo, z_hi))
+    return float(pos / mass)
+
+
 def test_interval_mass_examples():
     assert interval_mass(TASK05, 0.0, 0.5) == pytest.approx(0.5, abs=1e-14)
     assert interval_mass(TASK05, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
@@ -247,9 +256,9 @@ def test_interval_mass_examples():
 
 
 def test_interval_mass_partition_sums_to_one():
-    edges = (0.0, 0.11, 0.37, 0.52, 0.88, 1.0)
-    total = sum(interval_mass(TASK03, a, b) for a, b in zip(edges, edges[1:]))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    mass, pos = _bin_moments(TASK03, (0.0, 0.11, 0.37, 0.52, 0.88, 1.0))
+    assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pos.sum() == pytest.approx(0.3, abs=1e-12)
 
 
 def test_interval_mean_examples():
@@ -267,13 +276,13 @@ def test_interval_mean_bracketed_by_optimal_map():
         assert hstar(TASK03, a) <= mean <= hstar(TASK03, b)
 
 
-def test_interval_errors():
-    with pytest.raises(ZeroMassError):
-        interval_mean(TASK05, 0.3, 0.3)
-    with pytest.raises(ValueError):
-        interval_mean(TASK05, 0.7, 0.2)
-    with pytest.raises(ValueError):
-        interval_mass(TASK05, -0.1, 0.5)
+def test_bin_moments_of_empty_and_reversed_bins():
+    # A zero-width bin carries exactly zero mass; the moments are signed
+    # CDF differences, so walking a bin backwards negates them exactly.
+    mass, pos = _bin_moments(TASK05, (0.3, 0.3, 0.7, 0.3))
+    assert mass[0] == pos[0] == 0.0
+    assert mass[2] == -mass[1] and pos[2] == -pos[1]
+    assert 0.0 < pos[1] < mass[1]
 
 
 # ------------------------------------------------- population risk: exact
