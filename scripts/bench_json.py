@@ -1,14 +1,16 @@
 """Summarize perfbench run records into one BENCH_<label>.json.
 
-    python3 scripts/bench_json.py LABEL RECORD.json [RECORD.json ...]
+    python3 scripts/bench_json.py [--uncommitted] LABEL RECORD.json [RECORD.json ...]
 
 Each record is a file that ``perfbench/run.py --trace 0`` wrote to
 ``perfbench/out/``. The summary holds, per workload, the median and
 quartiles of every end-to-end metric that BENCHMARK.json names, with the
 quartiles taken as ``perfbench/run.py --steady`` takes them, plus the seeds,
 the number of runs and the environment (git commit, versions, nproc). All
-records of one workload must share that environment. The file is written
-to the repository root.
+records of one workload must share that environment. ``--uncommitted``
+says the runs were made on a working tree with changes not yet committed
+on top of that git commit; the summary records it as ``"uncommitted":
+true``. The file is written to the repository root.
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ def summarize(records: list[dict], metrics: list[str]) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) < 3:
+    args = sys.argv[1:]
+    uncommitted = args[:1] == ["--uncommitted"]
+    if uncommitted:
+        args = args[1:]
+    if len(args) < 2:
         sys.exit(__doc__)
-    label, paths = sys.argv[1], sys.argv[2:]
+    label, paths = args[0], args[1:]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         metrics = [m["name"] for m in json.load(f)["end_to_end"]]
     records = []
@@ -59,7 +65,8 @@ def main() -> int:
         sys.exit("error: traced runs carry tracer overhead; summarize untraced runs only")
     out = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(out, "w") as f:
-        json.dump({"label": label, "workloads": summarize(records, metrics)}, f, indent=1)
+        json.dump({"label": label, "uncommitted": uncommitted,
+                   "workloads": summarize(records, metrics)}, f, indent=1)
         f.write("\n")
     print(f"written {out}")
     return 0

@@ -2,6 +2,8 @@
 
 Closed-form expressions only; nothing here touches data beyond the
 diagnostic predicates at the bottom. Natural logarithms throughout.
+A bound, gate threshold or objective that overflows to inf on finite
+inputs raises OverflowError instead of being returned.
 
 Notation: n is the calibration sample size, B the number of uniform-mass
 bins, delta the failure probability, m = floor(n / B) the per-bin count,
@@ -128,6 +130,14 @@ class BoundReport:
     condition_detail: str
 
 
+def _finite(*values: float) -> None:
+    """Raise OverflowError unless every bound, objective or gate threshold
+    is finite: float arithmetic returns inf where finite inputs overflow it
+    (K = 1e200, delta = 1e-320) instead of raising."""
+    if not all(math.isfinite(v) for v in values):
+        raise OverflowError("a bound, objective or gate threshold is not finite")
+
+
 def epsilon_delta(n: int, B: int, delta: float) -> float:
     """Uniform deviation level for the B bin means at failure level delta:
     sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B)."""
@@ -156,6 +166,7 @@ def sha_risk_bound(p: BoundParams) -> float:
 def sample_size_ok(p: BoundParams) -> tuple[bool, str]:
     """Whether n meets the sample-size condition n >= c B log(2B / delta)."""
     threshold = p.c * p.B * math.log(2.0 * p.B / p.delta)
+    _finite(threshold)
     ok = p.n >= threshold
     verb = "meets" if ok else "fails"
     return ok, f"n = {p.n} {verb} n >= c B log(2B/delta) = {threshold:.1f}"
@@ -165,6 +176,7 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
     """Calibration and sharpness bounds with their total and gate status."""
     cal = cal_risk_bound(p)
     sha = sha_risk_bound(p)
+    _finite(cal, sha, cal + sha)
     ok, detail = sample_size_ok(p)
     return BoundReport(cal, sha, cal + sha, ok, detail)
 
@@ -213,6 +225,7 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     Bs = np.arange(max(2, lo - _WINDOW), min(n // 2, lo + _WINDOW) + 1, dtype=np.float64)
     vals = _zeta(Bs, n, delta, K)
     i = int(np.argmin(vals))  # first minimum, hence the smallest B on ties
+    _finite(vals[i])
     return int(Bs[i]), float(vals[i])
 
 
@@ -225,7 +238,9 @@ def shift_risk_bound_realized(p: ShiftBoundParams, risk_P: float) -> float:
         raise ValueError("risk_P must be finite and nonnegative")
     rho0, rho1 = p.rho
     lead = ((rho0 - rho1) / (rho0 + rho1)) ** 2
-    return 2.0 * (lead + (p.w_max ** 3 / p.w_min ** 2) * risk_P)
+    bound = 2.0 * (lead + (p.w_max ** 3 / p.w_min ** 2) * risk_P)
+    _finite(bound)
+    return bound
 
 
 def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
@@ -244,6 +259,9 @@ def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
     weight_term = 54.0 * max(1.0 / (p.p_min * p.n_P), 1.0 / (p.q_min * p.n_Q)) * math.log(16.0 / p.delta)
     gate_P = max(p.c, 27.0 / p.p_min) * p.B * math.log(4.0 * p.B / p.delta)
     gate_Q = (27.0 / p.q_min) * math.log(16.0 / p.delta)
+    cal_bound, sha_bound = scale * cal_term, scale * sha_term
+    risk_bound = scale * (cal_term + sha_term) + weight_term
+    _finite(cal_bound, sha_bound, risk_bound, gate_P, gate_Q)
     ok_P = p.n_P >= gate_P
     ok_Q = p.n_Q >= gate_Q
     detail = (
@@ -251,9 +269,9 @@ def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
         f"n_Q = {p.n_Q} {'meets' if ok_Q else 'fails'} threshold {gate_Q:.1f}"
     )
     return BoundReport(
-        cal_bound=scale * cal_term,
-        sha_bound=scale * sha_term,
-        risk_bound=scale * (cal_term + sha_term) + weight_term,
+        cal_bound=cal_bound,
+        sha_bound=sha_bound,
+        risk_bound=risk_bound,
         conditions_met=ok_P and ok_Q,
         condition_detail=detail,
     )

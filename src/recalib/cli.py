@@ -171,7 +171,8 @@ def _writing(path: str):
 def _refusing_bad_numbers():
     """Exit 2 with a one-line message when the library refuses a flag's
     value (ValueError) or float arithmetic overflows or divides by an
-    underflowed zero on it, as with --n 1e400 or --w-min 1e-300."""
+    underflowed zero on it, as with --n 1e400 or --w-min 1e-300, or when
+    a bound it computes from them is not finite."""
     try:
         yield
     except ValueError as e:
@@ -189,11 +190,12 @@ def _echo_bound_report(report) -> None:
 
 
 def _parse_score(path: str, row: int, text: str) -> float:
-    # float() would also read digit-group underscores and strip any
-    # whitespace; a score may only be padded with spaces and tabs.
+    # float() would also read digit-group underscores, non-ASCII digits
+    # such as full-width ones, and strip any whitespace; a score is ASCII
+    # and may only be padded with spaces and tabs.
     plain = text.strip(" \t")
     try:
-        if "_" in plain or plain != plain.strip():
+        if "_" in plain or plain != plain.strip() or not plain.isascii():
             raise ValueError
         value = float(plain)
     except ValueError:
@@ -385,19 +387,23 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     K = BoundParams.K
     if auto:
         K = smoothness()
+    # A data set too small for the flags exits 3; flags whose bounds
+    # overflow (--K 1e200, --delta 1e-320) exit 2 before the model is written.
+    with _refusing_bad_numbers():
+        if auto:
+            try:
+                B, zeta_min = optimal_bins(data.n, delta, K)
+            except ValueError as e:
+                _fail(str(e), 3)
         try:
-            B, zeta_min = optimal_bins(data.n, delta, K)
+            model = fit_recalibrator(data, B)
         except ValueError as e:
             _fail(str(e), 3)
-    try:
-        model = fit_recalibrator(data, B)
-    except ValueError as e:
-        _fail(str(e), 3)
-    report = None
-    try:
-        report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto))
-    except InsufficientSampleError as e:
-        click.echo(f"risk bound unavailable: {e}", err=True)
+        report = None
+        try:
+            report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto))
+        except InsufficientSampleError as e:
+            click.echo(f"risk bound unavailable: {e}", err=True)
     metadata = {
         "n": data.n,
         "B": B,
@@ -582,6 +588,8 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         result = run_study(cfg)
     except MemoryError:
         _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
+    except OverflowError as e:
+        _fail(f"the config is out of floating-point range ({e})", 2)
     if experiment == "risk-grid":
         cells = result
         exp.write_risk_grid_csv(cells, os.path.join(out_dir, "risk_grid.csv"))

@@ -280,6 +280,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
             for k in range(cfg.seeds):
                 data = sample(task, n, cell_seed(cfg.base_seed, n, B, k))
                 fitted = fit_recalibrator(data, B)
+                del data  # the draw and its sorted_view go before the next draw
                 reports.append(population_risk(task, fitted))
             cells.append(GridCell(n, B, False, bound.conditions_met, bound.cal_bound,
                                   bound.sha_bound, bound.risk_bound, tuple(reports)))
@@ -325,6 +326,7 @@ def run_label_shift(cfg: ExperimentConfig) -> LabelShiftResult:
             "LabelShift": corrector,
             "Target": fit_recalibrator(d_Q, B_Q),
         }
+        del d_P, d_Q  # release both draws before the next seed's
         for m in cfg.methods:
             per_method[m].append(population_risk(task_Q, built[m]))
     rows = tuple(TableRow(m, tuple(per_method[m])) for m in cfg.methods)
@@ -354,6 +356,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
             for B in feasible:
                 fitted = fit_recalibrator(data, B)
                 totals[B] += population_risk(task, fitted).r_total
+            del data  # the draw and its sorted_view go before the next draw
         curve = tuple((B, totals[B] / cfg.seeds) for B in feasible)
         B_exp = min(curve, key=lambda pair: pair[1])[0]
         B_theory, zeta_min = optimal_bins(n, cfg.delta, k_hat)

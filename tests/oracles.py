@@ -555,11 +555,12 @@ def _cli_fail(message: str) -> None:
 
 
 def _parse_score_ref(path: str, row: int, text: str) -> float:
-    # A number padded with spaces and tabs only, without digit-group
-    # underscores, both of which float() would read.
+    # An ASCII number padded with spaces and tabs only, without digit-group
+    # underscores; float() would read other padding, underscores and
+    # non-ASCII digits.
     match = re.fullmatch(r"[ \t]*([^\s_]*)[ \t]*", text)
     try:
-        value = float(match[1] if match else "no")
+        value = float(match[1] if match and match[1].isascii() else "no")
     except ValueError:
         _cli_fail(f"{path}: row {row}, column z: {text!r} is not a number")
     if not 0.0 <= value <= 1.0:

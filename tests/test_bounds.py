@@ -178,6 +178,23 @@ def test_optimal_bins_validation():
             optimal_bins(1000, 0.1, K)
 
 
+def test_bounds_that_overflow_raise():
+    # Finite inputs whose bound, objective or gate threshold overflows to
+    # inf raise instead of returning it.
+    shift = dict(n_P=1000, n_Q=1000, B=10, delta=0.1, p_min=0.1, q_min=0.1,
+                 w_min=0.2, w_max=1.8, K=1.0, rho=(1.1, 0.9))
+    for call in (lambda: optimal_bins(1000, 0.1, 1e200),
+                 lambda: optimal_bins(1000, 1e-320, 1.0),
+                 lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=0.1, K=1e200, use_smooth=True)),
+                 lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=1e-320)),
+                 lambda: sample_size_ok(BoundParams(n=10**306, B=10**305, delta=0.1)),
+                 lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "K": 1e200})),
+                 lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "p_min": 1e-320})),
+                 lambda: shift_risk_bound_realized(ShiftBoundParams(**shift), 1e308)):
+        with pytest.raises(OverflowError, match="not finite"):
+            call()
+
+
 # ------------------------------------------------- shift bounds (realized)
 
 def test_realized_bound_equal_ratios():

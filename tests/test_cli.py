@@ -240,6 +240,9 @@ def test_fit_parse_errors(tmp_path):
         ("", ["empty file"]),
         ("z,y\n1.5,1\n", ["outside [0.0, 1.0]"]),
         ("z,y\nfoo,1\n", ["row 2, column z", "is not a number"]),
+        # float() reads non-ASCII digits; a score is ASCII only.
+        ("z,y\n０.５,1\n", ["row 2, column z", "'０.５' is not a number"]),
+        ("z,y\n0.25,0\n0.٥,1\n", ["row 3, column z", "'0.٥' is not a number"]),
         ("z,y\n0.5,1,9\n", ["expected 2 fields"]),
         # Header fields are named by repr, so the message stays one line,
         # and only spaces and tabs around them are ignored.
@@ -248,7 +251,7 @@ def test_fit_parse_errors(tmp_path):
     )
     for text, needles in cases:
         inp = tmp_path / "bad.csv"
-        inp.write_text(text)
+        inp.write_text(text, encoding="utf-8")
         res = run("fit", "--input", inp, "--bins", 2, "--out", out)
         assert res.exit_code == 2, text
         # Every message names the file, row and column errors included.
@@ -340,6 +343,19 @@ def test_fit_degenerate_and_infeasible_exit_3(tmp_path):
     inp2.write_text(FIT_CSV)
     res2 = run("fit", "--input", inp2, "--bins", 10, "--out", tmp_path / "m2.json")
     assert res2.exit_code == 3
+
+
+def test_fit_refuses_flags_whose_bounds_overflow(tmp_path):
+    # The refusal comes before the model is written and before any stdout.
+    inp = tmp_path / "data.csv"
+    inp.write_text("z,y\n" + "".join(f"{i / 2000},{i % 2}\n" for i in range(2000)))
+    out = tmp_path / "m.json"
+    for flags in (("--bins", "auto", "--K", 1e200), ("--bins", "auto", "--K", 1, "--delta", 1e-320),
+                  ("--bins", 4, "--delta", 1e-320)):
+        res = run("fit", "--input", inp, *flags, "--out", out)
+        assert_input_error(res)
+        assert res.stdout == "" and "out of floating-point range" in res.stderr, flags
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------- apply
@@ -1051,11 +1067,19 @@ def test_bound_argument_errors():
     shift = ("bound-shift", *SHIFT_FLAGS)
     assert_input_error(run(*shift, "--K", "inf"))
     # Finite flags whose arithmetic overflows, or divides by a square that
-    # underflows to 0, are refused rather than a traceback.
+    # underflows to 0, are refused rather than a traceback, and so are
+    # those that make a printed bound or gate threshold inf.
     for args in (("bound", "--n", 10**400, "--B", 10),
                  ("bound-shift", *SHIFT_FLAGS, "--n-q", 10**400),
                  ("bound-shift", *SHIFT_FLAGS, "--w-min", 1e-300),
-                 ("bound-shift", *SHIFT_FLAGS, "--w-max", 1e200)):
+                 ("bound-shift", *SHIFT_FLAGS, "--w-max", 1e200),
+                 ("bound", "--n", 1000, "--B", 10, "--K", 1e200),
+                 ("bound", "--n", 1000, "--B", 10, "--delta", 1e-320),
+                 ("bound", "--n", 10**306, "--B", 10**305),  # only the threshold overflows
+                 ("bound-shift", *SHIFT_FLAGS, "--K", 1e200),
+                 ("bound-shift", *SHIFT_FLAGS, "--delta", 1e-320),
+                 ("bound-shift", *SHIFT_FLAGS, "--p-min", 1e-320),
+                 ("bound-shift", *REALIZED_FLAGS, "--risk-p", 1e308)):
         res = run(*args)
         assert_input_error(res)
         assert res.stdout == "" and "out of floating-point range" in res.stderr, args
@@ -1129,9 +1153,11 @@ def test_optbins_task_estimates_K():
 def test_optbins_small_n_exits_2():
     assert run("optbins", "--n", 3, "--K", 1).exit_code == 2
     # An n past the float range is refused, not a traceback.
-    res = run("optbins", "--n", 10**400, "--K", 1)
-    assert_input_error(res)
-    assert res.stdout == "" and "out of floating-point range" in res.stderr
+    # So is a finite --K whose objective overflows to inf at every B.
+    for flags in (("--n", 10**400, "--K", 1), ("--n", 1000, "--K", 1e200)):
+        res = run("optbins", *flags)
+        assert_input_error(res)
+        assert res.stdout == "" and "out of floating-point range" in res.stderr, flags
     for flags in (("--K", "nan"), ("--K", "inf"), ("--K", -1), ("--K", 1, "--delta", "nan"),
                   ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
         assert_input_error(run("optbins", "--n", 1000, *flags))
@@ -1203,6 +1229,13 @@ def test_simulate_config_errors(tmp_path):
         res3 = run("simulate", "risk-grid", "--config", tiny, "--out-dir", out_dir)
         assert_input_error(res3)
         assert res3.stdout == ""
+
+    # A delta whose bounds overflow is refused, not written as inf.
+    tiny.write_text(json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1, "delta": 1e-320}))
+    for experiment in ("risk-grid", "opt-b"):
+        res4 = run("simulate", experiment, "--config", tiny, "--out-dir", tmp_path / experiment)
+        assert_input_error(res4)
+        assert res4.stdout == "" and "out of floating-point range" in res4.stderr
 
 
 # Each config is small, so that a regression that accepts it runs quickly.

@@ -501,7 +501,7 @@ def test_labeled_sample_validation():
     for labels in ([True, False], np.array([True, False]), np.array([1, 0], np.uint8),
                    np.array([1, 0], np.int8), [1.0, 0.0], [1, 0.0]):
         s = LabeledSample(z=[0.5, 0.6], y=labels)
-        assert s.y.dtype == np.int64 and s.y.tolist() == [1, 0], labels
+        assert s.y.dtype == np.int8 and s.y.tolist() == [1, 0], labels
     y = np.array([0, 1])
     s = LabeledSample(z=[0.5, 0.6], y=y)
     assert s.n == 2

@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import recalib
+from recalib import experiments, fit_recalibrator
 from recalib.bounds import BoundParams, optimal_bins, sample_size_ok
 from recalib.experiments import (
     DESK_B_CAP,
@@ -29,7 +32,7 @@ from recalib.experiments import (
     write_opt_b_csv,
     write_risk_grid_csv,
 )
-from recalib.oracle import GaussianMixtureTask, RiskReport, estimate_K
+from recalib.oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
 # Frozen slope regressions for the default base seed. The sharpness grid
 # B in [6, 96] is pre-asymptotic: even with noise-free edges the slope
@@ -349,3 +352,48 @@ def test_opt_b_csv_format(tmp_path):
     assert b_exp in {"6", "10", "16"}
     assert int(b_theory) >= 2
     assert float(zeta_min) > 0.0
+
+
+@pytest.mark.parametrize("run, cfg, paired", [
+    (run_risk_grid, ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=3), False),
+    (run_optimal_B, ExperimentConfig(n_grid=(1_000, 2_000), B_grid=(6, 12), seeds=3), False),
+    (run_label_shift, ExperimentConfig(seeds=3), True),
+])
+def test_study_loops_release_each_draw_before_the_next(monkeypatch, run, cfg, paired):
+    # When a study draws, no earlier draw is alive, apart from the source
+    # draw when the label-shift study draws its target.
+    drawn = []
+
+    def watched(task, n, seed):
+        alive = [ref for ref in drawn if ref() is not None]
+        assert len(alive) <= (len(drawn) % 2 if paired else 0), len(drawn)
+        data = sample(task, n, seed)
+        drawn.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(experiments, "sample", watched)
+    run(cfg)
+    assert len(drawn) >= 6
+
+
+@pytest.mark.parametrize("run", [run_risk_grid, run_optimal_B])
+def test_study_loop_peak_memory_is_one_draw(monkeypatch, run):
+    # The traced peak of three draws at n = 2e5 stays near that of one draw
+    # with its sorted_view and fit: with the previous draw still alive
+    # during the next, it is about 1.2 times as large. K-hat is computed
+    # once before the loop, on a grid of its own, so it is taken as given.
+    n, task = 200_000, GaussianMixtureTask(0.5)
+    k_hat = estimate_K(task, 100_000)
+    monkeypatch.setattr(experiments, "estimate_K", lambda task, grid_size: k_hat)
+    run(ExperimentConfig(n_grid=(1_000,), B_grid=(6,), seeds=1))  # fills the H cache
+    tracemalloc.start()
+    try:
+        population_risk(task, fit_recalibrator(sample(task, n, 0), 6))
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run(ExperimentConfig(n_grid=(n,), B_grid=(6,), seeds=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * one, (peak, one)

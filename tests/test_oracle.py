@@ -48,6 +48,7 @@ from oracles import (
     plugin_loop_ref,
     sample_where_ref,
     sigmoid_array_masked_ref,
+    sort_slice_fit,
 )
 
 # Frozen reference values, independent 40-digit arithmetic; regenerate
@@ -217,11 +218,12 @@ def test_sample_owns_locked_arrays():
     # constructor's copy; they must still be the sample's own and locked.
     s = sample(TASK05, 10_000, seed=4)
     assert not s.z.flags.writeable and not s.y.flags.writeable
+    assert s.z.flags.owndata and s.y.flags.owndata and s.y.dtype == np.int8
     assert not np.shares_memory(s.z, s.y)
     with pytest.raises(ValueError):
         s.z[0] = 0.5
     copy = LabeledSample(z=s.z.copy(), y=s.y.copy())
-    assert (s.z.dtype, s.y.dtype) == (copy.z.dtype, copy.y.dtype) == (np.float64, np.int64)
+    assert (s.z.dtype, s.y.dtype) == (copy.z.dtype, copy.y.dtype) == (np.float64, np.int8)
     assert np.array_equal(s.z, copy.z) and np.array_equal(s.y, copy.y)
     for got, want in zip(s.sorted_view, copy.sorted_view):
         assert np.array_equal(got, want)
@@ -568,6 +570,30 @@ def test_plugin_equals_argsort_reference_bitwise(n, B):
             got = empirical_risk_plugin(data, m)
             want = plugin_argsort_ref(data.z, data.y, pw.scheme.edges, pw.values)
             assert (got.r_cal, got.r_sha, got.r_total, got.mse) == want, (n, B)
+
+
+def test_label_counts_beyond_one_byte():
+    # Labels are held in one byte; every count of them must not be. 1e5
+    # scores at 3 decimals, 80% positive, split so the median falls between
+    # two distinct scores: each of the B = 2 bins holds about 40,000
+    # positives, and each plug-in slice about 180, while the ties force the
+    # plug-in's reduceat path.
+    rng = np.random.default_rng(18)
+    half = 50_000
+    z = np.concatenate((np.round(rng.uniform(0.0, 0.499, half), 3),
+                        np.round(rng.uniform(0.5, 1.0, half), 3)))
+    z = rng.permutation(z)
+    y = (rng.random(z.size) < 0.8).astype(np.int64)
+    data = LabeledSample(z, y)
+    assert data.y.dtype == np.int8
+    zs = data.sorted_view[0]
+    assert zs[half - 1] < zs[half] and np.any(zs[1:] == zs[:-1])
+    h = fit_recalibrator(data, 2)
+    assert min(np.array(h.values) * np.array(h.counts)) > 127 * 200
+    assert (h.scheme.edges, h.values, h.counts) == sort_slice_fit(z, y, 2)
+    got = empirical_risk_plugin(data, h)
+    assert (got.r_cal, got.r_sha, got.r_total, got.mse) == plugin_argsort_ref(
+        z, y, h.scheme.edges, h.values)
 
 
 def test_plugin_agrees_with_population_risk_on_fresh_sample():
