@@ -52,24 +52,22 @@ class InsufficientSampleError(ValueError):
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs for the single-distribution bounds."""
+    """Inputs for the single-distribution bounds. A given K, the smoothness
+    constant of the optimal map, selects the sharpness term 8 K^2 / B^2;
+    without one the term is 2 / B."""
 
     n: int
     B: int
     delta: float
-    K: float = 1.0
-    c: float = DEFAULT_C
-    use_smooth: bool = False
+    K: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.B < 1:
             raise ValueError("n and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 <= self.K < math.inf:
+        if self.K is not None and not 0.0 <= self.K < math.inf:
             raise ValueError("K must be finite and nonnegative")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,8 @@ class ShiftBoundParams:
     """Inputs for the label-shift bounds.
 
     p_min and q_min are lower bounds on the class priors under the source
-    and target distributions, w_min and w_max bracket the true importance
-    weights, and rho (optional) holds the realized per-class ratios of
-    estimated to true weight, (rho_0, rho_1).
+    and target distributions, and w_min and w_max bracket the true
+    importance weights.
     """
 
     n_P: int
@@ -91,8 +88,6 @@ class ShiftBoundParams:
     w_min: float
     w_max: float
     K: float = 1.0
-    c: float = DEFAULT_C
-    rho: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.n_P < 1 or self.n_Q < 1 or self.B < 1:
@@ -106,11 +101,6 @@ class ShiftBoundParams:
             raise ValueError("weight bracket must be finite and satisfy 0 < w_min <= w_max")
         if not 0.0 <= self.K < math.inf:
             raise ValueError("K must be finite and nonnegative")
-        if self.rho is not None:
-            rho = (float(self.rho[0]), float(self.rho[1]))
-            if any(not 0.0 < r < math.inf for r in rho):
-                raise ValueError("realized weight ratios must be finite and positive")
-            object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -156,16 +146,18 @@ def cal_risk_bound(p: BoundParams) -> float:
 
 
 def sha_risk_bound(p: BoundParams) -> float:
-    """High-probability bound on the sharpness risk: 2 / B in general, or
-    8 K^2 / B^2 when the optimal map is K-smooth and use_smooth is set."""
-    if p.use_smooth:
-        return 8.0 * p.K * p.K / (p.B * p.B)
-    return 2.0 / p.B
+    """High-probability bound on the sharpness risk: 8 K^2 / B^2 when a K is
+    given (the optimal map is K-smooth), and 2 / B, which assumes nothing,
+    when K is None."""
+    if p.K is None:
+        return 2.0 / p.B
+    return 8.0 * p.K * p.K / (p.B * p.B)
 
 
 def sample_size_ok(p: BoundParams) -> tuple[bool, str]:
-    """Whether n meets the sample-size condition n >= c B log(2B / delta)."""
-    threshold = p.c * p.B * math.log(2.0 * p.B / p.delta)
+    """Whether n meets the sample-size condition n >= c B log(2B / delta),
+    with c the universal constant DEFAULT_C."""
+    threshold = DEFAULT_C * p.B * math.log(2.0 * p.B / p.delta)
     _finite(threshold)
     ok = p.n >= threshold
     verb = "meets" if ok else "fails"
@@ -229,14 +221,16 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     return int(Bs[i]), float(vals[i])
 
 
-def shift_risk_bound_realized(p: ShiftBoundParams, risk_P: float) -> float:
-    """Target-distribution risk bound in terms of realized weight ratios:
+def shift_risk_bound_realized(p: ShiftBoundParams, rho: tuple[float, float],
+                              risk_P: float) -> float:
+    """Target-distribution risk bound in terms of the realized per-class
+    ratios of estimated to true weight, rho = (rho_0, rho_1):
     2 ((rho_0 - rho_1) / (rho_0 + rho_1))^2 + 2 (w_max^3 / w_min^2) risk_P."""
-    if p.rho is None:
-        raise ValueError("the realized bound needs the weight ratios rho = (rho_0, rho_1)")
+    rho0, rho1 = map(float, rho)
+    if any(not 0.0 < r < math.inf for r in (rho0, rho1)):
+        raise ValueError("realized weight ratios must be finite and positive")
     if not 0.0 <= risk_P < math.inf:
         raise ValueError("risk_P must be finite and nonnegative")
-    rho0, rho1 = p.rho
     lead = ((rho0 - rho1) / (rho0 + rho1)) ** 2
     bound = 2.0 * (lead + (p.w_max ** 3 / p.w_min ** 2) * risk_P)
     _finite(bound)
@@ -257,7 +251,7 @@ def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
     sha_term = 8.0 * p.K * p.K / (p.B * p.B)
     scale = 2.0 * p.w_max ** 3 / p.w_min ** 2
     weight_term = 54.0 * max(1.0 / (p.p_min * p.n_P), 1.0 / (p.q_min * p.n_Q)) * math.log(16.0 / p.delta)
-    gate_P = max(p.c, 27.0 / p.p_min) * p.B * math.log(4.0 * p.B / p.delta)
+    gate_P = max(DEFAULT_C, 27.0 / p.p_min) * p.B * math.log(4.0 * p.B / p.delta)
     gate_Q = (27.0 / p.q_min) * math.log(16.0 / p.delta)
     cal_bound, sha_bound = scale * cal_term, scale * sha_term
     risk_bound = scale * (cal_term + sha_term) + weight_term

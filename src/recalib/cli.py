@@ -127,21 +127,22 @@ def save_model(path: str, h: Recalibrator, metadata: dict) -> None:
 
 
 def load_model(path: str) -> tuple[Recalibrator, dict]:
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict):
-        raise ValueError("a model file must hold a JSON object")
-    version = payload.get("format_version")
-    if not _is_json_int(version) or version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
-        )
     try:
+        with open(path) as f:
+            payload = json.load(f)
+        if not isinstance(payload, dict):
+            raise ValueError("a model file must hold a JSON object")
+        version = payload.get("format_version")
+        if not _is_json_int(version) or version != MODEL_FORMAT_VERSION:
+            raise ValueError(
+                f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
+            )
         model = _recalibrator_from_obj(payload["model"])
-    except (TypeError, OverflowError) as e:
+    except (TypeError, OverflowError, RecursionError) as e:
         # A field of the wrong JSON type, such as "edges": 5, a number with
-        # no int or float value, such as "counts": [Infinity], or a
-        # composite whose parts are of the wrong kinds.
+        # no int or float value, such as "counts": [Infinity], a composite
+        # whose parts are of the wrong kinds, or arrays or objects nested
+        # past the recursion limit.
         raise ValueError(f"malformed model: {e}") from e
     return model, payload.get("metadata", {})
 
@@ -320,9 +321,10 @@ def _read_columns(path: str, header: tuple[str, ...],
     return columns, hashlib.sha256(raw).hexdigest()
 
 
-def _smoothness(k_const, task_name, pi) -> Callable[[], float]:
+def _smoothness(k_const, task_name, pi, assume_one: bool = True) -> Callable[[], float | None]:
     """Check the smoothness flags, exiting 2 on bad ones, and return how to
-    get K: --K as given, the --task estimate, or 1 with a warning."""
+    get K: --K as given, the --task estimate, or, with neither, 1 with a
+    warning (assume_one) or None."""
     if k_const is not None and task_name is not None:
         _fail("--K and --task both set the smoothness constant; pass one", 2)
     if pi is not None and task_name is None:
@@ -340,12 +342,14 @@ def _smoothness(k_const, task_name, pi) -> Callable[[], float]:
             _fail(f"--pi: {e}", 2)
         return lambda: estimate_K(task, 100_000)
 
-    def assume_one() -> float:
+    def default() -> float | None:
+        if not assume_one:
+            return None
         click.echo("warning: no smoothness constant given; assuming K=1 "
                    "(pass --K or --task gaussian)", err=True)
         return 1.0
 
-    return assume_one
+    return default
 
 
 @click.group()
@@ -360,7 +364,7 @@ def main() -> None:
               help="Bin count, or 'auto' to minimize the bound objective.")
 @click.option("--delta", default=0.1, show_default=True, help="Failure probability for bounds.")
 @click.option("--K", "k_const", type=float, default=None,
-              help="Smoothness constant for --bins auto.")
+              help="Smoothness constant; if given, the sharpness bound is 8K^2/B^2, not 2/B.")
 @click.option("--task", "task_name", type=click.Choice(["gaussian"]), default=None,
               help="Estimate the smoothness constant from this simulation family.")
 @click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
@@ -371,22 +375,17 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     if not 0.0 < delta < 1.0:
         _fail(f"--delta must lie in (0, 1), got {delta!r}", 2)
     auto = bins == "auto"
-    if auto:
-        smoothness = _smoothness(k_const, task_name, pi)
-    else:
+    if not auto:
         try:
             B = int(bins)
         except ValueError:
             _fail(f"--bins must be an integer or 'auto', got {bins!r}", 2)
-        stray = [name for name, v in (("--K", k_const), ("--task", task_name), ("--pi", pi))
-                 if v is not None]
-        if stray:
-            _fail(f"an integer --bins does not use {', '.join(stray)}", 2)
+    # --bins auto needs a K to choose B; an integer --bins uses one only
+    # for the smooth sharpness bound, as `bound` does.
+    smoothness = _smoothness(k_const, task_name, pi, assume_one=auto)
     (z, y), digest = _read_columns(input_path, ("z", "y"))
     data = LabeledSample(z=z, y=y)
-    K = BoundParams.K
-    if auto:
-        K = smoothness()
+    K = smoothness()
     # A data set too small for the flags exits 3; flags whose bounds
     # overflow (--K 1e200, --delta 1e-320) exit 2 before the model is written.
     with _refusing_bad_numbers():
@@ -401,7 +400,7 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             _fail(str(e), 3)
         report = None
         try:
-            report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K, use_smooth=auto))
+            report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K))
         except InsufficientSampleError as e:
             click.echo(f"risk bound unavailable: {e}", err=True)
     metadata = {
@@ -493,8 +492,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
 def cmd_bound(n, B, delta, K) -> None:
     """Print the single-distribution risk bounds."""
     with _refusing_bad_numbers():
-        report = risk_bound_report(BoundParams(
-            n=n, B=B, delta=delta, K=BoundParams.K if K is None else K, use_smooth=K is not None))
+        report = risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K))
     _echo_bound_report(report)
 
 
@@ -524,9 +522,9 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
     if 0 < len(missing) < 3:
         _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
     with _refusing_bad_numbers():
-        params = ShiftBoundParams(**fields, rho=None if missing else (rho0, rho1))
+        params = ShiftBoundParams(**fields)
         report = shift_risk_bound_apriori(params)
-        realized = None if missing else shift_risk_bound_realized(params, risk_p)
+        realized = None if missing else shift_risk_bound_realized(params, (rho0, rho1), risk_p)
     click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                f"sha {fmt_float(report.sha_bound)}")
     click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
@@ -573,7 +571,8 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
                 overrides = json.load(f)
             if not isinstance(overrides, dict):
                 raise ValueError("config must be a JSON object")
-        except (json.JSONDecodeError, ValueError) as e:
+        except (ValueError, RecursionError) as e:
+            # RecursionError: arrays or objects nested past the parser's limit.
             _fail(f"{config_path}: {e}", 2)
     if seed is not None:
         overrides["base_seed"] = seed
@@ -586,6 +585,10 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_study(cfg)
+    except ValueError as e:
+        # An n with no feasible bin count, or a class still absent after
+        # the study's replacement draws.
+        _fail(f"bad config: {e}", 2)
     except MemoryError:
         _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
     except OverflowError as e:

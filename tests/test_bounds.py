@@ -1,5 +1,6 @@
 """Closed-form bounds, bin-count selection, and the diagnostic predicates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,14 +81,17 @@ def test_epsilon_delta_formula():
 
 def test_sha_bound_values():
     assert sha_risk_bound(BoundParams(n=100, B=10, delta=0.1)) == 0.2
-    assert sha_risk_bound(BoundParams(n=100, B=10, delta=0.1, K=1.0, use_smooth=True)) == 0.08
+    assert sha_risk_bound(BoundParams(n=100, B=10, delta=0.1, K=1.0)) == 0.08
     assert sha_risk_bound(BoundParams(n=100, B=1, delta=0.1)) == 2.0
+    # A given K selects the smooth term 8K^2/B^2; K=None selects 2/B.
+    assert sha_risk_bound(BoundParams(n=1000, B=10, delta=0.1, K=5.0)) == 2.0
+    assert sha_risk_bound(BoundParams(n=1000, B=10, delta=0.1, K=None)) == 0.2
 
 
 def test_sha_bound_strictly_decreasing_in_B():
     vals = [sha_risk_bound(BoundParams(n=10**6, B=B, delta=0.1)) for B in range(1, 200)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    smooth = [sha_risk_bound(BoundParams(n=10**6, B=B, delta=0.1, K=2.0, use_smooth=True))
+    smooth = [sha_risk_bound(BoundParams(n=10**6, B=B, delta=0.1, K=2.0))
               for B in range(1, 200)]
     assert all(a > b for a, b in zip(smooth, smooth[1:]))
 
@@ -102,12 +106,6 @@ def test_gate_threshold_frozen():
     ok, detail = sample_size_ok(BoundParams(n=100, B=10, delta=0.1))
     assert not ok
     assert "fails" in detail
-
-
-def test_gate_scales_with_c():
-    # The same undersized n passes once the constant is small enough.
-    assert not sample_size_ok(BoundParams(n=100, B=10, delta=0.1))[0]
-    assert sample_size_ok(BoundParams(n=100, B=10, delta=0.1, c=1.0))[0]
 
 
 def test_risk_bound_report_is_additive():
@@ -182,15 +180,15 @@ def test_bounds_that_overflow_raise():
     # Finite inputs whose bound, objective or gate threshold overflows to
     # inf raise instead of returning it.
     shift = dict(n_P=1000, n_Q=1000, B=10, delta=0.1, p_min=0.1, q_min=0.1,
-                 w_min=0.2, w_max=1.8, K=1.0, rho=(1.1, 0.9))
+                 w_min=0.2, w_max=1.8, K=1.0)
     for call in (lambda: optimal_bins(1000, 0.1, 1e200),
                  lambda: optimal_bins(1000, 1e-320, 1.0),
-                 lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=0.1, K=1e200, use_smooth=True)),
+                 lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=0.1, K=1e200)),
                  lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=1e-320)),
                  lambda: sample_size_ok(BoundParams(n=10**306, B=10**305, delta=0.1)),
                  lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "K": 1e200})),
                  lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "p_min": 1e-320})),
-                 lambda: shift_risk_bound_realized(ShiftBoundParams(**shift), 1e308)):
+                 lambda: shift_risk_bound_realized(ShiftBoundParams(**shift), (1.1, 0.9), 1e308)):
         with pytest.raises(OverflowError, match="not finite"):
             call()
 
@@ -199,37 +197,28 @@ def test_bounds_that_overflow_raise():
 
 def test_realized_bound_equal_ratios():
     p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8,
-                         rho=(0.7, 0.7))
-    got = shift_risk_bound_realized(p, 0.01)
+                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+    got = shift_risk_bound_realized(p, (0.7, 0.7), 0.01)
     assert got == pytest.approx(2.0 * (1.8**3 / 0.2**2) * 0.01, rel=1e-13)
 
 
 def test_realized_bound_no_shift_is_twice_source_risk():
     p = ShiftBoundParams(n_P=1000, n_Q=1000, B=10, delta=0.1,
-                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0,
-                         rho=(1.0, 1.0))
-    assert shift_risk_bound_realized(p, 0.37) == pytest.approx(0.74, rel=1e-13)
+                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0)
+    assert shift_risk_bound_realized(p, (1.0, 1.0), 0.37) == pytest.approx(0.74, rel=1e-13)
 
 
 def test_realized_bound_ratio_mismatch_term():
     p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
-                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0,
-                         rho=(1.1, 0.9))
-    assert shift_risk_bound_realized(p, 0.0) == pytest.approx(0.02, abs=1e-12)
+                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0)
+    assert shift_risk_bound_realized(p, (1.1, 0.9), 0.0) == pytest.approx(0.02, abs=1e-12)
 
 
 def test_realized_bound_needs_rho():
     p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
                          p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
     with pytest.raises(ValueError):
-        shift_risk_bound_realized(p, 0.01)
-    with pytest.raises(ValueError):
-        shift_risk_bound_realized(
-            ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1, p_min=0.1,
-                             q_min=0.1, w_min=0.2, w_max=1.8, rho=(1.0, 1.0)),
-            -0.01,
-        )
+        shift_risk_bound_realized(p, (1.0, 1.0), -0.01)
 
 
 # ------------------------------------------------- shift bounds (a priori)
@@ -284,8 +273,9 @@ def test_shift_params_validation():
         ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
                          p_min=0.1, q_min=0.1, w_min=1.8, w_max=0.2)
     with pytest.raises(ValueError):
-        ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8, rho=(0.0, 1.0))
+        shift_risk_bound_realized(ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1,
+                                                   q_min=0.1, w_min=0.2, w_max=1.8),
+                                  (0.0, 1.0), 0.01)
     for K in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, K=K,
@@ -297,9 +287,9 @@ def test_shift_params_validation():
                 ShiftBoundParams(**dict(good, **{field: bad}))
         for rho in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(ValueError):
-                ShiftBoundParams(**good, rho=rho)
+                shift_risk_bound_realized(ShiftBoundParams(**good), rho, 0.01)
         with pytest.raises(ValueError, match="finite"):
-            shift_risk_bound_realized(ShiftBoundParams(**good, rho=(1.0, 1.0)), bad)
+            shift_risk_bound_realized(ShiftBoundParams(**good), (1.0, 1.0), bad)
 
 
 # ------------------------------------------------------- chernoff requirement
@@ -411,7 +401,7 @@ def test_phi_ratio_coverage_at_chernoff_sizes():
 # ------------------------------------------------------------- determinism
 
 def test_bound_evaluators_are_deterministic():
-    p = BoundParams(n=12_345, B=17, delta=0.07, K=1.3, use_smooth=True)
+    p = BoundParams(n=12_345, B=17, delta=0.07, K=1.3)
     assert cal_risk_bound(p) == cal_risk_bound(p)
     assert sha_risk_bound(p) == sha_risk_bound(p)
     assert optimal_bins(54_321, 0.05, 2.0) == optimal_bins(54_321, 0.05, 2.0)
@@ -427,6 +417,11 @@ def test_bound_params_validation():
     for K in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             BoundParams(n=10, B=10, delta=0.1, K=K)
-    with pytest.raises(ValueError):
-        BoundParams(n=10, B=10, delta=0.1, c=0.0)
     assert DEFAULT_C == 2420.0
+
+
+def test_bound_params_fields():
+    # K alone selects the sharpness term; the gates use DEFAULT_C.
+    assert [f.name for f in dataclasses.fields(BoundParams)] == ["n", "B", "delta", "K"]
+    assert [f.name for f in dataclasses.fields(ShiftBoundParams)] == [
+        "n_P", "n_Q", "B", "delta", "p_min", "q_min", "w_min", "w_max", "K"]

@@ -284,13 +284,21 @@ def test_fit_bad_bins_flag(tmp_path):
         assert_input_error(res)
         assert res.stdout == "", flags
         assert not out.exists(), flags
-    # A flag the chosen mode would ignore is refused, not dropped.
+    # With an integer --bins, a given K selects the smooth sharpness bound
+    # 8K^2/B^2, as in `bound`; without one the bound stays 2/B, unwarned.
+    for flags in (("--K", 5), ("--task", "gaussian"), ("--task", "gaussian", "--pi", 0.3)):
+        res = run("fit", "--input", inp, "--bins", 2, *flags, "--out", out)
+        assert res.exit_code == 0 and "assuming K=1" not in res.stderr, (flags, res.stderr)
+        assert line_value(res.stdout, "sharpness risk bound:") > 2.0, flags
+        if flags == ("--K", 5):
+            bound = run("bound", "--n", 4, "--B", 2, *flags).stdout
+            assert res.stdout.splitlines()[:3] == bound.splitlines()[:3]
+        out.unlink()
+    # Flags that conflict are refused in either mode.
     for flags, message in (
-        (("--bins", 2, "--K", 5), "an integer --bins does not use --K"),
-        (("--bins", 2, "--task", "gaussian"), "an integer --bins does not use --task"),
-        (("--bins", 2, "--pi", 0.3), "an integer --bins does not use --pi"),
         (("--bins", 2, "--K", 1, "--task", "gaussian", "--pi", 0.3),
-         "an integer --bins does not use --K, --task, --pi"),
+         "--K and --task both set the smoothness constant; pass one"),
+        (("--bins", 2, "--pi", 0.3), "--pi needs --task"),
         (("--K", 1, "--task", "gaussian"),
          "--K and --task both set the smoothness constant; pass one"),
         (("--K", 1, "--pi", 0.3), "--pi needs --task"),
@@ -308,7 +316,7 @@ def test_fit_bad_bins_flag(tmp_path):
     for flags, message in (
         (("--bins", 2, "--delta", 0), "--delta must lie in (0, 1), got 0.0"),
         (("--bins", "several"), "--bins must be an integer or 'auto', got 'several'"),
-        (("--bins", 2, "--K", 5), "an integer --bins does not use --K"),
+        (("--bins", 2, "--pi", 0.3), "--pi needs --task"),
         (("--K", "nan"), "--K must be finite and nonnegative, got nan"),
         (("--task", "gaussian", "--pi", 0), "--pi: pi must lie strictly between 0 and 1"),
     ):
@@ -472,14 +480,18 @@ def test_apply_model_file_errors(tmp_path):
                              "values": [0.5, 0.5], "counts": [1, 1]},
                    "inner": {"kind": "shift", "w": [1.0, 1.0], "provenance": "exact"}}},
     )
-    for i, obj in enumerate(malformed):
+    # Arrays nested past the JSON parser's recursion limit.
+    nested = "[" * 100_000 + "]" * 100_000
+    for i, text in enumerate([*map(json.dumps, malformed), nested]):
         path = tmp_path / f"malformed_{i}.json"
-        path.write_text(json.dumps(obj))
-        for res in (run("apply", "--model", path, "--input", inp, "--out", out),
-                    run("shift", "--labels-p", p_path, "--labels-q", q_path,
-                        "--base-model", path, "--out", tmp_path / "m.json")):
-            assert res.exit_code == 2, (obj, res.output, res.exception)
-            assert res.stderr.startswith(f"error: {path}: ") and res.stderr.count("\n") == 1, obj
+        path.write_text(text)
+        for res, written in ((run("apply", "--model", path, "--input", inp, "--out", out), out),
+                             (run("shift", "--labels-p", p_path, "--labels-q", q_path,
+                                  "--base-model", path, "--out", tmp_path / "m.json"),
+                              tmp_path / "m.json")):
+            assert res.exit_code == 2, (text[:200], res.output, res.exception)
+            assert res.stderr.startswith(f"error: {path}: ") and res.stderr.count("\n") == 1, text[:200]
+            assert res.stdout == "" and not written.exists(), text[:200]
 
 
 FUZZ_PIECEWISE = {
@@ -1236,6 +1248,21 @@ def test_simulate_config_errors(tmp_path):
         res4 = run("simulate", experiment, "--config", tiny, "--out-dir", tmp_path / experiment)
         assert_input_error(res4)
         assert res4.stdout == "" and "out of floating-point range" in res4.stderr
+
+    # Configs the study cannot run: an n with no feasible bin count, a
+    # class that stays absent through every replacement draw, and arrays
+    # nested past the JSON parser's recursion limit.
+    for experiment, text, needle in (
+        ("opt-b", '{"n_grid": [10], "B_grid": [6]}', "no feasible bin count for n=10"),
+        ("label-shift", '{"pi_target": 1e-300, "seeds": 1}', "zero frequency"),
+        ("risk-grid", "[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+    ):
+        tiny.write_text(text)
+        out_dir = tmp_path / f"unrunnable-{experiment}"
+        res5 = run("simulate", experiment, "--config", tiny, "--out-dir", out_dir)
+        assert_input_error(res5)
+        assert res5.stdout == "" and needle in res5.stderr, res5.stderr
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # Each config is small, so that a regression that accepts it runs quickly.
