@@ -178,8 +178,10 @@ _WINDOW = 64
 
 
 def _zeta(B, n: int, delta: float, K: float):
-    """The objective on a float64 scalar or array of bin counts B."""
-    return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
+    """The objective on a float64 scalar or array of bin counts B. Where it
+    overflows it is inf, unwarned: the callers' ``_finite`` decides."""
+    with np.errstate(over="ignore"):
+        return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
 
 
 def zeta(B: int, n: int, delta: float, K: float) -> float:

@@ -35,8 +35,6 @@ from .bounds import (
 )
 from .core import (
     Composite,
-    Constant,
-    Identity,
     LabeledSample,
     BinningScheme,
     PiecewiseRecalibrator,
@@ -74,10 +72,6 @@ def _recalibrator_to_obj(h: Recalibrator) -> dict:
             "outer": _recalibrator_to_obj(h.outer),
             "inner": _recalibrator_to_obj(h.inner),
         }
-    if isinstance(h, Constant):
-        return {"kind": "constant", "value": h.value}
-    if isinstance(h, Identity):
-        return {"kind": "identity"}
     raise TypeError(f"cannot serialize {type(h).__name__}")
 
 
@@ -110,10 +104,6 @@ def _recalibrator_from_obj(obj: dict) -> Recalibrator:
     if kind == "composite":
         return Composite(outer=_recalibrator_from_obj(obj["outer"]),
                          inner=_recalibrator_from_obj(obj["inner"]))
-    if kind == "constant":
-        return Constant(obj["value"])
-    if kind == "identity":
-        return Identity()
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -226,13 +216,14 @@ def _labels_column(texts: list[str]) -> np.ndarray | None:
     """The labels when every field is exactly "0" or "1", else None."""
     if not set(texts) <= {"0", "1"}:
         return None
-    return (np.frombuffer("".join(texts).encode(), np.uint8) == ord("1")).astype(np.int64)
+    # A bool array is one byte per label, so the int8 view costs no copy.
+    return (np.frombuffer("".join(texts).encode(), np.uint8) == ord("1")).view(np.int8)
 
 
 # Per column name: the row parser, the whole-column fast path and the dtype.
 _COLUMNS = {
     "z": (_parse_score, _scores_column, np.float64),
-    "y": (_parse_label, _labels_column, np.int64),
+    "y": (_parse_label, _labels_column, np.int8),
 }
 
 
@@ -304,7 +295,7 @@ def _split_columns(raw: bytes, header: tuple[str, ...]) -> list[np.ndarray] | No
 def _read_columns(path: str, header: tuple[str, ...],
                   empty_ok: bool = False) -> tuple[list[np.ndarray], str]:
     """Read a UTF-8 CSV with the given header of columns z (scores, float64)
-    and y (labels, int64); return the columns and the file's SHA-256.
+    and y (labels, int8); return the columns and the file's SHA-256.
 
     The file is read once. A plain file is parsed column-wise; anything
     else goes to the row-by-row reader. Exits 2 on damage.
@@ -380,6 +371,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             B = int(bins)
         except ValueError:
             _fail(f"--bins must be an integer or 'auto', got {bins!r}", 2)
+        if B < 1:
+            _fail(f"--bins must be at least 1, got {B}", 2)
     # --bins auto needs a K to choose B; an integer --bins uses one only
     # for the smooth sharpness bound, as `bound` does.
     smoothness = _smoothness(k_const, task_name, pi, assume_one=auto)
@@ -581,8 +574,6 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     except (TypeError, ValueError) as e:
         _fail(f"bad config: {e}", 2)
 
-    with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_study(cfg)
     except ValueError as e:
@@ -593,6 +584,9 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
     except OverflowError as e:
         _fail(f"the config is out of floating-point range ({e})", 2)
+    # Only now, so that a refused study leaves no directory behind.
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     if experiment == "risk-grid":
         cells = result
         exp.write_risk_grid_csv(cells, os.path.join(out_dir, "risk_grid.csv"))

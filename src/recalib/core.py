@@ -29,8 +29,6 @@ __all__ = [
     "ShiftWeights",
     "ShiftCorrector",
     "Composite",
-    "Constant",
-    "Identity",
     "Recalibrator",
     "umb_fit",
     "fit_recalibrator",
@@ -323,24 +321,7 @@ class Composite:
         return PiecewiseRecalibrator(self.inner.scheme, values, self.inner.counts)
 
 
-@dataclass(frozen=True)
-class Constant(object):
-    """The recalibrator that ignores its input and emits a fixed probability."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= float(self.value) <= 1.0:
-            raise ValueError("the constant must lie in [0, 1]")
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
-class Identity:
-    """The recalibrator that returns its input unchanged."""
-
-
-Recalibrator = Union[PiecewiseRecalibrator, ShiftCorrector, Composite, Constant, Identity]
+Recalibrator = Union[PiecewiseRecalibrator, ShiftCorrector, Composite]
 
 
 def _uniform_mass_bins(zs: np.ndarray, B: int) -> tuple[BinningScheme, np.ndarray]:
@@ -452,10 +433,6 @@ def _evaluate(h: Recalibrator, z):
         return num / (num + w0 * (1.0 - z))
     if isinstance(h, Composite):
         return _evaluate(h.flatten(), z)
-    if isinstance(h, Constant):
-        return np.full(np.shape(z), h.value)
-    if isinstance(h, Identity):
-        return z.copy()
     raise TypeError(f"not a recalibrator: {type(h).__name__}")
 
 

@@ -42,11 +42,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import (
-    BinningScheme,
     Composite,
-    Constant,
     EmptyBinError,
-    Identity,
     LabeledSample,
     PiecewiseRecalibrator,
     Recalibrator,
@@ -421,13 +418,14 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
     with the level-set means nu_b in place of the values v_b,
     r_cal = sum_b m_b (v_b - nu_b)^2 and mse = r_total + pi - H. Strictly
     increasing maps have zero sharpness risk by injectivity and need a
-    single integral; the constant map is the one-bin piecewise map, whose
-    conditional mean is E[Y].
+    single integral. A constant map is the one-bin piecewise map, whose
+    conditional mean is E[Y], and the raw score's risk is that of
+    ``MonotoneRecalibrator(lambda z: z)``.
 
     H and the injective-map integral are taken by ``_quad``'s trapezoid
-    rule in x = logit(z). Identity and shift maps are evaluated on the
-    whole node array at once, bit for bit as ``apply`` would evaluate
-    them; a ``MonotoneRecalibrator``'s callable is called once per node.
+    rule in x = logit(z). Shift maps are evaluated on the whole node array
+    at once, bit for bit as ``apply`` would evaluate them; a
+    ``MonotoneRecalibrator``'s callable is called once per node.
     For smooth maps this takes 481 nodes and lands within about 1e-16 of
     40-digit references; a map with a kink needs up to 983,041 nodes, and
     the report's ``tolerance`` then carries the halving error estimate.
@@ -438,10 +436,7 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
         return _piecewise_risk(task, h.flatten())
     if isinstance(h, PiecewiseRecalibrator):
         return _piecewise_risk(task, h)
-    if isinstance(h, Constant):
-        one_bin = PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (h.value,), (1,))
-        return _piecewise_risk(task, one_bin)
-    if isinstance(h, (ShiftCorrector, Identity, MonotoneRecalibrator)):
+    if isinstance(h, (ShiftCorrector, MonotoneRecalibrator)):
         return _injective_risk(task, h)
     raise TypeError(f"cannot evaluate risk of {type(h).__name__}")
 

@@ -580,7 +580,7 @@ def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool 
     parse call per field, and exit 2 at the first damaged row.
 
     It has the interface of the CLI's ``_read_columns`` (the columns as
-    float64 scores and int64 labels, and the file's SHA-256), so a test can
+    float64 scores and int8 labels, and the file's SHA-256), so a test can
     put it in that reader's place. The earlier reader crashed on a file that
     is not UTF-8 and on a field over csv.field_size_limit(); this copy
     refuses both, decoding the whole file before it parses a row.
@@ -612,7 +612,7 @@ def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool 
         _cli_fail(f"{path}: empty file, expected header {','.join(header)}")
     if not columns[0] and not empty_ok:
         _cli_fail(f"{path}: no data rows")
-    dtypes = {"z": np.float64, "y": np.int64}
+    dtypes = {"z": np.float64, "y": np.int8}
     return ([np.array(column, dtypes[name]) for column, name in zip(columns, header)],
             hashlib.sha256(raw).hexdigest())
 

@@ -17,8 +17,6 @@ import pytest
 from oracles import sort_slice_fit
 from recalib.core import (
     BinningScheme,
-    Constant,
-    Identity,
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
@@ -203,16 +201,18 @@ def test_criterion_7_oracle_equivalences():
 
     fitted = fit_recalibrator(sample(TASK05, 10_000, seed=101), 10)
     corr = ShiftCorrector(exact_shift_weights(0.5, 0.1))
+    identity = MonotoneRecalibrator(lambda z: z)
     recalibrators = (
         fitted,
         compose(corr, fitted),
         corr,
-        Constant(0.5),
-        Identity(),
+        PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (0.5,), (1,)),
+        identity,
     )
     draw = sample(TASK05, 10_000_000, seed=2027)
     for h in recalibrators:
-        sq = (apply_batch(h, draw.z) - draw.y) ** 2
+        hz = draw.z if h is identity else apply_batch(h, draw.z)
+        sq = (hz - draw.y) ** 2
         se = sq.std(ddof=1) / math.sqrt(draw.n)
         mse_quad = population_risk(TASK05, h).mse
         assert abs(mse_quad - sq.mean()) <= 3 * se + 1e-12, type(h).__name__

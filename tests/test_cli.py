@@ -23,8 +23,6 @@ from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
 from recalib.core import (
     BinningScheme,
     Composite,
-    Constant,
-    Identity,
     PiecewiseRecalibrator,
     ShiftCorrector,
     apply_batch,
@@ -41,6 +39,9 @@ ZETA_76_1E6 = 0.0038230038407442187
 SHIFT_APRIORI_EXAMPLE = 4.4059393375386034
 
 FIT_CSV = "z,y\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n"
+
+# A model that maps every score to itself, for tests that need some model file.
+UNIT_SHIFT = ShiftCorrector(exact_shift_weights(0.5, 0.5))
 
 
 def run(*args):
@@ -118,7 +119,7 @@ def test_studies_and_risks_do_not_load_scipy_integrate():
     code = """
 import sys
 import recalib.experiments as e
-from recalib.core import BinningScheme, Identity, PiecewiseRecalibrator, ShiftCorrector, compose
+from recalib.core import BinningScheme, PiecewiseRecalibrator, ShiftCorrector, compose
 from recalib.oracle import (GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights,
                             population_risk)
 tiny = e.ExperimentConfig(n_grid=(1000,), B_grid=(6, 10), seeds=1, n_P=64, n_Q=27)
@@ -128,7 +129,8 @@ e.run_label_shift(tiny)
 task = GaussianMixtureTask(0.3)
 pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.4, 1.0)), (0.2, 0.7), (1, 1))
 shift = ShiftCorrector(exact_shift_weights(0.5, 0.3))
-for h in (pw, compose(shift, pw), Identity(), shift, MonotoneRecalibrator(lambda z: z * z)):
+for h in (pw, compose(shift, pw), MonotoneRecalibrator(lambda z: z), shift,
+          MonotoneRecalibrator(lambda z: z * z)):
     population_risk(task, h)
 """
     flag, modules = _scipy_modules_after(code).split(" ", 1)
@@ -276,7 +278,8 @@ def test_fit_bad_bins_flag(tmp_path):
     assert "--bins must be an integer or 'auto'" in res.stderr
     # Bad --delta, --K and --pi are input problems, caught before fitting.
     out = tmp_path / "m2.json"
-    for flags in (("--bins", 2, "--delta", 0), ("--bins", 2, "--delta", "nan"),
+    for flags in (("--bins", 0), ("--bins", -3),
+                  ("--bins", 2, "--delta", 0), ("--bins", 2, "--delta", "nan"),
                   ("--bins", "auto", "--K", 1, "--delta", 5),
                   ("--bins", "auto", "--K", "nan"), ("--bins", "auto", "--K", "inf"),
                   ("--task", "gaussian", "--pi", 1.5), ("--task", "gaussian", "--pi", 0)):
@@ -316,6 +319,8 @@ def test_fit_bad_bins_flag(tmp_path):
     for flags, message in (
         (("--bins", 2, "--delta", 0), "--delta must lie in (0, 1), got 0.0"),
         (("--bins", "several"), "--bins must be an integer or 'auto', got 'several'"),
+        (("--bins", 0), "--bins must be at least 1, got 0"),
+        (("--bins", -3), "--bins must be at least 1, got -3"),
         (("--bins", 2, "--pi", 0.3), "--pi needs --task"),
         (("--K", "nan"), "--K must be finite and nonnegative, got nan"),
         (("--task", "gaussian", "--pi", 0), "--pi: pi must lie strictly between 0 and 1"),
@@ -402,18 +407,6 @@ def test_apply_composite_writes_apply_batch_values(tmp_path):
     assert out.read_text() == "z,z_cal\n" + want
 
 
-def test_apply_identity_passthrough(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
-    inp = tmp_path / "scores.csv"
-    inp.write_text("z\n0\n0.25\n0.5\n1\n")
-    out = tmp_path / "calibrated.csv"
-    res = run("apply", "--model", model_path, "--input", inp, "--out", out)
-    assert res.exit_code == 0
-    pairs = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert all(a == b for a, b in pairs)
-
-
 def test_apply_model_file_errors(tmp_path):
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n0.5\n")
@@ -449,7 +442,9 @@ def test_apply_model_file_errors(tmp_path):
         {"format_version": 1,
          "model": {"kind": "shift", "w": [1.0, 1.0], "provenance": "plug-in",
                    "p_hat": [0.0, 1.0], "q_hat": [0.5, 0.5]}},
-        {"format_version": 1, "model": {"kind": "constant", "value": None}},
+        # Kinds that no command writes, removed in 0.7.0.
+        {"format_version": 1, "model": {"kind": "constant", "value": 0.5}, "metadata": {}},
+        {"format_version": 1, "model": {"kind": "identity"}, "metadata": {}},
         {"format_version": 1,
          "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
                    "values": [0.5, 0.5], "counts": [10, math.inf]}},
@@ -577,8 +572,8 @@ def test_model_file_fuzz_exits_0_or_2(tmp_path, data):
 
 
 def test_apply_rejects_out_of_range_scores(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n1.5\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
@@ -587,19 +582,19 @@ def test_apply_rejects_out_of_range_scores(tmp_path):
 
 
 def test_apply_bad_last_row_leaves_no_file(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n" + "0.5\n" * 1000 + "nan?\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
     assert res.exit_code == 2
     assert res.stderr == f"error: {inp}: row 1002, column z: 'nan?' is not a number\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["identity.json", "scores.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv", "shift.json"]
 
 
 def test_apply_unwritable_out_exits_2(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n0.5\n")
     out = tmp_path / "nodir" / "o.csv"
@@ -619,8 +614,8 @@ def test_non_utf8_csv_exits_2(tmp_path):
     labels.write_bytes(b"y\n0\n\xff\n")
     q_path = tmp_path / "q.csv"
     labels_csv(q_path, 5, 5)
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     for path, args in (
             (bad, ("fit", "--input", bad, "--bins", 1)),
             (scores, ("apply", "--model", model_path, "--input", scores)),
@@ -632,8 +627,8 @@ def test_non_utf8_csv_exits_2(tmp_path):
 
 
 def test_oversized_csv_field_exits_2_naming_the_row(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n0.5\n" + "0" * 200_000 + "\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
@@ -647,8 +642,8 @@ def test_oversized_csv_field_exits_2_naming_the_row(tmp_path):
 
 
 def test_apply_empty_score_stream_writes_header_only(tmp_path):
-    model_path = tmp_path / "identity.json"
-    save_model(str(model_path), Identity(), {})
+    model_path = tmp_path / "shift.json"
+    save_model(str(model_path), UNIT_SHIFT, {})
     inp = tmp_path / "scores.csv"
     inp.write_text("z\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", tmp_path / "o.csv")
@@ -829,8 +824,6 @@ def test_model_round_trip_is_bitwise(tmp_path):
         fitted,
         ShiftCorrector(plugin),
         compose(ShiftCorrector(exact_shift_weights(0.5, 0.1)), fitted),
-        Constant(0.375),
-        Identity(),
     )
     grid = np.linspace(0.0, 1.0, 10_001)
     for i, h in enumerate(models):
@@ -948,8 +941,8 @@ def test_shift_unwritable_out_exits_2(tmp_path):
 
 
 def test_shift_base_model_must_be_piecewise(tmp_path):
-    base_path = tmp_path / "identity.json"
-    save_model(str(base_path), Identity(), {})
+    base_path = tmp_path / "shift.json"
+    save_model(str(base_path), UNIT_SHIFT, {})
     p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
     labels_csv(p_path, 10, 10)
     labels_csv(q_path, 5, 5)
@@ -1227,12 +1220,14 @@ def test_simulate_config_errors(tmp_path):
     bad_json.write_text("{not json")
     res = run("simulate", "risk-grid", "--config", bad_json, "--out-dir", tmp_path / "x")
     assert res.exit_code == 2
+    assert not (tmp_path / "x").exists()
 
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"n_gird": [100]}))
     res2 = run("simulate", "risk-grid", "--config", typo, "--out-dir", tmp_path / "y")
     assert res2.exit_code == 2
     assert "bad config" in res2.stderr
+    assert not (tmp_path / "y").exists()
 
     # An output directory that cannot be made is refused, not a traceback.
     tiny = tmp_path / "tiny.json"
@@ -1248,6 +1243,7 @@ def test_simulate_config_errors(tmp_path):
         res4 = run("simulate", experiment, "--config", tiny, "--out-dir", tmp_path / experiment)
         assert_input_error(res4)
         assert res4.stdout == "" and "out of floating-point range" in res4.stderr
+        assert not (tmp_path / experiment).exists()
 
     # Configs the study cannot run: an n with no feasible bin count, a
     # class that stays absent through every replacement draw, and arrays
@@ -1262,7 +1258,7 @@ def test_simulate_config_errors(tmp_path):
         res5 = run("simulate", experiment, "--config", tiny, "--out-dir", out_dir)
         assert_input_error(res5)
         assert res5.stdout == "" and needle in res5.stderr, res5.stderr
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
 
 # Each config is small, so that a regression that accepts it runs quickly.

@@ -11,10 +11,8 @@ from recalib.core import (
     BinningScheme,
     ClassAbsentError,
     Composite,
-    Constant,
     DegenerateBinsError,
     EmptyBinError,
-    Identity,
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
@@ -343,10 +341,12 @@ def test_shift_corrector_pins_endpoints_exactly():
 
 
 def test_apply_dispatch_and_validation():
-    assert apply(Constant(0.3), 0.9) == 0.3
-    assert apply(Identity(), 0.42) == 0.42
+    one_bin = PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (0.3,), (1,))
+    unit = ShiftCorrector(ShiftWeights((1.0, 1.0), "exact"))
+    assert apply(one_bin, 0.9) == 0.3
+    assert apply(unit, 0.5) == 0.5
     with pytest.raises(ValueError):
-        apply(Identity(), 1.2)
+        apply(one_bin, 1.2)
     with pytest.raises(TypeError):
         apply(object(), 0.5)
 
@@ -384,22 +384,24 @@ def test_apply_batch_agrees_bitwise_with_apply():
     small = LabeledSample(z=distinct_scores(60, 2), y=(distinct_scores(60, 3) < 0.5).astype(int))
     large = LabeledSample(z=distinct_scores(5000, 4), y=(distinct_scores(5000, 5) < 0.5).astype(int))
     g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
+    one_bin = PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (0.25,), (1,))
     grid = np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 513)))
     pw_large = fit_recalibrator(large, 501)
     # 2,000 points: every fitted edge plus fresh scores.
     held = np.concatenate((pw_large.scheme.edge_array, distinct_scores(1498, 6)))
     for pw, zs in ((fit_recalibrator(small, 6), grid), (pw_large, held)):
-        for h in (pw, g, compose(g, pw), Constant(0.25), Identity()):
+        for h in (pw, g, compose(g, pw), one_bin):
             batch = apply_batch(h, zs)
             scalar = np.array([apply(h, z) for z in zs])
             assert batch.tolist() == scalar.tolist()
 
 
 def test_apply_batch_validation():
+    unit = ShiftCorrector(ShiftWeights((1.0, 1.0), "exact"))
     for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, float("nan")], [float("nan")]):
         with pytest.raises(ValueError):
-            apply_batch(Identity(), bad)
-    assert apply_batch(Identity(), []).size == 0
+            apply_batch(unit, bad)
+    assert apply_batch(unit, []).size == 0
     with pytest.raises(TypeError):
         apply_batch(object(), [0.5])
 
@@ -470,7 +472,7 @@ def test_compose_rejects_wrong_component_types():
     with pytest.raises(TypeError):
         Composite(outer=h, inner=g)
     with pytest.raises(TypeError):
-        Composite(outer=g, inner=Identity())
+        Composite(outer=g, inner=g)
 
 
 # -------------------------------------------------------- type validation
@@ -555,13 +557,6 @@ def test_shift_weights_validation():
 def test_shift_corrector_needs_binary_weights():
     with pytest.raises(ValueError):
         ShiftCorrector(ShiftWeights((1.0, 1.0, 1.0), "exact"))
-
-
-def test_constant_validation():
-    with pytest.raises(ValueError):
-        Constant(1.2)
-    with pytest.raises(ValueError):
-        Constant(-0.1)
 
 
 def test_composite_flatten_preserves_scheme_object():
