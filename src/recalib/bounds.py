@@ -15,6 +15,7 @@ the CDF mass between any two scores).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,8 @@ class BoundParams:
     K: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "B"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1 or self.B < 1:
             raise ValueError("n and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
@@ -90,6 +93,8 @@ class ShiftBoundParams:
     K: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n_P", "n_Q", "B"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_P < 1 or self.n_Q < 1 or self.B < 1:
             raise ValueError("n_P, n_Q and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
@@ -131,7 +136,7 @@ def _finite(*values: float) -> None:
 def epsilon_delta(n: int, B: int, delta: float) -> float:
     """Uniform deviation level for the B bin means at failure level delta:
     sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B)."""
-    m = n // B
+    m = operator.index(n) // operator.index(B)
     if m < 2:
         raise InsufficientSampleError(
             f"floor(n / B) = {m} < 2; at least two points per bin are required"
@@ -177,17 +182,14 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
 _WINDOW = 64
 
 
-def _zeta(B, n: int, delta: float, K: float):
-    """The objective on a float64 scalar or array of bin counts B. Where it
-    overflows it is inf, unwarned: the callers' ``_finite`` decides."""
+def zeta(B: int | np.ndarray, n: int, delta: float, K: float) -> float | np.ndarray:
+    """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
+    a simplified proxy for the total risk bound, at a bin count B or at each
+    of an array of them, in float64. Where it overflows it is inf, unwarned:
+    ``optimal_bins`` decides with ``_finite``."""
+    B = np.asarray(B, dtype=np.float64)
     with np.errstate(over="ignore"):
         return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
-
-
-def zeta(B: int, n: int, delta: float, K: float) -> float:
-    """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
-    a simplified proxy for the total risk bound."""
-    return float(_zeta(np.float64(B), n, delta, K))
 
 
 def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
@@ -201,7 +203,7 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
     logarithmic factor.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 4:
         raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
     if not 0.0 < delta < 1.0:
@@ -212,12 +214,12 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     while lo < hi:
         mid = (lo + hi) // 2
         B = np.float64(mid)
-        if _zeta(B + 1.0, n, delta, K) >= _zeta(B, n, delta, K):
+        if zeta(B + 1.0, n, delta, K) >= zeta(B, n, delta, K):
             hi = mid
         else:
             lo = mid + 1
     Bs = np.arange(max(2, lo - _WINDOW), min(n // 2, lo + _WINDOW) + 1, dtype=np.float64)
-    vals = _zeta(Bs, n, delta, K)
+    vals = zeta(Bs, n, delta, K)
     i = int(np.argmin(vals))  # first minimum, hence the smallest B on ties
     _finite(vals[i])
     return int(Bs[i]), float(vals[i])

@@ -297,17 +297,17 @@ def _read_columns(path: str, header: tuple[str, ...],
     """Read a UTF-8 CSV with the given header of columns z (scores, float64)
     and y (labels, int8); return the columns and the file's SHA-256.
 
-    The file is read once. A plain file is parsed column-wise; anything
-    else goes to the row-by-row reader. Exits 2 on damage.
+    The file is read once. A plain file is parsed column-wise from its bytes;
+    anything else is decoded and goes to the row-by-row reader. Exits 2 on damage.
     """
     with open(path, "rb") as f:
         raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        _fail(f"{path}: not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}", 2)
     columns = _split_columns(raw, header)
     if columns is None:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            _fail(f"{path}: not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}", 2)
         columns = _parse_rows(path, text, header, empty_ok)
     return columns, hashlib.sha256(raw).hexdigest()
 

@@ -13,6 +13,7 @@ worker processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -361,13 +362,13 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     z = np.asarray(scores, dtype=np.float64)
     if z.size == 0 or not _within(z, 0.0, 1.0):
         raise ValueError("scores must lie in [0, 1]; no clamping is applied")
-    return _uniform_mass_bins(np.sort(z), int(B))[0]
+    return _uniform_mass_bins(np.sort(z), operator.index(B))[0]
 
 
-def _bin_indices(scheme: BinningScheme, z):
-    """1-based bin indices of validated scores, an array or a ``np.float64``
-    scalar. Bins are closed on the right, so a score equal to an interior
-    edge u_b lies in bin b, and z = 0 lies in bin 1: the result equals
+def _bin_indices(scheme: BinningScheme, z: np.ndarray) -> np.ndarray:
+    """1-based bin indices of a float64 array of validated scores. Bins are
+    closed on the right, so a score equal to an interior edge u_b lies in
+    bin b, and z = 0 lies in bin 1: the result equals
     ``np.maximum(edges.searchsorted(z, side="left"), 1)`` exactly.
 
     The lookup reads the grid ``scheme._cells``. M is a power of two, so
@@ -392,7 +393,6 @@ def _bin_indices(scheme: BinningScheme, z):
     idx += edges[idx] < z
     if crowded:
         multi = idx < 0
-        idx = np.asarray(idx)  # a scalar index becomes a writable 0-d array
         idx[multi] = np.maximum(edges.searchsorted(z[multi], side="left"), 1)
     return idx
 
@@ -411,20 +411,14 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     positive counts off the sorted scores by binary search.
     """
     zs, zs_pos = data.sorted_view
-    scheme, counts = _uniform_mass_bins(zs, int(B))
+    scheme, counts = _uniform_mass_bins(zs, operator.index(B))
     pos = np.diff(np.searchsorted(zs_pos, scheme.edge_array[1:], side="right"), prepend=0)
     values = pos / counts
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())
 
 
-def _evaluate(h: Recalibrator, z):
-    """Evaluate h on validated scores, an array or a ``np.float64`` scalar.
-
-    A scalar stays a numpy scalar: as a one-element array a call on the
-    shift map cost about 15x more. On an array, each element gets the
-    same float operations as the scalar call, so ``apply`` and
-    ``apply_batch`` agree bit for bit.
-    """
+def _evaluate(h: Recalibrator, z: np.ndarray) -> np.ndarray:
+    """Evaluate h on a float64 array of validated scores."""
     if isinstance(h, PiecewiseRecalibrator):
         return h.value_array[_bin_indices(h.scheme, z) - 1]
     if isinstance(h, ShiftCorrector):
@@ -437,18 +431,15 @@ def _evaluate(h: Recalibrator, z):
 
 
 def apply(h: Recalibrator, z: float) -> float:
-    """Evaluate a recalibrator at a single score z in [0, 1]."""
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"score {z!r} outside [0, 1]")
-    return float(_evaluate(h, np.float64(z)))
+    """Evaluate a recalibrator at a single score z in [0, 1]: the one-element
+    case of ``apply_batch``, so the two agree bit for bit. Each call builds
+    a one-element array; evaluate many scores with ``apply_batch``."""
+    return float(apply_batch(h, (float(z),))[0])
 
 
 def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Evaluate a recalibrator over an array of scores.
-
-    Shares its evaluation with ``apply``, so the two agree bit for bit at
-    every point. Exists because Monte Carlo evaluation at 1e7 points
+    """Evaluate a recalibrator over an array of scores. ``apply`` is its
+    one-element case. Exists because Monte Carlo evaluation at 1e7 points
     cannot afford a Python-level loop.
 
     Cost: O(n) for a piecewise map or composite, one grid read per score
@@ -458,7 +449,7 @@ def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not _within(z, 0.0, 1.0):
         raise ValueError("scores must lie in [0, 1]; no clamping is applied")
-    return _evaluate(h, z)
+    return _evaluate(h, z) if z.ndim else _evaluate(h, z[None])[0]
 
 
 def estimate_weights(labels_P: Sequence[int] | np.ndarray,

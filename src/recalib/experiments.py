@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -81,8 +82,10 @@ class ExperimentConfig:
     full_scale: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "B_grid", tuple(int(b) for b in self.B_grid))
+        for name in ("n_grid", "B_grid"):
+            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+        for name in ("seeds", "base_seed", "n_P", "n_Q"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, grid in (("n_grid", self.n_grid), ("B_grid", self.B_grid)):
             if not grid:
@@ -187,7 +190,7 @@ def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
 
 def bins_cube_root(n: int) -> int:
     """ceil(n^(1/3)), exact at perfect cubes despite floating point."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
     b = max(1, round(n ** (1.0 / 3.0)))

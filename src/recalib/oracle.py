@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,16 +105,15 @@ class QuadratureFailureError(RuntimeError):
 
 
 def sigmoid(x: float) -> float:
-    """The logistic map 1 / (1 + exp(-x)), saturating exactly for |x| > 36."""
+    """The logistic map 1 / (1 + exp(-x)), saturating exactly for |x| > 36,
+    bit for bit ``_sigmoid_array``: both take numpy's exp, not ``math.exp``."""
     x = float(x)
     if x > _SAT:
         return 1.0
     if x < -_SAT:
         return 0.0
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    e = float(np.exp(-abs(x)))
+    return (1.0 if x >= 0.0 else e) / (1.0 + e)
 
 
 def _sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -275,7 +275,7 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     bytes per point of the two arrays it returns (162 MiB with int64
     labels).
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -501,7 +501,7 @@ def estimate_K(task: GaussianMixtureTask, grid_size: int) -> float:
     grid_size = 1e5 this takes about 0.01 s instead of 0.3 s (2-vCPU
     machine).
     """
-    G = int(grid_size)
+    G = operator.index(grid_size)
     if G < 1000:
         raise ValueError("grid_size must be at least 1000")
     t = np.arange(1, G, dtype=np.float64) / G

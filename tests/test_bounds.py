@@ -157,6 +157,13 @@ def test_optimal_bins_matches_exhaustive_scan():
             assert zeta(got[0], n, delta, K) == got[1], (n, delta, K)
 
 
+def test_zeta_on_an_array_is_the_scalar_calls():
+    Bs = np.concatenate((np.arange(1, 3000), [10**6, 10**9, 2**53, 10**17]))
+    for n, delta, K in ((10**6, 0.1, 1.0), (10**11, 0.01, 0.3), (4, 0.5, 0.0), (10**6, 1e-320, 1.0)):
+        got = zeta(Bs, n, delta, K)
+        assert got.tolist() == [zeta(B, n, delta, K) for B in Bs.tolist()], (n, delta, K)
+
+
 def test_optimal_bins_cube_root_scaling():
     ns = [10**3, 10**4, 10**5, 10**6, 10**7]
     Bs = [optimal_bins(n, 0.1, 1.0)[0] for n in ns]

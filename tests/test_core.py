@@ -151,7 +151,7 @@ def test_bin_lookup_matches_searchsorted(family, B, seed):
     z = z[(z >= 0.0) & (z <= 1.0)]
     want = bin_indices_searchsorted_ref(e, z)
     assert np.array_equal(_bin_indices(scheme, z), want)
-    assert [_bin_indices(scheme, v) for v in z] == want.tolist()
+    assert [_bin_indices(scheme, z[i:i + 1])[0] for i in range(z.size)] == want.tolist()
 
 
 def test_bin_lookup_grid_is_capped():
@@ -394,6 +394,18 @@ def test_apply_batch_agrees_bitwise_with_apply():
             batch = apply_batch(h, zs)
             scalar = np.array([apply(h, z) for z in zs])
             assert batch.tolist() == scalar.tolist()
+
+
+def test_apply_batch_on_a_zero_d_array():
+    # A 0-d input gives a numpy scalar, also where the score's grid cell
+    # holds several edges and takes the binary search.
+    pw = PiecewiseRecalibrator(BinningScheme((0.0, 1e-4, 2e-4, 1.0)), (0.1, 0.2, 0.3), (1, 1, 1))
+    assert pw.scheme._cells[2]
+    g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
+    for h in (pw, g, compose(g, pw)):
+        for z in (0.0, 1.5e-4, 0.5, 1.0):
+            got = apply_batch(h, np.float64(z))
+            assert np.ndim(got) == 0 and got == apply(h, z)
 
 
 def test_apply_batch_validation():

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 import recalib
-from recalib import experiments, fit_recalibrator
-from recalib.bounds import BoundParams, optimal_bins, sample_size_ok
+from recalib import experiments, fit_recalibrator, umb_fit
+from recalib.bounds import (
+    BoundParams,
+    ShiftBoundParams,
+    epsilon_delta,
+    optimal_bins,
+    sample_size_ok,
+)
 from recalib.experiments import (
     DESK_B_CAP,
     DESK_N_CAP,
@@ -111,6 +117,50 @@ def test_config_from_dict():
     assert config_from_dict({}) == ExperimentConfig()
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_dict({"n_gird": [100]})
+
+
+_SIZE_TASK = GaussianMixtureTask(0.5)
+_SIZE_DATA = sample(_SIZE_TASK, 20, 0)
+_SHIFT = dict(delta=0.1, p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+
+
+def _config_json(**fields):
+    return json.dumps(asdict(ExperimentConfig(**fields)))
+
+
+# Each entry point that takes a size or a count, called with that one
+# argument passed through k: k(3) stands for the integer 3.
+SIZE_ENTRY_POINTS = {
+    "fit_recalibrator.B": lambda k: fit_recalibrator(_SIZE_DATA, k(3)),
+    "umb_fit.B": lambda k: umb_fit(_SIZE_DATA.z, k(3)),
+    "sample.n": lambda k: sample(_SIZE_TASK, k(10), 5).z.tolist(),
+    "estimate_K.grid_size": lambda k: estimate_K(_SIZE_TASK, k(1_000)),
+    "optimal_bins.n": lambda k: optimal_bins(k(1_000), 0.1, 1.0),
+    "epsilon_delta.n": lambda k: epsilon_delta(k(1_000), 10, 0.1),
+    "epsilon_delta.B": lambda k: epsilon_delta(1_000, k(10), 0.1),
+    "BoundParams.n": lambda k: BoundParams(n=k(1_000), B=10, delta=0.1),
+    "BoundParams.B": lambda k: BoundParams(n=1_000, B=k(10), delta=0.1),
+    "ShiftBoundParams.n_P": lambda k: ShiftBoundParams(n_P=k(1_000), n_Q=100, B=10, **_SHIFT),
+    "ShiftBoundParams.n_Q": lambda k: ShiftBoundParams(n_P=1_000, n_Q=k(100), B=10, **_SHIFT),
+    "ShiftBoundParams.B": lambda k: ShiftBoundParams(n_P=1_000, n_Q=100, B=k(10), **_SHIFT),
+    "ExperimentConfig.n_grid": lambda k: _config_json(n_grid=(100, k(2_500))),
+    "ExperimentConfig.B_grid": lambda k: _config_json(B_grid=(6, k(12))),
+    "ExperimentConfig.seeds": lambda k: _config_json(seeds=k(2)),
+    "ExperimentConfig.base_seed": lambda k: _config_json(base_seed=k(7)),
+    "ExperimentConfig.n_P": lambda k: _config_json(n_P=k(500)),
+    "ExperimentConfig.n_Q": lambda k: _config_json(n_Q=k(50)),
+    "bins_cube_root.n": lambda k: bins_cube_root(k(28)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_sizes_and_counts_must_be_integers(name):
+    # A float is refused rather than truncated, and a numpy integer gives
+    # what the Python integer gives (a config with it still writes JSON).
+    call = SIZE_ENTRY_POINTS[name]
+    with pytest.raises(TypeError):
+        call(lambda v: v + 0.5)
+    assert call(np.int64) == call(int)
 
 
 # ---------------------------------------------------------------- helpers
