@@ -251,7 +251,8 @@ class ShiftWeights:
     ``provenance`` records whether the weights are population quantities
     ("exact") or plug-in ratios of empirical class frequencies
     ("plug-in"). Plug-in weights carry the frequencies they came from and
-    must satisfy w_k == q_hat_k / p_hat_k bit for bit.
+    must satisfy w_k == q_hat_k / p_hat_k bit for bit; exact weights carry
+    none.
     """
 
     w: tuple[float, float]
@@ -281,6 +282,8 @@ class ShiftWeights:
                     raise ValueError(f"w[{k}] must equal q_hat[{k}] / p_hat[{k}] exactly")
             object.__setattr__(self, "p_hat", p)
             object.__setattr__(self, "q_hat", q)
+        elif self.p_hat is not None or self.q_hat is not None:
+            raise ValueError("exact weights carry no class frequencies")
         object.__setattr__(self, "w", w)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 
 __all__ = ["fmt_float", "write_text_atomic"]
 
@@ -14,9 +14,11 @@ def fmt_float(x: float) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a sibling temporary file and an atomic rename."""
+    """Write text via a sibling temporary file and an atomic rename. The
+    file gets mode 0o666 less the umask, as ``open`` would create it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", text=True)
+    tmp = os.path.join(directory, f".tmp.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

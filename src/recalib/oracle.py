@@ -51,6 +51,7 @@ from .core import (
     ShiftCorrector,
     ShiftWeights,
     _evaluate,
+    _within,
 )
 
 __all__ = [
@@ -104,20 +105,9 @@ class QuadratureFailureError(RuntimeError):
     """The trapezoid rule did not settle within ``QUAD_TOL`` at its node cap."""
 
 
-def sigmoid(x: float) -> float:
-    """The logistic map 1 / (1 + exp(-x)), saturating exactly for |x| > 36,
-    bit for bit ``_sigmoid_array``: both take numpy's exp, not ``math.exp``."""
-    x = float(x)
-    if x > _SAT:
-        return 1.0
-    if x < -_SAT:
-        return 0.0
-    e = float(np.exp(-abs(x)))
-    return (1.0 if x >= 0.0 else e) / (1.0 + e)
-
-
-def _sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``sigmoid`` over an array in one pass: with e = exp(-|x|), the map is
+def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic map 1 / (1 + exp(-x)) over an array in one pass, and
+    over a scalar as a one-element array: with e = exp(-|x|), the map is
     1 / (1 + e) for x >= 0 and e / (1 + e) below, both without overflow.
 
     The numerator is max(e, x >= 0): since 0 <= e <= 1, that is 1 where
@@ -129,6 +119,9 @@ def _sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``out`` may be x itself, for a map in place; the only other float
     buffer is e.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        return sigmoid(x[None])[0]
     e = np.abs(x)
     saturated = e > _SAT
     positive = x >= 0.0
@@ -141,16 +134,14 @@ def _sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def logit(z: float) -> float:
-    """Inverse of ``sigmoid`` on [0, 1], with logit(0) = -inf and logit(1) = +inf."""
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"score {z!r} outside [0, 1]")
-    if z == 0.0:
-        return -math.inf
-    if z == 1.0:
-        return math.inf
-    return math.log(z) - math.log1p(-z)
+def logit(z):
+    """Inverse of ``sigmoid`` on [0, 1], with logit(0) = -inf and
+    logit(1) = +inf; z may be a scalar or an array."""
+    z = np.asarray(z, dtype=np.float64)
+    if not _within(z, 0.0, 1.0):
+        raise ValueError("scores must lie in [0, 1]")
+    with np.errstate(divide="ignore"):
+        return np.log(z) - np.log1p(-z)
 
 
 @dataclass(frozen=True)
@@ -174,14 +165,16 @@ class GaussianMixtureTask:
 class MonotoneRecalibrator:
     """An analytic recalibration map given as a strictly increasing callable.
 
-    The callable must map [0, 1] into [0, 1] and be strictly increasing;
-    injectivity is what makes the sharpness risk vanish and is the
-    caller's responsibility. This is how analytic maps such as the task
-    posterior, or its shift-corrected transport, enter risk evaluation
-    without being representable in the serializable recalibrator forms.
+    The callable maps a float64 array of scores to an array of the same
+    shape, such as ``lambda z: apply_batch(c, hstar(task, z))``, and must
+    map [0, 1] strictly increasingly into [0, 1]; injectivity is what
+    makes the sharpness risk vanish and is the caller's responsibility.
+    This is how analytic maps such as the task posterior, or its
+    shift-corrected transport, enter risk evaluation without being
+    representable in the serializable recalibrator forms.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -220,18 +213,23 @@ class RiskReport:
             raise ValueError("mse cannot be below the total risk")
 
 
-def posterior(task: GaussianMixtureTask, x: float) -> float:
-    """P[Y = 1 | X = x] = sigmoid(4x + logit(pi)).
+def posterior(task: GaussianMixtureTask, x):
+    """P[Y = 1 | X = x] = sigmoid(4x + logit(pi)), for a scalar or an array x.
 
     The unit-variance Gaussians give likelihood ratio
     phi(x - 2) / phi(x + 2) = exp(4x), so the posterior log-odds are
     linear in x with slope 4 and intercept logit(pi).
     """
-    return sigmoid(4.0 * float(x) + logit(task.pi))
+    # The intercept stays libm's log, not numpy's: the two differ in the last
+    # bit for about 6% of priors, and estimate_K is pinned bit for bit to a
+    # reference that takes libm's logit of pi.
+    ell = math.log(task.pi) - math.log1p(-task.pi)
+    return sigmoid(4.0 * np.asarray(x, dtype=np.float64) + ell)
 
 
-def hstar(task: GaussianMixtureTask, z: float) -> float:
-    """The optimal recalibration map E[Y | Z = z] = posterior(logit(z)).
+def hstar(task: GaussianMixtureTask, z):
+    """The optimal recalibration map E[Y | Z = z] = posterior(logit(z)), for
+    a scalar or an array z.
 
     The endpoints take the limiting values hstar(0) = 0 and hstar(1) = 1.
     """
@@ -287,7 +285,7 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
         rng.random(out=block)  # the stream continues across blocks
         ndtri(block, out=block)
         block += _MEANS.take(y[start:start + _SAMPLE_BLOCK])
-        _sigmoid_array(block, out=block)
+        sigmoid(block, out=block)
     return LabeledSample._adopt(x, y)
 
 
@@ -303,10 +301,7 @@ def _mixture_density(task: GaussianMixtureTask, x: np.ndarray) -> np.ndarray:
 def _bin_moments(task: GaussianMixtureTask, edges) -> tuple[np.ndarray, np.ndarray]:
     """Masses P[Z in bin] and positive masses P[Z in bin, Y = 1] of the bins
     (edges[b], edges[b + 1]], through the component CDFs in x-space."""
-    z = np.asarray(edges, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        x = np.log(z) - np.log1p(-z)
-    d1, d0 = np.diff(ndtr(x - np.array([[MU1], [MU0]])), axis=1)
+    d1, d0 = np.diff(ndtr(logit(edges) - np.array([[MU1], [MU0]])), axis=1)
     pos = task.pi * d1
     return pos + (1.0 - task.pi) * d0, pos
 
@@ -360,13 +355,7 @@ def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tu
 @functools.lru_cache(maxsize=64)
 def _hstar_sq_moment(task: GaussianMixtureTask) -> tuple[float, float]:
     """H = E[hstar(Z)^2]; the irreducible mse term E[hstar (1 - hstar)] is pi - H."""
-    ell = logit(task.pi)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        p = _sigmoid_array(4.0 * x + ell)
-        return p * p * _mixture_density(task, x)
-
-    return _quad(f, -X_WINDOW, X_WINDOW)
+    return _quad(lambda x: posterior(task, x) ** 2 * _mixture_density(task, x), -X_WINDOW, X_WINDOW)
 
 
 def _level_means(values: np.ndarray, pos, mass) -> np.ndarray:
@@ -392,15 +381,16 @@ def _piecewise_risk(task: GaussianMixtureTask, pw: PiecewiseRecalibrator) -> Ris
 
 
 def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
-    ell = logit(task.pi)
-
     def f(x: np.ndarray) -> np.ndarray:
-        z = _sigmoid_array(x)
+        z = sigmoid(x)
         if isinstance(h, MonotoneRecalibrator):
-            hz = np.fromiter(map(h.fn, z.tolist()), np.float64, z.size)
+            hz = h.fn(z)
+            if np.shape(hz) != z.shape:
+                raise TypeError(f"MonotoneRecalibrator.fn gave shape {np.shape(hz)} for nodes "
+                                f"of shape {z.shape}: it must map the node array")
         else:
             hz = _evaluate(h, z)  # bit for bit what apply gives at each node
-        return (hz - _sigmoid_array(4.0 * x + ell)) ** 2 * _mixture_density(task, x)
+        return (hz - posterior(task, x)) ** 2 * _mixture_density(task, x)
 
     r, e1 = _quad(f, -X_WINDOW, X_WINDOW)
     H, e2 = _hstar_sq_moment(task)
@@ -424,8 +414,9 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
 
     H and the injective-map integral are taken by ``_quad``'s trapezoid
     rule in x = logit(z). Shift maps are evaluated on the whole node array
-    at once, bit for bit as ``apply`` would evaluate them; a
-    ``MonotoneRecalibrator``'s callable is called once per node.
+    at once, bit for bit as ``apply`` would evaluate them, and a
+    ``MonotoneRecalibrator``'s callable is called once per node array; it
+    raises ``TypeError`` if the result's shape is not the nodes' shape.
     For smooth maps this takes 481 nodes and lands within about 1e-16 of
     40-digit references; a map with a kink needs up to 983,041 nodes, and
     the report's ``tolerance`` then carries the halving error estimate.
@@ -505,12 +496,11 @@ def estimate_K(task: GaussianMixtureTask, grid_size: int) -> float:
     if G < 1000:
         raise ValueError("grid_size must be at least 1000")
     t = np.arange(1, G, dtype=np.float64) / G
-    ell = logit(task.pi)
     # The curve (F, hstar) at the levels' quantiles, padded with the score
     # range's ends (0, 0) and (1, 1). At the approximate quantiles the
     # levels themselves stand in for F.
     F = np.concatenate(([0.0], t, [1.0]))
-    h = np.concatenate(([0.0], _sigmoid_array(4.0 * _approx_mixture_quantiles(task, t) + ell), [1.0]))
+    h = np.concatenate(([0.0], posterior(task, _approx_mixture_quantiles(task, t)), [1.0]))
     q = np.diff(h) / np.diff(F)
     # A quotient is the slope of a secant of the curve u -> hstar(F^-1(u));
     # moving one endpoint by eps along that curve moves the slope by about
@@ -528,7 +518,7 @@ def estimate_K(task: GaussianMixtureTask, grid_size: int) -> float:
     ends = np.union1d(cand, cand + 1)
     ends = ends[(ends > 0) & (ends < G)]
     x = _mixture_quantiles(task, t[ends - 1])
-    F[ends], h[ends] = _mixture_cdf(task, x), _sigmoid_array(4.0 * x + ell)
+    F[ends], h[ends] = _mixture_cdf(task, x), posterior(task, x)
     return float(np.max((h[cand + 1] - h[cand]) / (F[cand + 1] - F[cand])))
 
 

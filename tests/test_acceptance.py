@@ -20,7 +20,6 @@ from recalib.core import (
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
-    apply,
     apply_batch,
     compose,
     fit_recalibrator,
@@ -84,7 +83,7 @@ def test_criterion_2_optimality_fixed_points():
     for pi_q in (0.1, 0.3):
         task_q = GaussianMixtureTask(pi_q)
         corr = ShiftCorrector(exact_shift_weights(0.5, pi_q))
-        transported = MonotoneRecalibrator(lambda z, c=corr: apply(c, hstar(TASK05, z)))
+        transported = MonotoneRecalibrator(lambda z, c=corr: apply_batch(c, hstar(TASK05, z)))
         assert population_risk(task_q, transported).r_total <= 1e-10
 
 

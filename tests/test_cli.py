@@ -603,6 +603,34 @@ def test_apply_unwritable_out_exits_2(tmp_path):
     assert res.stderr == f"error: {out}: No such file or directory\n"
 
 
+def test_exact_shift_model_with_frequencies_exits_2(tmp_path):
+    # Exact weights carry no class frequencies; loading such a file used to
+    # succeed and leave a model that save_model could not write.
+    model_path = tmp_path / "shift.json"
+    model_path.write_text(json.dumps(
+        {"format_version": 1, "metadata": {},
+         "model": {"kind": "shift", "w": [1, 2], "provenance": "exact", "p_hat": ["a", "b"]}}))
+    inp, out = tmp_path / "scores.csv", tmp_path / "o.csv"
+    inp.write_text("z\n0.5\n")
+    res = run("apply", "--model", model_path, "--input", inp, "--out", out)
+    assert_input_error(res)
+    assert res.stderr == f"error: {model_path}: exact weights carry no class frequencies\n"
+    assert not out.exists()
+
+
+def test_written_files_honour_the_umask(tmp_path):
+    # A file written under umask 022 is 0o644, as open() would make it, and
+    # the temporary it was written through is gone.
+    code = ("import os, sys; from recalib.fileio import write_text_atomic; os.umask(0o022); "
+            "write_text_atomic(sys.argv[1], 'x\\n'); print(oct(os.stat(sys.argv[1]).st_mode & 0o777))")
+    path = tmp_path / "out.txt"
+    res = subprocess.run([sys.executable, "-c", code, str(path)], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout == "0o644\n"
+    assert path.read_text() == "x\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 # ------------------------------------------------------- CSV readers, apply writer
 
 def test_non_utf8_csv_exits_2(tmp_path):

@@ -563,6 +563,9 @@ def test_shift_weights_validation():
         ShiftWeights((1.0, 1.0, 1.0), "exact")  # binary weights only
     with pytest.raises(ValueError):
         ShiftWeights((1.8, 0.2), "plug-in", p_hat=(0.5, 0.5, 0.0), q_hat=(0.9, 0.1))
+    for p_hat, q_hat in (((0.5, 0.5), (0.9, 0.1)), (("a", "b"), None), (None, (0.9, 0.1))):
+        with pytest.raises(ValueError, match="exact weights carry no class frequencies"):
+            ShiftWeights((1.8, 0.2), "exact", p_hat=p_hat, q_hat=q_hat)
     ShiftWeights((1.8, 0.2), "plug-in", p_hat=(0.5, 0.5), q_hat=(0.9, 0.1))
 
 

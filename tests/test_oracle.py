@@ -12,7 +12,6 @@ from recalib.core import (
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
-    apply,
     apply_batch,
     compose,
     fit_recalibrator,
@@ -25,7 +24,6 @@ from recalib.oracle import (
     _bin_moments,
     _hstar_sq_moment,
     _quad,
-    _sigmoid_array,
     empirical_risk_plugin,
     estimate_K,
     exact_shift_weights,
@@ -40,7 +38,6 @@ from recalib.oracle import EmptyBinError
 
 from oracles import (
     estimate_K_bisect_ref,
-    kinked_map,
     piecewise_quad_ref,
     plugin_argsort_ref,
     plugin_loop_ref,
@@ -103,7 +100,7 @@ def random_piecewise(rng: np.random.Generator) -> PiecewiseRecalibrator:
     return PiecewiseRecalibrator(BinningScheme(edges), values, (1,) * B)
 
 
-# ------------------------------------------------------- scalar link maps
+# -------------------------------------------------------------- link maps
 
 def test_sigmoid_saturation_and_value():
     assert sigmoid(37.0) == 1.0
@@ -112,14 +109,25 @@ def test_sigmoid_saturation_and_value():
     assert sigmoid(4.0) == pytest.approx(SIGMOID_4, rel=1e-15)
 
 
-def test_scalar_sigmoid_matches_array_sigmoid_bitwise():
-    # math.exp differs from numpy's exp in the last bit on about 5% of
-    # these inputs; the scalar map must take numpy's, as the array map does.
+def test_scalar_link_maps_match_their_array_elements_bitwise():
+    # A scalar runs as a one-element array, so each scalar call must give
+    # the bits of the matching element of one call on the whole array. The
+    # scalar calls take 2,000 of the seeded inputs; the array map takes
+    # all 200,000, against the masked reference.
+    seeded = np.random.default_rng(0).uniform(-40.0, 40.0, 200_000)
+    want = sigmoid_array_masked_ref(seeded)
+    assert np.array_equal(sigmoid(seeded).view(np.uint64), want.view(np.uint64))
     edges = [36.0, np.nextafter(36.0, 0.0), np.nextafter(36.0, 99.0), 0.0, 5e-324, np.inf]
-    x = np.concatenate((edges, np.negative(edges),
-                        np.random.default_rng(0).uniform(-40.0, 40.0, 200_000)))
-    got = np.array([sigmoid(v) for v in x.tolist()])
-    assert np.array_equal(got.view(np.uint64), _sigmoid_array(x).view(np.uint64))
+    x = np.concatenate((edges, np.negative(edges), [np.nan], seeded[:2_000]))
+    z = np.concatenate(([0.0, -0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0],
+                        sigmoid(x[~np.isnan(x)])))
+    maps = ((sigmoid, x), (logit, z),
+            (lambda v: posterior(TASK03, v), x), (lambda v: hstar(TASK03, v), z))
+    for f, v in maps:
+        want = f(v)
+        got = np.array([f(u) for u in v.tolist()])
+        assert want.shape == v.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sigmoid_array_matches_masked_reference_bitwise():
@@ -129,13 +137,13 @@ def test_sigmoid_array_matches_masked_reference_bitwise():
     x = np.concatenate((edges, np.negative(edges),
                         np.random.default_rng(11).normal(0.0, 12.0, 100_000)))
     want = sigmoid_array_masked_ref(x)
-    got = _sigmoid_array(x)
+    got = sigmoid(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     inplace = x.copy()
-    assert _sigmoid_array(inplace, out=inplace) is inplace
+    assert sigmoid(inplace, out=inplace) is inplace
     assert np.array_equal(inplace.view(np.uint64), want.view(np.uint64))
     nan = np.array([np.nan, 40.0, np.nan, -40.0])
-    for got in (_sigmoid_array(nan), _sigmoid_array(nan.copy(), out=nan.copy())):
+    for got in (sigmoid(nan), sigmoid(nan.copy(), out=nan.copy())):
         assert np.isnan(got[::2]).all() and got[1::2].tolist() == [1.0, 0.0]
 
 
@@ -311,7 +319,7 @@ def test_transported_optimal_map_is_calibrated_on_target():
     for pi_q in (0.1, 0.3):
         task_q = GaussianMixtureTask(pi_q)
         corr = ShiftCorrector(exact_shift_weights(0.5, pi_q))
-        fn = lambda z, c=corr: apply(c, hstar(TASK05, z))
+        fn = lambda z, c=corr: apply_batch(c, hstar(TASK05, z))
         rep = population_risk(task_q, MonotoneRecalibrator(fn))
         assert rep.r_cal <= 1e-10
         assert rep.r_sha == 0.0
@@ -435,6 +443,12 @@ def test_mse_agrees_with_monte_carlo():
     sq = (apply_batch(PW3, s.z) - s.y) ** 2
     se = sq.std(ddof=1) / math.sqrt(s.n)
     assert abs(PW3_MSE - sq.mean()) <= 3 * se
+
+
+def test_monotone_map_must_return_an_array_of_the_nodes_shape():
+    for fn in (lambda z: 0.5, lambda z: z[:-1], lambda z: z[:, None]):
+        with pytest.raises(TypeError, match="shape"):
+            population_risk(TASK05, MonotoneRecalibrator(fn))
 
 
 def test_injective_maps_have_zero_sharpness_risk():
@@ -695,7 +709,8 @@ def test_kinked_integrands_stay_within_their_error_budget():
     # where the kink falls in the grid. The reported error must still
     # cover the true one, or the rule must refuse: never a quiet miss.
     try:
-        rep = population_risk(TASK05, MonotoneRecalibrator(kinked_map))
+        kinked = MonotoneRecalibrator(lambda z: np.minimum(2 * z, (1 + z) / 2))
+        rep = population_risk(TASK05, kinked)
     except QuadratureFailureError:
         pass
     else:
