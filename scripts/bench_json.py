@@ -6,11 +6,12 @@ Each record is a file that ``perfbench/run.py --trace 0`` wrote to
 ``perfbench/out/``. The summary holds, per workload, the median and
 quartiles of every end-to-end metric that BENCHMARK.json names, with the
 quartiles taken as ``perfbench/run.py --steady`` takes them, plus the seeds,
-the number of runs and the environment (git commit, versions, nproc). All
-records of one workload must share that environment. ``--uncommitted``
-says the runs were made on a working tree with changes not yet committed
-on top of that git commit; the summary records it as ``"uncommitted":
-true``. The file is written to the repository root.
+the number of runs and the environment (git commit, versions, nproc). Each
+workload needs at least two records, all sharing that environment.
+``--uncommitted`` says the runs were made on a working tree with changes
+not yet committed on top of that git commit; the summary records it as
+``"uncommitted": true``. The file is written to the repository root, and
+only once every workload is summarized.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ def summarize(records: list[dict], metrics: list[str]) -> dict:
     workloads = {}
     for name in sorted({r["workload"] for r in records}):
         runs = sorted((r for r in records if r["workload"] == name), key=lambda r: r["seed"])
+        if len(runs) < 2:
+            sys.exit(f"error: the {name} workload has one record; quartiles need at least two")
         envs = {json.dumps(r["environment"], sort_keys=True) for r in runs}
         if len(envs) != 1:
             sys.exit(f"error: the {name} records come from {len(envs)} environments")
@@ -63,10 +66,10 @@ def main() -> int:
             records.append(json.load(f))
     if any(r["trace"] for r in records):
         sys.exit("error: traced runs carry tracer overhead; summarize untraced runs only")
+    workloads = summarize(records, metrics)
     out = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(out, "w") as f:
-        json.dump({"label": label, "uncommitted": uncommitted,
-                   "workloads": summarize(records, metrics)}, f, indent=1)
+        json.dump({"label": label, "uncommitted": uncommitted, "workloads": workloads}, f, indent=1)
         f.write("\n")
     print(f"written {out}")
     return 0

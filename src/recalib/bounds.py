@@ -29,10 +29,7 @@ __all__ = [
     "ShiftBoundParams",
     "BoundReport",
     "epsilon_delta",
-    "cal_risk_bound",
-    "sha_risk_bound",
     "risk_bound_report",
-    "sample_size_ok",
     "zeta",
     "optimal_bins",
     "shift_risk_bound_realized",
@@ -102,8 +99,7 @@ class ShiftBoundParams:
         for name, v in (("p_min", self.p_min), ("q_min", self.q_min)):
             if not 0.0 < v <= 0.5:
                 raise ValueError(f"{name} must lie in (0, 1/2]")
-        if not 0.0 < self.w_min <= self.w_max < math.inf:
-            raise ValueError("weight bracket must be finite and satisfy 0 < w_min <= w_max")
+        _check_weight_bracket(self.w_min, self.w_max)
         if not 0.0 <= self.K < math.inf:
             raise ValueError("K must be finite and nonnegative")
 
@@ -125,6 +121,11 @@ class BoundReport:
     condition_detail: str
 
 
+def _check_weight_bracket(w_min: float, w_max: float) -> None:
+    if not 0.0 < w_min <= w_max < math.inf:
+        raise ValueError("weight bracket must be finite and satisfy 0 < w_min <= w_max")
+
+
 def _finite(*values: float) -> None:
     """Raise OverflowError unless every bound, objective or gate threshold
     is finite: float arithmetic returns inf where finite inputs overflow it
@@ -144,37 +145,23 @@ def epsilon_delta(n: int, B: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 * B / delta) / (2.0 * (m - 1))) + 1.0 / m
 
 
-def cal_risk_bound(p: BoundParams) -> float:
-    """High-probability bound on the calibration risk of a uniform-mass fit:
-    (sqrt(log(4B / delta) / (2 (m - 1))) + 1 / m)^2."""
-    return epsilon_delta(p.n, p.B, p.delta / 2.0) ** 2
+def risk_bound_report(p: BoundParams) -> BoundReport:
+    """Calibration and sharpness bounds with their total and gate status.
 
-
-def sha_risk_bound(p: BoundParams) -> float:
-    """High-probability bound on the sharpness risk: 8 K^2 / B^2 when a K is
-    given (the optimal map is K-smooth), and 2 / B, which assumes nothing,
-    when K is None."""
-    if p.K is None:
-        return 2.0 / p.B
-    return 8.0 * p.K * p.K / (p.B * p.B)
-
-
-def sample_size_ok(p: BoundParams) -> tuple[bool, str]:
-    """Whether n meets the sample-size condition n >= c B log(2B / delta),
-    with c the universal constant DEFAULT_C."""
+    The calibration bound is epsilon_delta(n, B, delta / 2)^2, that is
+    (sqrt(log(4B / delta) / (2 (m - 1))) + 1 / m)^2. The sharpness bound is
+    8 K^2 / B^2 when a K is given (the optimal map is K-smooth), and 2 / B,
+    which assumes nothing, when K is None. The gate is the sample-size
+    condition n >= c B log(2B / delta), with c the universal constant
+    DEFAULT_C.
+    """
+    cal = epsilon_delta(p.n, p.B, p.delta / 2.0) ** 2
+    sha = 2.0 / p.B if p.K is None else 8.0 * p.K * p.K / (p.B * p.B)
     threshold = DEFAULT_C * p.B * math.log(2.0 * p.B / p.delta)
-    _finite(threshold)
+    _finite(cal, sha, cal + sha, threshold)
     ok = p.n >= threshold
     verb = "meets" if ok else "fails"
-    return ok, f"n = {p.n} {verb} n >= c B log(2B/delta) = {threshold:.1f}"
-
-
-def risk_bound_report(p: BoundParams) -> BoundReport:
-    """Calibration and sharpness bounds with their total and gate status."""
-    cal = cal_risk_bound(p)
-    sha = sha_risk_bound(p)
-    _finite(cal, sha, cal + sha)
-    ok, detail = sample_size_ok(p)
+    detail = f"n = {p.n} {verb} n >= c B log(2B/delta) = {threshold:.1f}"
     return BoundReport(cal, sha, cal + sha, ok, detail)
 
 
@@ -225,18 +212,20 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     return int(Bs[i]), float(vals[i])
 
 
-def shift_risk_bound_realized(p: ShiftBoundParams, rho: tuple[float, float],
-                              risk_P: float) -> float:
+def shift_risk_bound_realized(rho: tuple[float, float], risk_P: float, *,
+                              w_min: float, w_max: float) -> float:
     """Target-distribution risk bound in terms of the realized per-class
-    ratios of estimated to true weight, rho = (rho_0, rho_1):
+    ratios of estimated to true weight, rho = (rho_0, rho_1), with w_min and
+    w_max bracketing the true importance weights:
     2 ((rho_0 - rho_1) / (rho_0 + rho_1))^2 + 2 (w_max^3 / w_min^2) risk_P."""
+    _check_weight_bracket(w_min, w_max)
     rho0, rho1 = map(float, rho)
     if any(not 0.0 < r < math.inf for r in (rho0, rho1)):
         raise ValueError("realized weight ratios must be finite and positive")
     if not 0.0 <= risk_P < math.inf:
         raise ValueError("risk_P must be finite and nonnegative")
     lead = ((rho0 - rho1) / (rho0 + rho1)) ** 2
-    bound = 2.0 * (lead + (p.w_max ** 3 / p.w_min ** 2) * risk_P)
+    bound = 2.0 * (lead + (w_max ** 3 / w_min ** 2) * risk_P)
     _finite(bound)
     return bound
 

@@ -517,7 +517,8 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
     with _refusing_bad_numbers():
         params = ShiftBoundParams(**fields)
         report = shift_risk_bound_apriori(params)
-        realized = None if missing else shift_risk_bound_realized(params, (rho0, rho1), risk_p)
+        realized = None if missing else shift_risk_bound_realized(
+            (rho0, rho1), risk_p, w_min=params.w_min, w_max=params.w_max)
     click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                f"sha {fmt_float(report.sha_bound)}")
     click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")

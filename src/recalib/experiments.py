@@ -8,7 +8,8 @@ strategies evaluated under the target distribution.
 Every cell gets its own PCG64 substream derived from the base seed, so
 results are bitwise reproducible and adding or removing grid points
 never shifts the draws of the remaining cells. Identical configs produce
-byte-identical CSV output.
+byte-identical CSV output with the same numpy and scipy build on the same
+CPU features (see ``oracle.sample``).
 """
 
 from __future__ import annotations

@@ -253,7 +253,10 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     ``seed`` may be an int or a numpy SeedSequence and feeds a PCG64
     stream. The draw order is fixed: n uniforms decide the labels, then n
     uniforms map through the inverse normal CDF to x, then z = sigmoid(x).
-    Identical seeds give bitwise identical samples on any platform.
+    The same seed gives the same bits with the same numpy and scipy build
+    on the same CPU features: numpy's float64 ``exp`` picks a SIMD kernel
+    at run time, and on x86 its AVX-512 kernel differs from libm's ``exp``
+    in the last bit on some inputs.
 
     Both uniform streams go through one float64 buffer, which becomes the
     sample's z: the labels are read off the first stream before the second

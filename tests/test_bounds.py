@@ -12,7 +12,6 @@ from recalib.bounds import (
     DEFAULT_C,
     InsufficientSampleError,
     ShiftBoundParams,
-    cal_risk_bound,
     chernoff_sample_requirement,
     epsilon_delta,
     optimal_bins,
@@ -20,8 +19,6 @@ from recalib.bounds import (
     phi_balance,
     phi_ratio,
     risk_bound_report,
-    sample_size_ok,
-    sha_risk_bound,
     shift_risk_bound_apriori,
     shift_risk_bound_realized,
     zeta,
@@ -41,16 +38,16 @@ CHERNOFF_05_2_01 = 237
 SHIFT_APRIORI_EXAMPLE = 4.4059393375386034
 
 
-# ---------------------------------------------------------- cal_risk_bound
+# ------------------------------------------------------- calibration bound
 
 def test_cal_bound_frozen_value():
-    got = cal_risk_bound(BoundParams(n=1000, B=10, delta=0.1))
+    got = risk_bound_report(BoundParams(n=1000, B=10, delta=0.1)).cal_bound
     assert got == pytest.approx(CAL_BOUND_1000_10_01, rel=1e-13)
     assert got == pytest.approx(0.0338387, abs=1e-6)
 
 
 def test_cal_bound_boundary_two_points_per_bin():
-    got = cal_risk_bound(BoundParams(n=14, B=7, delta=0.5))
+    got = risk_bound_report(BoundParams(n=14, B=7, delta=0.5)).cal_bound
     expected = (math.sqrt(math.log(4 * 7 / 0.5) / 2.0) + 0.5) ** 2
     assert got == pytest.approx(expected, rel=1e-13)
     assert math.isfinite(got)
@@ -58,14 +55,15 @@ def test_cal_bound_boundary_two_points_per_bin():
 
 def test_cal_bound_insufficient_sample():
     with pytest.raises(InsufficientSampleError):
-        cal_risk_bound(BoundParams(n=10, B=10, delta=0.1))
+        risk_bound_report(BoundParams(n=10, B=10, delta=0.1))
 
 
 def test_cal_bound_monotone_in_n_and_B():
-    at_n = [cal_risk_bound(BoundParams(n=n, B=10, delta=0.1))
+    at_n = [risk_bound_report(BoundParams(n=n, B=10, delta=0.1)).cal_bound
             for n in (100, 300, 1_000, 10_000, 100_000)]
     assert all(a > b for a, b in zip(at_n, at_n[1:]))
-    at_B = [cal_risk_bound(BoundParams(n=10_000, B=B, delta=0.1)) for B in range(2, 101)]
+    at_B = [risk_bound_report(BoundParams(n=10_000, B=B, delta=0.1)).cal_bound
+            for B in range(2, 101)]
     assert all(a <= b for a, b in zip(at_B, at_B[1:]))
 
 
@@ -77,42 +75,50 @@ def test_epsilon_delta_formula():
         epsilon_delta(19, 10, 0.1)
 
 
-# ---------------------------------------------------------- sha_risk_bound
+# --------------------------------------------------------- sharpness bound
+
+def sha_bound(**fields):
+    return risk_bound_report(BoundParams(**fields)).sha_bound
+
 
 def test_sha_bound_values():
-    assert sha_risk_bound(BoundParams(n=100, B=10, delta=0.1)) == 0.2
-    assert sha_risk_bound(BoundParams(n=100, B=10, delta=0.1, K=1.0)) == 0.08
-    assert sha_risk_bound(BoundParams(n=100, B=1, delta=0.1)) == 2.0
+    assert sha_bound(n=100, B=10, delta=0.1) == 0.2
+    assert sha_bound(n=100, B=10, delta=0.1, K=1.0) == 0.08
+    assert sha_bound(n=100, B=1, delta=0.1) == 2.0
     # A given K selects the smooth term 8K^2/B^2; K=None selects 2/B.
-    assert sha_risk_bound(BoundParams(n=1000, B=10, delta=0.1, K=5.0)) == 2.0
-    assert sha_risk_bound(BoundParams(n=1000, B=10, delta=0.1, K=None)) == 0.2
+    assert sha_bound(n=1000, B=10, delta=0.1, K=5.0) == 2.0
+    assert sha_bound(n=1000, B=10, delta=0.1, K=None) == 0.2
+    # The report needs two points per bin, whichever sharpness term it uses.
+    for K in (None, 1.0):
+        with pytest.raises(InsufficientSampleError):
+            sha_bound(n=19, B=10, delta=0.1, K=K)
 
 
 def test_sha_bound_strictly_decreasing_in_B():
-    vals = [sha_risk_bound(BoundParams(n=10**6, B=B, delta=0.1)) for B in range(1, 200)]
+    vals = [sha_bound(n=10**6, B=B, delta=0.1) for B in range(1, 200)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    smooth = [sha_risk_bound(BoundParams(n=10**6, B=B, delta=0.1, K=2.0))
-              for B in range(1, 200)]
+    smooth = [sha_bound(n=10**6, B=B, delta=0.1, K=2.0) for B in range(1, 200)]
     assert all(a > b for a, b in zip(smooth, smooth[1:]))
 
 
-# ---------------------------------------------------------- sample_size_ok
+# ------------------------------------------------------ sample-size gate
 
 def test_gate_threshold_frozen():
-    ok, detail = sample_size_ok(BoundParams(n=10**6, B=10, delta=0.1))
-    assert ok
-    assert f"{GATE_THRESH_10_01:.1f}" in detail
+    gate = f"n >= c B log(2B/delta) = {GATE_THRESH_10_01:.1f}"
+    report = risk_bound_report(BoundParams(n=10**6, B=10, delta=0.1))
+    assert report.conditions_met
+    assert report.condition_detail == f"n = 1000000 meets {gate}"
 
-    ok, detail = sample_size_ok(BoundParams(n=100, B=10, delta=0.1))
-    assert not ok
-    assert "fails" in detail
+    report = risk_bound_report(BoundParams(n=100, B=10, delta=0.1))
+    assert not report.conditions_met
+    assert report.condition_detail == f"n = 100 fails {gate}"
 
 
 def test_risk_bound_report_is_additive():
     p = BoundParams(n=10**6, B=10, delta=0.1)
     report = risk_bound_report(p)
-    assert report.cal_bound == cal_risk_bound(p)
-    assert report.sha_bound == sha_risk_bound(p)
+    assert report.cal_bound == epsilon_delta(p.n, p.B, p.delta / 2) ** 2
+    assert report.sha_bound == 2.0 / p.B
     assert report.risk_bound == report.cal_bound + report.sha_bound
     assert report.conditions_met
 
@@ -192,10 +198,10 @@ def test_bounds_that_overflow_raise():
                  lambda: optimal_bins(1000, 1e-320, 1.0),
                  lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=0.1, K=1e200)),
                  lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=1e-320)),
-                 lambda: sample_size_ok(BoundParams(n=10**306, B=10**305, delta=0.1)),
+                 lambda: risk_bound_report(BoundParams(n=10**306, B=10**305, delta=0.1)),
                  lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "K": 1e200})),
                  lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "p_min": 1e-320})),
-                 lambda: shift_risk_bound_realized(ShiftBoundParams(**shift), (1.1, 0.9), 1e308)):
+                 lambda: shift_risk_bound_realized((1.1, 0.9), 1e308, w_min=0.2, w_max=1.8)):
         with pytest.raises(OverflowError, match="not finite"):
             call()
 
@@ -203,29 +209,23 @@ def test_bounds_that_overflow_raise():
 # ------------------------------------------------- shift bounds (realized)
 
 def test_realized_bound_equal_ratios():
-    p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
-    got = shift_risk_bound_realized(p, (0.7, 0.7), 0.01)
+    got = shift_risk_bound_realized((0.7, 0.7), 0.01, w_min=0.2, w_max=1.8)
     assert got == pytest.approx(2.0 * (1.8**3 / 0.2**2) * 0.01, rel=1e-13)
 
 
 def test_realized_bound_no_shift_is_twice_source_risk():
-    p = ShiftBoundParams(n_P=1000, n_Q=1000, B=10, delta=0.1,
-                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0)
-    assert shift_risk_bound_realized(p, (1.0, 1.0), 0.37) == pytest.approx(0.74, rel=1e-13)
+    got = shift_risk_bound_realized((1.0, 1.0), 0.37, w_min=1.0, w_max=1.0)
+    assert got == pytest.approx(0.74, rel=1e-13)
 
 
 def test_realized_bound_ratio_mismatch_term():
-    p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
-                         p_min=0.5, q_min=0.5, w_min=1.0, w_max=1.0)
-    assert shift_risk_bound_realized(p, (1.1, 0.9), 0.0) == pytest.approx(0.02, abs=1e-12)
+    got = shift_risk_bound_realized((1.1, 0.9), 0.0, w_min=1.0, w_max=1.0)
+    assert got == pytest.approx(0.02, abs=1e-12)
 
 
 def test_realized_bound_needs_rho():
-    p = ShiftBoundParams(n_P=1000, n_Q=100, B=10, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
     with pytest.raises(ValueError):
-        shift_risk_bound_realized(p, (1.0, 1.0), -0.01)
+        shift_risk_bound_realized((1.0, 1.0), -0.01, w_min=0.2, w_max=1.8)
 
 
 # ------------------------------------------------- shift bounds (a priori)
@@ -273,16 +273,21 @@ def test_apriori_bound_insufficient_source():
 
 
 def test_shift_params_validation():
+    # The realized bound takes the weight bracket by keyword and checks it
+    # as ShiftBoundParams does.
+    bracket = "weight bracket must be finite and satisfy 0 < w_min <= w_max"
     with pytest.raises(ValueError):
         ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
                          p_min=0.6, q_min=0.1, w_min=0.2, w_max=1.8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=bracket):
         ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
                          p_min=0.1, q_min=0.1, w_min=1.8, w_max=0.2)
+    with pytest.raises(ValueError, match=bracket):
+        shift_risk_bound_realized((1.0, 1.0), 0.01, w_min=1.8, w_max=0.2)
+    with pytest.raises(TypeError):
+        shift_risk_bound_realized((1.0, 1.0), 0.01, 0.2, 1.8)
     with pytest.raises(ValueError):
-        shift_risk_bound_realized(ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1,
-                                                   q_min=0.1, w_min=0.2, w_max=1.8),
-                                  (0.0, 1.0), 0.01)
+        shift_risk_bound_realized((0.0, 1.0), 0.01, w_min=0.2, w_max=1.8)
     for K in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, K=K,
@@ -292,11 +297,15 @@ def test_shift_params_validation():
         for field in ("p_min", "q_min", "w_min", "w_max"):
             with pytest.raises(ValueError):
                 ShiftBoundParams(**dict(good, **{field: bad}))
+        for field in ("w_min", "w_max"):
+            with pytest.raises(ValueError, match=bracket):
+                shift_risk_bound_realized((1.0, 1.0), 0.01,
+                                          **{"w_min": 0.2, "w_max": 1.8, field: bad})
         for rho in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(ValueError):
-                shift_risk_bound_realized(ShiftBoundParams(**good), rho, 0.01)
+                shift_risk_bound_realized(rho, 0.01, w_min=0.2, w_max=1.8)
         with pytest.raises(ValueError, match="finite"):
-            shift_risk_bound_realized(ShiftBoundParams(**good), (1.0, 1.0), bad)
+            shift_risk_bound_realized((1.0, 1.0), bad, w_min=0.2, w_max=1.8)
 
 
 # ------------------------------------------------------- chernoff requirement
@@ -409,8 +418,7 @@ def test_phi_ratio_coverage_at_chernoff_sizes():
 
 def test_bound_evaluators_are_deterministic():
     p = BoundParams(n=12_345, B=17, delta=0.07, K=1.3)
-    assert cal_risk_bound(p) == cal_risk_bound(p)
-    assert sha_risk_bound(p) == sha_risk_bound(p)
+    assert risk_bound_report(p) == risk_bound_report(p)
     assert optimal_bins(54_321, 0.05, 2.0) == optimal_bins(54_321, 0.05, 2.0)
 
 

@@ -16,7 +16,7 @@ from recalib.bounds import (
     ShiftBoundParams,
     epsilon_delta,
     optimal_bins,
-    sample_size_ok,
+    risk_bound_report,
 )
 from recalib.experiments import (
     DESK_B_CAP,
@@ -155,11 +155,13 @@ SIZE_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
 def test_sizes_and_counts_must_be_integers(name):
-    # A float is refused rather than truncated, and a numpy integer gives
-    # what the Python integer gives (a config with it still writes JSON).
+    # A float is refused rather than truncated, a whole one such as 10.0
+    # too, and a numpy integer gives what the Python integer gives (a
+    # config with it still writes JSON).
     call = SIZE_ENTRY_POINTS[name]
-    with pytest.raises(TypeError):
-        call(lambda v: v + 0.5)
+    for k in (lambda v: v + 0.5, float):
+        with pytest.raises(TypeError):
+            call(k)
     assert call(np.int64) == call(int)
 
 
@@ -215,7 +217,7 @@ def test_risk_grid_cells_carry_bounds_and_gates(sha_grid):
         params = BoundParams(n=cell.n, B=cell.B, delta=0.1)
         assert cell.risk_bound == cell.cal_bound + cell.sha_bound
         assert cell.sha_bound == 2.0 / cell.B
-        assert cell.gates_ok == sample_size_ok(params)[0]
+        assert cell.gates_ok == risk_bound_report(params).conditions_met
         assert len(cell.reports) == 10
         for rep in cell.reports:
             assert abs(rep.r_total - (rep.r_cal + rep.r_sha)) <= 1e-8
