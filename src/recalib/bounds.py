@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_C",
     "InsufficientSampleError",
     "BoundParams",
-    "ShiftBoundParams",
     "BoundReport",
     "epsilon_delta",
     "risk_bound_report",
@@ -67,40 +66,6 @@ class BoundParams:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.K is not None and not 0.0 <= self.K < math.inf:
-            raise ValueError("K must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class ShiftBoundParams:
-    """Inputs for the label-shift bounds.
-
-    p_min and q_min are lower bounds on the class priors under the source
-    and target distributions, and w_min and w_max bracket the true
-    importance weights.
-    """
-
-    n_P: int
-    n_Q: int
-    B: int
-    delta: float
-    p_min: float
-    q_min: float
-    w_min: float
-    w_max: float
-    K: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("n_P", "n_Q", "B"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.n_P < 1 or self.n_Q < 1 or self.B < 1:
-            raise ValueError("n_P, n_Q and B must be positive integers")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        for name, v in (("p_min", self.p_min), ("q_min", self.q_min)):
-            if not 0.0 < v <= 0.5:
-                raise ValueError(f"{name} must lie in (0, 1/2]")
-        _check_weight_bracket(self.w_min, self.w_max)
-        if not 0.0 <= self.K < math.inf:
             raise ValueError("K must be finite and nonnegative")
 
 
@@ -230,9 +195,14 @@ def shift_risk_bound_realized(rho: tuple[float, float], risk_P: float, *,
     return bound
 
 
-def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
+def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
+                             p_min: float, q_min: float, w_min: float, w_max: float,
+                             K: float = 1.0) -> BoundReport:
     """A-priori target risk bound for the two-stage (shift after binning) fit.
 
+    n_P and n_Q are the source and target sample sizes, p_min and q_min
+    lower bounds on the class priors under the source and target
+    distributions, and w_min and w_max bracket the true importance weights.
     The recalibration part is the source bound at failure level delta / 2,
     epsilon_delta(n_P, B, delta / 4)^2 + 8 K^2 / B^2, scaled by
     2 w_max^3 / w_min^2; the weight-estimation part is
@@ -240,28 +210,33 @@ def shift_risk_bound_apriori(p: ShiftBoundParams) -> BoundReport:
     n_P >= max(c, 27 / p_min) B log(4B / delta) and
     n_Q >= (27 / q_min) log(16 / delta).
     """
-    cal_term = epsilon_delta(p.n_P, p.B, p.delta / 4.0) ** 2
-    sha_term = 8.0 * p.K * p.K / (p.B * p.B)
-    scale = 2.0 * p.w_max ** 3 / p.w_min ** 2
-    weight_term = 54.0 * max(1.0 / (p.p_min * p.n_P), 1.0 / (p.q_min * p.n_Q)) * math.log(16.0 / p.delta)
-    gate_P = max(DEFAULT_C, 27.0 / p.p_min) * p.B * math.log(4.0 * p.B / p.delta)
-    gate_Q = (27.0 / p.q_min) * math.log(16.0 / p.delta)
+    n_P, n_Q, B = operator.index(n_P), operator.index(n_Q), operator.index(B)
+    if n_P < 1 or n_Q < 1 or B < 1:
+        raise ValueError("n_P, n_Q and B must be positive integers")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    for name, v in (("p_min", p_min), ("q_min", q_min)):
+        if not 0.0 < v <= 0.5:
+            raise ValueError(f"{name} must lie in (0, 1/2]")
+    _check_weight_bracket(w_min, w_max)
+    if not 0.0 <= K < math.inf:
+        raise ValueError("K must be finite and nonnegative")
+    cal_term = epsilon_delta(n_P, B, delta / 4.0) ** 2
+    sha_term = 8.0 * K * K / (B * B)
+    scale = 2.0 * w_max ** 3 / w_min ** 2
+    weight_term = 54.0 * max(1.0 / (p_min * n_P), 1.0 / (q_min * n_Q)) * math.log(16.0 / delta)
+    gate_P = max(DEFAULT_C, 27.0 / p_min) * B * math.log(4.0 * B / delta)
+    gate_Q = (27.0 / q_min) * math.log(16.0 / delta)
     cal_bound, sha_bound = scale * cal_term, scale * sha_term
     risk_bound = scale * (cal_term + sha_term) + weight_term
     _finite(cal_bound, sha_bound, risk_bound, gate_P, gate_Q)
-    ok_P = p.n_P >= gate_P
-    ok_Q = p.n_Q >= gate_Q
+    ok_P = n_P >= gate_P
+    ok_Q = n_Q >= gate_Q
     detail = (
-        f"n_P = {p.n_P} {'meets' if ok_P else 'fails'} threshold {gate_P:.1f}; "
-        f"n_Q = {p.n_Q} {'meets' if ok_Q else 'fails'} threshold {gate_Q:.1f}"
+        f"n_P = {n_P} {'meets' if ok_P else 'fails'} threshold {gate_P:.1f}; "
+        f"n_Q = {n_Q} {'meets' if ok_Q else 'fails'} threshold {gate_Q:.1f}"
     )
-    return BoundReport(
-        cal_bound=cal_bound,
-        sha_bound=sha_bound,
-        risk_bound=risk_bound,
-        conditions_met=ok_P and ok_Q,
-        condition_detail=detail,
-    )
+    return BoundReport(cal_bound, sha_bound, risk_bound, ok_P and ok_Q, detail)
 
 
 def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:

@@ -27,7 +27,6 @@ import numpy as np
 from .bounds import (
     BoundParams,
     InsufficientSampleError,
-    ShiftBoundParams,
     optimal_bins,
     risk_bound_report,
     shift_risk_bound_apriori,
@@ -80,27 +79,38 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, float) or _is_json_int(value)
+
+
+def _numbers(obj: dict, key: str, is_number=_is_json_number, what: str = "numbers") -> tuple:
+    """obj[key] as a tuple, refused unless it is a JSON list of numbers: the
+    library's float() would read a string "01" as the two numbers 0 and 1,
+    " 0.25 " as 0.25 and true as 1.0."""
+    value = obj[key]
+    if not isinstance(value, list) or not all(map(is_number, value)):
+        raise ValueError(f"{obj['kind']} {key} must be a list of {what}")
+    return tuple(value)
+
+
 def _recalibrator_from_obj(obj: dict) -> Recalibrator:
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
     kind = obj.get("kind")
     if kind == "piecewise":
-        counts = obj["counts"]
-        if not all(map(_is_json_int, counts)):
-            raise ValueError("piecewise counts must be a list of integers")
         return PiecewiseRecalibrator(
-            BinningScheme(tuple(obj["edges"])),
-            tuple(obj["values"]),
-            tuple(counts),
+            BinningScheme(_numbers(obj, "edges")),
+            _numbers(obj, "values"),
+            _numbers(obj, "counts", _is_json_int, "integers"),
         )
     if kind == "shift":
-        weights = ShiftWeights(
-            w=tuple(obj["w"]),
-            provenance=obj["provenance"],
-            p_hat=tuple(obj["p_hat"]) if "p_hat" in obj else None,
-            q_hat=tuple(obj["q_hat"]) if "q_hat" in obj else None,
-        )
-        return ShiftCorrector(weights)
+        # Only plug-in weights read their frequencies; ShiftWeights refuses
+        # any that other weights carry, whatever their type.
+        plug_in = obj["provenance"] == "plug-in"
+        p_hat, q_hat = (
+            (_numbers(obj, k) if plug_in else tuple(obj[k])) if k in obj else None
+            for k in ("p_hat", "q_hat"))
+        return ShiftCorrector(ShiftWeights(_numbers(obj, "w"), obj["provenance"], p_hat, q_hat))
     if kind == "composite":
         return Composite(outer=_recalibrator_from_obj(obj["outer"]),
                          inner=_recalibrator_from_obj(obj["inner"]))
@@ -494,7 +504,7 @@ def cmd_bound(n, B, delta, K) -> None:
 @click.option("--n-q", "n_Q", type=int, required=True, help="Target sample size.")
 @click.option("--B", "B", type=int, required=True)
 @click.option("--delta", default=0.1, show_default=True)
-@click.option("--K", "K", default=ShiftBoundParams.K, show_default=True,
+@click.option("--K", "K", default=1.0, show_default=True,
               help="Smoothness constant of the sharpness bound 8K^2/B^2.")
 @click.option("--p-min", type=float, required=True, help="Lower bound on the source priors.")
 @click.option("--q-min", type=float, required=True, help="Lower bound on the target priors.")
@@ -515,10 +525,9 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
     if 0 < len(missing) < 3:
         _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
     with _refusing_bad_numbers():
-        params = ShiftBoundParams(**fields)
-        report = shift_risk_bound_apriori(params)
+        report = shift_risk_bound_apriori(**fields)
         realized = None if missing else shift_risk_bound_realized(
-            (rho0, rho1), risk_p, w_min=params.w_min, w_max=params.w_max)
+            (rho0, rho1), risk_p, w_min=fields["w_min"], w_max=fields["w_max"])
     click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                f"sha {fmt_float(report.sha_bound)}")
     click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
@@ -592,12 +601,13 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         cells = result
         exp.write_risk_grid_csv(cells, os.path.join(out_dir, "risk_grid.csv"))
         cell_summaries = [
-            {"n": c.n, "B": c.B, "gates_ok": c.gates_ok, "skipped": c.skipped}
+            {"n": c.n, "B": c.B, "gates_ok": c.bound is not None and c.bound.conditions_met,
+             "skipped": c.bound is None}
             for c in cells
         ]
         exp.write_manifest(cfg, {"experiment": experiment, "cells": cell_summaries},
                            os.path.join(out_dir, "manifest.json"))
-        skipped = sum(1 for c in cells if c.skipped)
+        skipped = sum(1 for c in cells if c.bound is None)
         if skipped:
             click.echo(f"warning: {skipped} cell(s) skipped (fewer than two points per bin)",
                        err=True)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundParams, optimal_bins, risk_bound_report
+from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
 from .core import ClassAbsentError, ShiftCorrector, compose, estimate_weights, fit_recalibrator
 from .fileio import fmt_float, write_text_atomic
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
@@ -224,15 +224,13 @@ def loglog_slope(x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One (n, B) cell of the risk grid with its per-seed reports."""
+    """One (n, B) cell of the risk grid with its bound report and per-seed
+    risk reports. A cell with fewer than two points per bin is skipped: its
+    bound is None and it has no reports."""
 
     n: int
     B: int
-    skipped: bool
-    gates_ok: bool
-    cal_bound: float | None
-    sha_bound: float | None
-    risk_bound: float | None
+    bound: BoundReport | None
     reports: tuple[RiskReport, ...]
 
 
@@ -277,7 +275,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
     for n in cfg.n_grid:
         for B in cfg.B_grid:
             if n // B < 2:
-                cells.append(GridCell(n, B, True, False, None, None, None, ()))
+                cells.append(GridCell(n, B, None, ()))
                 continue
             bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
             reports = []
@@ -286,8 +284,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
                 fitted = fit_recalibrator(data, B)
                 del data  # the draw and its sorted_view go before the next draw
                 reports.append(population_risk(task, fitted))
-            cells.append(GridCell(n, B, False, bound.conditions_met, bound.cal_bound,
-                                  bound.sha_bound, bound.risk_bound, tuple(reports)))
+            cells.append(GridCell(n, B, bound, tuple(reports)))
     return tuple(cells)
 
 
@@ -373,17 +370,18 @@ def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
     seed -1 and empty numeric fields."""
     lines = ["n,B,seed,r_cal,r_sha,r,mse,cal_bound,sha_bound,risk_bound,gates_ok"]
     for cell in cells:
-        if cell.skipped:
+        bound = cell.bound
+        if bound is None:
             lines.append(f"{cell.n},{cell.B},-1,,,,,,,,0")
             continue
-        gate = "1" if cell.gates_ok else "0"
+        gate = "1" if bound.conditions_met else "0"
         for k, rep in enumerate(cell.reports):
             lines.append(",".join([
                 str(cell.n), str(cell.B), str(k),
                 fmt_float(rep.r_cal), fmt_float(rep.r_sha),
                 fmt_float(rep.r_total), fmt_float(rep.mse),
-                fmt_float(cell.cal_bound), fmt_float(cell.sha_bound),
-                fmt_float(cell.risk_bound), gate,
+                fmt_float(bound.cal_bound), fmt_float(bound.sha_bound),
+                fmt_float(bound.risk_bound), gate,
             ]))
     write_text_atomic(path, "\n".join(lines) + "\n")
 

@@ -333,8 +333,6 @@ def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tu
     ``QuadratureFailureError`` if abserr ends above ``QUAD_TOL`` or is not
     finite.
     """
-    if x_lo >= x_hi:
-        return 0.0, 0.0
     n = _QUAD_INTERVALS
     step = (x_hi - x_lo) / n
     y = f(np.linspace(x_lo, x_hi, n + 1))

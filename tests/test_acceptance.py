@@ -148,13 +148,13 @@ def test_criterion_5_bound_coverage():
     )
     checked = 0
     for cell in cells:
-        if cell.skipped or not cell.gates_ok:
+        if cell.bound is None or not cell.bound.conditions_met:
             continue
         checked += 1
         for field, bound in (
-            ("r_cal", cell.cal_bound),
-            ("r_sha", cell.sha_bound),
-            ("r_total", cell.risk_bound),
+            ("r_cal", cell.bound.cal_bound),
+            ("r_sha", cell.bound.sha_bound),
+            ("r_total", cell.bound.risk_bound),
         ):
             hits = sum(getattr(rep, field) <= bound for rep in cell.reports)
             assert hits >= 45, (cell.n, cell.B, field, hits)
@@ -225,7 +225,7 @@ def test_criterion_8_full_scale_flag(tmp_path):
     cfg = ExperimentConfig(n_grid=(10_000,), B_grid=(512,), seeds=2, full_scale=True)
     cells = run_risk_grid(cfg)
     assert len(cells) == 1
-    assert not cells[0].skipped
+    assert cells[0].bound is not None
     assert len(cells[0].reports) == 2
     out = tmp_path / "full_scale_cell.csv"
     write_risk_grid_csv(cells, str(out))

@@ -1,6 +1,7 @@
 """Closed-form bounds, bin-count selection, and the diagnostic predicates."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from recalib.bounds import (
     BoundParams,
     DEFAULT_C,
     InsufficientSampleError,
-    ShiftBoundParams,
     chernoff_sample_requirement,
     epsilon_delta,
     optimal_bins,
@@ -199,8 +199,8 @@ def test_bounds_that_overflow_raise():
                  lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=0.1, K=1e200)),
                  lambda: risk_bound_report(BoundParams(n=1000, B=10, delta=1e-320)),
                  lambda: risk_bound_report(BoundParams(n=10**306, B=10**305, delta=0.1)),
-                 lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "K": 1e200})),
-                 lambda: shift_risk_bound_apriori(ShiftBoundParams(**{**shift, "p_min": 1e-320})),
+                 lambda: shift_risk_bound_apriori(**{**shift, "K": 1e200}),
+                 lambda: shift_risk_bound_apriori(**{**shift, "p_min": 1e-320}),
                  lambda: shift_risk_bound_realized((1.1, 0.9), 1e308, w_min=0.2, w_max=1.8)):
         with pytest.raises(OverflowError, match="not finite"):
             call()
@@ -231,9 +231,8 @@ def test_realized_bound_needs_rho():
 # ------------------------------------------------- shift bounds (a priori)
 
 def test_apriori_bound_frozen_example():
-    p = ShiftBoundParams(n_P=10**5, n_Q=10**3, B=46, delta=0.1, K=1.0,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
-    report = shift_risk_bound_apriori(p)
+    report = shift_risk_bound_apriori(10**5, 10**3, 46, 0.1, K=1.0,
+                                      p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
     assert report.risk_bound == pytest.approx(SHIFT_APRIORI_EXAMPLE, rel=1e-12)
     # Neither gate holds at these sizes (the source gate needs ~7e6 points).
     assert not report.conditions_met
@@ -244,9 +243,8 @@ def test_apriori_bound_reduces_without_shift():
     n = 10**6
     B = 20
     delta = 0.1
-    p = ShiftBoundParams(n_P=n, n_Q=n, B=B, delta=delta, K=1.0,
-                         p_min=0.3, q_min=0.3, w_min=1.0, w_max=1.0)
-    report = shift_risk_bound_apriori(p)
+    report = shift_risk_bound_apriori(n_P=n, n_Q=n, B=B, delta=delta, K=1.0,
+                                      p_min=0.3, q_min=0.3, w_min=1.0, w_max=1.0)
     m = n // B
     cal_like = (math.sqrt(math.log(8 * B / delta) / (2 * (m - 1))) + 1 / m) ** 2
     expected = 2.0 * (cal_like + 8.0 / B**2) + 54.0 * math.log(16 / delta) / (0.3 * n)
@@ -256,9 +254,8 @@ def test_apriori_bound_reduces_without_shift():
 
 
 def test_apriori_weight_term_dominated_by_source_when_target_huge():
-    p = ShiftBoundParams(n_P=10**5, n_Q=10**12, B=46, delta=0.1, K=1.0,
-                         p_min=0.1, q_min=0.1, w_min=1.0, w_max=1.0)
-    report = shift_risk_bound_apriori(p)
+    report = shift_risk_bound_apriori(n_P=10**5, n_Q=10**12, B=46, delta=0.1, K=1.0,
+                                      p_min=0.1, q_min=0.1, w_min=1.0, w_max=1.0)
     weight_term = report.risk_bound - (report.cal_bound + report.sha_bound)
     assert weight_term == pytest.approx(
         54.0 * math.log(16 / 0.1) / (0.1 * 10**5), rel=1e-10
@@ -266,38 +263,54 @@ def test_apriori_weight_term_dominated_by_source_when_target_huge():
 
 
 def test_apriori_bound_insufficient_source():
-    p = ShiftBoundParams(n_P=46, n_Q=10**3, B=46, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
     with pytest.raises(InsufficientSampleError):
-        shift_risk_bound_apriori(p)
+        shift_risk_bound_apriori(n_P=46, n_Q=10**3, B=46, delta=0.1,
+                                 p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
 
 
 def test_shift_params_validation():
-    # The realized bound takes the weight bracket by keyword and checks it
-    # as ShiftBoundParams does.
+    # The a-priori bound checks its inputs in order, each with its own
+    # message; the realized bound takes the weight bracket by keyword and
+    # checks it with the same message.
     bracket = "weight bracket must be finite and satisfy 0 < w_min <= w_max"
-    with pytest.raises(ValueError):
-        ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
-                         p_min=0.6, q_min=0.1, w_min=0.2, w_max=1.8)
+    good = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+
+    def apriori(**bad):
+        return shift_risk_bound_apriori(**{**good, **bad})
+
+    for field in ("n_P", "n_Q", "B"):
+        with pytest.raises(TypeError):
+            apriori(**{field: 2.5})
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="^n_P, n_Q and B must be positive integers$"):
+                apriori(**{field: bad})
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            apriori(delta=bad)
+    with pytest.raises(ValueError, match=r"^p_min must lie in \(0, 1/2\]$"):
+        apriori(p_min=0.6)
+    with pytest.raises(ValueError, match=r"^q_min must lie in \(0, 1/2\]$"):
+        apriori(q_min=0.6)
     with pytest.raises(ValueError, match=bracket):
-        ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1,
-                         p_min=0.1, q_min=0.1, w_min=1.8, w_max=0.2)
+        apriori(w_min=1.8, w_max=0.2)
+    with pytest.raises(TypeError):
+        shift_risk_bound_apriori(10, 10, 2, 0.1, 0.1, 0.1, 0.2, 1.8)
     with pytest.raises(ValueError, match=bracket):
         shift_risk_bound_realized((1.0, 1.0), 0.01, w_min=1.8, w_max=0.2)
     with pytest.raises(TypeError):
         shift_risk_bound_realized((1.0, 1.0), 0.01, 0.2, 1.8)
     with pytest.raises(ValueError):
         shift_risk_bound_realized((0.0, 1.0), 0.01, w_min=0.2, w_max=1.8)
-    for K in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ShiftBoundParams(n_P=10, n_Q=10, B=2, delta=0.1, K=K,
-                             p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
-    good = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+    for K in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^K must be finite and nonnegative$"):
+            apriori(K=K)
     for bad in (math.nan, math.inf, -math.inf):
-        for field in ("p_min", "q_min", "w_min", "w_max"):
-            with pytest.raises(ValueError):
-                ShiftBoundParams(**dict(good, **{field: bad}))
+        for field in ("p_min", "q_min"):
+            with pytest.raises(ValueError, match=rf"^{field} must lie in \(0, 1/2\]$"):
+                apriori(**{field: bad})
         for field in ("w_min", "w_max"):
+            with pytest.raises(ValueError, match=bracket):
+                apriori(**{field: bad})
             with pytest.raises(ValueError, match=bracket):
                 shift_risk_bound_realized((1.0, 1.0), 0.01,
                                           **{"w_min": 0.2, "w_max": 1.8, field: bad})
@@ -438,5 +451,8 @@ def test_bound_params_validation():
 def test_bound_params_fields():
     # K alone selects the sharpness term; the gates use DEFAULT_C.
     assert [f.name for f in dataclasses.fields(BoundParams)] == ["n", "B", "delta", "K"]
-    assert [f.name for f in dataclasses.fields(ShiftBoundParams)] == [
-        "n_P", "n_Q", "B", "delta", "p_min", "q_min", "w_min", "w_max", "K"]
+    params = inspect.signature(shift_risk_bound_apriori).parameters
+    assert list(params) == ["n_P", "n_Q", "B", "delta", "p_min", "q_min", "w_min", "w_max", "K"]
+    assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == [
+        "p_min", "q_min", "w_min", "w_max", "K"]
+    assert params["K"].default == 1.0

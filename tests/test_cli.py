@@ -465,6 +465,9 @@ def test_apply_model_file_errors(tmp_path):
         {"format_version": 1,
          "model": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
                    "values": [0.5, 0.5], "counts": [1, True]}},
+        # Exact weights carry no frequencies, not even null ones.
+        {"format_version": 1,
+         "model": {"kind": "shift", "w": [1.0, 1.0], "provenance": "exact", "p_hat": None}},
         # Label shift is binary: three weights are refused.
         {"format_version": 1,
          "model": {"kind": "shift", "w": [1.0, 1.0, 1.0], "provenance": "exact"}},
@@ -505,6 +508,9 @@ FUZZ_COMPOSITE = {
 }
 FUZZ_JUNK = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, None, True, 0, -1, 1.5]),
+    # What float() reads as a number: a bool, a numeric string, and a
+    # string of digits in place of a list.
+    st.sampled_from([False, True, "0", " 1 ", "1e0", "01", ["0", "1"], [True, False]]),
     st.integers(min_value=-10**400, max_value=10**400),
     st.floats(),
     st.text(max_size=4),
@@ -546,12 +552,24 @@ def _mutate(obj, path, junk):
     return obj
 
 
+def _number_fields_are_json_numbers(model) -> bool:
+    """Whether every number field of a model object and of its parts is a
+    JSON list of numbers: ints or floats, not bools or strings."""
+    if not isinstance(model, dict):
+        return True
+    return all(
+        isinstance(v, list) and all(type(x) in (int, float) for x in v)
+        for k, v in model.items() if k in ("edges", "values", "counts", "w", "p_hat", "q_hat")
+    ) and all(_number_fields_are_json_numbers(model.get(k)) for k in ("outer", "inner"))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_model_file_fuzz_exits_0_or_2(tmp_path, data):
     # Replacing, deleting or junk-typing any field of a valid model file
-    # ends apply and shift --base-model in exit 0 or a one-line exit 2.
+    # ends apply and shift --base-model in exit 0 or a one-line exit 2,
+    # and in exit 0 only if every number field is still a list of numbers.
     obj = data.draw(st.sampled_from([FUZZ_PIECEWISE, FUZZ_COMPOSITE]))
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_json_paths(obj))))
@@ -569,6 +587,8 @@ def test_model_file_fuzz_exits_0_or_2(tmp_path, data):
         assert res.exit_code in (0, 2), (obj, res.exception)
         if res.exit_code == 2:
             assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, obj
+        else:
+            assert _number_fields_are_json_numbers(obj["model"]), obj
 
 
 def test_apply_rejects_out_of_range_scores(tmp_path):
@@ -955,6 +975,37 @@ def test_shift_bad_label_row_names_file(tmp_path):
     res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", tmp_path / "m.json")
     assert res.exit_code == 2
     assert res.stderr == f"error: {q_path}: row 4, column y: '0.5' is not 0 or 1\n"
+
+
+def test_model_number_fields_must_be_json_numbers(tmp_path):
+    # float() reads a string as its characters, strips the blanks of
+    # " 0.25 " and takes true for 1.0, so each of these models loaded and
+    # applied; a number field must be a JSON list of numbers.
+    piecewise = {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                 "values": [0.25, 0.75], "counts": [1, 1]}
+    cases = (
+        (dict(piecewise, edges="01", values="0", counts=[1]), "piecewise edges"),
+        (dict(piecewise, edges=["0", "0.5", "1"], values=[" 0.25 ", "1e0"]), "piecewise edges"),
+        (dict(piecewise, values=[" 0.25 ", "1e0"]), "piecewise values"),
+        ({"kind": "shift", "w": "12", "provenance": "exact"}, "shift w"),
+        (dict(piecewise, values=[True, False]), "piecewise values"),
+    )
+    scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
+    scores.write_text("z\n0.5\n")
+    labels_csv(p_path, 10, 10)
+    labels_csv(q_path, 5, 5)
+    for i, (model, field) in enumerate(cases):
+        path = tmp_path / f"model_{i}.json"
+        path.write_text(json.dumps({"format_version": 1, "model": model, "metadata": {}}))
+        for res, written in (
+                (run("apply", "--model", path, "--input", scores, "--out", tmp_path / "o.csv"),
+                 tmp_path / "o.csv"),
+                (run("shift", "--labels-p", p_path, "--labels-q", q_path,
+                     "--base-model", path, "--out", tmp_path / "m.json"),
+                 tmp_path / "m.json")):
+            assert res.exit_code == 2, (model, res.output, res.exception)
+            assert res.stderr == f"error: {path}: {field} must be a list of numbers\n"
+            assert res.stdout == "" and not written.exists()
 
 
 def test_shift_unwritable_out_exits_2(tmp_path):

@@ -13,10 +13,10 @@ import recalib
 from recalib import experiments, fit_recalibrator, umb_fit
 from recalib.bounds import (
     BoundParams,
-    ShiftBoundParams,
     epsilon_delta,
     optimal_bins,
     risk_bound_report,
+    shift_risk_bound_apriori,
 )
 from recalib.experiments import (
     DESK_B_CAP,
@@ -140,9 +140,9 @@ SIZE_ENTRY_POINTS = {
     "epsilon_delta.B": lambda k: epsilon_delta(1_000, k(10), 0.1),
     "BoundParams.n": lambda k: BoundParams(n=k(1_000), B=10, delta=0.1),
     "BoundParams.B": lambda k: BoundParams(n=1_000, B=k(10), delta=0.1),
-    "ShiftBoundParams.n_P": lambda k: ShiftBoundParams(n_P=k(1_000), n_Q=100, B=10, **_SHIFT),
-    "ShiftBoundParams.n_Q": lambda k: ShiftBoundParams(n_P=1_000, n_Q=k(100), B=10, **_SHIFT),
-    "ShiftBoundParams.B": lambda k: ShiftBoundParams(n_P=1_000, n_Q=100, B=k(10), **_SHIFT),
+    "shift_risk_bound_apriori.n_P": lambda k: shift_risk_bound_apriori(k(1_000), 100, 10, **_SHIFT),
+    "shift_risk_bound_apriori.n_Q": lambda k: shift_risk_bound_apriori(1_000, k(100), 10, **_SHIFT),
+    "shift_risk_bound_apriori.B": lambda k: shift_risk_bound_apriori(1_000, 100, k(10), **_SHIFT),
     "ExperimentConfig.n_grid": lambda k: _config_json(n_grid=(100, k(2_500))),
     "ExperimentConfig.B_grid": lambda k: _config_json(B_grid=(6, k(12))),
     "ExperimentConfig.seeds": lambda k: _config_json(seeds=k(2)),
@@ -213,11 +213,9 @@ def test_cell_seed_is_grid_shape_invariant():
 
 def test_risk_grid_cells_carry_bounds_and_gates(sha_grid):
     for cell in sha_grid:
-        assert not cell.skipped
-        params = BoundParams(n=cell.n, B=cell.B, delta=0.1)
-        assert cell.risk_bound == cell.cal_bound + cell.sha_bound
-        assert cell.sha_bound == 2.0 / cell.B
-        assert cell.gates_ok == risk_bound_report(params).conditions_met
+        assert cell.bound == risk_bound_report(BoundParams(n=cell.n, B=cell.B, delta=0.1))
+        assert cell.bound.risk_bound == cell.bound.cal_bound + cell.bound.sha_bound
+        assert cell.bound.sha_bound == 2.0 / cell.B
         assert len(cell.reports) == 10
         for rep in cell.reports:
             assert abs(rep.r_total - (rep.r_cal + rep.r_sha)) <= 1e-8
@@ -264,11 +262,11 @@ def test_sha_rate_example_band(sha_b2_grid):
 def test_bound_coverage_on_gate_ok_cells(sha_grid):
     checked = 0
     for cell in sha_grid:
-        if not cell.gates_ok:
+        if not cell.bound.conditions_met:
             continue
         checked += 1
-        for field, bound in (("r_cal", cell.cal_bound), ("r_sha", cell.sha_bound),
-                             ("r_total", cell.risk_bound)):
+        for field, bound in (("r_cal", cell.bound.cal_bound), ("r_sha", cell.bound.sha_bound),
+                             ("r_total", cell.bound.risk_bound)):
             hits = sum(getattr(rep, field) <= bound for rep in cell.reports)
             assert hits / len(cell.reports) >= 0.9, (cell.n, cell.B, field)
     assert checked >= 1
@@ -284,6 +282,7 @@ def test_risk_grid_csv_format(tmp_path):
     assert lines[0] == "n,B,seed,r_cal,r_sha,r,mse,cal_bound,sha_bound,risk_bound,gates_ok"
     assert len(lines) == 8
     assert "100,60,-1,,,,,,,,0" in lines
+    assert [(c.n, c.B, c.reports) for c in cells if c.bound is None] == [(100, 60, ())]
     seeds_seen = [line.split(",")[2] for line in lines[1:] if not line.startswith("100,60")]
     assert seeds_seen == ["0", "1"] * 3
 
