@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, PiecewiseRecalibrator, ShiftWeights
+from .core import BinningScheme, PiecewiseRecalibrator, ShiftWeights, _reals
 
 __all__ = [
     "DEFAULT_C",
@@ -253,7 +253,7 @@ def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:
 
 def phi_balance(scheme: BinningScheme, bin_probs, alpha: float) -> bool:
     """Whether every bin mass lies in [1 / (alpha B), alpha / B]."""
-    probs = [float(x) for x in bin_probs]
+    probs = _reals(bin_probs, "bin masses")
     if len(probs) != scheme.B:
         raise ValueError(f"expected {scheme.B} bin masses, got {len(probs)}")
     if abs(sum(probs) - 1.0) > 1e-9:
@@ -267,7 +267,7 @@ def phi_balance(scheme: BinningScheme, bin_probs, alpha: float) -> bool:
 
 def phi_approx(fitted: PiecewiseRecalibrator, true_bin_means, epsilon: float) -> bool:
     """Whether max_b |fitted value - true bin mean| <= epsilon."""
-    means = [float(x) for x in true_bin_means]
+    means = _reals(true_bin_means, "bin means")
     if len(means) != fitted.scheme.B:
         raise ValueError(f"expected {fitted.scheme.B} bin means, got {len(means)}")
     if epsilon < 0.0:

@@ -79,38 +79,16 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_json_number(value) -> bool:
-    return isinstance(value, float) or _is_json_int(value)
-
-
-def _numbers(obj: dict, key: str, is_number=_is_json_number, what: str = "numbers") -> tuple:
-    """obj[key] as a tuple, refused unless it is a JSON list of numbers: the
-    library's float() would read a string "01" as the two numbers 0 and 1,
-    " 0.25 " as 0.25 and true as 1.0."""
-    value = obj[key]
-    if not isinstance(value, list) or not all(map(is_number, value)):
-        raise ValueError(f"{obj['kind']} {key} must be a list of {what}")
-    return tuple(value)
-
-
 def _recalibrator_from_obj(obj: dict) -> Recalibrator:
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
     kind = obj.get("kind")
     if kind == "piecewise":
-        return PiecewiseRecalibrator(
-            BinningScheme(_numbers(obj, "edges")),
-            _numbers(obj, "values"),
-            _numbers(obj, "counts", _is_json_int, "integers"),
-        )
+        return PiecewiseRecalibrator(BinningScheme(obj["edges"]), obj["values"], obj["counts"])
     if kind == "shift":
-        # Only plug-in weights read their frequencies; ShiftWeights refuses
-        # any that other weights carry, whatever their type.
-        plug_in = obj["provenance"] == "plug-in"
-        p_hat, q_hat = (
-            (_numbers(obj, k) if plug_in else tuple(obj[k])) if k in obj else None
-            for k in ("p_hat", "q_hat"))
-        return ShiftCorrector(ShiftWeights(_numbers(obj, "w"), obj["provenance"], p_hat, q_hat))
+        # tuple() so that "p_hat": null is refused, not read as absent.
+        p_hat, q_hat = (tuple(obj[k]) if k in obj else None for k in ("p_hat", "q_hat"))
+        return ShiftCorrector(ShiftWeights(obj["w"], obj["provenance"], p_hat, q_hat))
     if kind == "composite":
         return Composite(outer=_recalibrator_from_obj(obj["outer"]),
                          inner=_recalibrator_from_obj(obj["inner"]))
@@ -139,8 +117,8 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
             )
         model = _recalibrator_from_obj(payload["model"])
     except (TypeError, OverflowError, RecursionError) as e:
-        # A field of the wrong JSON type, such as "edges": 5, a number with
-        # no int or float value, such as "counts": [Infinity], a composite
+        # A field of the wrong JSON type, such as "edges": 5 or
+        # "values": [true], an integer too large for a float, a composite
         # whose parts are of the wrong kinds, or arrays or objects nested
         # past the recursion limit.
         raise ValueError(f"malformed model: {e}") from e

@@ -13,6 +13,7 @@ worker processes.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,12 +58,34 @@ class ClassAbsentError(ValueError):
 _MAX_CELLS = 1 << 20
 
 
-def _frozen_float_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
+def _reals(values, name: str, integer: bool = False) -> tuple:
+    """``values``, an iterable other than a string, as a tuple of floats,
+    or of ints if ``integer``. Each distinct element type, not each
+    element, must be a real number (an integer if ``integer``) and not a
+    bool: float() reads "01" as 0 and 1, and int() truncates 2.5."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise TypeError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
+    values = tuple(values)
+    kind = numbers.Integral if integer else numbers.Real
+    for t in set(map(type, values)):
+        if issubclass(t, bool) or not issubclass(t, kind):
+            raise TypeError(f"{name} must be {kind.__name__.lower()} numbers, not {t.__name__}")
+    return tuple(map(operator.index if integer else float, values))
+
+
+def _score_array(values, frozen: bool = False) -> np.ndarray:
+    """``values`` as a float64 array of scores in [0, 1], a read-only copy
+    if ``frozen``. Raises TypeError unless numpy reads them as numbers, not
+    strings or bools, and ValueError for a score outside [0, 1]."""
+    z = np.asarray(values)
+    if z.dtype.kind not in "fiu":
+        raise TypeError(f"scores must be a numeric array, not dtype {z.dtype}")
+    z = z.astype(np.float64, copy=frozen)
+    if not _within(z, 0.0, 1.0):
+        raise ValueError("scores must lie in [0, 1]; no clamping is applied")
+    if frozen:
+        z.flags.writeable = False
+    return z
 
 
 def _within(a: np.ndarray, lo, hi) -> bool:
@@ -94,14 +117,12 @@ class LabeledSample:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        z = _frozen_float_array(self.z, "z")
+        z = _score_array(self.z, frozen=True)
         y = np.asarray(self.y)
-        if y.ndim != 1 or y.shape != z.shape:
+        if z.ndim != 1 or y.shape != z.shape:
             raise ValueError("z and y must be one-dimensional and the same length")
         if z.size < 1:
             raise ValueError("a labeled sample needs at least one record")
-        if not _within(z, 0.0, 1.0):
-            raise ValueError("scores must lie in [0, 1]; no clamping is applied")
         if not _binary(y):
             raise ValueError("labels must be 0 or 1")
         y = y.astype(np.int8)  # the one copy the sample keeps
@@ -165,7 +186,7 @@ class BinningScheme:
     edges: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(float(u) for u in self.edges)
+        edges = _reals(self.edges, "edges")
         if len(edges) < 2:
             raise ValueError("a scheme needs at least two edges (one bin)")
         if edges[0] != 0.0 or edges[-1] != 1.0:
@@ -189,7 +210,7 @@ class BinningScheme:
         """``edges`` as a read-only float64 array, built on first use and
         kept, so evaluation does not convert the tuple on every call. Not a
         dataclass field: it takes no part in ``==`` or ``repr``."""
-        return _frozen_float_array(self.edges, "edges")
+        return _score_array(self.edges, frozen=True)
 
     @cached_property
     def _cells(self) -> tuple[float, np.ndarray, bool]:
@@ -226,8 +247,8 @@ class PiecewiseRecalibrator:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        counts = tuple(int(c) for c in self.counts)
+        values = _reals(self.values, "values")
+        counts = _reals(self.counts, "counts", integer=True)
         if len(values) != self.scheme.B or len(counts) != self.scheme.B:
             raise ValueError("values and counts must have one entry per bin")
         if any(not 0.0 <= v <= 1.0 for v in values):
@@ -241,7 +262,7 @@ class PiecewiseRecalibrator:
     def value_array(self) -> np.ndarray:
         """``values`` as a read-only float64 array, cached like
         ``BinningScheme.edge_array``."""
-        return _frozen_float_array(self.values, "values")
+        return _score_array(self.values, frozen=True)
 
 
 @dataclass(frozen=True)
@@ -261,7 +282,7 @@ class ShiftWeights:
     q_hat: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.w)
+        w = _reals(self.w, "w")
         if len(w) != 2:
             raise ValueError(f"exactly two class weights are required, got {len(w)}")
         if any(not np.isfinite(x) or x <= 0.0 for x in w):
@@ -271,8 +292,8 @@ class ShiftWeights:
         if self.provenance == "plug-in":
             if self.p_hat is None or self.q_hat is None:
                 raise ValueError("plug-in weights must carry their source frequencies")
-            p = tuple(float(x) for x in self.p_hat)
-            q = tuple(float(x) for x in self.q_hat)
+            p = _reals(self.p_hat, "p_hat")
+            q = _reals(self.q_hat, "q_hat")
             if len(p) != 2 or len(q) != 2:
                 raise ValueError("frequency vectors must have one entry per class")
             if any(not 0.0 < x <= 1.0 for x in p + q):
@@ -359,13 +380,10 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     Interior edge b (for b = 1, ..., B - 1) is the order statistic
     z_(floor(n b / B)) of the sorted scores; the outer edges are pinned to
     0 and 1. Raises ``DegenerateBinsError`` when ties in the sample make
-    two edges coincide, and ``ValueError`` when B is not in [1, n] or a
-    score falls outside [0, 1].
+    two edges coincide, ``ValueError`` when B is not in [1, n] or a score
+    falls outside [0, 1], and ``TypeError`` when the scores are not numbers.
     """
-    z = np.asarray(scores, dtype=np.float64)
-    if z.size == 0 or not _within(z, 0.0, 1.0):
-        raise ValueError("scores must lie in [0, 1]; no clamping is applied")
-    return _uniform_mass_bins(np.sort(z), operator.index(B))[0]
+    return _uniform_mass_bins(np.sort(_score_array(scores)), operator.index(B))[0]
 
 
 def _bin_indices(scheme: BinningScheme, z: np.ndarray) -> np.ndarray:
@@ -437,7 +455,7 @@ def apply(h: Recalibrator, z: float) -> float:
     """Evaluate a recalibrator at a single score z in [0, 1]: the one-element
     case of ``apply_batch``, so the two agree bit for bit. Each call builds
     a one-element array; evaluate many scores with ``apply_batch``."""
-    return float(apply_batch(h, (float(z),))[0])
+    return float(apply_batch(h, _reals((z,), "z"))[0])
 
 
 def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -449,9 +467,7 @@ def apply_batch(h: Recalibrator, z: Sequence[float] | np.ndarray) -> np.ndarray:
     (see ``_bin_indices``) plus the range check and the value gather; a
     composite is evaluated through its cached ``flatten``.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if not _within(z, 0.0, 1.0):
-        raise ValueError("scores must lie in [0, 1]; no clamping is applied")
+    z = _score_array(z)
     return _evaluate(h, z) if z.ndim else _evaluate(h, z[None])[0]
 
 

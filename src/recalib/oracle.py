@@ -51,7 +51,7 @@ from .core import (
     ShiftCorrector,
     ShiftWeights,
     _evaluate,
-    _within,
+    _score_array,
 )
 
 __all__ = [
@@ -137,9 +137,7 @@ def sigmoid(x, out: np.ndarray | None = None) -> np.ndarray:
 def logit(z):
     """Inverse of ``sigmoid`` on [0, 1], with logit(0) = -inf and
     logit(1) = +inf; z may be a scalar or an array."""
-    z = np.asarray(z, dtype=np.float64)
-    if not _within(z, 0.0, 1.0):
-        raise ValueError("scores must lie in [0, 1]")
+    z = _score_array(z)
     with np.errstate(divide="ignore"):
         return np.log(z) - np.log1p(-z)
 

@@ -980,21 +980,25 @@ def test_shift_bad_label_row_names_file(tmp_path):
 def test_model_number_fields_must_be_json_numbers(tmp_path):
     # float() reads a string as its characters, strips the blanks of
     # " 0.25 " and takes true for 1.0, so each of these models loaded and
-    # applied; a number field must be a JSON list of numbers.
+    # applied; the library constructors refuse them, as does the loader.
     piecewise = {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
                  "values": [0.25, 0.75], "counts": [1, 1]}
     cases = (
-        (dict(piecewise, edges="01", values="0", counts=[1]), "piecewise edges"),
-        (dict(piecewise, edges=["0", "0.5", "1"], values=[" 0.25 ", "1e0"]), "piecewise edges"),
-        (dict(piecewise, values=[" 0.25 ", "1e0"]), "piecewise values"),
-        ({"kind": "shift", "w": "12", "provenance": "exact"}, "shift w"),
-        (dict(piecewise, values=[True, False]), "piecewise values"),
+        (dict(piecewise, edges="01", values="0", counts=[1]),
+         "edges must be a sequence of numbers, not str"),
+        (dict(piecewise, edges=["0", "0.5", "1"], values=[" 0.25 ", "1e0"]),
+         "edges must be real numbers, not str"),
+        (dict(piecewise, values=[" 0.25 ", "1e0"]), "values must be real numbers, not str"),
+        ({"kind": "shift", "w": "12", "provenance": "exact"}, "w must be a sequence of numbers, not str"),
+        (dict(piecewise, values=[True, False]), "values must be real numbers, not bool"),
+        (dict(piecewise, counts=[1, 1.0]), "counts must be integral numbers, not float"),
+        (dict(piecewise, edges=5), "edges must be a sequence of numbers, not int"),
     )
     scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
     scores.write_text("z\n0.5\n")
     labels_csv(p_path, 10, 10)
     labels_csv(q_path, 5, 5)
-    for i, (model, field) in enumerate(cases):
+    for i, (model, message) in enumerate(cases):
         path = tmp_path / f"model_{i}.json"
         path.write_text(json.dumps({"format_version": 1, "model": model, "metadata": {}}))
         for res, written in (
@@ -1004,7 +1008,7 @@ def test_model_number_fields_must_be_json_numbers(tmp_path):
                      "--base-model", path, "--out", tmp_path / "m.json"),
                  tmp_path / "m.json")):
             assert res.exit_code == 2, (model, res.output, res.exception)
-            assert res.stderr == f"error: {path}: {field} must be a list of numbers\n"
+            assert res.stderr == f"error: {path}: malformed model: {message}\n"
             assert res.stdout == "" and not written.exists()
 
 

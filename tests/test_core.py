@@ -25,6 +25,7 @@ from recalib.core import (
     fit_recalibrator,
     umb_fit,
 )
+from recalib.bounds import phi_approx, phi_balance
 from recalib.oracle import GaussianMixtureTask, sample
 
 from oracles import bin_indices_searchsorted_ref, bincount_fit_ref, sort_slice_fit
@@ -523,6 +524,56 @@ def test_labeled_sample_validation():
     assert s.y.tolist() == [0, 1]
     with pytest.raises(ValueError):
         s.z[0] = 0.9  # arrays are frozen
+
+
+HALVES = PiecewiseRecalibrator(BinningScheme((0.0, 0.5, 1.0)), (0.25, 0.75), (1, 1))
+UNIT = BinningScheme((0.0, 1.0))
+
+
+NUMBER_CASES = {
+    # float() read these strings and bools as numbers, and int() truncated
+    # fractional counts.
+    "string-edges-values-bool-count":
+        (lambda: PiecewiseRecalibrator(BinningScheme("01"), "0", [True]), TypeError),
+    "string-w": (lambda: ShiftWeights(w="12", provenance="exact"), TypeError),
+    "string-q_hat": (lambda: ShiftWeights((1.6, 0.4), "plug-in", p_hat=(0.5, 0.5),
+                                          q_hat=("0.8", 0.2)), TypeError),
+    "np-true-count": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (np.True_,)), TypeError),
+    "np-false-value": (lambda: PiecewiseRecalibrator(UNIT, (np.bool_(False),), (1,)), TypeError),
+    "string-array-edges": (lambda: BinningScheme(np.array(["0", "1"])), TypeError),
+    "bytes-edges": (lambda: BinningScheme(b"\x00\x01"), TypeError),
+    "nested-edges": (lambda: BinningScheme([[0.0], [1.0]]), TypeError),
+    "count-2.5": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (2.5,)), TypeError),
+    "count-3.0": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (3.0,)), TypeError),
+    "string-bin-mass": (lambda: phi_balance(UNIT, ["1"], 1.0), TypeError),
+    "bool-bin-mean": (lambda: phi_approx(HALVES, [0.25, True], 0.1), TypeError),
+    # Scores: numpy reads these as strings or bools, not as numbers.
+    "string-sample-scores": (lambda: LabeledSample(z=["0.5", "1"], y=[1, 0]), TypeError),
+    "bool-sample-scores":
+        (lambda: LabeledSample(z=np.array([True, False]), y=[1, 0]), TypeError),
+    "string-apply_batch": (lambda: apply_batch(HALVES, "0.7"), TypeError),
+    "string-apply": (lambda: apply(HALVES, "0.7"), TypeError),
+    "np-true-apply": (lambda: apply(HALVES, np.True_), TypeError),
+    "string-umb_fit": (lambda: umb_fit(["0.1", "0.9", "0.5"], 2), TypeError),
+    # Generators and numpy real scalars are still numbers.
+    "generator-edges": (lambda: BinningScheme(u for u in (0.0, 0.5, 1.0)), HALVES.scheme),
+    "numpy-scalars": (lambda: PiecewiseRecalibrator(
+        BinningScheme((np.float64(0.0), np.float32(0.5), np.int64(1))),
+        (np.float64(0.25), np.float16(0.75)), (np.int64(1), np.uint8(1))), HALVES),
+    "numpy-scalar-w": (lambda: ShiftWeights(iter((np.float32(0.5), 2)), "exact"),
+                       ShiftWeights((0.5, 2.0), "exact")),
+    "numpy-scalar-apply": (lambda: apply(HALVES, np.float32(0.75)), 0.75),
+}
+
+
+@pytest.mark.parametrize("build, expected", NUMBER_CASES.values(), ids=NUMBER_CASES.keys())
+def test_number_fields_take_real_numbers_only(build, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            build()
+    else:
+        # repr tells the float 1.0 from the int 1 and from np.float64(1.0).
+        assert repr(build()) == repr(expected)
 
 
 def test_binning_scheme_validation():

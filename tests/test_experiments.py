@@ -272,6 +272,20 @@ def test_bound_coverage_on_gate_ok_cells(sha_grid):
     assert checked >= 1
 
 
+def test_total_bound_holds_in_every_cell_and_seed():
+    # The paper calls its bounds "valid upper bounds in all cases". For the
+    # total bound, check each seed of each live cell, whether or not the
+    # sample-size gate is met: it is met in only one of these 22 cells.
+    cells = run_risk_grid(ExperimentConfig(
+        n_grid=(100, 1_000, 10_000, 100_000), B_grid=(6, 12, 24, 48, 96, 192), seeds=20))
+    live = [cell for cell in cells if cell.bound is not None]
+    assert len(live) == 22
+    assert sum(cell.bound.conditions_met for cell in live) == 1
+    for cell in live:
+        for k, rep in enumerate(cell.reports):
+            assert rep.r_total <= cell.bound.risk_bound, (cell.n, cell.B, k)
+
+
 def test_risk_grid_csv_format(tmp_path):
     cfg = ExperimentConfig(n_grid=(100, 1_000), B_grid=(6, 60), seeds=2)
     cells = run_risk_grid(cfg)
