@@ -15,12 +15,11 @@ the CDF mass between any two scores).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, PiecewiseRecalibrator, ShiftWeights, _reals
+from .core import BinningScheme, PiecewiseRecalibrator, ShiftWeights, _index, _reals
 
 __all__ = [
     "DEFAULT_C",
@@ -60,7 +59,7 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "B"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.n < 1 or self.B < 1:
             raise ValueError("n and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
@@ -102,7 +101,7 @@ def _finite(*values: float) -> None:
 def epsilon_delta(n: int, B: int, delta: float) -> float:
     """Uniform deviation level for the B bin means at failure level delta:
     sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B)."""
-    m = operator.index(n) // operator.index(B)
+    m = _index(n, "n") // _index(B, "B")
     if m < 2:
         raise InsufficientSampleError(
             f"floor(n / B) = {m} < 2; at least two points per bin are required"
@@ -155,7 +154,7 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
     logarithmic factor.
     """
-    n = operator.index(n)
+    n = _index(n, "n")
     if n < 4:
         raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
     if not 0.0 < delta < 1.0:
@@ -210,7 +209,7 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
     n_P >= max(c, 27 / p_min) B log(4B / delta) and
     n_Q >= (27 / q_min) log(16 / delta).
     """
-    n_P, n_Q, B = operator.index(n_P), operator.index(n_Q), operator.index(B)
+    n_P, n_Q, B = _index(n_P, "n_P"), _index(n_Q, "n_Q"), _index(B, "B")
     if n_P < 1 or n_Q < 1 or B < 1:
         raise ValueError("n_P, n_Q and B must be positive integers")
     if not 0.0 < delta < 1.0:

@@ -73,6 +73,12 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
     return tuple(map(operator.index if integer else float, values))
 
 
+def _index(value, name: str) -> int:
+    """One size or count by the rule of ``_reals``: a bool or a non-integer
+    raises TypeError instead of reading as 1 or being truncated."""
+    return _reals((value,), name, integer=True)[0]
+
+
 def _score_array(values, frozen: bool = False) -> np.ndarray:
     """``values`` as a float64 array of scores in [0, 1], a read-only copy
     if ``frozen``. Raises TypeError unless numpy reads them as numbers, not
@@ -383,7 +389,7 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     two edges coincide, ``ValueError`` when B is not in [1, n] or a score
     falls outside [0, 1], and ``TypeError`` when the scores are not numbers.
     """
-    return _uniform_mass_bins(np.sort(_score_array(scores)), operator.index(B))[0]
+    return _uniform_mass_bins(np.sort(_score_array(scores)), _index(B, "B"))[0]
 
 
 def _bin_indices(scheme: BinningScheme, z: np.ndarray) -> np.ndarray:
@@ -432,7 +438,7 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     positive counts off the sorted scores by binary search.
     """
     zs, zs_pos = data.sorted_view
-    scheme, counts = _uniform_mass_bins(zs, operator.index(B))
+    scheme, counts = _uniform_mass_bins(zs, _index(B, "B"))
     pos = np.diff(np.searchsorted(zs_pos, scheme.edge_array[1:], side="right"), prepend=0)
     values = pos / counts
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())

@@ -14,6 +14,7 @@ CPU features (see ``oracle.sample``).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -24,7 +25,8 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
-from .core import ClassAbsentError, ShiftCorrector, compose, estimate_weights, fit_recalibrator
+from .core import (ClassAbsentError, ShiftCorrector, _index, _reals, compose, estimate_weights,
+                   fit_recalibrator)
 from .fileio import fmt_float, write_text_atomic
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
@@ -84,9 +86,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_grid", "B_grid"):
-            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+            object.__setattr__(self, name, _reals(getattr(self, name), name, integer=True))
         for name in ("seeds", "base_seed", "n_P", "n_Q"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, grid in (("n_grid", self.n_grid), ("B_grid", self.B_grid)):
             if not grid:
@@ -191,7 +193,7 @@ def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
 
 def bins_cube_root(n: int) -> int:
     """ceil(n^(1/3)), exact at perfect cubes despite floating point."""
-    n = operator.index(n)
+    n = _index(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     b = max(1, round(n ** (1.0 / 3.0)))
@@ -263,6 +265,40 @@ class OptimalBResult:
     K_hat: float
 
 
+def _fit_risks(n: int, Bs: tuple[int, ...], seed: np.random.SeedSequence) -> tuple[RiskReport, ...]:
+    """The unit of both figures: draw n points from the balanced task, fit
+    UMB at each B in ``Bs`` and return the exact population risks, in that
+    order. The draw and its sorted_view go when the unit returns."""
+    task = GaussianMixtureTask(0.5)
+    data = sample(task, n, seed)
+    return tuple(population_risk(task, fit_recalibrator(data, B)) for B in Bs)
+
+
+def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, ...], int]:
+    """Seed k of the label-shift study: the target risks of ``cfg.methods``
+    in that order and the number of replaced draws. Try r draws the source
+    under (n_P, n_Q, k, 0, r) and the target under (n_P, n_Q, k, 1, r), r <= 100."""
+    task_P, task_Q = GaussianMixtureTask(cfg.pi_source), GaussianMixtureTask(cfg.pi_target)
+    for retry in range(101):
+        d_P = sample(task_P, cfg.n_P, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 0, retry))
+        d_Q = sample(task_Q, cfg.n_Q, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 1, retry))
+        try:
+            weights = estimate_weights(d_P.y, d_Q.y)
+            break
+        except ClassAbsentError:
+            if retry == 100:
+                raise
+    corrector = ShiftCorrector(weights)
+    h_P = fit_recalibrator(d_P, bins_cube_root(cfg.n_P))
+    built = {
+        "Composite": compose(corrector, h_P),
+        "Source": h_P,
+        "LabelShift": corrector,
+        "Target": fit_recalibrator(d_Q, bins_cube_root(cfg.n_Q)),
+    }
+    return tuple(population_risk(task_Q, built[m]) for m in cfg.methods), retry
+
+
 def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
     """Fit and evaluate uniform-mass recalibrators over the (n, B) grid.
 
@@ -270,7 +306,6 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
     per bin are emitted as skip markers rather than dropped. Bounds use
     the assumption-light 2/B sharpness term.
     """
-    task = GaussianMixtureTask(0.5)
     cells = []
     for n in cfg.n_grid:
         for B in cfg.B_grid:
@@ -278,87 +313,50 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
                 cells.append(GridCell(n, B, None, ()))
                 continue
             bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
-            reports = []
-            for k in range(cfg.seeds):
-                data = sample(task, n, cell_seed(cfg.base_seed, n, B, k))
-                fitted = fit_recalibrator(data, B)
-                del data  # the draw and its sorted_view go before the next draw
-                reports.append(population_risk(task, fitted))
-            cells.append(GridCell(n, B, bound, tuple(reports)))
+            reports = tuple(_fit_risks(n, (B,), cell_seed(cfg.base_seed, n, B, k))[0]
+                            for k in range(cfg.seeds))
+            cells.append(GridCell(n, B, bound, reports))
     return tuple(cells)
 
 
 def run_label_shift(cfg: ExperimentConfig) -> LabelShiftResult:
     """Compare recalibration strategies under a prior shift.
 
-    Per seed: draw n_P source points and n_Q target points, estimate
-    plug-in weights, then evaluate the requested methods under the target
-    task. Composite applies the estimated shift corrector after the
-    source fit; Source uses the source fit alone; LabelShift applies only
-    the corrector; Target fits directly on the target draw. Bin counts
-    are ceil(n^(1/3)) for the fit sample. A draw in which either class is
-    absent from either label sample is replaced using a fresh substream
-    and counted.
+    Per seed (the unit ``_label_shift_draw``): draw n_P source points and
+    n_Q target points, estimate plug-in weights, then evaluate the
+    requested methods under the target task. Composite applies the
+    estimated shift corrector after the source fit; Source uses the source
+    fit alone; LabelShift applies only the corrector; Target fits directly
+    on the target draw. Bin counts are ceil(n^(1/3)) for the fit sample. A
+    draw in which either class is absent from either label sample is
+    replaced using a fresh substream and counted.
     """
-    task_P = GaussianMixtureTask(cfg.pi_source)
-    task_Q = GaussianMixtureTask(cfg.pi_target)
-    B_P = bins_cube_root(cfg.n_P)
-    B_Q = bins_cube_root(cfg.n_Q)
-    per_method: dict[str, list[RiskReport]] = {m: [] for m in cfg.methods}
-    replacements = 0
-    for k in range(cfg.seeds):
-        retry = 0
-        while True:
-            d_P = sample(task_P, cfg.n_P, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 0, retry))
-            d_Q = sample(task_Q, cfg.n_Q, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 1, retry))
-            try:
-                weights = estimate_weights(d_P.y, d_Q.y)
-                break
-            except ClassAbsentError:
-                replacements += 1
-                retry += 1
-                if retry > 100:
-                    raise
-        corrector = ShiftCorrector(weights)
-        h_P = fit_recalibrator(d_P, B_P)
-        built = {
-            "Composite": compose(corrector, h_P),
-            "Source": h_P,
-            "LabelShift": corrector,
-            "Target": fit_recalibrator(d_Q, B_Q),
-        }
-        del d_P, d_Q  # release both draws before the next seed's
-        for m in cfg.methods:
-            per_method[m].append(population_risk(task_Q, built[m]))
-    rows = tuple(TableRow(m, tuple(per_method[m])) for m in cfg.methods)
-    return LabelShiftResult(rows=rows, replacements=replacements, B_P=B_P, B_Q=B_Q)
+    per_seed, retries = zip(*(_label_shift_draw(cfg, k) for k in range(cfg.seeds)))
+    rows = tuple(TableRow(m, reports) for m, reports in zip(cfg.methods, zip(*per_seed)))
+    return LabelShiftResult(rows=rows, replacements=sum(retries),
+                            B_P=bins_cube_root(cfg.n_P), B_Q=bins_cube_root(cfg.n_Q))
 
 
 def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     """Locate the risk-minimizing bin count per n and compare with theory.
 
     The empirical minimizer is the argmin over B_grid of the mean total
-    population risk of fits at that B; each (n, seed) pair draws one
-    sample reused across all B so the argmin is not blurred by sampling
-    noise between B values (the substream is keyed by (n, seed) only).
-    The theoretical minimizer feeds the estimated smoothness constant of
-    the balanced task into the bound objective scan.
+    population risk of fits at that B, added in seed order from 0.0 (not by
+    ``sum``, which compensates from Python 3.12). Each (n, seed) pair is one
+    unit whose draw serves every feasible B, so the argmin is not blurred
+    by sampling noise between B values (the substream is keyed by (n, seed)
+    only). The theoretical minimizer feeds the estimated smoothness
+    constant of the balanced task into the bound objective scan.
     """
-    task = GaussianMixtureTask(0.5)
-    k_hat = estimate_K(task, 100_000)
+    k_hat = estimate_K(GaussianMixtureTask(0.5), 100_000)
     rows = []
     for n in cfg.n_grid:
-        feasible = [B for B in cfg.B_grid if n // B >= 2]
+        feasible = tuple(B for B in cfg.B_grid if n // B >= 2)
         if not feasible:
             raise ValueError(f"no feasible bin count for n={n} in B_grid")
-        totals = {B: 0.0 for B in feasible}
-        for k in range(cfg.seeds):
-            data = sample(task, n, cell_seed(cfg.base_seed, n, k))
-            for B in feasible:
-                fitted = fit_recalibrator(data, B)
-                totals[B] += population_risk(task, fitted).r_total
-            del data  # the draw and its sorted_view go before the next draw
-        curve = tuple((B, totals[B] / cfg.seeds) for B in feasible)
+        per_seed = [_fit_risks(n, feasible, cell_seed(cfg.base_seed, n, k)) for k in range(cfg.seeds)]
+        curve = tuple((B, functools.reduce(operator.add, (r.r_total for r in reports), 0.0) / cfg.seeds)
+                      for B, reports in zip(feasible, zip(*per_seed)))
         B_exp = min(curve, key=lambda pair: pair[1])[0]
         B_theory, zeta_min = optimal_bins(n, cfg.delta, k_hat)
         rows.append(OptBRow(n, B_exp, B_theory, zeta_min, curve))

@@ -156,10 +156,10 @@ SIZE_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
 def test_sizes_and_counts_must_be_integers(name):
     # A float is refused rather than truncated, a whole one such as 10.0
-    # too, and a numpy integer gives what the Python integer gives (a
-    # config with it still writes JSON).
+    # too, a bool rather than read as 0 or 1, and a numpy integer gives
+    # what the Python integer gives (a config with it still writes JSON).
     call = SIZE_ENTRY_POINTS[name]
-    for k in (lambda v: v + 0.5, float):
+    for k in (lambda v: v + 0.5, float, bool):
         with pytest.raises(TypeError):
             call(k)
     assert call(np.int64) == call(int)
@@ -207,6 +207,51 @@ def test_cell_seed_is_grid_shape_invariant():
     cell_b = next(c for c in b if (c.n, c.B) == (1_000, 6))
     assert cell_a == cell_b
     assert cell_seed(0, 1_000, 6, 0).entropy == (0, 1_000, 6, 0)
+
+
+def test_study_units_follow_the_seed_rule():
+    # Each study result equals its units rebuilt by hand from the seed
+    # rule, compared with ==, so running the units in any order or place
+    # must keep these keys.
+    task = GaussianMixtureTask(0.5)
+
+    def risk(n, B, seed):
+        return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
+
+    # Risk grid: seed k of cell (n, B) is one draw keyed by (n, B, k).
+    for cell in run_risk_grid(ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=2,
+                                               base_seed=5)):
+        assert cell.reports == tuple(risk(1_000, cell.B, cell_seed(5, 1_000, cell.B, k))
+                                     for k in range(2))
+    # Opt-b: draw (n, k) serves every B, and the seeds add in order from 0.
+    # At (100, 1) the sum depends on that order.
+    row, = run_optimal_B(ExperimentConfig(n_grid=(100,), B_grid=(1, 6), seeds=3,
+                                          base_seed=5)).rows
+    for B, mean in row.risk_curve:
+        r0, r1, r2 = (risk(100, B, cell_seed(5, 100, k)).r_total for k in range(3))
+        assert mean == (((0.0 + r0) + r1) + r2) / 3
+        if B == 1:
+            assert (r2 + r1) + r0 != ((0.0 + r0) + r1) + r2
+    # Label shift: try r of seed k draws (n_P, n_Q, k, 0, r) and
+    # (n_P, n_Q, k, 1, r) until both hold both classes.
+    cfg = ExperimentConfig(n_grid=(100,), B_grid=(6,), seeds=2,
+                           n_P=100, n_Q=10, pi_target=0.01)
+    P, Q = GaussianMixtureTask(0.5), GaussianMixtureTask(0.01)
+    expected, tries = [], 0
+    for k in range(2):
+        for r in range(101):
+            d_P = sample(P, 100, cell_seed(0, 100, 10, k, 0, r))
+            d_Q = sample(Q, 10, cell_seed(0, 100, 10, k, 1, r))
+            if 0 < d_P.y.sum() < 100 and 0 < d_Q.y.sum() < 10:
+                break
+        tries += r
+        h = recalib.compose(recalib.ShiftCorrector(recalib.estimate_weights(d_P.y, d_Q.y)),
+                            fit_recalibrator(d_P, 5))
+        expected.append(population_risk(Q, h))
+    result = run_label_shift(cfg)
+    assert result.rows[0].method == "Composite"
+    assert result.rows[0].reports == tuple(expected)
+    assert result.replacements == tries == 14
 
 
 # ---------------------------------------------------------------- risk grid
