@@ -100,13 +100,19 @@ def _finite(*values: float) -> None:
 
 def epsilon_delta(n: int, B: int, delta: float) -> float:
     """Uniform deviation level for the B bin means at failure level delta:
-    sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B)."""
+    sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B).
+    A delta of zero (delta / 2 underflows to it from 5e-324) raises
+    ZeroDivisionError."""
     m = _index(n, "n") // _index(B, "B")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     if m < 2:
         raise InsufficientSampleError(
             f"floor(n / B) = {m} < 2; at least two points per bin are required"
         )
-    return math.sqrt(math.log(2.0 * B / delta) / (2.0 * (m - 1))) + 1.0 / m
+    eps = math.sqrt(math.log(2.0 * B / delta) / (2.0 * (m - 1))) + 1.0 / m
+    _finite(eps)
+    return eps
 
 
 def risk_bound_report(p: BoundParams) -> BoundReport:

@@ -74,11 +74,6 @@ def _recalibrator_to_obj(h: Recalibrator) -> dict:
     raise TypeError(f"cannot serialize {type(h).__name__}")
 
 
-def _is_json_int(value) -> bool:
-    # JSON true and false load as bool, a subclass of int.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _recalibrator_from_obj(obj: dict) -> Recalibrator:
     if not isinstance(obj, dict):
         raise ValueError("a model must be a JSON object")
@@ -111,7 +106,8 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
         if not isinstance(payload, dict):
             raise ValueError("a model file must hold a JSON object")
         version = payload.get("format_version")
-        if not _is_json_int(version) or version != MODEL_FORMAT_VERSION:
+        # type() because JSON true loads as a bool, a subclass of int.
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(
                 f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
             )
@@ -559,7 +555,8 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         overrides["base_seed"] = seed
     try:
         cfg = exp.config_from_dict(overrides, defaults)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
+        # OverflowError: an integer too large for a float, as a prior.
         _fail(f"bad config: {e}", 2)
 
     try:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -89,6 +88,13 @@ class ExperimentConfig:
             object.__setattr__(self, name, _reals(getattr(self, name), name, integer=True))
         for name in ("seeds", "base_seed", "n_P", "n_Q"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
+        for name in ("delta", "pi_source", "pi_target"):
+            object.__setattr__(self, name, _reals((getattr(self, name),), name)[0])
+        if not isinstance(self.full_scale, bool):
+            raise TypeError(f"full_scale must be a bool, not {type(self.full_scale).__name__}")
+        # A str or a dict would iterate as characters or keys.
+        if not isinstance(self.methods, (list, tuple)):
+            raise TypeError(f"methods must be a list or tuple, not {type(self.methods).__name__}")
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, grid in (("n_grid", self.n_grid), ("B_grid", self.B_grid)):
             if not grid:
@@ -140,46 +146,17 @@ def default_opt_b_config() -> ExperimentConfig:
     )
 
 
-def _is_int(v) -> bool:
-    return type(v) is int  # a bool is an int subclass, and is refused
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
-
-
-# What a JSON override of each ExperimentConfig field must look like, by
-# the field's type: a description for the error message and a check.
-_JSON_FORMS = {
-    "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "bool": ("true or false", lambda v: type(v) is bool),
-    "tuple[int, ...]": ("a list of integers", _list_of(_is_int)),
-    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: type(v) is str)),
-}
-_FIELD_FORMS = {f.name: _JSON_FORMS[f.type] for f in fields(ExperimentConfig)}
-
-
 def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from JSON-style overrides on top of defaults.
 
     Unknown keys raise ValueError so typos do not silently fall back to
-    defaults. So does a value of the wrong JSON type, rather than being
-    truncated or coerced: integer fields take integers only (not 2.5,
-    1e400 or true), number fields finite numbers, ``full_scale`` true or
-    false, and the grids and ``methods`` lists.
+    defaults. The values are checked by ``ExperimentConfig`` itself.
     """
-    base = asdict(defaults if defaults is not None else ExperimentConfig())
-    for key, value in overrides.items():
-        if key not in base:
+    names = {f.name for f in fields(ExperimentConfig)}
+    for key in overrides:
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
-        what, ok = _FIELD_FORMS[key]
-        if not ok(value):
-            raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
-        if isinstance(value, list):
-            value = tuple(value)
-        base[key] = value
-    return ExperimentConfig(**base)
+    return replace(defaults if defaults is not None else ExperimentConfig(), **overrides)
 
 
 def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
@@ -288,6 +265,7 @@ def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, 
         except ClassAbsentError:
             if retry == 100:
                 raise
+            del d_P, d_Q  # so that the next try's draws do not coexist with them
     corrector = ShiftCorrector(weights)
     h_P = fit_recalibrator(d_P, bins_cube_root(cfg.n_P))
     built = {

@@ -51,6 +51,7 @@ from .core import (
     ShiftWeights,
     _evaluate,
     _index,
+    _reals,
     _score_array,
 )
 
@@ -154,9 +155,9 @@ class GaussianMixtureTask:
     pi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.pi) < 1.0:
+        object.__setattr__(self, "pi", _reals((self.pi,), "pi")[0])
+        if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie strictly between 0 and 1")
-        object.__setattr__(self, "pi", float(self.pi))
 
 
 @dataclass(frozen=True)

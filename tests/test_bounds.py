@@ -75,6 +75,18 @@ def test_epsilon_delta_formula():
         epsilon_delta(19, 10, 0.1)
 
 
+@pytest.mark.parametrize("delta, error", [
+    (5.0, ValueError), (1.0, ValueError), (-0.1, ValueError), (math.nan, ValueError),
+    (1e-320, OverflowError),  # 2B / delta overflows to inf
+    (0.0, ZeroDivisionError),  # what delta / 2 underflows to from 5e-324
+])
+def test_epsilon_delta_refuses_delta_outside_its_range(delta, error):
+    # The first four returned numbers (0.0937 at delta = 5) or nan, and
+    # 1e-320 returned inf.
+    with pytest.raises(error):
+        epsilon_delta(1000, 10, delta)
+
+
 # --------------------------------------------------------- sharpness bound
 
 def sha_bound(**fields):

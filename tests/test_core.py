@@ -1,6 +1,7 @@
 """Binning, fitting, shift correction, and the recalibrator algebra."""
 
 import dataclasses
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from recalib.core import (
     umb_fit,
 )
 from recalib.bounds import phi_approx, phi_balance
+from recalib.experiments import ExperimentConfig
 from recalib.oracle import GaussianMixtureTask, sample
 
 from oracles import bin_indices_searchsorted_ref, bincount_fit_ref, sort_slice_fit
@@ -555,6 +557,17 @@ NUMBER_CASES = {
     "string-apply": (lambda: apply(HALVES, "0.7"), TypeError),
     "np-true-apply": (lambda: apply(HALVES, np.True_), TypeError),
     "string-umb_fit": (lambda: umb_fit(["0.1", "0.9", "0.5"], 2), TypeError),
+    # The task read these priors through float(), the config kept a
+    # Decimal delta, a truthy string turned the desk-scale caps off, and a
+    # dict of method names iterated as its keys. (A str delta already
+    # raised, by accident, in the range comparison.)
+    "string-task-pi": (lambda: GaussianMixtureTask("0.3"), TypeError),
+    "decimal-task-pi": (lambda: GaussianMixtureTask(Decimal("0.3")), TypeError),
+    "string-config-delta": (lambda: ExperimentConfig(delta="0.1"), TypeError),
+    "decimal-config-delta": (lambda: ExperimentConfig(delta=Decimal("0.1")), TypeError),
+    "string-full_scale-over-cap":
+        (lambda: ExperimentConfig(full_scale="no", n_grid=(2_000_000,)), TypeError),
+    "dict-methods": (lambda: ExperimentConfig(methods={"Source": 1}), TypeError),
     # Generators and numpy real scalars are still numbers.
     "generator-edges": (lambda: BinningScheme(u for u in (0.0, 0.5, 1.0)), HALVES.scheme),
     "numpy-scalars": (lambda: PiecewiseRecalibrator(

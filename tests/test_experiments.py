@@ -468,6 +468,8 @@ def test_opt_b_csv_format(tmp_path):
     (run_risk_grid, ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=3), False),
     (run_optimal_B, ExperimentConfig(n_grid=(1_000, 2_000), B_grid=(6, 12), seeds=3), False),
     (run_label_shift, ExperimentConfig(seeds=3), True),
+    # 14 replaced draws: a failed try's pair is gone before the next try.
+    (run_label_shift, ExperimentConfig(seeds=2, n_P=100, n_Q=10, pi_target=0.01), True),
 ])
 def test_study_loops_release_each_draw_before_the_next(monkeypatch, run, cfg, paired):
     # When a study draws, no earlier draw is alive, apart from the source
