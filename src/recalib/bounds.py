@@ -1,7 +1,7 @@
 """Finite-sample risk bounds, bin-count selection, and sampling diagnostics.
 
 Closed-form expressions only; nothing here touches data beyond the
-diagnostic predicates at the bottom. Natural logarithms throughout.
+diagnostic measures at the bottom. Natural logarithms throughout.
 A bound, gate threshold or objective that overflows to inf on finite
 inputs raises OverflowError instead of being returned.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinningScheme, PiecewiseRecalibrator, ShiftWeights, _index, _reals
+from .core import PiecewiseRecalibrator, ShiftWeights, _index, _reals
 
 __all__ = [
     "DEFAULT_C",
@@ -33,9 +33,9 @@ __all__ = [
     "shift_risk_bound_realized",
     "shift_risk_bound_apriori",
     "chernoff_sample_requirement",
-    "phi_balance",
-    "phi_approx",
-    "phi_ratio",
+    "balance_alpha",
+    "approx_epsilon",
+    "ratio_beta",
 ]
 
 # Universal constant in the sample-size condition n >= c B log(2B / delta).
@@ -256,36 +256,31 @@ def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:
     return math.ceil(27.0 / ((beta - 1.0) ** 2 * p_min) * math.log(8.0 / delta))
 
 
-def phi_balance(scheme: BinningScheme, bin_probs, alpha: float) -> bool:
-    """Whether every bin mass lies in [1 / (alpha B), alpha / B]."""
+def balance_alpha(bin_probs) -> float:
+    """The smallest alpha at which every one of the B bin masses lies in
+    [1 / (alpha B), alpha / B]: max_b max(B m_b, 1 / (B m_b)). A mass
+    that is zero, negative or NaN gives inf."""
     probs = _reals(bin_probs, "bin masses")
-    if len(probs) != scheme.B:
-        raise ValueError(f"expected {scheme.B} bin masses, got {len(probs)}")
     if abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError("bin masses must sum to 1 (tolerance 1e-9)")
-    if alpha < 1.0:
-        raise ValueError("alpha must be at least 1")
-    lo = 1.0 / (alpha * scheme.B)
-    hi = alpha / scheme.B
-    return all(lo <= q <= hi for q in probs)
+    B = len(probs)
+    if not all(q > 0.0 for q in probs):
+        return math.inf
+    return max(max(B * q, 1.0 / (B * q)) for q in probs)
 
 
-def phi_approx(fitted: PiecewiseRecalibrator, true_bin_means, epsilon: float) -> bool:
-    """Whether max_b |fitted value - true bin mean| <= epsilon."""
+def approx_epsilon(fitted: PiecewiseRecalibrator, true_bin_means) -> float:
+    """The largest deviation max_b |v_b - mu_b| of a fitted bin value from
+    its true bin mean; NaN if any mean is NaN."""
     means = _reals(true_bin_means, "bin means")
     if len(means) != fitted.scheme.B:
         raise ValueError(f"expected {fitted.scheme.B} bin means, got {len(means)}")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    return max(abs(v - m) for v, m in zip(fitted.values, means)) <= epsilon
+    # np.max, unlike max(), returns NaN wherever the NaN sits.
+    return float(np.max(np.abs(np.subtract(fitted.values, means))))
 
 
-def phi_ratio(plug_in: ShiftWeights, exact: ShiftWeights, beta: float) -> bool:
-    """Whether each ratio plug_in.w[k] / exact.w[k] lies in [1 / beta, beta]."""
-    if beta < 1.0:
-        raise ValueError("beta must be at least 1")
-    for k in (0, 1):
-        rho = plug_in.w[k] / exact.w[k]
-        if not (1.0 / beta <= rho <= beta):
-            return False
-    return True
+def ratio_beta(plug_in: ShiftWeights, exact: ShiftWeights) -> float:
+    """The smallest beta at which each ratio rho_k = plug_in.w[k] / exact.w[k]
+    lies in [1 / beta, beta]: max_k max(rho_k, 1 / rho_k). 1 / rho_k is
+    computed as exact.w[k] / plug_in.w[k], which cannot divide by zero."""
+    return max(max(p / e, e / p) for p, e in zip(plug_in.w, exact.w))

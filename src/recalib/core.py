@@ -62,7 +62,8 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
     """``values``, an iterable other than a string, as a tuple of floats,
     or of ints if ``integer``. Each distinct element type, not each
     element, must be a real number (an integer if ``integer``) and not a
-    bool: float() reads "01" as 0 and 1, and int() truncates 2.5."""
+    bool: float() reads "01" as 0 and 1, and int() truncates 2.5. An
+    integer too large for a float raises OverflowError naming ``name``."""
     if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
         raise TypeError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
     values = tuple(values)
@@ -70,7 +71,10 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
     for t in set(map(type, values)):
         if issubclass(t, bool) or not issubclass(t, kind):
             raise TypeError(f"{name} must be {kind.__name__.lower()} numbers, not {t.__name__}")
-    return tuple(map(operator.index if integer else float, values))
+    try:
+        return tuple(map(operator.index if integer else float, values))
+    except OverflowError:
+        raise OverflowError(f"{name} is too large for a float") from None
 
 
 def _index(value, name: str) -> int:

@@ -32,6 +32,7 @@ from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk
 __all__ = [
     "DESK_N_CAP",
     "DESK_B_CAP",
+    "DESK_SEEDS_CAP",
     "VALID_METHODS",
     "ExperimentConfig",
     "GridCell",
@@ -55,11 +56,12 @@ __all__ = [
     "write_manifest",
 ]
 
-# Desk-scale caps on the sampling grids. The full-scale grids from the
-# original study (n to 1e7, B to 1e3) only run when a config explicitly
-# sets full_scale.
+# Desk-scale caps on the sampling grids and the seed count. The full-scale
+# grids from the original study (n to 1e7, B to 1e3) only run when a
+# config explicitly sets full_scale.
 DESK_N_CAP = 1_000_000
 DESK_B_CAP = 256
+DESK_SEEDS_CAP = 1_000
 # The most float64 values one array can hold (numpy sizes arrays in
 # signed bytes). A larger sample is refused even with full_scale.
 MAX_N = sys.maxsize // 8
@@ -128,6 +130,9 @@ class ExperimentConfig:
             if max(self.n_P, self.n_Q) > DESK_N_CAP:
                 raise ValueError(f"n_P and n_Q must be at most {DESK_N_CAP} (the desk-scale "
                                  "cap); set full_scale to run larger samples")
+            if self.seeds > DESK_SEEDS_CAP:
+                raise ValueError(f"seeds must be at most {DESK_SEEDS_CAP} (the desk-scale "
+                                 "cap); set full_scale to run more")
         if max(self.n_grid + (self.n_P, self.n_Q)) > MAX_N:
             raise ValueError(f"sample sizes must be at most {MAX_N}, the most float64 "
                              "values one array can address")

@@ -1,4 +1,4 @@
-"""Closed-form bounds, bin-count selection, and the diagnostic predicates."""
+"""Closed-form bounds, bin-count selection, and the diagnostic measures."""
 
 import dataclasses
 import inspect
@@ -12,18 +12,19 @@ from recalib.bounds import (
     BoundParams,
     DEFAULT_C,
     InsufficientSampleError,
+    approx_epsilon,
+    balance_alpha,
     chernoff_sample_requirement,
     epsilon_delta,
     optimal_bins,
-    phi_approx,
-    phi_balance,
-    phi_ratio,
+    ratio_beta,
     risk_bound_report,
     shift_risk_bound_apriori,
     shift_risk_bound_realized,
     zeta,
 )
-from recalib.core import BinningScheme, ShiftWeights, estimate_weights, fit_recalibrator
+from recalib.core import (BinningScheme, PiecewiseRecalibrator, ShiftWeights, estimate_weights,
+                          fit_recalibrator)
 from recalib.oracle import GaussianMixtureTask, _bin_moments, exact_shift_weights, sample
 
 # Frozen reference values, 40-digit arithmetic; regenerate with
@@ -355,19 +356,19 @@ def test_chernoff_validation():
         chernoff_sample_requirement(0.0, 2.0, 0.1)
 
 
-# --------------------------------------------------------------- predicates
+# ----------------------------------------------------------------- measures
+# Each measure is the smallest level at which one of the proof's events
+# holds: phi_balance (balanced bins), phi_approx (fitted values near the
+# bin means) and phi_ratio (plug-in weights near the true ones).
 
 def test_phi_balance_hand_cases():
-    two_bins = BinningScheme((0.0, 0.5, 1.0))
-    assert phi_balance(two_bins, (0.5, 0.5), 1.0)
-    assert not phi_balance(two_bins, (0.9, 0.1), 2.0)
-    assert phi_balance(two_bins, (0.75, 0.25), 2.0)
-    with pytest.raises(ValueError):
-        phi_balance(two_bins, (0.5, 0.3, 0.2), 2.0)
-    with pytest.raises(ValueError):
-        phi_balance(two_bins, (0.7, 0.2), 2.0)
-    with pytest.raises(ValueError):
-        phi_balance(two_bins, (0.5, 0.5), 0.9)
+    assert balance_alpha((0.5, 0.5)) == 1.0
+    assert balance_alpha((0.9, 0.1)) == 5.0
+    assert balance_alpha((0.75, 0.25)) == 2.0
+    for probs in ((1.0, 0.0), (1.5, -0.5), (math.nan, 0.5)):
+        assert balance_alpha(probs) == math.inf, probs
+    with pytest.raises(ValueError, match="bin masses must sum to 1"):
+        balance_alpha((0.7, 0.2))
 
 
 def bin_means(task, fitted):
@@ -380,15 +381,22 @@ def test_phi_approx_hand_cases():
     task = GaussianMixtureTask(0.5)
     fitted = fit_recalibrator(sample(task, 200, seed=1), 4)
     truth = bin_means(task, fitted)
-    assert phi_approx(fitted, fitted.values, 0.0)
+    assert approx_epsilon(fitted, fitted.values) == 0.0
     off = list(fitted.values)
     off[2] += 0.05
-    assert not phi_approx(fitted, off, 0.04)
-    assert phi_approx(fitted, truth, 1.0)
-    with pytest.raises(ValueError):
-        phi_approx(fitted, truth[:-1], 0.1)
-    with pytest.raises(ValueError):
-        phi_approx(fitted, truth, -0.1)
+    assert approx_epsilon(fitted, off) > 0.04
+    assert approx_epsilon(fitted, truth) <= 1.0
+    with pytest.raises(ValueError, match="expected 4 bin means, got 3"):
+        approx_epsilon(fitted, truth[:-1])
+
+
+def test_approx_epsilon_is_nan_wherever_the_nan_mean_sits():
+    # max() keeps whichever of a NaN and a number comes first; a NaN mean
+    # must fail the event at every level, in any bin.
+    halves = PiecewiseRecalibrator(BinningScheme((0.0, 0.5, 1.0)), (0.25, 0.75), (1, 1))
+    for means in ((math.nan, 0.75), (0.25, math.nan)):
+        assert math.isnan(approx_epsilon(halves, means)), means
+        assert not approx_epsilon(halves, means) <= math.inf
 
 
 def test_phi_approx_coverage_at_free_lemma_level():
@@ -401,25 +409,26 @@ def test_phi_approx_coverage_at_free_lemma_level():
     for i in range(200):
         fitted = fit_recalibrator(sample(task, n, seed=(21, i)), B)
         truth = bin_means(task, fitted)
-        passed += phi_approx(fitted, truth, eps)
+        passed += approx_epsilon(fitted, truth) <= eps
     assert passed / 200 >= 1.0 - delta
 
 
 def test_phi_ratio_hand_cases():
     exact = ShiftWeights((1.0, 1.0), "exact")
-    assert phi_ratio(exact, exact, 1.0)
+    assert ratio_beta(exact, exact) == 1.0
     distorted = ShiftWeights((2.5, 1.0), "plug-in", p_hat=(0.2, 0.5), q_hat=(0.5, 0.5))
-    assert not phi_ratio(distorted, exact, 2.0)
-    assert phi_ratio(distorted, exact, 2.5)
+    assert ratio_beta(distorted, exact) == 2.5
+    assert ratio_beta(exact, distorted) == 2.5
+    # rho_0 = 1e-300 / 1e300 underflows to 0; 1 / rho_0 must not divide by it.
+    tiny = ShiftWeights((1e-300, 1.0), "exact")
+    assert ratio_beta(tiny, ShiftWeights((1e300, 1.0), "exact")) == math.inf
     with pytest.raises(ValueError):
-        phi_ratio(ShiftWeights((1.0, 1.0, 1.0), "exact"), exact, 2.0)
-    with pytest.raises(ValueError):
-        phi_ratio(exact, exact, 0.5)
+        ratio_beta(ShiftWeights((1.0, 1.0, 1.0), "exact"), exact)
 
 
 def test_phi_ratio_coverage_at_chernoff_sizes():
     # With both label samples at their required sizes for beta = 2 and
-    # delta = 0.1, the ratio predicate should pass in at least 90% of runs.
+    # delta = 0.1, the ratio event should hold in at least 90% of runs.
     beta, delta = 2.0, 0.1
     pi_P, pi_Q = 0.5, 0.3
     n_P = chernoff_sample_requirement(0.5, beta, delta)
@@ -434,7 +443,7 @@ def test_phi_ratio_coverage_at_chernoff_sizes():
         if labels_P.sum() in (0, n_P) or labels_Q.sum() in (0, n_Q):
             continue
         runs += 1
-        passed += phi_ratio(estimate_weights(labels_P, labels_Q), exact, beta)
+        passed += ratio_beta(estimate_weights(labels_P, labels_Q), exact) <= beta
     assert runs >= 490
     assert passed / runs >= 1.0 - delta
 

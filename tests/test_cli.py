@@ -993,6 +993,8 @@ def test_model_number_fields_must_be_json_numbers(tmp_path):
         (dict(piecewise, values=[True, False]), "values must be real numbers, not bool"),
         (dict(piecewise, counts=[1, 1.0]), "counts must be integral numbers, not float"),
         (dict(piecewise, edges=5), "edges must be a sequence of numbers, not int"),
+        # A JSON number, but past what a float holds.
+        (dict(piecewise, edges=[0, 10 ** 400, 1]), "edges is too large for a float"),
     )
     scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
     scores.write_text("z\n0.5\n")
@@ -1361,13 +1363,18 @@ MISTYPED_CONFIGS = [
     ("label-shift", '{"pi_target": NaN, "seeds": 1}', "pi_target must lie strictly between 0 and 1"),
     # Past what a float holds, so float() raises OverflowError.
     ("label-shift", '{"pi_target": 1%s, "seeds": 1}' % ("0" * 400),
-     "int too large to convert to float"),
+     "pi_target is too large for a float"),
+    # One seed past the desk-scale cap. 10**30 seeds would draw until killed;
+    # 1001 small draws would end in seconds if the cap regressed.
+    ("label-shift", '{"seeds": 1001, "n_P": 100, "n_Q": 100}',
+     "seeds must be at most 1000 (the desk-scale cap); set full_scale to run more"),
 ]
 
 
 @pytest.mark.parametrize("experiment, text, message", MISTYPED_CONFIGS)
 def test_simulate_refuses_mistyped_config(tmp_path, experiment, text, message):
-    # A value of the wrong JSON type is refused, not truncated or coerced.
+    # A value of the wrong JSON type, or past a desk-scale cap, is refused,
+    # not truncated, coerced or run.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     res = run("simulate", experiment, "--config", cfg, "--out-dir", tmp_path / "out")

@@ -26,7 +26,7 @@ from recalib.core import (
     fit_recalibrator,
     umb_fit,
 )
-from recalib.bounds import phi_approx, phi_balance
+from recalib.bounds import approx_epsilon, balance_alpha
 from recalib.experiments import ExperimentConfig
 from recalib.oracle import GaussianMixtureTask, sample
 
@@ -547,8 +547,8 @@ NUMBER_CASES = {
     "nested-edges": (lambda: BinningScheme([[0.0], [1.0]]), TypeError),
     "count-2.5": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (2.5,)), TypeError),
     "count-3.0": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (3.0,)), TypeError),
-    "string-bin-mass": (lambda: phi_balance(UNIT, ["1"], 1.0), TypeError),
-    "bool-bin-mean": (lambda: phi_approx(HALVES, [0.25, True], 0.1), TypeError),
+    "string-bin-mass": (lambda: balance_alpha(["1"]), TypeError),
+    "bool-bin-mean": (lambda: approx_epsilon(HALVES, [0.25, True]), TypeError),
     # Scores: numpy reads these as strings or bools, not as numbers.
     "string-sample-scores": (lambda: LabeledSample(z=["0.5", "1"], y=[1, 0]), TypeError),
     "bool-sample-scores":

@@ -21,6 +21,7 @@ from recalib.bounds import (
 from recalib.experiments import (
     DESK_B_CAP,
     DESK_N_CAP,
+    DESK_SEEDS_CAP,
     SEED_RULE,
     VALID_METHODS,
     ExperimentConfig,
@@ -86,9 +87,13 @@ def test_desk_scale_caps_name_the_escape_hatch():
         ExperimentConfig(B_grid=(6, 512))
     with pytest.raises(ValueError, match="full_scale"):
         ExperimentConfig(n_grid=(100, 10_000_000))
-    big = ExperimentConfig(n_grid=(100, 10_000_000), B_grid=(6, 512), full_scale=True)
-    assert big.full_scale
-    assert DESK_N_CAP == 1_000_000 and DESK_B_CAP == 256
+    with pytest.raises(ValueError, match="seeds must be at most 1000 .*full_scale"):
+        ExperimentConfig(seeds=DESK_SEEDS_CAP + 1)
+    assert ExperimentConfig(seeds=DESK_SEEDS_CAP).seeds == 1_000
+    big = ExperimentConfig(n_grid=(100, 10_000_000), B_grid=(6, 512), seeds=10**30,
+                           full_scale=True)
+    assert big.full_scale and big.seeds == 10**30
+    assert DESK_N_CAP == 1_000_000 and DESK_B_CAP == 256 and DESK_SEEDS_CAP == 1_000
 
 
 def test_config_validation():
