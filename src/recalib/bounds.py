@@ -259,9 +259,10 @@ def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:
 def balance_alpha(bin_probs) -> float:
     """The smallest alpha at which every one of the B bin masses lies in
     [1 / (alpha B), alpha / B]: max_b max(B m_b, 1 / (B m_b)). A mass
-    that is zero, negative or NaN gives inf."""
+    that is zero or negative gives inf; masses whose sum is not within
+    1e-9 of 1, a NaN among them, raise ValueError."""
     probs = _reals(bin_probs, "bin masses")
-    if abs(sum(probs) - 1.0) > 1e-9:
+    if not abs(sum(probs) - 1.0) <= 1e-9:
         raise ValueError("bin masses must sum to 1 (tolerance 1e-9)")
     B = len(probs)
     if not all(q > 0.0 for q in probs):

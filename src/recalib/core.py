@@ -167,17 +167,25 @@ class LabeledSample:
         """(sorted scores, sorted scores of the positive records), read-only.
 
         Computed on first use and kept with the sample, so every fit of the
-        same sample shares one pair of sorts. The sample is immutable, which
-        makes the cache safe; it is not a dataclass field and takes no part
-        in ``==`` or ``repr``.
+        same sample shares one pair of sorts, which keeps 8 + 8 pi bytes per
+        point (pi the share of positives) and is built with no n-sized
+        scratch. The sample is immutable, which makes the cache safe; it is
+        not a dataclass field and takes no part in ``==`` or ``repr``.
         """
         zs = np.sort(self.z)
-        # The gather is a fresh copy, so sort it in place: a second buffer
-        # measurably raised peak RSS at n = 1e6. ``compress`` rather than a
-        # boolean index, which branches on each random label: 2.3 ms against
-        # 10.4 ms at n = 1e6. It holds an n_pos int64 index array meanwhile.
-        # The labels are 0/1 bytes, so they read as a mask without a copy.
-        zs_pos = np.compress(self.y.view(np.bool_), self.z)
+        # Gather the positives block by block into one buffer and sort it in
+        # place: a second buffer measurably raised peak RSS at n = 1e6, and a
+        # whole-array ``compress`` holds an n_pos int64 index (a block's is
+        # 512 KB). ``compress`` rather than a boolean index, which branches on
+        # each random label: 2.3 ms against 10.4 ms at n = 1e6. The labels
+        # are 0/1 bytes, so they read as a mask without a copy.
+        mask, step = self.y.view(np.bool_), 1 << 16
+        zs_pos = np.empty(np.count_nonzero(mask))
+        filled = 0
+        for start in range(0, self.n, step):
+            block = np.compress(mask[start:start + step], self.z[start:start + step])
+            zs_pos[filled:filled + block.size] = block
+            filled += block.size
         zs_pos.sort()
         zs.flags.writeable = False
         zs_pos.flags.writeable = False
