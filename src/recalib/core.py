@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -303,8 +304,10 @@ class ShiftWeights:
         w = _reals(self.w, "w")
         if len(w) != 2:
             raise ValueError(f"exactly two class weights are required, got {len(w)}")
-        if any(not np.isfinite(x) or x <= 0.0 for x in w):
-            raise ValueError("class weights must be finite and strictly positive")
+        # Below the smallest normal float, w_1 z and w_0 (1 - z) lose their
+        # precision or underflow to 0, and the corrector can map z to 0/0.
+        if any(not np.isfinite(x) or x < sys.float_info.min for x in w):
+            raise ValueError(f"class weights must be finite and at least {sys.float_info.min!r}")
         if self.provenance not in ("exact", "plug-in"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.provenance == "plug-in":

@@ -126,6 +126,7 @@ tiny = e.ExperimentConfig(n_grid=(1000,), B_grid=(6, 10), seeds=1, n_P=64, n_Q=2
 e.run_risk_grid(tiny)
 e.run_optimal_B(tiny)
 e.run_label_shift(tiny)
+e.run_label_shift(e.ExperimentConfig(seeds=1))
 task = GaussianMixtureTask(0.3)
 pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.4, 1.0)), (0.2, 0.7), (1, 1))
 shift = ShiftCorrector(exact_shift_weights(0.5, 0.3))
@@ -158,6 +159,7 @@ def test_public_names_resolve():
     assert oracle is recalib.oracle is sys.modules["recalib.oracle"]
     assert experiments is recalib.experiments is sys.modules["recalib.experiments"]
     assert not hasattr(recalib, "no_such_name")
+    assert not hasattr(recalib, "phi_balance")
     with pytest.raises(ImportError):
         exec("from recalib import no_such_name", {})
     assert _scipy_modules_after("import sys, recalib") == "False []"
@@ -477,6 +479,15 @@ def test_apply_model_file_errors(tmp_path):
                    "outer": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
                              "values": [0.5, 0.5], "counts": [1, 1]},
                    "inner": {"kind": "shift", "w": [1.0, 1.0], "provenance": "exact"}}},
+        # Subnormal weights, whose corrector underflows to 0/0: `apply` wrote
+        # nan for the shift model and a traceback for the composite.
+        {"format_version": 1,
+         "model": {"kind": "shift", "w": [5e-324, 5e-324], "provenance": "exact"}},
+        {"format_version": 1,
+         "model": {"kind": "composite",
+                   "outer": {"kind": "shift", "w": [5e-324, 5e-324], "provenance": "exact"},
+                   "inner": {"kind": "piecewise", "edges": [0.0, 0.5, 1.0],
+                             "values": [0.5, 0.75], "counts": [1, 1]}}},
     )
     # Arrays nested past the JSON parser's recursion limit.
     nested = "[" * 100_000 + "]" * 100_000
@@ -1064,6 +1075,8 @@ def test_bound_single_distribution():
     assert line_value(smooth.output, "sharpness risk bound:") == pytest.approx(0.08, rel=1e-15)
     flat = run("bound", "--n", 1000, "--B", 10, "--K", 0)
     assert line_value(flat.output, "sharpness risk bound:") == 0.0
+    steep = run("bound", "--n", 1000, "--B", 10, "--K", 5)
+    assert "sharpness risk bound:   2.0" in steep.stdout.splitlines()
 
 
 SHIFT_FLAGS = ("--B", 46, "--n-p", 100_000, "--n-q", 1_000, "--p-min", 0.1,
@@ -1237,7 +1250,8 @@ def test_optbins_task_estimates_K():
     res = run("optbins", "--n", 1_000_000, "--task", "gaussian")
     assert res.exit_code == 0
     assert "assuming K=1" not in res.stderr
-    assert "B_star = " in res.output
+    # zeta_min is not pinned: its last digits may differ across CPUs.
+    assert "B_star = 501" in res.stdout.splitlines()
 
 
 def test_optbins_small_n_exits_2():

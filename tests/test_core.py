@@ -567,6 +567,7 @@ NUMBER_CASES = {
     "string-q_hat": (lambda: ShiftWeights((1.6, 0.4), "plug-in", p_hat=(0.5, 0.5),
                                           q_hat=("0.8", 0.2)), TypeError),
     "np-true-count": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (np.True_,)), TypeError),
+    "true-count": (lambda: PiecewiseRecalibrator(UNIT, (0.5,), (True,)), TypeError),
     "np-false-value": (lambda: PiecewiseRecalibrator(UNIT, (np.bool_(False),), (1,)), TypeError),
     "string-array-edges": (lambda: BinningScheme(np.array(["0", "1"])), TypeError),
     "bytes-edges": (lambda: BinningScheme(b"\x00\x01"), TypeError),
@@ -591,9 +592,14 @@ NUMBER_CASES = {
     "decimal-task-pi": (lambda: GaussianMixtureTask(Decimal("0.3")), TypeError),
     "string-config-delta": (lambda: ExperimentConfig(delta="0.1"), TypeError),
     "decimal-config-delta": (lambda: ExperimentConfig(delta=Decimal("0.1")), TypeError),
+    "string-full_scale": (lambda: ExperimentConfig(full_scale="no"), TypeError),
     "string-full_scale-over-cap":
         (lambda: ExperimentConfig(full_scale="no", n_grid=(2_000_000,)), TypeError),
     "dict-methods": (lambda: ExperimentConfig(methods={"Source": 1}), TypeError),
+    # Subnormal weights are real numbers, but the corrector's products
+    # underflow: at (5e-324, 5e-324) it mapped 0.5 to nan.
+    "subnormal-w": (lambda: ShiftWeights((5e-324, 5e-324), "exact"), ValueError),
+    "subnormal-w1": (lambda: ShiftWeights((1.0, 1e-320), "exact"), ValueError),
     # Generators and numpy real scalars are still numbers.
     "generator-edges": (lambda: BinningScheme(u for u in (0.0, 0.5, 1.0)), HALVES.scheme),
     "numpy-scalars": (lambda: PiecewiseRecalibrator(
@@ -602,13 +608,15 @@ NUMBER_CASES = {
     "numpy-scalar-w": (lambda: ShiftWeights(iter((np.float32(0.5), 2)), "exact"),
                        ShiftWeights((0.5, 2.0), "exact")),
     "numpy-scalar-apply": (lambda: apply(HALVES, np.float32(0.75)), 0.75),
+    "smallest-normal-w": (lambda: ShiftWeights((2.2250738585072014e-308, 1), "exact"),
+                          ShiftWeights((2.2250738585072014e-308, 1.0), "exact")),
 }
 
 
 @pytest.mark.parametrize("build, expected", NUMBER_CASES.values(), ids=NUMBER_CASES.keys())
 def test_number_fields_take_real_numbers_only(build, expected):
-    if expected is TypeError:
-        with pytest.raises(TypeError):
+    if expected in (TypeError, ValueError):
+        with pytest.raises(expected):
             build()
     else:
         # repr tells the float 1.0 from the int 1 and from np.float64(1.0).

@@ -89,6 +89,8 @@ def test_desk_scale_caps_name_the_escape_hatch():
         ExperimentConfig(n_grid=(100, 10_000_000))
     with pytest.raises(ValueError, match="seeds must be at most 1000 .*full_scale"):
         ExperimentConfig(seeds=DESK_SEEDS_CAP + 1)
+    with pytest.raises(ValueError, match="seeds must be at most 1000 .*full_scale"):
+        ExperimentConfig(seeds=10**30)
     assert ExperimentConfig(seeds=DESK_SEEDS_CAP).seeds == 1_000
     big = ExperimentConfig(n_grid=(100, 10_000_000), B_grid=(6, 512), seeds=10**30,
                            full_scale=True)
