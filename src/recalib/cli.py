@@ -103,20 +103,24 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
     try:
         with open(path) as f:
             payload = json.load(f)
-        if not isinstance(payload, dict):
-            raise ValueError("a model file must hold a JSON object")
-        version = payload.get("format_version")
-        # type() because JSON true loads as a bool, a subclass of int.
-        if type(version) is not int or version != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
-            )
+    except RecursionError as e:  # arrays or objects nested past the limit
+        raise ValueError(f"malformed model: {e}") from e
+    if not isinstance(payload, dict):
+        raise ValueError("a model file must hold a JSON object")
+    version = payload.get("format_version")
+    # type() because JSON true loads as a bool, a subclass of int.
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
+        )
+    try:
         model = _recalibrator_from_obj(payload["model"])
-    except (TypeError, OverflowError, RecursionError) as e:
-        # A field of the wrong JSON type, such as "edges": 5 or
-        # "values": [true], an integer too large for a float, a composite
-        # whose parts are of the wrong kinds, or arrays or objects nested
-        # past the recursion limit.
+    except KeyError as e:
+        raise ValueError(f"malformed model: missing field {e}") from e
+    except (ValueError, TypeError, OverflowError, RecursionError) as e:
+        # A value the library refuses, a field of the wrong JSON type, such
+        # as "edges": 5 or "values": [true], an integer too large for a
+        # float, or a composite whose parts are of the wrong kinds.
         raise ValueError(f"malformed model: {e}") from e
     return model, payload.get("metadata", {})
 
@@ -129,7 +133,7 @@ def _fail(message: str, code: int) -> None:
 def _load_model_or_exit(path: str) -> tuple[Recalibrator, dict]:
     try:
         return load_model(path)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         _fail(f"{path}: {e}", 2)
 
 

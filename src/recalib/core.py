@@ -121,7 +121,8 @@ class LabeledSample:
     and y[i] in {0, 1}. Arrays are copied and locked at construction: z
     as float64 and y as int8, one byte per label. Sums and cumulative sums
     of y widen to int64 by themselves, but a dot product such as ``y @ y``
-    stays in int8 and wraps, so cast y first.
+    stays in int8 and wraps, so cast y first. The sample holds these two
+    arrays and nothing else: each fit sorts the scores anew and frees them.
     """
 
     z: np.ndarray
@@ -162,35 +163,6 @@ class LabeledSample:
     @property
     def n(self) -> int:
         return int(self.z.size)
-
-    @cached_property
-    def sorted_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted scores, sorted scores of the positive records), read-only.
-
-        Computed on first use and kept with the sample, so every fit of the
-        same sample shares one pair of sorts, which keeps 8 + 8 pi bytes per
-        point (pi the share of positives) and is built with no n-sized
-        scratch. The sample is immutable, which makes the cache safe; it is
-        not a dataclass field and takes no part in ``==`` or ``repr``.
-        """
-        zs = np.sort(self.z)
-        # Gather the positives block by block into one buffer and sort it in
-        # place: a second buffer measurably raised peak RSS at n = 1e6, and a
-        # whole-array ``compress`` holds an n_pos int64 index (a block's is
-        # 512 KB). ``compress`` rather than a boolean index, which branches on
-        # each random label: 2.3 ms against 10.4 ms at n = 1e6. The labels
-        # are 0/1 bytes, so they read as a mask without a copy.
-        mask, step = self.y.view(np.bool_), 1 << 16
-        zs_pos = np.empty(np.count_nonzero(mask))
-        filled = 0
-        for start in range(0, self.n, step):
-            block = np.compress(mask[start:start + step], self.z[start:start + step])
-            zs_pos[filled:filled + block.size] = block
-            filled += block.size
-        zs_pos.sort()
-        zs.flags.writeable = False
-        zs_pos.flags.writeable = False
-        return zs, zs_pos
 
 
 @dataclass(frozen=True)
@@ -439,6 +411,34 @@ def _bin_indices(scheme: BinningScheme, z: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _sorted_view(data: LabeledSample) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted scores, sorted scores of the positive records), read-only.
+
+    Two sorts, 8 + 8 pi bytes per point (pi the share of positives), built
+    with no n-sized scratch. Nothing keeps the view: a caller that fits one
+    sample at several bin counts builds it once and passes it to
+    ``_fit_view`` for each.
+    """
+    zs = np.sort(data.z)
+    # Gather the positives block by block into one buffer and sort it in
+    # place: a second buffer measurably raised peak RSS at n = 1e6, and a
+    # whole-array ``compress`` holds an n_pos int64 index (a block's is
+    # 512 KB). ``compress`` rather than a boolean index, which branches on
+    # each random label: 2.3 ms against 10.4 ms at n = 1e6. The labels
+    # are 0/1 bytes, so they read as a mask without a copy.
+    mask, step = data.y.view(np.bool_), 1 << 16
+    zs_pos = np.empty(np.count_nonzero(mask))
+    filled = 0
+    for start in range(0, data.n, step):
+        block = np.compress(mask[start:start + step], data.z[start:start + step])
+        zs_pos[filled:filled + block.size] = block
+        filled += block.size
+    zs_pos.sort()
+    zs.flags.writeable = False
+    zs_pos.flags.writeable = False
+    return zs, zs_pos
+
+
 def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     """Fit a piecewise-constant recalibrator by uniform-mass binning.
 
@@ -448,11 +448,16 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
     and agree bit for bit with a sort-and-slice evaluation on tie-free
     scores.
 
-    Cost: the first fit of a sample pays for ``data.sorted_view`` (two
-    sorts); every fit then takes O(B log n), reading edges, counts and
-    positive counts off the sorted scores by binary search.
+    Cost: ``_sorted_view`` (two sorts), which is freed on return, then
+    O(B log n), reading edges, counts and positive counts off the sorted
+    scores by binary search.
     """
-    zs, zs_pos = data.sorted_view
+    return _fit_view(_sorted_view(data), B)
+
+
+def _fit_view(view: tuple[np.ndarray, np.ndarray], B: int) -> PiecewiseRecalibrator:
+    """``fit_recalibrator`` on a sample's ``_sorted_view``: O(B log n)."""
+    zs, zs_pos = view
     scheme, counts = _uniform_mass_bins(zs, _index(B, "B"))
     pos = np.diff(np.searchsorted(zs_pos, scheme.edge_array[1:], side="right"), prepend=0)
     values = pos / counts

@@ -24,8 +24,8 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
-from .core import (ClassAbsentError, ShiftCorrector, _index, _reals, compose, estimate_weights,
-                   fit_recalibrator)
+from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _reals, _sorted_view,
+                   compose, estimate_weights, fit_recalibrator)
 from .fileio import fmt_float, write_text_atomic
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
@@ -250,10 +250,11 @@ class OptimalBResult:
 def _fit_risks(n: int, Bs: tuple[int, ...], seed: np.random.SeedSequence) -> tuple[RiskReport, ...]:
     """The unit of both figures: draw n points from the balanced task, fit
     UMB at each B in ``Bs`` and return the exact population risks, in that
-    order. The draw and its sorted_view go when the unit returns."""
+    order. The draw is sorted once and let go; every B is fitted on that
+    one view, which goes when the unit returns."""
     task = GaussianMixtureTask(0.5)
-    data = sample(task, n, seed)
-    return tuple(population_risk(task, fit_recalibrator(data, B)) for B in Bs)
+    view = _sorted_view(sample(task, n, seed))
+    return tuple(population_risk(task, _fit_view(view, B)) for B in Bs)
 
 
 def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, ...], int]:

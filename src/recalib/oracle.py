@@ -53,6 +53,7 @@ from .core import (
     _index,
     _reals,
     _score_array,
+    _sorted_view,
 )
 
 __all__ = [
@@ -548,11 +549,11 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     into the mse; both r_total and mse are assembled by addition so the
     report identities hold exactly.
 
-    Cost: the sample's ``sorted_view`` (two sorts, shared with any fit of
-    the same sample), then O(B log n) for the bin boundaries and
-    O(S log n) for the S slices: the positives before sorted record i
-    number searchsorted(positive scores, z_(i), 'right'), with z_(i) the
-    i-th smallest score. That count is only right where a slice boundary
+    Cost: the sample's ``_sorted_view`` (two sorts, freed on return),
+    then O(B log n) for the bin boundaries and O(S log n) for the S
+    slices: the positives before sorted record i number
+    searchsorted(positive scores, z_(i), 'right'), with z_(i) the i-th
+    smallest score. That count is only right where a slice boundary
     does not split a run of tied scores, since the stable order of the
     records decides which tied records fall on each side; a sample with
     such a split takes a stable argsort of the scores and one
@@ -566,7 +567,7 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
         raise TypeError("plug-in risks are defined for piecewise recalibrators")
     B = pw.scheme.B
     n = data.n
-    zs, zs_pos = data.sorted_view
+    zs, zs_pos = _sorted_view(data)
     # Bins are contiguous in sorted order; the boundary of bin b is the
     # first index strictly past edge u_b (right-closed bins).
     stops = np.searchsorted(zs, pw.scheme.edge_array[1:-1], side="right")

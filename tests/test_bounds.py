@@ -358,10 +358,10 @@ def test_chernoff_validation():
 
 # ----------------------------------------------------------------- measures
 # Each measure is the smallest level at which one of the proof's events
-# holds: phi_balance (balanced bins), phi_approx (fitted values near the
-# bin means) and phi_ratio (plug-in weights near the true ones).
+# holds: balance_alpha (balanced bins), approx_epsilon (fitted values near
+# the bin means) and ratio_beta (plug-in weights near the true ones).
 
-def test_phi_balance_hand_cases():
+def test_balance_alpha_hand_cases():
     assert balance_alpha((0.5, 0.5)) == 1.0
     assert balance_alpha((0.9, 0.1)) == 5.0
     assert balance_alpha((0.75, 0.25)) == 2.0
@@ -378,7 +378,7 @@ def bin_means(task, fitted):
     return (pos / mass).tolist()
 
 
-def test_phi_approx_hand_cases():
+def test_approx_epsilon_hand_cases():
     task = GaussianMixtureTask(0.5)
     fitted = fit_recalibrator(sample(task, 200, seed=1), 4)
     truth = bin_means(task, fitted)
@@ -400,7 +400,7 @@ def test_approx_epsilon_is_nan_wherever_the_nan_mean_sits():
         assert not approx_epsilon(halves, means) <= math.inf
 
 
-def test_phi_approx_coverage_at_free_lemma_level():
+def test_approx_epsilon_coverage_at_free_lemma_level():
     # The deviation level epsilon_delta holds for all bins simultaneously
     # with probability at least 1 - delta; check the pass rate over seeds.
     task = GaussianMixtureTask(0.5)
@@ -414,7 +414,7 @@ def test_phi_approx_coverage_at_free_lemma_level():
     assert passed / 200 >= 1.0 - delta
 
 
-def test_phi_ratio_hand_cases():
+def test_ratio_beta_hand_cases():
     exact = ShiftWeights((1.0, 1.0), "exact")
     assert ratio_beta(exact, exact) == 1.0
     distorted = ShiftWeights((2.5, 1.0), "plug-in", p_hat=(0.2, 0.5), q_hat=(0.5, 0.5))
@@ -427,7 +427,7 @@ def test_phi_ratio_hand_cases():
         ratio_beta(ShiftWeights((1.0, 1.0, 1.0), "exact"), exact)
 
 
-def test_phi_ratio_coverage_at_chernoff_sizes():
+def test_ratio_beta_coverage_at_chernoff_sizes():
     # With both label samples at their required sizes for beta = 2 and
     # delta = 0.1, the ratio event should hold in at least 90% of runs.
     beta, delta = 2.0, 0.1

@@ -645,7 +645,8 @@ def test_exact_shift_model_with_frequencies_exits_2(tmp_path):
     inp.write_text("z\n0.5\n")
     res = run("apply", "--model", model_path, "--input", inp, "--out", out)
     assert_input_error(res)
-    assert res.stderr == f"error: {model_path}: exact weights carry no class frequencies\n"
+    assert res.stderr == (f"error: {model_path}: "
+                          "malformed model: exact weights carry no class frequencies\n")
     assert not out.exists()
 
 
@@ -1006,6 +1007,11 @@ def test_model_number_fields_must_be_json_numbers(tmp_path):
         (dict(piecewise, edges=5), "edges must be a sequence of numbers, not int"),
         # A JSON number, but past what a float holds.
         (dict(piecewise, edges=[0, 10 ** 400, 1]), "edges is too large for a float"),
+        # Numbers the library refuses, and a missing field, share the prefix.
+        ({"kind": "shift", "w": [5e-324, 5e-324], "provenance": "exact"},
+         "class weights must be finite and at least 2.2250738585072014e-308"),
+        (dict(piecewise, values=[0.25, 1.5]), "bin values must lie in [0, 1]"),
+        ({k: v for k, v in piecewise.items() if k != "edges"}, "missing field 'edges'"),
     )
     scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
     scores.write_text("z\n0.5\n")

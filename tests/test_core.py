@@ -20,6 +20,7 @@ from recalib.core import (
     ShiftCorrector,
     ShiftWeights,
     _bin_indices,
+    _sorted_view,
     apply,
     apply_batch,
     compose,
@@ -253,18 +254,13 @@ def test_fit_on_tied_scores_equals_bincount_reference(seed, n, decimals, data):
     assert (h.scheme.edges, h.values, h.counts) == (edges, values, counts)
 
 
-def test_sorted_view_is_cached_and_read_only():
+def test_sorted_view_matches_np_sort():
     data = LabeledSample(z=distinct_scores(200, 4), y=(distinct_scores(200, 5) < 0.3).astype(int))
     first = fit_recalibrator(data, 7)
-    zs, zs_pos = data.sorted_view
+    zs, zs_pos = _sorted_view(data)
     assert fit_recalibrator(data, 7) == first
-    assert data.sorted_view[0] is zs and data.sorted_view[1] is zs_pos
     assert zs.tolist() == sorted(data.z.tolist())
     assert zs_pos.tolist() == sorted(data.z[data.y == 1].tolist())
-    for arr in (zs, zs_pos):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
 
     rng = np.random.Generator(np.random.PCG64(9))
     labels = (rng.random(5_000) < 0.4).astype(int)
@@ -288,11 +284,10 @@ def test_sorted_view_is_cached_and_read_only():
     ends[[0, -1]] = 1  # positives at index 0 and n - 1 only
     samples += [LabeledSample(z=z, y=last_block), LabeledSample(z=z, y=ends)]
     for data in samples:
-        zs, zs_pos = data.sorted_view
+        zs, zs_pos = _sorted_view(data)
         assert np.array_equal(zs.view(np.uint64), np.sort(data.z).view(np.uint64))
         want = np.sort(data.z[data.y == 1])
         assert np.array_equal(zs_pos.view(np.uint64), want.view(np.uint64))
-        assert not zs.flags.writeable and not zs_pos.flags.writeable
 
 
 def test_sorted_view_holds_no_index_scratch():
@@ -302,18 +297,32 @@ def test_sorted_view_holds_no_index_scratch():
     data = sample(GaussianMixtureTask(0.5), n, seed=4)
     tracemalloc.start()
     try:
-        data.sorted_view
+        _sorted_view(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 13 * n
 
 
-def test_sorted_view_stays_out_of_fields_eq_and_repr():
+def test_fit_keeps_no_sorted_copy():
+    # A sorted view kept with the sample would hold 12 bytes per point at
+    # pi = 0.5 for as long as the sample lives; a fit frees its own.
+    n = 1 << 20
+    data = sample(GaussianMixtureTask(0.5), n, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_recalibrator(data, 64)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < n, grown
+    assert vars(data).keys() == {"z", "y"}
+
     a = LabeledSample(z=[0.3], y=[1])
     b = LabeledSample(z=[0.3], y=[1])
     text = repr(a)
-    a.sorted_view
+    fit_recalibrator(a, 1)
     assert [f.name for f in dataclasses.fields(LabeledSample)] == ["z", "y"]
     assert repr(a) == text
     assert a == b and b == a
