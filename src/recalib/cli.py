@@ -46,7 +46,7 @@ from .core import (
     estimate_weights,
     fit_recalibrator,
 )
-from .fileio import fmt_float, write_text_atomic
+from .fileio import fmt_float, write_json, write_text_atomic
 
 MODEL_FORMAT_VERSION = 1
 
@@ -91,17 +91,13 @@ def _recalibrator_from_obj(obj: dict) -> Recalibrator:
 
 
 def save_model(path: str, h: Recalibrator, metadata: dict) -> None:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "model": _recalibrator_to_obj(h),
-        "metadata": metadata,
-    }
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"format_version": MODEL_FORMAT_VERSION,
+                      "model": _recalibrator_to_obj(h), "metadata": metadata})
 
 
 def load_model(path: str) -> tuple[Recalibrator, dict]:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             payload = json.load(f)
     except RecursionError as e:  # arrays or objects nested past the limit
         raise ValueError(f"malformed model: {e}") from e
@@ -122,7 +118,10 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
         # as "edges": 5 or "values": [true], an integer too large for a
         # float, or a composite whose parts are of the wrong kinds.
         raise ValueError(f"malformed model: {e}") from e
-    return model, payload.get("metadata", {})
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError("malformed model: metadata must be a JSON object")
+    return model, metadata
 
 
 def _fail(message: str, code: int) -> None:
@@ -540,15 +539,17 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
 
-    defaults, run_study = {
-        "risk-grid": (exp.ExperimentConfig(), exp.run_risk_grid),
-        "opt-b": (exp.default_opt_b_config(), exp.run_optimal_B),
-        "label-shift": (exp.ExperimentConfig(), exp.run_label_shift),
+    defaults, run_study, csv_name, write_study_csv = {
+        "risk-grid": (exp.ExperimentConfig(), exp.run_risk_grid,
+                      "risk_grid.csv", exp.write_risk_grid_csv),
+        "opt-b": (exp.default_opt_b_config(), exp.run_optimal_B, "opt_b.csv", exp.write_opt_b_csv),
+        "label-shift": (exp.ExperimentConfig(), exp.run_label_shift,
+                        "label_shift.csv", exp.write_label_shift_csv),
     }[experiment]
     overrides = {}
     if config_path is not None:
         try:
-            with open(config_path) as f:
+            with open(config_path, encoding="utf-8") as f:
                 overrides = json.load(f)
             if not isinstance(overrides, dict):
                 raise ValueError("config must be a JSON object")
@@ -576,38 +577,29 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     # Only now, so that a refused study leaves no directory behind.
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
+    warning = None
     if experiment == "risk-grid":
-        cells = result
-        exp.write_risk_grid_csv(cells, os.path.join(out_dir, "risk_grid.csv"))
-        cell_summaries = [
-            {"n": c.n, "B": c.B, "gates_ok": c.bound is not None and c.bound.conditions_met,
-             "skipped": c.bound is None}
-            for c in cells
-        ]
-        exp.write_manifest(cfg, {"experiment": experiment, "cells": cell_summaries},
-                           os.path.join(out_dir, "manifest.json"))
-        skipped = sum(1 for c in cells if c.bound is None)
+        skipped = sum(c.bound is None for c in result)
+        extra = {"cells": [{"n": c.n, "B": c.B, "skipped": c.bound is None,
+                            "gates_ok": c.bound is not None and c.bound.conditions_met}
+                           for c in result]}
         if skipped:
-            click.echo(f"warning: {skipped} cell(s) skipped (fewer than two points per bin)",
-                       err=True)
-        click.echo(f"risk grid written to {out_dir} ({len(cells)} cells, {skipped} skipped)")
+            warning = f"{skipped} cell(s) skipped (fewer than two points per bin)"
+        summary = f"risk grid written to {out_dir} ({len(result)} cells, {skipped} skipped)"
     elif experiment == "opt-b":
-        exp.write_opt_b_csv(result, os.path.join(out_dir, "opt_b.csv"))
-        exp.write_manifest(cfg, {"experiment": experiment, "K_hat": result.K_hat},
-                           os.path.join(out_dir, "manifest.json"))
-        click.echo(f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})")
+        extra = {"K_hat": result.K_hat}
+        summary = f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})"
     else:
-        exp.write_label_shift_csv(result, os.path.join(out_dir, "label_shift.csv"))
-        exp.write_manifest(
-            cfg,
-            {"experiment": experiment, "B_P": result.B_P, "B_Q": result.B_Q,
-             "replacements": result.replacements},
-            os.path.join(out_dir, "manifest.json"),
-        )
+        extra = {"B_P": result.B_P, "B_Q": result.B_Q, "replacements": result.replacements}
         if result.replacements:
-            click.echo(f"warning: {result.replacements} draw(s) replaced because a class "
-                       "was absent", err=True)
-        click.echo(f"label-shift study written to {out_dir}")
+            warning = f"{result.replacements} draw(s) replaced because a class was absent"
+        summary = f"label-shift study written to {out_dir}"
+    write_study_csv(result, os.path.join(out_dir, csv_name))
+    exp.write_manifest(cfg, {"experiment": experiment, **extra},
+                       os.path.join(out_dir, "manifest.json"))
+    if warning is not None:
+        click.echo(f"warning: {warning}", err=True)
+    click.echo(summary)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ CPU features (see ``oracle.sample``).
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,7 +25,7 @@ from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
 from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _reals, _sorted_view,
                    compose, estimate_weights, fit_recalibrator)
-from .fileio import fmt_float, write_text_atomic
+from .fileio import write_csv, write_json
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
 __all__ = [
@@ -350,52 +349,31 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
 def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
     """One row per (cell, seed). Skipped cells emit a marker row with
     seed -1 and empty numeric fields."""
-    lines = ["n,B,seed,r_cal,r_sha,r,mse,cal_bound,sha_bound,risk_bound,gates_ok"]
+    rows = []
     for cell in cells:
         bound = cell.bound
         if bound is None:
-            lines.append(f"{cell.n},{cell.B},-1,,,,,,,,0")
+            rows.append((cell.n, cell.B, -1, *[None] * 7, 0))
             continue
-        gate = "1" if bound.conditions_met else "0"
-        for k, rep in enumerate(cell.reports):
-            lines.append(",".join([
-                str(cell.n), str(cell.B), str(k),
-                fmt_float(rep.r_cal), fmt_float(rep.r_sha),
-                fmt_float(rep.r_total), fmt_float(rep.mse),
-                fmt_float(bound.cal_bound), fmt_float(bound.sha_bound),
-                fmt_float(bound.risk_bound), gate,
-            ]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        rows.extend((cell.n, cell.B, k, rep.r_cal, rep.r_sha, rep.r_total, rep.mse,
+                     bound.cal_bound, bound.sha_bound, bound.risk_bound, bound.conditions_met)
+                    for k, rep in enumerate(cell.reports))
+    write_csv(path, ("n", "B", "seed", "r_cal", "r_sha", "r", "mse",
+                     "cal_bound", "sha_bound", "risk_bound", "gates_ok"), rows)
 
 
 def write_label_shift_csv(result: LabelShiftResult, path: str) -> None:
-    lines = ["method,seed,r_cal,r_sha,r,mse"]
-    for row in result.rows:
-        for k, rep in enumerate(row.reports):
-            lines.append(",".join([
-                row.method, str(k),
-                fmt_float(rep.r_cal), fmt_float(rep.r_sha),
-                fmt_float(rep.r_total), fmt_float(rep.mse),
-            ]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ("method", "seed", "r_cal", "r_sha", "r", "mse"),
+              [(row.method, k, rep.r_cal, rep.r_sha, rep.r_total, rep.mse)
+               for row in result.rows for k, rep in enumerate(row.reports)])
 
 
 def write_opt_b_csv(result: OptimalBResult, path: str) -> None:
-    lines = ["n,B_star_exp,B_star_theory,zeta_min"]
-    for row in result.rows:
-        lines.append(",".join([
-            str(row.n), str(row.B_star_exp), str(row.B_star_theory),
-            fmt_float(row.zeta_min),
-        ]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ("n", "B_star_exp", "B_star_theory", "zeta_min"),
+              [(row.n, row.B_star_exp, row.B_star_theory, row.zeta_min) for row in result.rows])
 
 
 def write_manifest(cfg: ExperimentConfig, extra: dict, path: str) -> None:
     """JSON run manifest: config, seed rule, library version, run details."""
-    payload = {
-        "config": asdict(cfg),
-        "library_version": __version__,
-        "seed_rule": SEED_RULE,
-    }
-    payload.update(extra)
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"config": asdict(cfg), "library_version": __version__,
+                      "seed_rule": SEED_RULE, **extra})

@@ -20,7 +20,10 @@ as the bitwise reference for its grid-table successor, and
 reference for the oracle's table-read sampler. ``hstar_sq_ref`` and
 ``injective_risk_ref`` check the oracle's trapezoid quadrature.
 ``read_columns_rowwise_ref`` keeps the CLI's earlier row-by-row CSV
-reader as the reference for its column-wise successor.
+reader as the reference for its column-wise successor, and
+``risk_grid_csv_ref``, ``label_shift_csv_ref`` and ``opt_b_csv_ref``
+the study CSVs' earlier line-building loops as the bytewise references
+for their rows written through ``fileio.write_csv``.
 Running this file as a script
 prints every frozen constant used in the test suite; the literals in
 the tests were pasted from that output.
@@ -615,6 +618,56 @@ def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool 
     dtypes = {"z": np.float64, "y": np.int8}
     return ([np.array(column, dtypes[name]) for column, name in zip(columns, header)],
             hashlib.sha256(raw).hexdigest())
+
+
+# --------------------------------------------------------- study CSV writers
+
+def fmt_float(x: float) -> str:
+    return repr(float(x))
+
+
+def risk_grid_csv_ref(cells) -> str:
+    """The text the earlier ``write_risk_grid_csv`` wrote."""
+    lines = ["n,B,seed,r_cal,r_sha,r,mse,cal_bound,sha_bound,risk_bound,gates_ok"]
+    for cell in cells:
+        bound = cell.bound
+        if bound is None:
+            lines.append(f"{cell.n},{cell.B},-1,,,,,,,,0")
+            continue
+        gate = "1" if bound.conditions_met else "0"
+        for k, rep in enumerate(cell.reports):
+            lines.append(",".join([
+                str(cell.n), str(cell.B), str(k),
+                fmt_float(rep.r_cal), fmt_float(rep.r_sha),
+                fmt_float(rep.r_total), fmt_float(rep.mse),
+                fmt_float(bound.cal_bound), fmt_float(bound.sha_bound),
+                fmt_float(bound.risk_bound), gate,
+            ]))
+    return "\n".join(lines) + "\n"
+
+
+def label_shift_csv_ref(result) -> str:
+    """The text the earlier ``write_label_shift_csv`` wrote."""
+    lines = ["method,seed,r_cal,r_sha,r,mse"]
+    for row in result.rows:
+        for k, rep in enumerate(row.reports):
+            lines.append(",".join([
+                row.method, str(k),
+                fmt_float(rep.r_cal), fmt_float(rep.r_sha),
+                fmt_float(rep.r_total), fmt_float(rep.mse),
+            ]))
+    return "\n".join(lines) + "\n"
+
+
+def opt_b_csv_ref(result) -> str:
+    """The text the earlier ``write_opt_b_csv`` wrote."""
+    lines = ["n,B_star_exp,B_star_theory,zeta_min"]
+    for row in result.rows:
+        lines.append(",".join([
+            str(row.n), str(row.B_star_exp), str(row.B_star_theory),
+            fmt_float(row.zeta_min),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def _print_frozen() -> None:

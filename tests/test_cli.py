@@ -1031,6 +1031,69 @@ def test_model_number_fields_must_be_json_numbers(tmp_path):
             assert res.stdout == "" and not written.exists()
 
 
+def test_model_metadata_must_be_a_json_object(tmp_path):
+    # "metadata": [] loaded, and shift --base-model copied it into the new
+    # model; a missing metadata key still reads as {}.
+    model = {"kind": "piecewise", "edges": [0.0, 0.5, 1.0], "values": [0.25, 0.75],
+             "counts": [1, 1]}
+    scores, p_path, q_path = tmp_path / "scores.csv", tmp_path / "p.csv", tmp_path / "q.csv"
+    scores.write_text("z\n0.5\n")
+    labels_csv(p_path, 10, 10)
+    labels_csv(q_path, 5, 5)
+    for i, metadata in enumerate(([], "n", 3, None)):
+        path = tmp_path / f"model_{i}.json"
+        path.write_text(json.dumps({"format_version": 1, "model": model, "metadata": metadata}))
+        for res, written in (
+                (run("apply", "--model", path, "--input", scores, "--out", tmp_path / "o.csv"),
+                 tmp_path / "o.csv"),
+                (run("shift", "--labels-p", p_path, "--labels-q", q_path,
+                     "--base-model", path, "--out", tmp_path / "m.json"),
+                 tmp_path / "m.json")):
+            assert res.exit_code == 2, (metadata, res.output, res.exception)
+            assert res.stderr == f"error: {path}: malformed model: metadata must be a JSON object\n"
+            assert res.stdout == "" and not written.exists()
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"format_version": 1, "model": model}))
+    assert load_model(str(bare))[1] == {}
+    res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--base-model", bare,
+              "--out", tmp_path / "m.json")
+    assert res.exit_code == 0, res.stderr
+    assert json.loads((tmp_path / "m.json").read_text())["metadata"]["base_model"] == {}
+
+
+def test_model_and_config_json_are_read_as_utf8(tmp_path):
+    # Under an ASCII locale, a model or config with a non-ASCII string was
+    # refused with "'ascii' codec can't decode", although the CLI reads
+    # nothing from the environment.
+    model = {"kind": "piecewise", "edges": [0.0, 0.5, 1.0], "values": [0.25, 0.75],
+             "counts": [1, 1]}
+    base = tmp_path / "base.json"
+    base.write_bytes(json.dumps({"format_version": 1, "model": model,
+                                 "metadata": {"note": "caf\u00e9"}}, ensure_ascii=False).encode())
+    config = tmp_path / "cfg.json"
+    config.write_bytes('{"seeds": "zw\u00e9i"}'.encode())
+    labels_csv(tmp_path / "p.csv", 10, 10)
+    labels_csv(tmp_path / "q.csv", 5, 5)
+    outputs = []
+    for locale in ({"LC_ALL": "C.UTF-8"},
+                   {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        env = {k: v for k, v in _src_env().items() if k != "PYTHONIOENCODING"} | locale
+
+        def cli_run(*args):
+            return subprocess.run([sys.executable, "-m", "recalib.cli", *args], cwd=tmp_path,
+                                  env=env, capture_output=True)
+
+        shift = cli_run("shift", "--labels-p", "p.csv", "--labels-q", "q.csv",
+                        "--base-model", "base.json", "--out", "m.json")
+        assert shift.returncode == 0, shift.stderr
+        simulate = cli_run("simulate", "risk-grid", "--config", "cfg.json", "--out-dir", "d")
+        assert simulate.returncode == 2
+        assert simulate.stderr == b"error: bad config: seeds must be integral numbers, not str\n"
+        outputs.append((shift.stdout, shift.stderr, (tmp_path / "m.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b'"note": "caf\\u00e9"' in outputs[0][2]
+
+
 def test_shift_unwritable_out_exits_2(tmp_path):
     p_path, q_path = tmp_path / "p.csv", tmp_path / "q.csv"
     labels_csv(p_path, 10, 10)
@@ -1291,8 +1354,8 @@ def test_simulate_risk_grid(tmp_path):
     out_dir = tmp_path / "run1"
     res = run("simulate", "risk-grid", "--config", cfg, "--out-dir", out_dir)
     assert res.exit_code == 0, res.stderr
-    assert "risk grid written to" in res.output
-    assert "1 cell(s) skipped" in res.stderr
+    assert res.stdout == f"risk grid written to {out_dir} (4 cells, 1 skipped)\n"
+    assert res.stderr == "warning: 1 cell(s) skipped (fewer than two points per bin)\n"
 
     lines = (out_dir / "risk_grid.csv").read_text().splitlines()
     assert lines[0] == "n,B,seed,r_cal,r_sha,r,mse,cal_bound,sha_bound,risk_bound,gates_ok"
@@ -1483,12 +1546,23 @@ def test_simulate_label_shift(tmp_path):
     out_dir = tmp_path / "shift"
     res = run("simulate", "label-shift", "--config", cfg, "--out-dir", out_dir)
     assert res.exit_code == 0, res.stderr
+    assert res.stdout == f"label-shift study written to {out_dir}\n"
+    assert res.stderr == ""
     lines = (out_dir / "label_shift.csv").read_text().splitlines()
     assert lines[0] == "method,seed,r_cal,r_sha,r,mse"
     assert len(lines) == 9
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["B_P"] == 4 and manifest["B_Q"] == 3
     assert manifest["replacements"] == 0
+
+    # At pi_target 0.01 most draws of 10 target points hold no positive.
+    cfg.write_text(json.dumps({"n_P": 100, "n_Q": 10, "pi_target": 0.01, "seeds": 2}))
+    retry_dir = tmp_path / "retry"
+    res = run("simulate", "label-shift", "--config", cfg, "--out-dir", retry_dir)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == f"label-shift study written to {retry_dir}\n"
+    assert res.stderr == "warning: 14 draw(s) replaced because a class was absent\n"
+    assert json.loads((retry_dir / "manifest.json").read_text())["replacements"] == 14
 
 
 def test_simulate_opt_b(tmp_path):
@@ -1497,6 +1571,8 @@ def test_simulate_opt_b(tmp_path):
     out_dir = tmp_path / "optb"
     res = run("simulate", "opt-b", "--config", cfg, "--out-dir", out_dir)
     assert res.exit_code == 0, res.stderr
+    assert res.stdout == f"bin-count study written to {out_dir} (K_hat = 18.5216)\n"
+    assert res.stderr == ""
     lines = (out_dir / "opt_b.csv").read_text().splitlines()
     assert lines[0] == "n,B_star_exp,B_star_theory,zeta_min"
     assert len(lines) == 2

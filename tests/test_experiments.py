@@ -39,7 +39,10 @@ from recalib.experiments import (
     write_opt_b_csv,
     write_risk_grid_csv,
 )
+from recalib.fileio import write_csv, write_json
 from recalib.oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
+
+from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
 
 # Frozen slope regressions for the default base seed. The sharpness grid
 # B in [6, 96] is pre-asymptotic: even with noise-free edges the slope
@@ -471,6 +474,41 @@ def test_opt_b_csv_format(tmp_path):
     assert float(zeta_min) > 0.0
 
 
+def test_study_csvs_keep_the_reference_bytes(tmp_path):
+    # Each study CSV is a header plus rows through fileio.write_csv, and
+    # keeps the bytes of its earlier line-building loop: a risk grid with a
+    # skip marker row, a label-shift run with replaced draws and a subset
+    # of the methods, and a bin-count study.
+    grid = run_risk_grid(ExperimentConfig(n_grid=(100, 1_000), B_grid=(6, 60), seeds=2))
+    assert any(cell.bound is None for cell in grid)
+    shift = run_label_shift(ExperimentConfig(seeds=2, n_P=100, n_Q=10, pi_target=0.01,
+                                             methods=("LabelShift", "Composite")))
+    assert shift.replacements == 14
+    opt_b = run_optimal_B(ExperimentConfig(n_grid=(1_000, 10_000), B_grid=(6, 10, 16), seeds=2))
+    for write, ref, result in ((write_risk_grid_csv, risk_grid_csv_ref, grid),
+                               (write_label_shift_csv, label_shift_csv_ref, shift),
+                               (write_opt_b_csv, opt_b_csv_ref, opt_b)):
+        out = tmp_path / f"{write.__name__}.csv"
+        write(result, str(out))
+        assert out.read_bytes() == ref(result).encode(), write.__name__
+
+
+def test_write_csv_fields_and_write_json_format(tmp_path):
+    # None is empty, a str is as is, an integer (numpy's too, and a bool)
+    # is decimal, and any other number is its shortest round-trip form.
+    out = tmp_path / "fields.csv"
+    write_csv(str(out), ("a", "b", "c", "d", "e", "f"),
+              [(None, "x", True, np.int64(6), np.float64(0.1), 1e-300),
+               (False, "", 0, np.int8(-3), 2.0, -0.0)])
+    assert out.read_bytes() == b"a,b,c,d,e,f\n,x,1,6,0.1,1e-300\n0,,0,-3,2.0,-0.0\n"
+    write_csv(str(out), ("a",), [])
+    assert out.read_bytes() == b"a\n"
+    payload = {"b": [1, 2.5, None], "a": {"z": True, "y": "caf\u00e9"}}
+    path = tmp_path / "payload.json"
+    write_json(str(path), payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("run, cfg, paired", [
     (run_risk_grid, ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=3), False),
     (run_optimal_B, ExperimentConfig(n_grid=(1_000, 2_000), B_grid=(6, 12), seeds=3), False),
@@ -498,7 +536,7 @@ def test_study_loops_release_each_draw_before_the_next(monkeypatch, run, cfg, pa
 @pytest.mark.parametrize("run", [run_risk_grid, run_optimal_B])
 def test_study_loop_peak_memory_is_one_draw(monkeypatch, run):
     # The traced peak of three draws at n = 2e5 stays near that of one draw
-    # with its sorted_view and fit: with the previous draw still alive
+    # with its sorted view (core._sorted_view) and fit: with the previous draw still alive
     # during the next, it is about 1.2 times as large. K-hat is computed
     # once before the loop, on a grid of its own, so it is taken as given.
     n, task = 200_000, GaussianMixtureTask(0.5)
