@@ -2,16 +2,17 @@
 simulate.
 
 Exit codes: 0 on success, 2 for input problems (CSV parse errors, bad
-configs, unsupported model files, absent classes), 3 for fitting
-failures (degenerate bins, empty bins, infeasible bin counts). All
-output files are written atomically (temp file plus rename). The CLI
-reads nothing from the environment; behavior is set by flags and files
-only.
+configs, unsupported model files, absent classes, unreadable or
+unwritable files), 3 for fitting failures (degenerate bins, empty bins,
+infeasible bin counts). A command exits itself only to name a flag or
+file or to pick exit 3; ``_Commands.invoke`` maps every other error to
+an exit code in one place. All output files are written atomically (temp
+file plus rename). The CLI reads nothing from the environment; behavior
+is set by flags and files only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from typing import Callable
 
 import click
 import numpy as np
@@ -134,29 +134,6 @@ def _load_model_or_exit(path: str) -> tuple[Recalibrator, dict]:
         return load_model(path)
     except ValueError as e:
         _fail(f"{path}: {e}", 2)
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Exit 2 with a one-line message when an output file cannot be written."""
-    try:
-        yield
-    except OSError as e:
-        _fail(f"{path}: {e.strerror or e}", 2)
-
-
-@contextlib.contextmanager
-def _refusing_bad_numbers():
-    """Exit 2 with a one-line message when the library refuses a flag's
-    value (ValueError) or float arithmetic overflows or divides by an
-    underflowed zero on it, as with --n 1e400 or --w-min 1e-300, or when
-    a bound it computes from them is not finite."""
-    try:
-        yield
-    except ValueError as e:
-        _fail(str(e), 2)
-    except ArithmeticError as e:
-        _fail(f"the flags are out of floating-point range ({e})", 2)
 
 
 def _echo_bound_report(report) -> None:
@@ -299,10 +276,9 @@ def _read_columns(path: str, header: tuple[str, ...],
     return columns, hashlib.sha256(raw).hexdigest()
 
 
-def _smoothness(k_const, task_name, pi, assume_one: bool = True) -> Callable[[], float | None]:
-    """Check the smoothness flags, exiting 2 on bad ones, and return how to
-    get K: --K as given, the --task estimate, or, with neither, 1 with a
-    warning (assume_one) or None."""
+def _smoothness(k_const, task_name, pi) -> float | None:
+    """Check the smoothness flags, exiting 2 on bad ones, and return K:
+    --K as given, the --task estimate, or None with neither."""
     if k_const is not None and task_name is not None:
         _fail("--K and --task both set the smoothness constant; pass one", 2)
     if pi is not None and task_name is None:
@@ -310,7 +286,7 @@ def _smoothness(k_const, task_name, pi, assume_one: bool = True) -> Callable[[],
     if k_const is not None:
         if not 0.0 <= k_const < math.inf:
             _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
-        return lambda: float(k_const)
+        return float(k_const)
     if task_name == "gaussian":
         from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
 
@@ -318,19 +294,36 @@ def _smoothness(k_const, task_name, pi, assume_one: bool = True) -> Callable[[],
             task = GaussianMixtureTask(0.5 if pi is None else pi)
         except ValueError as e:
             _fail(f"--pi: {e}", 2)
-        return lambda: estimate_K(task, 100_000)
-
-    def default() -> float | None:
-        if not assume_one:
-            return None
-        click.echo("warning: no smoothness constant given; assuming K=1 "
-                   "(pass --K or --task gaussian)", err=True)
-        return 1.0
-
-    return default
+        return estimate_K(task, 100_000)
+    return None
 
 
-@click.group()
+def _assume_unit_K() -> float:
+    click.echo("warning: no smoothness constant given; assuming K=1 "
+               "(pass --K or --task gaussian)", err=True)
+    return 1.0
+
+
+class _Commands(click.Group):
+    """The command group. An OSError, ValueError or ArithmeticError that a
+    command leaves unhandled exits 2 with one line here; a broken pipe is
+    left to click (exit 1), and any other exception stays a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except OSError as e:
+            reason = e.strerror or str(e)
+            _fail(reason if e.filename is None else f"{e.filename}: {reason}", 2)
+        except ValueError as e:
+            _fail(str(e), 2)
+        except ArithmeticError as e:
+            _fail(f"the inputs are out of floating-point range ({e})", 2)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Binned probability recalibration with finite-sample guarantees."""
 
@@ -362,35 +355,34 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             _fail(f"--bins must be at least 1, got {B}", 2)
     # --bins auto needs a K to choose B; an integer --bins uses one only
     # for the smooth sharpness bound, as `bound` does.
-    smoothness = _smoothness(k_const, task_name, pi, assume_one=auto)
+    K = _smoothness(k_const, task_name, pi)
     (z, y), digest = _read_columns(input_path, ("z", "y"))
     data = LabeledSample(z=z, y=y)
-    K = smoothness()
+    if auto and K is None:
+        K = _assume_unit_K()
     # A data set too small for the flags exits 3; flags whose bounds
     # overflow (--K 1e200, --delta 1e-320) exit 2 before the model is written.
-    with _refusing_bad_numbers():
-        if auto:
-            try:
-                B, zeta_min = optimal_bins(data.n, delta, K)
-            except ValueError as e:
-                _fail(str(e), 3)
+    if auto:
         try:
-            model = fit_recalibrator(data, B)
+            B, zeta_min = optimal_bins(data.n, delta, K)
         except ValueError as e:
             _fail(str(e), 3)
-        report = None
-        try:
-            report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K))
-        except InsufficientSampleError as e:
-            click.echo(f"risk bound unavailable: {e}", err=True)
+    try:
+        model = fit_recalibrator(data, B)
+    except ValueError as e:
+        _fail(str(e), 3)
+    report = None
+    try:
+        report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K))
+    except InsufficientSampleError as e:
+        click.echo(f"risk bound unavailable: {e}", err=True)
     metadata = {
         "n": data.n,
         "B": B,
         "delta": delta,
         "source_sha256": digest,
     }
-    with _writing(out_path):
-        save_model(out_path, model, metadata)
+    save_model(out_path, model, metadata)
     # Nothing goes to stdout until the model is written, so a failed fit
     # prints nothing there.
     if auto:
@@ -420,8 +412,7 @@ def cmd_apply(model_path, input_path, out_path) -> None:
     bits, inverse = np.unique(z_cal.view(np.uint64), return_inverse=True)
     rendered = np.array([fmt_float(c) for c in bits.view(np.float64)], dtype=object)
     rows = map(",".join, zip(map(repr, z.tolist()), rendered[inverse].tolist()))
-    with _writing(out_path):
-        write_text_atomic(out_path, "\n".join(["z,z_cal", *rows]) + "\n")
+    write_text_atomic(out_path, "\n".join(["z,z_cal", *rows]) + "\n")
     click.echo(f"recalibrated scores written to {out_path}")
 
 
@@ -438,10 +429,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     """Estimate label-shift weights and save a shift or composite model."""
     (labels_p,), source_sha256 = _read_columns(labels_p_path, ("y",))
     (labels_q,), target_sha256 = _read_columns(labels_q_path, ("y",))
-    try:
-        weights = estimate_weights(labels_p, labels_q)
-    except ValueError as e:
-        _fail(str(e), 2)
+    weights = estimate_weights(labels_p, labels_q)
     corrector = ShiftCorrector(weights)
     metadata = {
         "n_P": len(labels_p),
@@ -456,8 +444,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
             _fail(f"{base_model_path}: --base-model must hold a piecewise model", 2)
         metadata["base_model"] = base_meta
         model = compose(corrector, base)
-    with _writing(out_path):
-        save_model(out_path, model, metadata)
+    save_model(out_path, model, metadata)
     click.echo(f"estimated weights: w_0 = {fmt_float(weights.w[0])}, "
                f"w_1 = {fmt_float(weights.w[1])}")
     click.echo(f"model written to {out_path}")
@@ -471,8 +458,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
               help="Smoothness constant; if given, the sharpness bound is 8K^2/B^2, not 2/B.")
 def cmd_bound(n, B, delta, K) -> None:
     """Print the single-distribution risk bounds."""
-    with _refusing_bad_numbers():
-        report = risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K))
+    report = risk_bound_report(BoundParams(n=n, B=B, delta=delta, K=K))
     _echo_bound_report(report)
 
 
@@ -501,10 +487,9 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
                if v is None]
     if 0 < len(missing) < 3:
         _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
-    with _refusing_bad_numbers():
-        report = shift_risk_bound_apriori(**fields)
-        realized = None if missing else shift_risk_bound_realized(
-            (rho0, rho1), risk_p, w_min=fields["w_min"], w_max=fields["w_max"])
+    report = shift_risk_bound_apriori(**fields)
+    realized = None if missing else shift_risk_bound_realized(
+        (rho0, rho1), risk_p, w_min=fields["w_min"], w_max=fields["w_max"])
     click.echo(f"recalibration terms (shift-scaled): cal {fmt_float(report.cal_bound)}, "
                f"sha {fmt_float(report.sha_bound)}")
     click.echo(f"target risk bound: {fmt_float(report.risk_bound)}")
@@ -522,9 +507,10 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
 @click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
 def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
     """Print the bin count minimizing the risk bound objective."""
-    K = _smoothness(k_const, task_name, pi)()
-    with _refusing_bad_numbers():
-        B_star, zeta_min = optimal_bins(n, delta, K)
+    K = _smoothness(k_const, task_name, pi)
+    if K is None:
+        K = _assume_unit_K()
+    B_star, zeta_min = optimal_bins(n, delta, K)
     click.echo(f"B_star = {B_star}")
     click.echo(f"zeta_min = {fmt_float(zeta_min)}")
 
@@ -572,11 +558,8 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         _fail(f"bad config: {e}", 2)
     except MemoryError:
         _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
-    except OverflowError as e:
-        _fail(f"the config is out of floating-point range ({e})", 2)
     # Only now, so that a refused study leaves no directory behind.
-    with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     warning = None
     if experiment == "risk-grid":
         skipped = sum(c.bound is None for c in result)
@@ -594,9 +577,14 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         if result.replacements:
             warning = f"{result.replacements} draw(s) replaced because a class was absent"
         summary = f"label-shift study written to {out_dir}"
-    write_study_csv(result, os.path.join(out_dir, csv_name))
-    exp.write_manifest(cfg, {"experiment": experiment, **extra},
-                       os.path.join(out_dir, "manifest.json"))
+    csv_path = os.path.join(out_dir, csv_name)
+    write_study_csv(result, csv_path)
+    try:
+        exp.write_manifest(cfg, {"experiment": experiment, **extra},
+                           os.path.join(out_dir, "manifest.json"))
+    except BaseException:
+        os.remove(csv_path)  # a failed study leaves no output file
+        raise
     if warning is not None:
         click.echo(f"warning: {warning}", err=True)
     click.echo(summary)

@@ -3,6 +3,7 @@ JSON files, and the atomic write under both."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import os
@@ -18,20 +19,23 @@ def fmt_float(x: float) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write text via a sibling temporary file and an atomic rename. The
-    file gets mode 0o666 less the umask, as ``open`` would create it."""
+    file gets mode 0o666 less the umask, as ``open`` would create it. An
+    ``OSError`` names ``path``, not the temporary file, even where the
+    failed call named no file, as a full disk does."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp.{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 def _csv_field(x) -> str:

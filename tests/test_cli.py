@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from recalib.core import (
     compose,
     estimate_weights,
 )
-from recalib.fileio import fmt_float
+from recalib.fileio import fmt_float, write_text_atomic
 from recalib.oracle import GaussianMixtureTask, exact_shift_weights, sample
 
 from oracles import read_columns_rowwise_ref
@@ -661,6 +662,55 @@ def test_written_files_honour_the_umask(tmp_path):
     assert res.stdout == "0o644\n"
     assert path.read_text() == "x\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_errors_name_the_path(tmp_path):
+    # Not the temporary sibling it was written through, which is gone.
+    missing = str(tmp_path / "nodir" / "out.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        write_text_atomic(missing, "x\n")
+    assert info.value.filename == missing
+    directory = tmp_path / "d"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_text_atomic(str(directory), "x\n")
+    assert info.value.filename == str(directory)
+    # An error that names no file, as a full disk's does.
+    path = str(tmp_path / "out.txt")
+    full = OSError(errno.ENOSPC, "No space left on device")
+    with mock.patch("os.replace", side_effect=full), pytest.raises(OSError) as info:
+        write_text_atomic(path, "x\n")
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, path)
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+def test_unreadable_input_exits_2(tmp_path):
+    # Each input a command opens, as a file that exists but cannot be read.
+    inputs = {"data.csv": FIT_CSV, "scores.csv": "z\n0.5\n", "p.csv": "y\n0\n1\n",
+              "q.csv": "y\n0\n1\n1\n", "cfg.json": json.dumps({"n_grid": [100], "seeds": 1})}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    save_model(str(tmp_path / "model.json"), _writer_models()[0], {})
+    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (*inputs, "model.json"))
+    out = tmp_path / "out"
+    for argv, unreadable in (
+        (("fit", "--input", data, "--bins", 2, "--out", out), data),
+        (("apply", "--model", model, "--input", scores, "--out", out), model),
+        (("apply", "--model", model, "--input", scores, "--out", out), scores),
+        (("shift", "--labels-p", p, "--labels-q", q, "--out", out), p),
+        (("shift", "--labels-p", p, "--labels-q", q, "--base-model", model, "--out", out), model),
+        (("simulate", "risk-grid", "--config", cfg, "--out-dir", out), cfg),
+    ):
+        def refusing_open(file, *args, **kwargs):
+            if os.fspath(file) == unreadable:
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        with mock.patch.object(cli, "open", refusing_open, create=True):
+            res = run(*argv)
+        assert res.exit_code == 2, (argv, res.exception)
+        assert res.stderr == f"error: {unreadable}: Permission denied\n", argv
+        assert res.stdout == "" and not out.exists(), argv
 
 
 # ------------------------------------------------------- CSV readers, apply writer
@@ -1580,6 +1630,23 @@ def test_simulate_opt_b(tmp_path):
     assert manifest["K_hat"] == pytest.approx(18.52161577549451, rel=1e-9)
 
 
+def test_simulate_failed_write_leaves_no_file(tmp_path):
+    # A study CSV that cannot be written, or a manifest that cannot be
+    # written after its CSV was, exits 2 and leaves no file in --out-dir.
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1, "n_P": 64, "n_Q": 27}))
+    for experiment, csv_name in (("risk-grid", "risk_grid.csv"), ("opt-b", "opt_b.csv"),
+                                 ("label-shift", "label_shift.csv")):
+        for blocked in (csv_name, "manifest.json"):
+            out_dir = tmp_path / f"{experiment}-{blocked}"
+            (out_dir / blocked).mkdir(parents=True)
+            res = run("simulate", experiment, "--config", cfg, "--out-dir", out_dir)
+            assert_input_error(res)
+            assert res.stderr == f"error: {out_dir / blocked}: Is a directory\n"
+            assert res.stdout == ""
+            assert [p.name for p in out_dir.rglob("*")] == [blocked]
+
+
 def test_simulate_full_scale_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -1608,6 +1675,12 @@ ARGV_VALUES = [
     "-nan", "inf", "-inf", "1e400", str(2**63), str(10**30), str(-10**30), str(10**400),
     "", " ", "auto", "gaussian", "x", "-", "risk-grid", "opt-b", "label-shift",
 ]
+# Output directories in which `simulate` cannot write: the study CSVs, or
+# only the manifest, are directories.
+BLOCKED_OUT_DIRS = {
+    "csvs-blocked": ("risk_grid.csv", "opt_b.csv", "label_shift.csv"),
+    "manifest-blocked": ("manifest.json",),
+}
 # Options of other commands and of no command.
 STRAY_OPTIONS = ["--n", "--B", "--K", "--bins", "--task", "--pi", "--n-p", "--rho0",
                  "--smooth", "--no-smooth", "--out", "--config", "--seed", "--version"]
@@ -1632,6 +1705,11 @@ def _argv_fixtures(root) -> dict:
         (root / name).write_text(text)
     paths["model"] = str(root / "model")
     save_model(paths["model"], _writer_models()[0], {})
+    for name, blocking in BLOCKED_OUT_DIRS.items():
+        shutil.rmtree(root / name, ignore_errors=True)
+        for entry in blocking:
+            (root / name / entry).mkdir(parents=True)
+        paths[name] = str(root / name)
     return paths
 
 
@@ -1651,7 +1729,8 @@ def _argv_bases(paths: dict) -> dict:
         "optbins": (("--n", ("1000000", "100")), ("--K", "1")),
         # Its --config always comes first, so the study stays tiny: a later
         # --config wins, and every value it can get is small or refused.
-        "simulate": (("--config", paths["tiny"]), ("--out-dir", "d")),
+        "simulate": (("--config", paths["tiny"]),
+                     ("--out-dir", ("d", paths["csvs-blocked"], paths["manifest-blocked"]))),
     }
 
 
@@ -1685,12 +1764,16 @@ def check_argv(work, inputs, args: list[str]) -> None:
     """Run ``recalib *args`` in-process with ``work`` as the working
     directory, where every relative output path lands, and check that it
     exits 0, 2 or 3; that a failure prints nothing on stdout, ends stderr
-    with one error line and leaves no file behind, in ``work`` or as a
-    temporary sibling of an input file under ``inputs``; then empty
-    ``work``."""
+    with one error line and leaves no file behind, in ``work``, as a
+    temporary sibling of an input file under ``inputs`` or beside the
+    blocking entries of an output directory in BLOCKED_OUT_DIRS; then
+    empty ``work``."""
     res = CliRunner().invoke(main, args)
     created = sorted(str(p.relative_to(work)) for p in work.rglob("*"))
     created += sorted(p.name for p in inputs.glob(".tmp.*"))
+    for name, blocking in BLOCKED_OUT_DIRS.items():
+        created += sorted(str(p.relative_to(inputs)) for p in (inputs / name).rglob("*")
+                          if str(p.relative_to(inputs / name)) not in blocking)
     for entry in work.iterdir():
         if entry.is_dir():
             shutil.rmtree(entry)
