@@ -4,9 +4,9 @@ simulate.
 Exit codes: 0 on success, 2 for input problems (CSV parse errors, bad
 configs, unsupported model files, absent classes, unreadable or
 unwritable files), 3 for fitting failures (degenerate bins, empty bins,
-infeasible bin counts). A command exits itself only to name a flag or
-file or to pick exit 3; ``_Commands.invoke`` maps every other error to
-an exit code in one place. All output files are written atomically (temp
+infeasible bin counts). A command exits itself only to pick exit 3;
+every other refusal is raised, and ``_Commands.invoke`` maps it to an
+exit code in one place. All output files are written atomically (temp
 file plus rename). The CLI reads nothing from the environment; behavior
 is set by flags and files only.
 """
@@ -95,45 +95,52 @@ def save_model(path: str, h: Recalibrator, metadata: dict) -> None:
                       "model": _recalibrator_to_obj(h), "metadata": metadata})
 
 
-def load_model(path: str) -> tuple[Recalibrator, dict]:
+def _read(path: str) -> bytes:
+    """An input file's bytes; an ``OSError`` names ``path``, also if a failed read names none."""
     try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except RecursionError as e:  # arrays or objects nested past the limit
-        raise ValueError(f"malformed model: {e}") from e
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object in a UTF-8 file; a ``ValueError`` starts with ``path``."""
+    try:
+        payload = json.loads(_read(path).decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested past the limit
+        raise ValueError(f"{path}: {e}") from e
     if not isinstance(payload, dict):
-        raise ValueError("a model file must hold a JSON object")
+        raise ValueError(f"{path}: the file must hold a JSON object")
+    return payload
+
+
+def load_model(path: str) -> tuple[Recalibrator, dict]:
+    """Read a model file; a ``ValueError`` starts with ``path``."""
+    payload = _read_json_object(path)
     version = payload.get("format_version")
     # type() because JSON true loads as a bool, a subclass of int.
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"model format version {version!r} is not supported (expected {MODEL_FORMAT_VERSION})"
-        )
+        raise ValueError(f"{path}: model format version {version!r} is not supported "
+                         f"(expected {MODEL_FORMAT_VERSION})")
     try:
         model = _recalibrator_from_obj(payload["model"])
     except KeyError as e:
-        raise ValueError(f"malformed model: missing field {e}") from e
+        raise ValueError(f"{path}: malformed model: missing field {e}") from e
     except (ValueError, TypeError, OverflowError, RecursionError) as e:
         # A value the library refuses, a field of the wrong JSON type, such
         # as "edges": 5 or "values": [true], an integer too large for a
         # float, or a composite whose parts are of the wrong kinds.
-        raise ValueError(f"malformed model: {e}") from e
+        raise ValueError(f"{path}: malformed model: {e}") from e
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
-        raise ValueError("malformed model: metadata must be a JSON object")
+        raise ValueError(f"{path}: malformed model: metadata must be a JSON object")
     return model, metadata
 
 
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _load_model_or_exit(path: str) -> tuple[Recalibrator, dict]:
-    try:
-        return load_model(path)
-    except ValueError as e:
-        _fail(f"{path}: {e}", 2)
 
 
 def _echo_bound_report(report) -> None:
@@ -144,7 +151,7 @@ def _echo_bound_report(report) -> None:
                f"({report.condition_detail})")
 
 
-def _parse_score(path: str, row: int, text: str) -> float:
+def _parse_score(row: int, text: str) -> float:
     # float() would also read digit-group underscores, non-ASCII digits
     # such as full-width ones, and strip any whitespace; a score is ASCII
     # and may only be padded with spaces and tabs.
@@ -154,16 +161,16 @@ def _parse_score(path: str, row: int, text: str) -> float:
             raise ValueError
         value = float(plain)
     except ValueError:
-        _fail(f"{path}: row {row}, column z: {text!r} is not a number", 2)
+        raise ValueError(f"row {row}, column z: {text!r} is not a number") from None
     if not 0.0 <= value <= 1.0:
-        _fail(f"{path}: row {row}, column z: {value!r} outside [0.0, 1.0]", 2)
+        raise ValueError(f"row {row}, column z: {value!r} outside [0.0, 1.0]")
     return value
 
 
-def _parse_label(path: str, row: int, text: str) -> int:
+def _parse_label(row: int, text: str) -> int:
     y = text.strip(" \t")
     if y not in ("0", "1"):
-        _fail(f"{path}: row {row}, column y: {text!r} is not 0 or 1", 2)
+        raise ValueError(f"row {row}, column y: {text!r} is not 0 or 1")
     return int(y)
 
 
@@ -191,14 +198,17 @@ _COLUMNS = {
 }
 
 
-def _parse_rows(path: str, text: str, header: tuple[str, ...],
-                empty_ok: bool) -> list[np.ndarray]:
-    """The row-by-row reader, which decides and names every refusal.
+def _parse_rows(raw: bytes, header: tuple[str, ...], empty_ok: bool) -> list[np.ndarray]:
+    """The row-by-row reader, which decides and words every refusal.
 
-    Parses the CSV with the csv module, each field with its column's
-    parser, and exits 2 at the first damaged row with its row number, or
-    when there are no data rows and ``empty_ok`` is false.
+    Decodes the file as UTF-8, parses it with the csv module and each field
+    with its column's parser, and raises ``ValueError`` naming the first
+    damaged row, or when there are no data rows and ``empty_ok`` is false.
     """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}") from None
     columns = [[] for _ in header]
     parsers = [_COLUMNS[name][0] for name in header]
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -206,22 +216,22 @@ def _parse_rows(path: str, text: str, header: tuple[str, ...],
     try:
         first = next(reader, None)
         if first is None:
-            _fail(f"{path}: empty file, expected header {','.join(header)}", 2)
+            raise ValueError(f"empty file, expected header {','.join(header)}")
         if tuple(s.strip(" \t") for s in first) != header:
-            _fail(f"{path}: row 1: expected header {','.join(header)}, "
-                  f"got {','.join(map(repr, first))}", 2)
+            raise ValueError(f"row 1: expected header {','.join(header)}, "
+                             f"got {','.join(map(repr, first))}")
         row = 1
         for row, fields in enumerate(reader, start=2):
             if len(fields) != len(header):
-                _fail(f"{path}: row {row}: expected {len(header)} fields, got {len(fields)}", 2)
+                raise ValueError(f"row {row}: expected {len(header)} fields, got {len(fields)}")
             for column, parse, field in zip(columns, parsers, fields):
-                column.append(parse(path, row, field))
+                column.append(parse(row, field))
     except csv.Error as e:
         # Raised while reading the row after ``row``, e.g. a field longer
         # than csv.field_size_limit().
-        _fail(f"{path}: row {row + 1}: {e}", 2)
+        raise ValueError(f"row {row + 1}: {e}") from None
     if not columns[0] and not empty_ok:
-        _fail(f"{path}: no data rows", 2)
+        raise ValueError("no data rows")
     return [np.array(column, _COLUMNS[name][2]) for column, name in zip(columns, header)]
 
 
@@ -262,30 +272,28 @@ def _read_columns(path: str, header: tuple[str, ...],
     and y (labels, int8); return the columns and the file's SHA-256.
 
     The file is read once. A plain file is parsed column-wise from its bytes;
-    anything else is decoded and goes to the row-by-row reader. Exits 2 on damage.
+    anything else goes to the row-by-row reader, whose refusal gains the path.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = _read(path)
     columns = _split_columns(raw, header)
     if columns is None:
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            _fail(f"{path}: not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}", 2)
-        columns = _parse_rows(path, text, header, empty_ok)
+            columns = _parse_rows(raw, header, empty_ok)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
     return columns, hashlib.sha256(raw).hexdigest()
 
 
 def _smoothness(k_const, task_name, pi) -> float | None:
-    """Check the smoothness flags, exiting 2 on bad ones, and return K:
-    --K as given, the --task estimate, or None with neither."""
+    """Check the smoothness flags, raising ``ValueError`` on bad ones, and
+    return K: --K as given, the --task estimate, or None with neither."""
     if k_const is not None and task_name is not None:
-        _fail("--K and --task both set the smoothness constant; pass one", 2)
+        raise ValueError("--K and --task both set the smoothness constant; pass one")
     if pi is not None and task_name is None:
-        _fail("--pi needs --task", 2)
+        raise ValueError("--pi needs --task")
     if k_const is not None:
         if not 0.0 <= k_const < math.inf:
-            _fail(f"--K must be finite and nonnegative, got {k_const!r}", 2)
+            raise ValueError(f"--K must be finite and nonnegative, got {k_const!r}")
         return float(k_const)
     if task_name == "gaussian":
         from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
@@ -293,7 +301,7 @@ def _smoothness(k_const, task_name, pi) -> float | None:
         try:
             task = GaussianMixtureTask(0.5 if pi is None else pi)
         except ValueError as e:
-            _fail(f"--pi: {e}", 2)
+            raise ValueError(f"--pi: {e}") from e
         return estimate_K(task, 100_000)
     return None
 
@@ -305,9 +313,9 @@ def _assume_unit_K() -> float:
 
 
 class _Commands(click.Group):
-    """The command group. An OSError, ValueError or ArithmeticError that a
-    command leaves unhandled exits 2 with one line here; a broken pipe is
-    left to click (exit 1), and any other exception stays a traceback."""
+    """The command group. An OSError, ValueError, ArithmeticError or MemoryError
+    that a command raises exits 2 with one line here; a broken pipe is left
+    to click (exit 1), and any other exception stays a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -321,6 +329,8 @@ class _Commands(click.Group):
             _fail(str(e), 2)
         except ArithmeticError as e:
             _fail(f"the inputs are out of floating-point range ({e})", 2)
+        except MemoryError:
+            _fail("the inputs do not fit in memory", 2)
 
 
 @click.group(cls=_Commands)
@@ -344,15 +354,15 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     # Every flag is checked before the CSV is read, so a refusal is cheap.
     if not 0.0 < delta < 1.0:
-        _fail(f"--delta must lie in (0, 1), got {delta!r}", 2)
+        raise ValueError(f"--delta must lie in (0, 1), got {delta!r}")
     auto = bins == "auto"
     if not auto:
         try:
             B = int(bins)
         except ValueError:
-            _fail(f"--bins must be an integer or 'auto', got {bins!r}", 2)
+            raise ValueError(f"--bins must be an integer or 'auto', got {bins!r}") from None
         if B < 1:
-            _fail(f"--bins must be at least 1, got {B}", 2)
+            raise ValueError(f"--bins must be at least 1, got {B}")
     # --bins auto needs a K to choose B; an integer --bins uses one only
     # for the smooth sharpness bound, as `bound` does.
     K = _smoothness(k_const, task_name, pi)
@@ -362,12 +372,9 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         K = _assume_unit_K()
     # A data set too small for the flags exits 3; flags whose bounds
     # overflow (--K 1e200, --delta 1e-320) exit 2 before the model is written.
-    if auto:
-        try:
-            B, zeta_min = optimal_bins(data.n, delta, K)
-        except ValueError as e:
-            _fail(str(e), 3)
     try:
+        if auto:
+            B, zeta_min = optimal_bins(data.n, delta, K)
         model = fit_recalibrator(data, B)
     except ValueError as e:
         _fail(str(e), 3)
@@ -403,7 +410,7 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_apply(model_path, input_path, out_path) -> None:
     """Recalibrate a stream of scores; writes CSV with header z,z_cal."""
-    model, _ = _load_model_or_exit(model_path)
+    model, _ = load_model(model_path)
     (z,), _ = _read_columns(input_path, ("z",), empty_ok=True)  # no scores, no output rows
     z_cal = apply_batch(model, z)
     # A piecewise map takes few distinct values: render each bit pattern
@@ -439,9 +446,9 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     }
     model = corrector
     if base_model_path is not None:
-        base, base_meta = _load_model_or_exit(base_model_path)
+        base, base_meta = load_model(base_model_path)
         if not isinstance(base, PiecewiseRecalibrator):
-            _fail(f"{base_model_path}: --base-model must hold a piecewise model", 2)
+            raise ValueError(f"{base_model_path}: --base-model must hold a piecewise model")
         metadata["base_model"] = base_meta
         model = compose(corrector, base)
     save_model(out_path, model, metadata)
@@ -486,7 +493,7 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
     missing = [name for name, v in (("--rho0", rho0), ("--rho1", rho1), ("--risk-p", risk_p))
                if v is None]
     if 0 < len(missing) < 3:
-        _fail(f"the realized-ratio bound needs {', '.join(missing)}", 2)
+        raise ValueError(f"the realized-ratio bound needs {', '.join(missing)}")
     report = shift_risk_bound_apriori(**fields)
     realized = None if missing else shift_risk_bound_realized(
         (rho0, rho1), risk_p, w_min=fields["w_min"], w_max=fields["w_max"])
@@ -532,32 +539,23 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         "label-shift": (exp.ExperimentConfig(), exp.run_label_shift,
                         "label_shift.csv", exp.write_label_shift_csv),
     }[experiment]
-    overrides = {}
-    if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as f:
-                overrides = json.load(f)
-            if not isinstance(overrides, dict):
-                raise ValueError("config must be a JSON object")
-        except (ValueError, RecursionError) as e:
-            # RecursionError: arrays or objects nested past the parser's limit.
-            _fail(f"{config_path}: {e}", 2)
+    overrides = {} if config_path is None else _read_json_object(config_path)
     if seed is not None:
         overrides["base_seed"] = seed
     try:
         cfg = exp.config_from_dict(overrides, defaults)
     except (TypeError, ValueError, OverflowError) as e:
         # OverflowError: an integer too large for a float, as a prior.
-        _fail(f"bad config: {e}", 2)
+        raise ValueError(f"bad config: {e}") from e
 
     try:
         result = run_study(cfg)
     except ValueError as e:
         # An n with no feasible bin count, or a class still absent after
         # the study's replacement draws.
-        _fail(f"bad config: {e}", 2)
-    except MemoryError:
-        _fail("the study's samples do not fit in memory; lower its sample sizes", 2)
+        raise ValueError(f"bad config: {e}") from e
+    except MemoryError:  # sizes that pass the config checks but cannot be allocated
+        raise ValueError("the study's samples do not fit in memory; lower its sample sizes")
     # Only now, so that a refused study leaves no directory behind.
     os.makedirs(out_dir, exist_ok=True)
     warning = None

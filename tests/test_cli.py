@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -711,6 +712,89 @@ def test_unreadable_input_exits_2(tmp_path):
         assert res.exit_code == 2, (argv, res.exception)
         assert res.stderr == f"error: {unreadable}: Permission denied\n", argv
         assert res.stdout == "" and not out.exists(), argv
+
+
+class _FailingRead(io.BytesIO):
+    """A file whose read fails naming no file, as /proc/self/mem's does."""
+
+    def read(self, *args):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def test_read_error_naming_no_file_names_the_input(tmp_path):
+    inputs = {"data.csv": FIT_CSV, "scores.csv": "z\n0.5\n", "p.csv": "y\n0\n1\n",
+              "q.csv": "y\n0\n1\n1\n", "cfg.json": json.dumps({"n_grid": [100], "seeds": 1})}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    save_model(str(tmp_path / "model.json"), _writer_models()[0], {})
+    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (*inputs, "model.json"))
+    out = tmp_path / "out"
+    for argv, unreadable in (
+        (("fit", "--input", data, "--bins", 2, "--out", out), data),
+        (("apply", "--model", model, "--input", scores, "--out", out), model),
+        (("apply", "--model", model, "--input", scores, "--out", out), scores),
+        (("shift", "--labels-p", p, "--labels-q", q, "--out", out), p),
+        (("shift", "--labels-p", p, "--labels-q", q, "--base-model", model, "--out", out), model),
+        (("simulate", "risk-grid", "--config", cfg, "--out-dir", out), cfg),
+    ):
+        def failing_open(file, *args, **kwargs):
+            return _FailingRead() if os.fspath(file) == unreadable else open(file, *args, **kwargs)
+
+        with mock.patch.object(cli, "open", failing_open, create=True):
+            res = run(*argv)
+        assert res.exit_code == 2, (argv, res.exception)
+        assert res.stderr == f"error: {unreadable}: Input/output error\n", argv
+        assert res.stdout == "" and not out.exists(), argv
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    inp, scores, labels = tmp_path / "data.csv", tmp_path / "scores.csv", tmp_path / "p.csv"
+    inp.write_text(FIT_CSV)
+    scores.write_text("z\n0.5\n")
+    labels_csv(labels, 2, 2)
+    model = tmp_path / "model.json"
+    save_model(str(model), UNIT_SHIFT, {})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1}))
+    out = tmp_path / "out"
+    generic = "error: the inputs do not fit in memory\n"
+    for target, argv, stderr in (
+        ("recalib.cli.fit_recalibrator", ("fit", "--input", inp, "--bins", 2), generic),
+        ("recalib.cli.apply_batch", ("apply", "--model", model, "--input", scores), generic),
+        ("recalib.cli.estimate_weights", ("shift", "--labels-p", labels, "--labels-q", labels),
+         generic),
+        ("recalib.experiments.run_risk_grid", ("simulate", "risk-grid", "--config", cfg),
+         "error: the study's samples do not fit in memory; lower its sample sizes\n"),
+    ):
+        with mock.patch(target, side_effect=MemoryError):
+            res = run(*argv, "--out-dir" if argv[0] == "simulate" else "--out", out)
+        assert res.exit_code == 2, (argv, res.exception)
+        assert res.stderr == stderr and res.stdout == "" and not out.exists(), argv
+
+
+def test_readers_raise_value_errors_naming_the_file(tmp_path):
+    # The readers are plain functions: they raise, and only the command
+    # group turns what they raise into an exit code.
+    for name, data, reason in (
+        ("range.csv", b"z,y\n1.5,1\n", "row 2, column z: 1.5 outside [0.0, 1.0]"),
+        ("bytes.csv", b"z,y\n0.\xff2,1\n", "not UTF-8: byte 0xff at offset 6"),
+        ("header.csv", FIT_CSV.replace("z,y", "score,label").encode(),
+         "row 1: expected header z,y, got 'score','label'"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            cli._read_columns(str(path), ("z", "y"))
+        assert str(info.value) == f"{path}: {reason}"
+    for name, text, reason in (
+        ("list.json", "[1]", "the file must hold a JSON object"),
+        ("bare.json", json.dumps({"format_version": 1}), "malformed model: missing field 'model'"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {reason}"
 
 
 # ------------------------------------------------------- CSV readers, apply writer
