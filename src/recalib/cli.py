@@ -6,13 +6,14 @@ configs, unsupported model files, absent classes, unreadable or
 unwritable files), 3 for fitting failures (degenerate bins, empty bins,
 infeasible bin counts). A command exits itself only to pick exit 3;
 every other refusal is raised, and ``_Commands.invoke`` maps it to an
-exit code in one place. All output files are written atomically (temp
-file plus rename). The CLI reads nothing from the environment; behavior
-is set by flags and files only.
+exit code in one place, after removing every output the command wrote.
+Outputs are written atomically (temp file plus rename). The CLI reads
+nothing from the environment; behavior is set by flags and files only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -312,14 +313,27 @@ def _assume_unit_K() -> float:
     return 1.0
 
 
+def _wrote(*paths: str) -> None:
+    """Record outputs of the running command, for removal if it fails."""
+    click.get_current_context().meta["recalib.written"].extend(paths)
+
+
 class _Commands(click.Group):
-    """The command group. An OSError, ValueError, ArithmeticError or MemoryError
-    that a command raises exits 2 with one line here; a broken pipe is left
-    to click (exit 1), and any other exception stays a traceback."""
+    """The command group. A command that fails for any reason loses every
+    output it recorded with ``_wrote``; then an OSError, ValueError,
+    ArithmeticError or MemoryError exits 2 with one line here, a broken pipe
+    exits 1 through click, and any other exception stays a traceback."""
 
     def invoke(self, ctx: click.Context):
+        written = ctx.meta["recalib.written"] = []
         try:
-            return super().invoke(ctx)
+            try:
+                return super().invoke(ctx)
+            except BaseException:
+                for path in reversed(written):  # newest first, so a directory is empty
+                    with contextlib.suppress(OSError):
+                        (os.rmdir if os.path.isdir(path) else os.remove)(path)
+                raise
         except BrokenPipeError:
             raise
         except OSError as e:
@@ -390,6 +404,7 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         "source_sha256": digest,
     }
     save_model(out_path, model, metadata)
+    _wrote(out_path)
     # Nothing goes to stdout until the model is written, so a failed fit
     # prints nothing there.
     if auto:
@@ -420,6 +435,7 @@ def cmd_apply(model_path, input_path, out_path) -> None:
     rendered = np.array([fmt_float(c) for c in bits.view(np.float64)], dtype=object)
     rows = map(",".join, zip(map(repr, z.tolist()), rendered[inverse].tolist()))
     write_text_atomic(out_path, "\n".join(["z,z_cal", *rows]) + "\n")
+    _wrote(out_path)
     click.echo(f"recalibrated scores written to {out_path}")
 
 
@@ -452,6 +468,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
         metadata["base_model"] = base_meta
         model = compose(corrector, base)
     save_model(out_path, model, metadata)
+    _wrote(out_path)
     click.echo(f"estimated weights: w_0 = {fmt_float(weights.w[0])}, "
                f"w_1 = {fmt_float(weights.w[1])}")
     click.echo(f"model written to {out_path}")
@@ -557,6 +574,10 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     except MemoryError:  # sizes that pass the config checks but cannot be allocated
         raise ValueError("the study's samples do not fit in memory; lower its sample sizes")
     # Only now, so that a refused study leaves no directory behind.
+    level, levels = out_dir, []
+    while level and not os.path.lexists(level):
+        level, levels = os.path.dirname(level), [level, *levels]
+    _wrote(*levels)  # the levels this run makes, outermost first
     os.makedirs(out_dir, exist_ok=True)
     warning = None
     if experiment == "risk-grid":
@@ -577,12 +598,10 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         summary = f"label-shift study written to {out_dir}"
     csv_path = os.path.join(out_dir, csv_name)
     write_study_csv(result, csv_path)
-    try:
-        exp.write_manifest(cfg, {"experiment": experiment, **extra},
-                           os.path.join(out_dir, "manifest.json"))
-    except BaseException:
-        os.remove(csv_path)  # a failed study leaves no output file
-        raise
+    _wrote(csv_path)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    exp.write_manifest(cfg, {"experiment": experiment, **extra}, manifest_path)
+    _wrote(manifest_path)
     if warning is not None:
         click.echo(f"warning: {warning}", err=True)
     click.echo(summary)

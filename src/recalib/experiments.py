@@ -102,8 +102,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if any(v < 1 for v in grid):
                 raise ValueError(f"{name} entries must be positive")
-            if list(grid) != sorted(grid):
-                raise ValueError(f"{name} must be sorted ascending")
+            if list(grid) != sorted(set(grid)):
+                raise ValueError(f"{name} must be strictly increasing")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.seeds < 1:

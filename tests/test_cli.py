@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import ast
+import contextlib
 import dataclasses
 import errno
 import io
@@ -31,6 +32,7 @@ from recalib.core import (
     compose,
     estimate_weights,
 )
+from recalib.experiments import ExperimentConfig
 from recalib.fileio import fmt_float, write_text_atomic
 from recalib.oracle import GaussianMixtureTask, exact_shift_weights, sample
 
@@ -1563,6 +1565,25 @@ def test_simulate_config_errors(tmp_path):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("field, grid", [
+    ("n_grid", [100, 100]), ("B_grid", [6, 6]), ("n_grid", [1000, 100]), ("B_grid", [12, 6]),
+], ids=["repeated-n", "repeated-B", "unsorted-n", "unsorted-B"])
+def test_study_grids_must_be_strictly_increasing(tmp_path, field, grid):
+    # A repeated entry would run one cell again under the same seed and
+    # write duplicate rows; an unsorted grid is refused by the same rule.
+    message = f"{field} must be strictly increasing"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(**{field: grid})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_grid": [100], "B_grid": [6], "seeds": 1, field: grid}))
+    for experiment in ("risk-grid", "opt-b"):
+        res = run("simulate", experiment, "--config", cfg, "--out-dir", tmp_path / "out")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: bad config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 # Each config is small, so that a regression that accepts it runs quickly.
 MISTYPED_CONFIGS = [
     ("risk-grid", '{"seeds": 2.5, "n_grid": [100], "B_grid": [6]}',
@@ -1731,6 +1752,127 @@ def test_simulate_failed_write_leaves_no_file(tmp_path):
             assert [p.name for p in out_dir.rglob("*")] == [blocked]
 
 
+def tree(root) -> dict:
+    """Every entry under ``root``: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+def no_space() -> OSError:
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+def failing_stdout(error):
+    """Patch ``click.echo`` as ``cli`` calls it so that every stdout write
+    raises a fresh ``error()``; stderr writes go through."""
+    echo = cli.click.echo
+
+    def patched(*args, err=False, **kwargs):
+        if not err:
+            raise error()
+        return echo(*args, err=err, **kwargs)
+
+    return mock.patch.object(cli.click, "echo", patched)
+
+
+TINY_STUDY = {"n_grid": [100], "B_grid": [6], "seeds": 1, "n_P": 64, "n_Q": 27}
+
+
+def _writing_commands(inputs) -> list:
+    """Each output-writing command, as argv whose outputs are relative
+    paths, with its input files written under ``inputs``."""
+    inputs.mkdir()
+    (inputs / "data.csv").write_text(FIT_CSV)
+    (inputs / "scores.csv").write_text("z\n0.1\n0.5\n0.9\n")
+    labels_csv(inputs / "p.csv", 30, 20)
+    labels_csv(inputs / "q.csv", 10, 40)
+    (inputs / "tiny.json").write_text(json.dumps(TINY_STUDY))
+    for name, h in zip(("piecewise.json", "composite.json"), _writer_models()):
+        save_model(str(inputs / name), h, {})
+    shift = ["shift", "--labels-p", inputs / "p.csv", "--labels-q", inputs / "q.csv",
+             "--out", "s.json"]
+    return [
+        ["fit", "--input", inputs / "data.csv", "--bins", "2", "--out", "m.json"],
+        ["fit", "--input", inputs / "data.csv", "--bins", "auto", "--task", "gaussian",
+         "--out", "m.json"],
+        *(["apply", "--model", inputs / model, "--input", inputs / "scores.csv",
+           "--out", "o.csv"] for model in ("piecewise.json", "composite.json")),
+        shift,
+        shift + ["--base-model", inputs / "piecewise.json"],
+        *(["simulate", study, "--config", inputs / "tiny.json", "--out-dir", out_dir]
+          for study in ("risk-grid", "opt-b", "label-shift")
+          for out_dir in ("new/nested", "old")),
+    ]
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (no_space, 2, "error: No space left on device"),
+    (lambda: BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, None),
+], ids=["ENOSPC", "EPIPE"])
+def test_failed_stdout_leaves_no_output(tmp_path, monkeypatch, error, code, message):
+    # Every command that writes files, with stdout failing once they are
+    # written: the exit code and message are those of the error, and the
+    # files and directories the run made are gone. An --out-dir that
+    # existed keeps its other entries, byte for byte.
+    commands = _writing_commands(tmp_path / "in")
+    work = tmp_path / "work"
+    (work / "old").mkdir(parents=True)
+    (work / "old" / "notes.txt").write_text("kept\n")
+    monkeypatch.chdir(work)
+    before = tree(tmp_path)
+    for args in commands:
+        with failing_stdout(error):
+            res = CliRunner().invoke(main, [str(a) for a in args])
+        assert res.exit_code == code, (args, res.stderr, res.exception)
+        assert res.stdout == ""
+        if message is not None:
+            assert res.stderr.splitlines()[-1] == message, (args, res.stderr)
+        assert tree(tmp_path) == before, args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_stdout_on_dev_full_leaves_no_output(tmp_path):
+    # The kernel's own failing stdout, not a patched one: a fit, and a study
+    # into a fresh nested --out-dir, each exit 2 and leave nothing behind.
+    (tmp_path / "fit.csv").write_text(FIT_CSV)
+    (tmp_path / "tiny.json").write_text(json.dumps(TINY_STUDY))
+    before = tree(tmp_path)
+    for args in (["fit", "--input", "fit.csv", "--bins", "2", "--out", "m.json"],
+                 ["simulate", "risk-grid", "--config", "tiny.json", "--out-dir", "new/dir"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "recalib.cli", *args], cwd=tmp_path,
+                                  env=_src_env(), stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: No space left on device\n"
+        assert tree(tmp_path) == before, args
+
+
+def test_refused_command_keeps_existing_outputs(tmp_path, monkeypatch):
+    # A refusal that comes before any write leaves the outputs of an
+    # earlier run as they were: only what this run wrote is removed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("z,y\n0.1,0\n0.2,2\n")
+    (tmp_path / "bad_model.json").write_text('{"format_version": 1, "model": {"kind": "piecewise"}}')
+    (tmp_path / "scores.csv").write_text("z\n0.5\n")
+    labels_csv(tmp_path / "p.csv", 10, 10)
+    labels_csv(tmp_path / "q.csv", 10, 0)
+    (tmp_path / "bad_cfg.json").write_text(json.dumps({"seeds": 2.5}))
+    for name in ("m.json", "o.csv", "s.json"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "risk_grid.csv").write_text("old study\n")
+    (tmp_path / "old" / "notes.txt").write_text("kept\n")
+    before = tree(tmp_path)
+    for args in (
+        ["fit", "--input", "bad.csv", "--bins", "2", "--out", "m.json"],
+        ["apply", "--model", "bad_model.json", "--input", "scores.csv", "--out", "o.csv"],
+        ["shift", "--labels-p", "p.csv", "--labels-q", "q.csv", "--out", "s.json"],
+        ["simulate", "risk-grid", "--config", "bad_cfg.json", "--out-dir", "old"],
+    ):
+        assert_input_error(run(*args))
+        assert tree(tmp_path) == before, args
+
+
 def test_simulate_full_scale_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -1844,15 +1986,18 @@ def argv_cases(draw, paths: dict) -> list[str]:
     return args
 
 
-def check_argv(work, inputs, args: list[str]) -> None:
+def check_argv(work, inputs, args: list[str], stdout_fails: bool) -> None:
     """Run ``recalib *args`` in-process with ``work`` as the working
     directory, where every relative output path lands, and check that it
     exits 0, 2 or 3; that a failure prints nothing on stdout, ends stderr
     with one error line and leaves no file behind, in ``work``, as a
     temporary sibling of an input file under ``inputs`` or beside the
     blocking entries of an output directory in BLOCKED_OUT_DIRS; then
-    empty ``work``."""
-    res = CliRunner().invoke(main, args)
+    empty ``work``. With ``stdout_fails``, every stdout write of the
+    program raises ENOSPC, so each command that writes files fails after
+    writing them."""
+    with failing_stdout(no_space) if stdout_fails else contextlib.nullcontext():
+        res = CliRunner().invoke(main, args)
     created = sorted(str(p.relative_to(work)) for p in work.rglob("*"))
     created += sorted(p.name for p in inputs.glob(".tmp.*"))
     for name, blocking in BLOCKED_OUT_DIRS.items():
@@ -1870,12 +2015,15 @@ def check_argv(work, inputs, args: list[str]) -> None:
         assert created == [], (args, created)
         *before, last = res.stderr.splitlines()
         # click's usage errors end in one "Error:" line, most after a usage
-        # block; the program's own are one "error:" line after any warnings.
+        # block; the program's own are one "error:" line after any warnings,
+        # and with a failing stdout also after the notice that `fit` prints
+        # on stderr before it writes its model.
+        notices = ("warning: ", "risk bound unavailable: ") if stdout_fails else "warning: "
         if last.startswith("Error: "):
             assert res.exit_code == 2, args
         else:
             assert last.startswith("error: "), (args, res.stderr)
-            assert all(line.startswith("warning: ") for line in before), (args, res.stderr)
+            assert all(line.startswith(notices) for line in before), (args, res.stderr)
 
 
 @settings(max_examples=300, deadline=None,
@@ -1888,4 +2036,4 @@ def test_argv_fuzz_exits_0_2_or_3_and_fails_cleanly(tmp_path, monkeypatch, data)
     work = tmp_path / "work"
     work.mkdir(exist_ok=True)
     monkeypatch.chdir(work)
-    check_argv(work, tmp_path / "in", data.draw(argv_cases(paths)))
+    check_argv(work, tmp_path / "in", data.draw(argv_cases(paths)), data.draw(st.booleans()))
