@@ -4,9 +4,10 @@ simulate.
 Exit codes: 0 on success, 2 for input problems (CSV parse errors, bad
 configs, unsupported model files, absent classes, unreadable or
 unwritable files), 3 for fitting failures (degenerate bins, empty bins,
-infeasible bin counts). A command exits itself only to pick exit 3;
-every other refusal is raised, and ``_Commands.invoke`` maps it to an
-exit code in one place, after removing every output the command wrote.
+infeasible bin counts). Every refusal of a command is raised, click's
+usage errors included, and ``_Commands.invoke`` maps it to an exit code in
+one place, after removing every output the command wrote. That code does
+not depend on whether stderr can be written; only a broken pipe exits 1.
 Outputs are written atomically (temp file plus rename). The CLI reads
 nothing from the environment; behavior is set by flags and files only.
 """
@@ -137,11 +138,6 @@ def load_model(path: str) -> tuple[Recalibrator, dict]:
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: malformed model: metadata must be a JSON object")
     return model, metadata
-
-
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _echo_bound_report(report) -> None:
@@ -318,11 +314,17 @@ def _wrote(*paths: str) -> None:
     click.get_current_context().meta["recalib.written"].extend(paths)
 
 
+class _FitFailure(Exception):
+    """A sample that cannot carry the requested fit; the command exits 3."""
+
+
 class _Commands(click.Group):
-    """The command group. A command that fails for any reason loses every
-    output it recorded with ``_wrote``; then an OSError, ValueError,
-    ArithmeticError or MemoryError exits 2 with one line here, a broken pipe
-    exits 1 through click, and any other exception stays a traceback."""
+    """The command group, the one place that picks a nonzero exit code. A
+    failed command loses every output it recorded with ``_wrote``; then a
+    click usage error exits 2 after click's usage block, a ``_FitFailure``
+    3 and an OSError, ValueError, ArithmeticError or MemoryError 2 after one
+    ``error:`` line, whether or not stderr can take it. A broken pipe exits
+    1 through click; any other exception stays a traceback."""
 
     def invoke(self, ctx: click.Context):
         written = ctx.meta["recalib.written"] = []
@@ -336,15 +338,22 @@ class _Commands(click.Group):
                 raise
         except BrokenPipeError:
             raise
+        except click.ClickException as e:  # an unknown command, or its bad options
+            code, message, show = e.exit_code, None, e.show
+        except _FitFailure as e:
+            code, message = 3, str(e)
         except OSError as e:
             reason = e.strerror or str(e)
-            _fail(reason if e.filename is None else f"{e.filename}: {reason}", 2)
+            code, message = 2, reason if e.filename is None else f"{e.filename}: {reason}"
         except ValueError as e:
-            _fail(str(e), 2)
+            code, message = 2, str(e)
         except ArithmeticError as e:
-            _fail(f"the inputs are out of floating-point range ({e})", 2)
+            code, message = 2, f"the inputs are out of floating-point range ({e})"
         except MemoryError:
-            _fail("the inputs do not fit in memory", 2)
+            code, message = 2, "the inputs do not fit in memory"
+        with contextlib.suppress(OSError):
+            show() if message is None else click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Commands)
@@ -391,12 +400,12 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
             B, zeta_min = optimal_bins(data.n, delta, K)
         model = fit_recalibrator(data, B)
     except ValueError as e:
-        _fail(str(e), 3)
+        raise _FitFailure(str(e)) from e
     report = None
     try:
         report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K))
     except InsufficientSampleError as e:
-        click.echo(f"risk bound unavailable: {e}", err=True)
+        click.echo(f"warning: risk bound unavailable: {e}", err=True)
     metadata = {
         "n": data.n,
         "B": B,
@@ -405,16 +414,16 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     }
     save_model(out_path, model, metadata)
     _wrote(out_path)
-    # Nothing goes to stdout until the model is written, so a failed fit
-    # prints nothing there.
+    if report is not None and not report.conditions_met:
+        click.echo(f"warning: sample-size gate not met ({report.condition_detail})", err=True)
+    # Nothing goes to stdout until the model is written and every warning
+    # is on stderr, so a failed fit prints nothing on stdout.
     if auto:
         click.echo(f"auto bin count: B = {B} (objective {zeta_min:.6g}, K = {K:.6g})")
         click.echo("sharpness bound: 8K^2/B^2, the smooth term of that objective")
     if report is not None:
         _echo_bound_report(report)
     click.echo(f"model written to {out_path}")
-    if report is not None and not report.conditions_met:
-        click.echo(f"warning: sample-size gate not met ({report.condition_detail})", err=True)
 
 
 @main.command(name="apply")

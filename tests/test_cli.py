@@ -1762,13 +1762,14 @@ def no_space() -> OSError:
     return OSError(errno.ENOSPC, "No space left on device")
 
 
-def failing_stdout(error):
-    """Patch ``click.echo`` as ``cli`` calls it so that every stdout write
-    raises a fresh ``error()``; stderr writes go through."""
+def failing_stream(stream: str, error):
+    """Patch ``click.echo`` as ``cli`` calls it so that every write to
+    ``stream``, "stdout" or "stderr", raises a fresh ``error()``; the other
+    stream's writes go through. Click's own usage messages are not patched."""
     echo = cli.click.echo
 
     def patched(*args, err=False, **kwargs):
-        if not err:
+        if err == (stream == "stderr"):
             raise error()
         return echo(*args, err=err, **kwargs)
 
@@ -1821,7 +1822,7 @@ def test_failed_stdout_leaves_no_output(tmp_path, monkeypatch, error, code, mess
     monkeypatch.chdir(work)
     before = tree(tmp_path)
     for args in commands:
-        with failing_stdout(error):
+        with failing_stream("stdout", error):
             res = CliRunner().invoke(main, [str(a) for a in args])
         assert res.exit_code == code, (args, res.stderr, res.exception)
         assert res.stdout == ""
@@ -1830,20 +1831,64 @@ def test_failed_stdout_leaves_no_output(tmp_path, monkeypatch, error, code, mess
         assert tree(tmp_path) == before, args
 
 
+def test_failed_stderr_keeps_exit_codes(tmp_path, monkeypatch):
+    # With every stderr write failing, a refusal keeps its exit code, and a
+    # command whose warning cannot be written fails as one whose stdout
+    # fails does: exit 2 with nothing on stdout and nothing left behind.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fit.csv").write_text(FIT_CSV)
+    (tmp_path / "bad.csv").write_text("z,y\n0.1,0\n0.2,2\n")
+    (tmp_path / "bad_cfg.json").write_text(json.dumps({"seeds": 2.5}))
+    # At n = 100, B = 96 leaves fewer than two points per bin: a skipped cell.
+    (tmp_path / "skips.json").write_text(json.dumps({"n_grid": [100], "B_grid": [6, 96],
+                                                     "seeds": 1}))
+    before = tree(tmp_path)
+    fit = ["fit", "--out", "m.json", "--input"]
+    for args, code in (
+        (fit + ["bad.csv", "--bins", "2"], 2),
+        (fit + ["fit.csv", "--bins", "5"], 3),  # more bins than points
+        (["simulate", "risk-grid", "--config", "bad_cfg.json", "--out-dir", "d"], 2),
+        (fit + ["fit.csv", "--bins", "2"], 2),  # the sample-size gate warning
+        (["simulate", "risk-grid", "--config", "skips.json", "--out-dir", "new/dir"], 2),
+    ):
+        with failing_stream("stderr", no_space):
+            res = CliRunner().invoke(main, args)
+        assert res.exit_code == code, (args, res.exception)
+        assert res.stdout == res.stderr == "", args
+        assert tree(tmp_path) == before, args
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_stdout_on_dev_full_leaves_no_output(tmp_path):
-    # The kernel's own failing stdout, not a patched one: a fit, and a study
-    # into a fresh nested --out-dir, each exit 2 and leave nothing behind.
+    # The kernel's own failing streams, not patched ones. With stdout on
+    # /dev/full, a fit and a study into a fresh nested --out-dir each exit 2
+    # with one error line after any warnings. With stderr there, a fit the
+    # data cannot carry exits 3, and a fit whose gate warning is lost, a
+    # click usage error and an unknown command exit 2. None prints on
+    # stdout or leaves anything behind.
     (tmp_path / "fit.csv").write_text(FIT_CSV)
     (tmp_path / "tiny.json").write_text(json.dumps(TINY_STUDY))
     before = tree(tmp_path)
-    for args in (["fit", "--input", "fit.csv", "--bins", "2", "--out", "m.json"],
-                 ["simulate", "risk-grid", "--config", "tiny.json", "--out-dir", "new/dir"]):
+    fit = ["fit", "--input", "fit.csv", "--out", "m.json", "--bins"]
+    for stream, args, code in (
+        ("stdout", fit + ["2"], 2),
+        ("stdout", ["simulate", "risk-grid", "--config", "tiny.json", "--out-dir", "new/dir"], 2),
+        ("stderr", fit + ["5"], 3),
+        ("stderr", fit + ["2"], 2),
+        ("stderr", ["bound", "--n", "1000", "--B", "10", "--rho0", "1.1"], 2),
+        ("stderr", ["nosuch"], 2),
+    ):
         with open("/dev/full", "w") as full:
+            streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
             proc = subprocess.run([sys.executable, "-m", "recalib.cli", *args], cwd=tmp_path,
-                                  env=_src_env(), stdout=full, stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "error: No space left on device\n"
+                                  env=_src_env(), text=True, **streams)
+        assert proc.returncode == code, (args, proc.stderr)
+        if stream == "stdout":  # fit's gate warning comes before its report
+            *warnings, last = proc.stderr.splitlines()
+            assert last == "error: No space left on device", proc.stderr
+            assert all(line.startswith("warning: ") for line in warnings), proc.stderr
+        else:
+            assert proc.stdout == "", args
         assert tree(tmp_path) == before, args
 
 
@@ -1986,17 +2031,19 @@ def argv_cases(draw, paths: dict) -> list[str]:
     return args
 
 
-def check_argv(work, inputs, args: list[str], stdout_fails: bool) -> None:
+def check_argv(work, inputs, args: list[str], failing: str | None) -> None:
     """Run ``recalib *args`` in-process with ``work`` as the working
     directory, where every relative output path lands, and check that it
     exits 0, 2 or 3; that a failure prints nothing on stdout, ends stderr
     with one error line and leaves no file behind, in ``work``, as a
     temporary sibling of an input file under ``inputs`` or beside the
     blocking entries of an output directory in BLOCKED_OUT_DIRS; then
-    empty ``work``. With ``stdout_fails``, every stdout write of the
-    program raises ENOSPC, so each command that writes files fails after
-    writing them."""
-    with failing_stdout(no_space) if stdout_fails else contextlib.nullcontext():
+    empty ``work``. With ``failing`` set to "stdout" or "stderr", every
+    write of the program to that stream raises ENOSPC: a failing stdout
+    makes each command that writes files fail after writing them, and a
+    failing stderr leaves no error line to check, but the exit code, the
+    empty stdout and the absence of files are checked as before."""
+    with failing_stream(failing, no_space) if failing else contextlib.nullcontext():
         res = CliRunner().invoke(main, args)
     created = sorted(str(p.relative_to(work)) for p in work.rglob("*"))
     created += sorted(p.name for p in inputs.glob(".tmp.*"))
@@ -2013,17 +2060,15 @@ def check_argv(work, inputs, args: list[str], stdout_fails: bool) -> None:
     if res.exit_code:
         assert res.stdout == "", (args, res.stdout)
         assert created == [], (args, created)
+    if res.exit_code and failing != "stderr":
         *before, last = res.stderr.splitlines()
         # click's usage errors end in one "Error:" line, most after a usage
-        # block; the program's own are one "error:" line after any warnings,
-        # and with a failing stdout also after the notice that `fit` prints
-        # on stderr before it writes its model.
-        notices = ("warning: ", "risk bound unavailable: ") if stdout_fails else "warning: "
+        # block; the program's own are one "error:" line after any warnings.
         if last.startswith("Error: "):
             assert res.exit_code == 2, args
         else:
             assert last.startswith("error: "), (args, res.stderr)
-            assert all(line.startswith(notices) for line in before), (args, res.stderr)
+            assert all(line.startswith("warning: ") for line in before), (args, res.stderr)
 
 
 @settings(max_examples=300, deadline=None,
@@ -2036,4 +2081,5 @@ def test_argv_fuzz_exits_0_2_or_3_and_fails_cleanly(tmp_path, monkeypatch, data)
     work = tmp_path / "work"
     work.mkdir(exist_ok=True)
     monkeypatch.chdir(work)
-    check_argv(work, tmp_path / "in", data.draw(argv_cases(paths)), data.draw(st.booleans()))
+    check_argv(work, tmp_path / "in", data.draw(argv_cases(paths)),
+               data.draw(st.sampled_from([None, "stdout", "stderr"])))
