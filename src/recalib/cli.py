@@ -4,12 +4,12 @@ simulate.
 Exit codes: 0 on success, 2 for input problems (CSV parse errors, bad
 configs, unsupported model files, absent classes, unreadable or
 unwritable files), 3 for fitting failures (degenerate bins, empty bins,
-infeasible bin counts). Every refusal of a command is raised, click's
-usage errors included, and ``_Commands.invoke`` maps it to an exit code in
-one place, after removing every output the command wrote. That code does
-not depend on whether stderr can be written; only a broken pipe exits 1.
-Outputs are written atomically (temp file plus rename). The CLI reads
-nothing from the environment; behavior is set by flags and files only.
+infeasible bin counts). ``_Commands.main``, the CLI's one boundary, maps
+every refusal, click's usage errors included, to its exit code after
+removing every output the command wrote, whether or not stderr can be
+written; only a broken pipe or an interrupt exits 1. Outputs are written
+atomically (temp file plus rename). The CLI reads nothing from the
+environment: no shell completion, and help is 78 columns wide anywhere.
 """
 
 from __future__ import annotations
@@ -309,9 +309,16 @@ def _assume_unit_K() -> float:
     return 1.0
 
 
+def _output_path(ctx, param, path: str) -> str:
+    """Refuse an empty output path up front: it names no file."""
+    if path == "":
+        raise ValueError(f"{param.opts[0]} must name a path, got ''")
+    return path
+
+
 def _wrote(*paths: str) -> None:
     """Record outputs of the running command, for removal if it fails."""
-    click.get_current_context().meta["recalib.written"].extend(paths)
+    click.get_current_context().obj.extend(paths)
 
 
 class _FitFailure(Exception):
@@ -319,32 +326,36 @@ class _FitFailure(Exception):
 
 
 class _Commands(click.Group):
-    """The command group, the one place that picks a nonzero exit code. A
-    failed command loses every output it recorded with ``_wrote``; then a
-    click usage error exits 2 after click's usage block, a ``_FitFailure``
-    3 and an OSError, ValueError, ArithmeticError or MemoryError 2 after one
-    ``error:`` line, whether or not stderr can take it. A broken pipe exits
-    1 through click; any other exception stays a traceback."""
+    """The command group. Its ``main``, the CLI's one boundary, runs click
+    with ``standalone_mode`` off, so every outcome returns to it. A failed
+    run loses what it recorded with ``_wrote``; a usage error then exits 2,
+    an interrupt 1, a ``_FitFailure`` 3 and an OSError, ValueError,
+    ArithmeticError or MemoryError 2 after one ``error:`` line. A broken
+    pipe exits 1 through click; any other exception stays a traceback."""
 
-    def invoke(self, ctx: click.Context):
-        written = ctx.meta["recalib.written"] = []
+    def _main_shell_completion(self, *args) -> None:
+        """No shell completion: click would read it from the environment."""
+
+    def main(self, *args, **kwargs):
+        written = []
         try:
             try:
-                return super().invoke(ctx)
+                return super().main(*args, **{**kwargs, "standalone_mode": False, "obj": written})
             except BaseException:
                 for path in reversed(written):  # newest first, so a directory is empty
                     with contextlib.suppress(OSError):
                         (os.rmdir if os.path.isdir(path) else os.remove)(path)
                 raise
-        except BrokenPipeError:
-            raise
-        except click.ClickException as e:  # an unknown command, or its bad options
+        except click.ClickException as e:  # a bad option, command or argument
             code, message, show = e.exit_code, None, e.show
+        except click.Abort:  # click's name for an interrupt or the end of input
+            code, message, show = 1, None, lambda: click.echo("Aborted!", err=True)
         except _FitFailure as e:
             code, message = 3, str(e)
-        except OSError as e:
+        except OSError as e:  # or an interrupt whose newline before "Aborted!" failed
             reason = e.strerror or str(e)
-            code, message = 2, reason if e.filename is None else f"{e.filename}: {reason}"
+            code = 1 if isinstance(e.__context__, (EOFError, KeyboardInterrupt)) else 2
+            message = reason if e.filename is None else f"{e.filename}: {reason}"
         except ValueError as e:
             code, message = 2, str(e)
         except ArithmeticError as e:
@@ -356,7 +367,7 @@ class _Commands(click.Group):
         sys.exit(code)
 
 
-@click.group(cls=_Commands)
+@click.group(cls=_Commands, context_settings={"terminal_width": 78})
 def main() -> None:
     """Binned probability recalibration with finite-sample guarantees."""
 
@@ -372,7 +383,8 @@ def main() -> None:
 @click.option("--task", "task_name", type=click.Choice(["gaussian"]), default=None,
               help="Estimate the smoothness constant from this simulation family.")
 @click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_output_path)
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     # Every flag is checked before the CSV is read, so a refusal is cheap.
@@ -431,7 +443,8 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--input", "input_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="CSV with header z.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_output_path)
 def cmd_apply(model_path, input_path, out_path) -> None:
     """Recalibrate a stream of scores; writes CSV with header z,z_cal."""
     model, _ = load_model(model_path)
@@ -456,7 +469,8 @@ def cmd_apply(model_path, input_path, out_path) -> None:
 @click.option("--base-model", "base_model_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Piecewise model to wrap into a composite.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
+              callback=_output_path)
 def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     """Estimate label-shift weights and save a shift or composite model."""
     (labels_p,), source_sha256 = _read_columns(labels_p_path, ("y",))
@@ -553,7 +567,8 @@ def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False), help="JSON config overrides.")
 @click.option("--seed", type=int, default=None, help="Override the base seed.")
-@click.option("--out-dir", "out_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--out-dir", "out_dir", required=True, type=click.Path(file_okay=False),
+              callback=_output_path)
 def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy

@@ -1861,11 +1861,12 @@ def test_failed_stderr_keeps_exit_codes(tmp_path, monkeypatch):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_stdout_on_dev_full_leaves_no_output(tmp_path):
     # The kernel's own failing streams, not patched ones. With stdout on
-    # /dev/full, a fit and a study into a fresh nested --out-dir each exit 2
-    # with one error line after any warnings. With stderr there, a fit the
-    # data cannot carry exits 3, and a fit whose gate warning is lost, a
-    # click usage error and an unknown command exit 2. None prints on
-    # stdout or leaves anything behind.
+    # /dev/full, a fit, a study into a fresh nested --out-dir and the
+    # group's --help each exit 2 with one error line after any warnings and
+    # no traceback. With stderr there, a fit the data cannot carry exits 3,
+    # and a fit whose gate warning is lost, a click usage error, an unknown
+    # command, no arguments at all and an unknown option before the command
+    # name exit 2. None prints on stdout or leaves anything behind.
     (tmp_path / "fit.csv").write_text(FIT_CSV)
     (tmp_path / "tiny.json").write_text(json.dumps(TINY_STUDY))
     before = tree(tmp_path)
@@ -1877,6 +1878,9 @@ def test_stdout_on_dev_full_leaves_no_output(tmp_path):
         ("stderr", fit + ["2"], 2),
         ("stderr", ["bound", "--n", "1000", "--B", "10", "--rho0", "1.1"], 2),
         ("stderr", ["nosuch"], 2),
+        ("stdout", ["--help"], 2),
+        ("stderr", [], 2),
+        ("stderr", ["--bogus"], 2),
     ):
         with open("/dev/full", "w") as full:
             streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
@@ -1890,6 +1894,46 @@ def test_stdout_on_dev_full_leaves_no_output(tmp_path):
         else:
             assert proc.stdout == "", args
         assert tree(tmp_path) == before, args
+
+
+def test_cli_reads_nothing_from_the_environment(tmp_path, monkeypatch):
+    # Click's shell-completion variable for the program's name does not turn
+    # a fit into a completion, and help wraps at one width on any terminal.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fit.csv").write_text(FIT_CSV)
+    fit = ["fit", "--input", "fit.csv", "--bins", "2", "--out", "m.json"]
+    results = []
+    for env in ({}, {"_MAIN_COMPLETE": "bash_complete", "COMP_WORDS": "main fit",
+                     "COMP_CWORD": "1"}):
+        res = CliRunner(env=env).invoke(main, fit)
+        assert res.exit_code == 0, (env, res.stdout, res.exception)
+        results.append((res.stdout, res.stderr, (tmp_path / "m.json").read_bytes()))
+        (tmp_path / "m.json").unlink()
+    assert results[0] == results[1]
+    helps = [CliRunner(env={"COLUMNS": columns}).invoke(main, ["fit", "--help"])
+             for columns in ("50", "200")]
+    assert helps[0].exit_code == helps[1].exit_code == 0
+    assert helps[0].stdout_bytes == helps[1].stdout_bytes
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_interrupt_exits_1_and_leaves_no_output(tmp_path):
+    # Ctrl-C while a study writes its outputs, as click reports it:
+    # "Aborted!" and exit 1, also when stderr cannot take the message, and
+    # the outputs the command wrote are gone, as after any other failure.
+    (tmp_path / "tiny.json").write_text(json.dumps(TINY_STUDY))
+    before = tree(tmp_path)
+    code = ("import sys; from unittest import mock; from recalib import cli, experiments; "
+            "mock.patch.object(experiments, 'write_manifest', side_effect=KeyboardInterrupt)"
+            ".start(); cli.main(sys.argv[1:])")
+    args = ["simulate", "risk-grid", "--config", "tiny.json", "--out-dir", "new/dir"]
+    with open("/dev/full", "w") as full:
+        for stderr in (subprocess.PIPE, full):
+            proc = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path,
+                                  env=_src_env(), stdout=subprocess.PIPE, stderr=stderr, text=True)
+            assert proc.returncode == 1, (stderr, proc.stderr)
+            assert proc.stdout == "" and proc.stderr in ("\nAborted!\n", None), proc.stderr
+            assert tree(tmp_path) == before, stderr
 
 
 def test_refused_command_keeps_existing_outputs(tmp_path, monkeypatch):
@@ -1908,13 +1952,20 @@ def test_refused_command_keeps_existing_outputs(tmp_path, monkeypatch):
     (tmp_path / "old" / "risk_grid.csv").write_text("old study\n")
     (tmp_path / "old" / "notes.txt").write_text("kept\n")
     before = tree(tmp_path)
-    for args in (
+    commands = (
         ["fit", "--input", "bad.csv", "--bins", "2", "--out", "m.json"],
         ["apply", "--model", "bad_model.json", "--input", "scores.csv", "--out", "o.csv"],
         ["shift", "--labels-p", "p.csv", "--labels-q", "q.csv", "--out", "s.json"],
         ["simulate", "risk-grid", "--config", "bad_cfg.json", "--out-dir", "old"],
-    ):
+    )
+    for args in commands:
         assert_input_error(run(*args))
+        assert tree(tmp_path) == before, args
+    # An empty --out or --out-dir is refused by name before any input is read.
+    for *args, flag, _ in commands:
+        res = run(*args, flag, "")
+        assert_input_error(res)
+        assert res.stderr == f"error: {flag} must name a path, got ''\n", res.stderr
         assert tree(tmp_path) == before, args
 
 
@@ -2008,7 +2059,8 @@ def _argv_bases(paths: dict) -> dict:
 @st.composite
 def argv_cases(draw, paths: dict) -> list[str]:
     """A valid argv with options dropped, values replaced and options of
-    the command or others added."""
+    the command or others added; now and then the group's own argv
+    instead: none, --help, or a stray option before the command name."""
     bases = _argv_bases(paths)
     name = draw(st.sampled_from(sorted(bases)))
     own = [opt for p in main.commands[name].params for opt in p.opts if opt.startswith("--")]
@@ -2028,6 +2080,12 @@ def argv_cases(draw, paths: dict) -> list[str]:
         args.append(draw(st.sampled_from(own + STRAY_OPTIONS)))
         if draw(st.integers(0, 5)):
             args.append(draw(values))
+    group = draw(st.integers(0, 9))
+    if group == 0:
+        return draw(st.sampled_from([[], ["--help"]]))
+    if group == 1:
+        stray = [draw(st.sampled_from(STRAY_OPTIONS))]
+        args[:0] = stray + [draw(values)] if draw(st.integers(0, 5)) else stray
     return args
 
 
@@ -2063,8 +2121,9 @@ def check_argv(work, inputs, args: list[str], failing: str | None) -> None:
     if res.exit_code and failing != "stderr":
         *before, last = res.stderr.splitlines()
         # click's usage errors end in one "Error:" line, most after a usage
-        # block; the program's own are one "error:" line after any warnings.
-        if last.startswith("Error: "):
+        # block, and an empty argv gets the group's help; the program's own
+        # errors are one "error:" line after any warnings.
+        if last.startswith("Error: ") or not args:
             assert res.exit_code == 2, args
         else:
             assert last.startswith("error: "), (args, res.stderr)
