@@ -7,7 +7,9 @@ unwritable files), 3 for fitting failures (degenerate bins, empty bins,
 infeasible bin counts). ``_Commands.main``, the CLI's one boundary, maps
 every refusal, click's usage errors included, to its exit code after
 removing every output the command wrote, whether or not stderr can be
-written; only a broken pipe or an interrupt exits 1. Outputs are written
+written; only a broken pipe or an interrupt exits 1. Click only parses
+file names: the call that opens or makes a file is its one check, so a
+file refusal is one ``error: <path>: <reason>`` line. Outputs are written
 atomically (temp file plus rename). The CLI reads nothing from the
 environment: no shell completion, and help is 78 columns wide anywhere.
 """
@@ -309,11 +311,16 @@ def _assume_unit_K() -> float:
     return 1.0
 
 
-def _output_path(ctx, param, path: str) -> str:
-    """Refuse an empty output path up front: it names no file."""
-    if path == "":
-        raise ValueError(f"{param.opts[0]} must name a path, got ''")
-    return path
+class _Path(click.ParamType):
+    """A file name, taken as given: the call that opens or makes the file is
+    its one check. Only an empty name is refused here, since it names none."""
+
+    name = "path"
+
+    def convert(self, value, param, ctx) -> str:
+        if value == "":
+            raise ValueError(f"{param.opts[0]} must name a path, got ''")
+        return value
 
 
 def _wrote(*paths: str) -> None:
@@ -373,8 +380,7 @@ def main() -> None:
 
 
 @main.command(name="fit")
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="CSV with header z,y.")
+@click.option("--input", "input_path", required=True, type=_Path(), help="CSV with header z,y.")
 @click.option("--bins", default="auto", show_default=True,
               help="Bin count, or 'auto' to minimize the bound objective.")
 @click.option("--delta", default=0.1, show_default=True, help="Failure probability for bounds.")
@@ -383,8 +389,7 @@ def main() -> None:
 @click.option("--task", "task_name", type=click.Choice(["gaussian"]), default=None,
               help="Estimate the smoothness constant from this simulation family.")
 @click.option("--pi", type=float, default=None, help="Prior for --task gaussian; 0.5 if not given.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
-              callback=_output_path)
+@click.option("--out", "out_path", required=True, type=_Path())
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     # Every flag is checked before the CSV is read, so a refusal is cheap.
@@ -439,12 +444,9 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
 
 
 @main.command(name="apply")
-@click.option("--model", "model_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="CSV with header z.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
-              callback=_output_path)
+@click.option("--model", "model_path", required=True, type=_Path())
+@click.option("--input", "input_path", required=True, type=_Path(), help="CSV with header z.")
+@click.option("--out", "out_path", required=True, type=_Path())
 def cmd_apply(model_path, input_path, out_path) -> None:
     """Recalibrate a stream of scores; writes CSV with header z,z_cal."""
     model, _ = load_model(model_path)
@@ -462,15 +464,13 @@ def cmd_apply(model_path, input_path, out_path) -> None:
 
 
 @main.command(name="shift")
-@click.option("--labels-p", "labels_p_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Source labels CSV, header y.")
-@click.option("--labels-q", "labels_q_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Target labels CSV, header y.")
-@click.option("--base-model", "base_model_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--labels-p", "labels_p_path", required=True, type=_Path(),
+              help="Source labels CSV, header y.")
+@click.option("--labels-q", "labels_q_path", required=True, type=_Path(),
+              help="Target labels CSV, header y.")
+@click.option("--base-model", "base_model_path", default=None, type=_Path(),
               help="Piecewise model to wrap into a composite.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
-              callback=_output_path)
+@click.option("--out", "out_path", required=True, type=_Path())
 def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
     """Estimate label-shift weights and save a shift or composite model."""
     (labels_p,), source_sha256 = _read_columns(labels_p_path, ("y",))
@@ -564,11 +564,10 @@ def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
 
 @main.command(name="simulate")
 @click.argument("experiment", type=click.Choice(["risk-grid", "opt-b", "label-shift"]))
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False), help="JSON config overrides.")
+@click.option("--config", "config_path", default=None, type=_Path(),
+              help="JSON config overrides.")
 @click.option("--seed", type=int, default=None, help="Override the base seed.")
-@click.option("--out-dir", "out_dir", required=True, type=click.Path(file_okay=False),
-              callback=_output_path)
+@click.option("--out-dir", "out_dir", required=True, type=_Path())
 def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
@@ -588,7 +587,12 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     except (TypeError, ValueError, OverflowError) as e:
         # OverflowError: an integer too large for a float, as a prior.
         raise ValueError(f"bad config: {e}") from e
-
+    # Made before the study runs, so a name that cannot be a directory is refused first.
+    level, levels = out_dir, []
+    while level and not os.path.lexists(level):
+        level, levels = os.path.dirname(level), [level, *levels]
+    _wrote(*levels)  # the levels this run makes, outermost first
+    os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_study(cfg)
     except ValueError as e:
@@ -597,12 +601,6 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         raise ValueError(f"bad config: {e}") from e
     except MemoryError:  # sizes that pass the config checks but cannot be allocated
         raise ValueError("the study's samples do not fit in memory; lower its sample sizes")
-    # Only now, so that a refused study leaves no directory behind.
-    level, levels = out_dir, []
-    while level and not os.path.lexists(level):
-        level, levels = os.path.dirname(level), [level, *levels]
-    _wrote(*levels)  # the levels this run makes, outermost first
-    os.makedirs(out_dir, exist_ok=True)
     warning = None
     if experiment == "risk-grid":
         skipped = sum(c.bound is None for c in result)

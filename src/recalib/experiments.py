@@ -173,16 +173,14 @@ def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
 
 
 def bins_cube_root(n: int) -> int:
-    """ceil(n^(1/3)), exact at perfect cubes despite floating point."""
+    """ceil(n^(1/3)), exactly: integer Newton from above gives the floor."""
     n = _index(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
-    b = max(1, round(n ** (1.0 / 3.0)))
-    while b ** 3 < n:
-        b += 1
-    while (b - 1) ** 3 >= n:
-        b -= 1
-    return b
+    b = 1 << -(-n.bit_length() // 3)  # a power of two above n^(1/3)
+    while (c := (2 * b + n // (b * b)) // 3) < b:
+        b = c
+    return b if b ** 3 == n else b + 1
 
 
 def mean_risk(reports: tuple[RiskReport, ...], field: str) -> float:

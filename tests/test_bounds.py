@@ -354,6 +354,9 @@ def test_chernoff_validation():
         chernoff_sample_requirement(0.1, 2.5, 0.1)
     with pytest.raises(ValueError):
         chernoff_sample_requirement(0.0, 2.0, 0.1)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            chernoff_sample_requirement(0.1, 2.0, delta)
 
 
 # ----------------------------------------------------------------- measures

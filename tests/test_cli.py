@@ -14,6 +14,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recalib
-from recalib import cli
+from recalib import cli, experiments
 from recalib.cli import MODEL_FORMAT_VERSION, load_model, main, save_model
 from recalib.core import (
     BinningScheme,
@@ -34,7 +35,7 @@ from recalib.core import (
 )
 from recalib.experiments import ExperimentConfig
 from recalib.fileio import fmt_float, write_text_atomic
-from recalib.oracle import GaussianMixtureTask, exact_shift_weights, sample
+from recalib.oracle import GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights, sample
 
 from oracles import read_columns_rowwise_ref
 
@@ -256,6 +257,7 @@ def test_fit_parse_errors(tmp_path):
         # and only spaces and tabs around them are ignored.
         ('"q\nz",y\n0.5,1\n', ["row 1", "got 'q\\nz','y'"]),
         ('"z\n",y\n0.5,1\n', ["row 1", "expected header z,y, got 'z\\n','y'"]),
+        ("z,y\n", ["no data rows"]),
     )
     for text, needles in cases:
         inp = tmp_path / "bad.csv"
@@ -687,14 +689,21 @@ def test_atomic_write_errors_name_the_path(tmp_path):
     assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
+def _file_fixtures(root) -> None:
+    """An input of each kind under ``root``, plus a directory ``dir``."""
+    inputs = {"data.csv": FIT_CSV, "scores.csv": "z\n0.5\n", "p.csv": "y\n0\n1\n",
+              "q.csv": "y\n0\n1\n1\n", "cfg.json": json.dumps(TINY_STUDY)}
+    for name, text in inputs.items():
+        (root / name).write_text(text)
+    save_model(str(root / "model.json"), _writer_models()[0], {})
+    (root / "dir").mkdir()
+
+
 def test_unreadable_input_exits_2(tmp_path):
     # Each input a command opens, as a file that exists but cannot be read.
-    inputs = {"data.csv": FIT_CSV, "scores.csv": "z\n0.5\n", "p.csv": "y\n0\n1\n",
-              "q.csv": "y\n0\n1\n1\n", "cfg.json": json.dumps({"n_grid": [100], "seeds": 1})}
-    for name, text in inputs.items():
-        (tmp_path / name).write_text(text)
-    save_model(str(tmp_path / "model.json"), _writer_models()[0], {})
-    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (*inputs, "model.json"))
+    _file_fixtures(tmp_path)
+    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (
+        "data.csv", "scores.csv", "p.csv", "q.csv", "cfg.json", "model.json"))
     out = tmp_path / "out"
     for argv, unreadable in (
         (("fit", "--input", data, "--bins", 2, "--out", out), data),
@@ -724,12 +733,9 @@ class _FailingRead(io.BytesIO):
 
 
 def test_read_error_naming_no_file_names_the_input(tmp_path):
-    inputs = {"data.csv": FIT_CSV, "scores.csv": "z\n0.5\n", "p.csv": "y\n0\n1\n",
-              "q.csv": "y\n0\n1\n1\n", "cfg.json": json.dumps({"n_grid": [100], "seeds": 1})}
-    for name, text in inputs.items():
-        (tmp_path / name).write_text(text)
-    save_model(str(tmp_path / "model.json"), _writer_models()[0], {})
-    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (*inputs, "model.json"))
+    _file_fixtures(tmp_path)
+    data, scores, p, q, cfg, model = (str(tmp_path / name) for name in (
+        "data.csv", "scores.csv", "p.csv", "q.csv", "cfg.json", "model.json"))
     out = tmp_path / "out"
     for argv, unreadable in (
         (("fit", "--input", data, "--bins", 2, "--out", out), data),
@@ -747,6 +753,88 @@ def test_read_error_naming_no_file_names_the_input(tmp_path):
         assert res.exit_code == 2, (argv, res.exception)
         assert res.stderr == f"error: {unreadable}: Input/output error\n", argv
         assert res.stdout == "" and not out.exists(), argv
+
+
+def test_input_files_are_checked_only_by_their_open(tmp_path, monkeypatch):
+    # Click takes every input name as given; opening the file is its one
+    # check. A missing file, a directory and an empty name each exit 2 with
+    # one error line naming the path, or the flag for the empty name.
+    monkeypatch.chdir(tmp_path)
+    _file_fixtures(tmp_path)
+    before = tree(tmp_path)
+    shift = ["shift", "--labels-p", "p.csv", "--labels-q", "q.csv", "--out", "out"]
+    cases = (  # each input option, as argv and the index of its value
+        (["fit", "--input", "data.csv", "--bins", "2", "--out", "out"], 2),
+        (["apply", "--model", "model.json", "--input", "scores.csv", "--out", "out"], 2),
+        (["apply", "--model", "model.json", "--input", "scores.csv", "--out", "out"], 4),
+        (shift, 2),
+        (shift, 4),
+        (shift + ["--base-model", "model.json"], 8),
+        (["simulate", "risk-grid", "--config", "cfg.json", "--out-dir", "out"], 3),
+    )
+    for args, i in cases:
+        for name, message in (("missing.csv", "missing.csv: No such file or directory"),
+                              ("dir", "dir: Is a directory"),
+                              ("", f"{args[i - 1]} must name a path, got ''")):
+            res = run(*args[:i], name, *args[i + 1:])
+            assert res.exit_code == 2, (args[i - 1], name, res.output)
+            assert res.stderr == f"error: {message}\n", (args[i - 1], name)
+            assert res.stdout == "" and tree(tmp_path) == before, (args[i - 1], name)
+
+
+def test_output_names_are_checked_only_when_written(tmp_path, monkeypatch):
+    # An --out naming a directory is refused by the write, which leaves no
+    # temporary file behind; an --out-dir naming a file is refused by
+    # os.makedirs before the study runs.
+    monkeypatch.chdir(tmp_path)
+    _file_fixtures(tmp_path)
+    before = tree(tmp_path)
+    for args in (["fit", "--input", "data.csv", "--bins", "2"],
+                 ["apply", "--model", "model.json", "--input", "scores.csv"],
+                 ["shift", "--labels-p", "p.csv", "--labels-q", "q.csv"]):
+        res = run(*args, "--out", "dir")
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stderr == "error: dir: Is a directory\n", args
+        assert res.stdout == "" and tree(tmp_path) == before, args
+    studies = [mock.Mock(side_effect=AssertionError("the study ran")) for _ in range(3)]
+    for name, study in zip(("run_risk_grid", "run_optimal_B", "run_label_shift"), studies):
+        monkeypatch.setattr(experiments, name, study)
+    for experiment in ("risk-grid", "opt-b", "label-shift"):
+        for out_dir, reason in (("data.csv", "File exists"), ("data.csv/d", "Not a directory")):
+            res = run("simulate", experiment, "--config", "cfg.json", "--out-dir", out_dir)
+            assert res.exit_code == 2, (experiment, out_dir, res.output)
+            assert res.stderr == f"error: {out_dir}: {reason}\n", (experiment, out_dir)
+            assert res.stdout == "" and tree(tmp_path) == before, (experiment, out_dir)
+    assert not any(study.called for study in studies)
+
+
+needs_non_root = pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                                    reason="needs a POSIX user other than root")
+
+
+@needs_non_root
+def test_unreadable_input_file_exits_2(tmp_path, monkeypatch):
+    # A real mode-000 file, not a mocked open: the open refuses it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "locked.csv").write_text(FIT_CSV)
+    os.chmod("locked.csv", 0)
+    res = run("fit", "--input", "locked.csv", "--bins", 2, "--out", "m.json")
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: locked.csv: Permission denied\n"
+    assert res.stdout == "" and not os.path.exists("m.json")
+
+
+@needs_non_root
+def test_unreadable_existing_output_is_replaced(tmp_path, monkeypatch):
+    # The atomic rename replaces an output file that the user cannot read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(FIT_CSV)
+    (tmp_path / "m.json").write_text("old\n")
+    os.chmod("m.json", 0)
+    res = run("fit", "--input", "data.csv", "--bins", 2, "--out", "m.json")
+    assert res.exit_code == 0, res.output
+    assert load_model("m.json")[1]["n"] == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.json"]
 
 
 def test_out_of_memory_exits_2(tmp_path):
@@ -1028,6 +1116,10 @@ def test_model_round_trip_is_bitwise(tmp_path):
         loaded, meta = load_model(str(path))
         assert meta == {"i": i}
         assert np.array_equal(apply_batch(h, grid), apply_batch(loaded, grid))
+    # An analytic map has no model-file form.
+    with pytest.raises(TypeError, match="cannot serialize MonotoneRecalibrator"):
+        save_model(str(tmp_path / "monotone.json"), MonotoneRecalibrator(lambda z: z), {})
+    assert not (tmp_path / "monotone.json").exists()
 
 
 def test_evaluation_caches_stay_out_of_identity_and_bytes(tmp_path):
@@ -1123,6 +1215,10 @@ def test_shift_bad_label_row_names_file(tmp_path):
     res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", tmp_path / "m.json")
     assert res.exit_code == 2
     assert res.stderr == f"error: {q_path}: row 4, column y: '0.5' is not 0 or 1\n"
+    q_path.write_text("y\n")  # a header and no labels
+    res = run("shift", "--labels-p", p_path, "--labels-q", q_path, "--out", tmp_path / "m.json")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {q_path}: no data rows\n"
 
 
 def test_model_number_fields_must_be_json_numbers(tmp_path):
@@ -1762,18 +1858,26 @@ def no_space() -> OSError:
     return OSError(errno.ENOSPC, "No space left on device")
 
 
+@contextlib.contextmanager
 def failing_stream(stream: str, error):
-    """Patch ``click.echo`` as ``cli`` calls it so that every write to
-    ``stream``, "stdout" or "stderr", raises a fresh ``error()``; the other
-    stream's writes go through. Click's own usage messages are not patched."""
-    echo = cli.click.echo
+    """Patch every binding of ``click.echo``, click's own modules' included,
+    so that every write to ``stream``, "stdout" or "stderr", raises a fresh
+    ``error()``: the program's lines, click's usage messages and help. The
+    other stream's writes go through."""
+    echo = click.utils.echo
 
-    def patched(*args, err=False, **kwargs):
-        if err == (stream == "stderr"):
+    def patched(message=None, file=None, nl=True, err=False, color=None):
+        target = file if file is not None else sys.stderr if err else sys.stdout
+        if getattr(target, "buffer", target) is getattr(getattr(sys, stream), "buffer", None):
             raise error()
-        return echo(*args, err=err, **kwargs)
+        return echo(message, file, nl, err, color)
 
-    return mock.patch.object(cli.click, "echo", patched)
+    modules = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "click" and getattr(module, "echo", None) is echo]
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "echo", patched))
+        yield
 
 
 TINY_STUDY = {"n_grid": [100], "B_grid": [6], "seeds": 1, "n_P": 64, "n_Q": 27}
@@ -2097,10 +2201,11 @@ def check_argv(work, inputs, args: list[str], failing: str | None) -> None:
     temporary sibling of an input file under ``inputs`` or beside the
     blocking entries of an output directory in BLOCKED_OUT_DIRS; then
     empty ``work``. With ``failing`` set to "stdout" or "stderr", every
-    write of the program to that stream raises ENOSPC: a failing stdout
-    makes each command that writes files fail after writing them, and a
-    failing stderr leaves no error line to check, but the exit code, the
-    empty stdout and the absence of files are checked as before."""
+    write to that stream, click's usage messages and help included, raises
+    ENOSPC: a failing stdout makes each command that writes files fail
+    after writing them, and a failing stderr leaves no error line to check,
+    but the exit code, the empty stdout and the absence of files are
+    checked as before."""
     with failing_stream(failing, no_space) if failing else contextlib.nullcontext():
         res = CliRunner().invoke(main, args)
     created = sorted(str(p.relative_to(work)) for p in work.rglob("*"))

@@ -104,12 +104,16 @@ def test_desk_scale_caps_name_the_escape_hatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_grid=(1_000, 100))
+    with pytest.raises(ValueError, match="n_grid entries must be positive"):
+        ExperimentConfig(n_grid=(0, 10))
     with pytest.raises(ValueError):
         ExperimentConfig(B_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(delta=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=0)
+    with pytest.raises(ValueError, match="base_seed must be nonnegative"):
+        ExperimentConfig(base_seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(pi_target=0.0)
     with pytest.raises(ValueError):
@@ -184,6 +188,10 @@ def test_bins_cube_root():
     assert bins_cube_root(27) == 3
     assert bins_cube_root(28) == 4
     assert bins_cube_root(1_000) == 10
+    # Exact far past float precision, where n ** (1/3) is off by many units.
+    assert bins_cube_root(10**300) == 10**100
+    assert bins_cube_root(10**300 + 1) == 10**100 + 1
+    assert bins_cube_root(10**300 - 1) == 10**100
     with pytest.raises(ValueError):
         bins_cube_root(0)
 

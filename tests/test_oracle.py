@@ -450,6 +450,9 @@ def test_monotone_map_must_return_an_array_of_the_nodes_shape():
     for fn in (lambda z: 0.5, lambda z: z[:-1], lambda z: z[:, None]):
         with pytest.raises(TypeError, match="shape"):
             population_risk(TASK05, MonotoneRecalibrator(fn))
+    # A bare callable is no recalibrator at all.
+    with pytest.raises(TypeError, match="cannot evaluate risk of function"):
+        population_risk(TASK05, lambda z: z)
 
 
 def test_injective_maps_have_zero_sharpness_risk():
