@@ -49,6 +49,7 @@ from .core import (
     Recalibrator,
     ShiftCorrector,
     ShiftWeights,
+    _concurrently,
     _evaluate,
     _index,
     _reals,
@@ -260,21 +261,26 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
 
     Both uniform streams go through one float64 buffer, which becomes the
     sample's z: the labels are read off the first stream before the second
-    overwrites it. The second stream is then drawn and mapped block by
+    overwrites it. The second stream's first half, a whole number of
+    blocks, is drawn in one call, and then each half is mapped block by
     block, in place: ``ndtri``, the label means (a two-entry table;
     addition commutes, so the bits are those of mean + ndtri(u)) and the
-    logistic map. A block's passes stay in cache and its temporaries are
-    block-sized, so besides the labels the draw holds one n-sized float
-    array. The labels are int8, one byte each, written as booleans into a
-    buffer the draw owns. Both arrays pass to ``LabeledSample`` without a
-    copy.
+    logistic map. The second half draws each block before mapping it.
+    From 2**17 points on two or more CPUs the first half is mapped on
+    ``core._concurrently``'s helper thread while the caller draws and maps
+    the second; PCG64 gives the same doubles whether a stretch is drawn
+    in one call or in several, so the bits do not depend on the split. A
+    block's passes stay in cache and its temporaries are block-sized, so
+    besides the labels the draw holds one n-sized float array. The labels
+    are int8, one byte each, written as booleans into a buffer the draw
+    owns. Both arrays pass to ``LabeledSample`` without a copy.
 
-    Cost: 35-50 ms at n = 1e6 on a 2-vCPU Xeon VM, depending on its clock
-    phase, of which ``ndtri`` takes 18-23 ms. That is the floor the fixed
-    stream leaves: a faster normal sampler would change the bits. A draw
-    at n = 1e7 raises peak resident memory by about 86 MiB, the nine
-    bytes per point of the two arrays it returns (162 MiB with int64
-    labels).
+    Cost: 35-50 ms at n = 1e6 on one core of a 2-vCPU Xeon VM, depending
+    on its clock phase, of which ``ndtri`` takes 18-23 ms; that is the
+    floor the fixed stream leaves, as a faster normal sampler would change
+    the bits. Two cores take about 30 ms. A draw at n = 1e7 raises peak
+    resident memory by about 86 MiB, the nine bytes per point of the two
+    arrays it returns (162 MiB with int64 labels).
     """
     n = _index(n, "n")
     if n < 1:
@@ -283,12 +289,19 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     x = rng.random(out=np.empty(n))
     y = np.empty(n, np.int8)
     np.less(x, task.pi, out=y.view(np.bool_))
-    for start in range(0, n, _SAMPLE_BLOCK):
-        block = x[start:start + _SAMPLE_BLOCK]
-        rng.random(out=block)  # the stream continues across blocks
-        ndtri(block, out=block)
-        block += _MEANS.take(y[start:start + _SAMPLE_BLOCK])
-        sigmoid(block, out=block)
+    mid = n // 2 // _SAMPLE_BLOCK * _SAMPLE_BLOCK
+    rng.random(out=x[:mid])
+
+    def mapped(start, stop, draw):
+        for i in range(start, stop, _SAMPLE_BLOCK):
+            block = x[i:i + _SAMPLE_BLOCK]  # mid is a multiple of the block
+            if draw:
+                rng.random(out=block)
+            ndtri(block, out=block)
+            block += _MEANS.take(y[i:i + _SAMPLE_BLOCK])
+            sigmoid(block, out=block)
+
+    _concurrently(lambda: mapped(0, mid, False), lambda: mapped(mid, n, True), n)
     return LabeledSample._adopt(x, y)
 
 

@@ -1,7 +1,10 @@
 """Binning, fitting, shift correction, and the recalibrator algebra."""
 
 import dataclasses
+import os
+import threading
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -20,6 +23,7 @@ from recalib.core import (
     ShiftCorrector,
     ShiftWeights,
     _bin_indices,
+    _concurrently,
     _sorted_view,
     apply,
     apply_batch,
@@ -254,7 +258,8 @@ def test_fit_on_tied_scores_equals_bincount_reference(seed, n, decimals, data):
     assert (h.scheme.edges, h.values, h.counts) == (edges, values, counts)
 
 
-def test_sorted_view_matches_np_sort():
+def test_sorted_view_matches_np_sort(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # views of 2**17 points use the helper
     data = LabeledSample(z=distinct_scores(200, 4), y=(distinct_scores(200, 5) < 0.3).astype(int))
     first = fit_recalibrator(data, 7)
     zs, zs_pos = _sorted_view(data)
@@ -283,11 +288,55 @@ def test_sorted_view_matches_np_sort():
     ends = np.zeros(z.size, dtype=int)
     ends[[0, -1]] = 1  # positives at index 0 and n - 1 only
     samples += [LabeledSample(z=z, y=last_block), LabeledSample(z=z, y=ends)]
+    z = np.round(rng.random((1 << 17) + 3), 3)  # ties, sorted on the helper thread
+    z[::7] = -0.0
+    z[3::11] = 0.0
+    samples.append(LabeledSample(z=z, y=rng.random(z.size) < 0.5))
     for data in samples:
         zs, zs_pos = _sorted_view(data)
         assert np.array_equal(zs.view(np.uint64), np.sort(data.z).view(np.uint64))
         want = np.sort(data.z[data.y == 1])
         assert np.array_equal(zs_pos.view(np.uint64), want.view(np.uint64))
+
+
+def test_concurrently_joins_one_helper_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    n, before, caller = 1 << 17, threading.active_count(), threading.get_ident()
+    helper, own = _concurrently(threading.get_ident, threading.get_ident, n)
+    assert own == caller != helper
+    assert threading.active_count() == before
+
+    def divide():
+        return np.ones(1) / np.zeros(1)
+
+    # A new thread starts from numpy's default errstate, which warns.
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        _concurrently(divide, list, n)
+    assert threading.active_count() == before
+    with np.errstate(divide="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(_concurrently(divide, list, n)[0]).all()
+
+    def refuse():
+        raise ValueError("refused")
+
+    for sides in ((refuse, list), (list, refuse)):
+        with pytest.raises(ValueError, match="refused"):
+            _concurrently(*sides, n)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, n", [(1, 1 << 17), (None, 1 << 17), (2, (1 << 17) - 1)])
+def test_concurrently_stays_serial_on_one_cpu_or_few_points(monkeypatch, cpus, n):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    order = []
+    assert _concurrently(lambda: order.append(1) or 1, lambda: order.append(2) or 2, n) == (1, 2)
+    assert order == [1, 2]
+    fit_recalibrator(sample(GaussianMixtureTask(0.5), n, seed=1), 7)
 
 
 def test_sorted_view_holds_no_index_scratch():

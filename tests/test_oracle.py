@@ -1,6 +1,9 @@
 """Analytic task oracle: posteriors, interval moments, and risk reports."""
 
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -247,6 +250,37 @@ def test_sample_owns_locked_arrays():
     for got, want in zip(_sorted_view(s), _sorted_view(copy)):
         assert np.array_equal(got, want)
     assert fit_recalibrator(s, 20) == fit_recalibrator(copy, 20)
+
+
+@pytest.mark.parametrize("pi", [0.5, 0.02])
+@pytest.mark.parametrize("n", [(1 << 17) - 1, 1 << 17, 1_000_003])
+def test_helper_thread_changes_no_bits(monkeypatch, pi, n):
+    # From 2**17 points on two or more CPUs, sample maps its first half and
+    # _sorted_view sorts the scores on a helper thread (core._concurrently).
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    runs, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between the threads as often as it can go
+    try:
+        for cpus in (2, 1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started.clear()
+            data = sample(GaussianMixtureTask(pi), n, seed=n)
+            out = [data.z, data.y, *_sorted_view(data)]
+            for B in (7, 501):
+                h = fit_recalibrator(data, B)
+                out += [np.array(h.scheme.edges), np.array(h.values), np.array(h.counts)]
+            runs.append([a.tobytes() for a in out])
+            assert len(started) == (4 if cpus == 2 and n >= 1 << 17 else 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sample_validation():
