@@ -572,13 +572,7 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
 
-    defaults, run_study, csv_name, write_study_csv = {
-        "risk-grid": (exp.ExperimentConfig(), exp.run_risk_grid,
-                      "risk_grid.csv", exp.write_risk_grid_csv),
-        "opt-b": (exp.default_opt_b_config(), exp.run_optimal_B, "opt_b.csv", exp.write_opt_b_csv),
-        "label-shift": (exp.ExperimentConfig(), exp.run_label_shift,
-                        "label_shift.csv", exp.write_label_shift_csv),
-    }[experiment]
+    defaults, run_study, csv_name, write_study_csv, report = exp.studies()[experiment]
     overrides = {} if config_path is None else _read_json_object(config_path)
     if seed is not None:
         overrides["base_seed"] = seed
@@ -601,23 +595,7 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         raise ValueError(f"bad config: {e}") from e
     except MemoryError:  # sizes that pass the config checks but cannot be allocated
         raise ValueError("the study's samples do not fit in memory; lower its sample sizes")
-    warning = None
-    if experiment == "risk-grid":
-        skipped = sum(c.bound is None for c in result)
-        extra = {"cells": [{"n": c.n, "B": c.B, "skipped": c.bound is None,
-                            "gates_ok": c.bound is not None and c.bound.conditions_met}
-                           for c in result]}
-        if skipped:
-            warning = f"{skipped} cell(s) skipped (fewer than two points per bin)"
-        summary = f"risk grid written to {out_dir} ({len(result)} cells, {skipped} skipped)"
-    elif experiment == "opt-b":
-        extra = {"K_hat": result.K_hat}
-        summary = f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})"
-    else:
-        extra = {"B_P": result.B_P, "B_Q": result.B_Q, "replacements": result.replacements}
-        if result.replacements:
-            warning = f"{result.replacements} draw(s) replaced because a class was absent"
-        summary = f"label-shift study written to {out_dir}"
+    extra, warning, summary = report(result, out_dir)
     csv_path = os.path.join(out_dir, csv_name)
     write_study_csv(result, csv_path)
     _wrote(csv_path)

@@ -1,9 +1,9 @@
 """Seeded, deterministic experiment harness for the simulation studies.
 
-Three runners: a risk grid over (n, B) under the balanced task, a
-bin-count selection study comparing the empirical risk minimizer with
-the bound minimizer, and a label-shift comparison of four recalibration
-strategies evaluated under the target distribution.
+Three runners, one per ``simulate`` study (see ``studies``): a risk grid
+over (n, B) and a bin-count selection study, both drawn at ``pi_source``,
+and a label-shift comparison of four recalibration strategies evaluated
+under the target distribution.
 
 Every cell gets its own PCG64 substream derived from the base seed, so
 results are bitwise reproducible and adding or removing grid points
@@ -53,6 +53,7 @@ __all__ = [
     "write_label_shift_csv",
     "write_opt_b_csv",
     "write_manifest",
+    "studies",
 ]
 
 # Desk-scale caps on the sampling grids and the seed count. The full-scale
@@ -244,12 +245,12 @@ class OptimalBResult:
     K_hat: float
 
 
-def _fit_risks(n: int, Bs: tuple[int, ...], seed: np.random.SeedSequence) -> tuple[RiskReport, ...]:
-    """The unit of both figures: draw n points from the balanced task, fit
-    UMB at each B in ``Bs`` and return the exact population risks, in that
-    order. The draw is sorted once and let go; every B is fitted on that
-    one view, which goes when the unit returns."""
-    task = GaussianMixtureTask(0.5)
+def _fit_risks(task: GaussianMixtureTask, n: int, Bs: tuple[int, ...],
+               seed: np.random.SeedSequence) -> tuple[RiskReport, ...]:
+    """The unit of both figures: draw n points from ``task``, fit UMB at
+    each B in ``Bs`` and return the exact population risks, in that order.
+    The draw is sorted once and let go; every B is fitted on that one view,
+    which goes when the unit returns."""
     view = _sorted_view(sample(task, n, seed))
     return tuple(population_risk(task, _fit_view(view, B)) for B in Bs)
 
@@ -283,10 +284,11 @@ def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, 
 def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
     """Fit and evaluate uniform-mass recalibrators over the (n, B) grid.
 
-    Sampling task is the balanced prior. Cells with fewer than two points
-    per bin are emitted as skip markers rather than dropped. Bounds use
-    the assumption-light 2/B sharpness term.
+    Samples come from the prior ``pi_source``. Cells with fewer than two
+    points per bin are emitted as skip markers rather than dropped. Bounds
+    use the assumption-light 2/B sharpness term.
     """
+    task = GaussianMixtureTask(cfg.pi_source)
     cells = []
     for n in cfg.n_grid:
         for B in cfg.B_grid:
@@ -294,7 +296,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
                 cells.append(GridCell(n, B, None, ()))
                 continue
             bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
-            reports = tuple(_fit_risks(n, (B,), cell_seed(cfg.base_seed, n, B, k))[0]
+            reports = tuple(_fit_risks(task, n, (B,), cell_seed(cfg.base_seed, n, B, k))[0]
                             for k in range(cfg.seeds))
             cells.append(GridCell(n, B, bound, reports))
     return tuple(cells)
@@ -326,16 +328,17 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     ``sum``, which compensates from Python 3.12). Each (n, seed) pair is one
     unit whose draw serves every feasible B, so the argmin is not blurred
     by sampling noise between B values (the substream is keyed by (n, seed)
-    only). The theoretical minimizer feeds the estimated smoothness
-    constant of the balanced task into the bound objective scan.
+    only). The theoretical minimizer feeds the estimated smoothness constant
+    of the task at ``pi_source``, which is sampled, into the objective scan.
     """
-    k_hat = estimate_K(GaussianMixtureTask(0.5), 100_000)
+    task = GaussianMixtureTask(cfg.pi_source)
+    k_hat = estimate_K(task, 100_000)
     rows = []
     for n in cfg.n_grid:
         feasible = tuple(B for B in cfg.B_grid if n // B >= 2)
         if not feasible:
             raise ValueError(f"no feasible bin count for n={n} in B_grid")
-        per_seed = [_fit_risks(n, feasible, cell_seed(cfg.base_seed, n, k)) for k in range(cfg.seeds)]
+        per_seed = [_fit_risks(task, n, feasible, cell_seed(cfg.base_seed, n, k)) for k in range(cfg.seeds)]
         curve = tuple((B, functools.reduce(operator.add, (r.r_total for r in reports), 0.0) / cfg.seeds)
                       for B, reports in zip(feasible, zip(*per_seed)))
         B_exp = min(curve, key=lambda pair: pair[1])[0]
@@ -375,3 +378,31 @@ def write_manifest(cfg: ExperimentConfig, extra: dict, path: str) -> None:
     """JSON run manifest: config, seed rule, library version, run details."""
     write_json(path, {"config": asdict(cfg), "library_version": __version__,
                       "seed_rule": SEED_RULE, **extra})
+
+
+def studies() -> dict[str, tuple]:
+    """Each ``simulate`` study by name: (default config, runner, CSV name, CSV
+    writer, report). Built per call, so a runner or writer set on the module runs."""
+    def risk_grid_report(cells: tuple[GridCell, ...], out_dir: str) -> tuple[dict, str | None, str]:
+        skipped = sum(c.bound is None for c in cells)
+        extra = {"cells": [{"n": c.n, "B": c.B, "skipped": c.bound is None,
+                            "gates_ok": c.bound is not None and c.bound.conditions_met} for c in cells]}
+        warning = f"{skipped} cell(s) skipped (fewer than two points per bin)" if skipped else None
+        return extra, warning, f"risk grid written to {out_dir} ({len(cells)} cells, {skipped} skipped)"
+    def opt_b_report(result: OptimalBResult, out_dir: str) -> tuple[dict, str | None, str]:
+        return ({"K_hat": result.K_hat}, None,
+                f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})")
+    def label_shift_report(result: LabelShiftResult, out_dir: str) -> tuple[dict, str | None, str]:
+        n = result.replacements
+        return ({"B_P": result.B_P, "B_Q": result.B_Q, "replacements": n},
+                f"{n} draw(s) replaced because a class was absent" if n else None,
+                f"label-shift study written to {out_dir}")
+
+    return {
+        "risk-grid": (ExperimentConfig(), run_risk_grid, "risk_grid.csv", write_risk_grid_csv,
+                      risk_grid_report),
+        "opt-b": (default_opt_b_config(), run_optimal_B, "opt_b.csv", write_opt_b_csv,
+                  opt_b_report),
+        "label-shift": (ExperimentConfig(), run_label_shift, "label_shift.csv",
+                        write_label_shift_csv, label_shift_report),
+    }

@@ -1580,6 +1580,17 @@ def test_optbins_small_n_exits_2():
 
 # -------------------------------------------------------------- simulate
 
+def test_simulate_study_names_are_the_table_keys():
+    # click's choice is spelled out in cli, which must not import the
+    # experiments; a name the table lacks would end in an unmapped KeyError.
+    names = tuple(experiments.studies())
+    experiment, = (p for p in cli.cmd_simulate.params if p.name == "experiment")
+    assert tuple(experiment.type.choices) == names == ("risk-grid", "opt-b", "label-shift")
+    res = run("simulate", "--help")
+    assert res.exit_code == 0
+    assert f"simulate [OPTIONS] {{{'|'.join(names)}}}" in res.stdout
+
+
 def test_simulate_risk_grid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_grid": [100, 1000], "B_grid": [6, 60], "seeds": 2}))

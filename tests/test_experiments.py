@@ -272,6 +272,27 @@ def test_study_units_follow_the_seed_rule():
     assert result.replacements == tries == 14
 
 
+def test_risk_grid_and_opt_b_draw_from_pi_source():
+    # Both figures' studies draw from the task at the source prior, and
+    # opt-b's smoothness constant is that task's.
+    task = GaussianMixtureTask(0.1)
+    cfg = ExperimentConfig(n_grid=(100, 1_000), B_grid=(6, 12), seeds=2, base_seed=3,
+                           pi_source=0.1)
+
+    def risk(n, B, seed):
+        return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
+
+    for cell in run_risk_grid(cfg):
+        assert cell.reports == tuple(risk(cell.n, cell.B, cell_seed(3, cell.n, cell.B, k))
+                                     for k in range(2))
+    result = run_optimal_B(cfg)
+    assert result.K_hat == estimate_K(task, 100_000) != estimate_K(GaussianMixtureTask(0.5), 100_000)
+    for row in result.rows:
+        for B, mean in row.risk_curve:
+            r0, r1 = (risk(row.n, B, cell_seed(3, row.n, k)).r_total for k in range(2))
+            assert mean == ((0.0 + r0) + r1) / 2
+
+
 # ---------------------------------------------------------------- risk grid
 
 def test_risk_grid_cells_carry_bounds_and_gates(sha_grid):
@@ -338,15 +359,18 @@ def test_bound_coverage_on_gate_ok_cells(sha_grid):
 def test_total_bound_holds_in_every_cell_and_seed():
     # The paper calls its bounds "valid upper bounds in all cases". For the
     # total bound, check each seed of each live cell, whether or not the
-    # sample-size gate is met: it is met in only one of these 22 cells.
-    cells = run_risk_grid(ExperimentConfig(
-        n_grid=(100, 1_000, 10_000, 100_000), B_grid=(6, 12, 24, 48, 96, 192), seeds=20))
-    live = [cell for cell in cells if cell.bound is not None]
-    assert len(live) == 22
-    assert sum(cell.bound.conditions_met for cell in live) == 1
-    for cell in live:
-        for k, rep in enumerate(cell.reports):
-            assert rep.r_total <= cell.bound.risk_bound, (cell.n, cell.B, k)
+    # sample-size gate is met: it is met in only one of these 22 cells. The
+    # bound does not depend on the prior, so it must hold at skewed ones too.
+    for pi in (0.5, 0.1, 0.02):
+        cells = run_risk_grid(ExperimentConfig(
+            n_grid=(100, 1_000, 10_000, 100_000), B_grid=(6, 12, 24, 48, 96, 192), seeds=20,
+            pi_source=pi))
+        live = [cell for cell in cells if cell.bound is not None]
+        assert len(live) == 22
+        assert sum(cell.bound.conditions_met for cell in live) == 1
+        for cell in live:
+            for k, rep in enumerate(cell.reports):
+                assert rep.r_total <= cell.bound.risk_bound, (pi, cell.n, cell.B, k)
 
 
 def test_risk_grid_csv_format(tmp_path):
