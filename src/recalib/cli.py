@@ -301,7 +301,7 @@ def _smoothness(k_const, task_name, pi) -> float | None:
             task = GaussianMixtureTask(0.5 if pi is None else pi)
         except ValueError as e:
             raise ValueError(f"--pi: {e}") from e
-        return estimate_K(task, 100_000)
+        return estimate_K(task)
     return None
 
 

@@ -59,8 +59,8 @@ class ClassAbsentError(ValueError):
 
 
 # Fewest points at which ``_concurrently`` starts its helper thread: the
-# crossover measured on a 2-vCPU Xeon VM was about 2**15, and every call
-# of the CLI, which reads at most 1e5 rows, stays serial.
+# crossover measured on a 2-vCPU Xeon VM was about 2**15, and the
+# benchmark's CLI calls, on files of 1e5 rows, stay serial.
 _CONCURRENT_MIN = 1 << 17
 
 # Cap on the bin-lookup grid of a BinningScheme: 8 MiB of indices, reached

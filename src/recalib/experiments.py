@@ -332,7 +332,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     of the task at ``pi_source``, which is sampled, into the objective scan.
     """
     task = GaussianMixtureTask(cfg.pi_source)
-    k_hat = estimate_K(task, 100_000)
+    k_hat = estimate_K(task)
     rows = []
     for n in cfg.n_grid:
         feasible = tuple(B for B in cfg.B_grid if n // B >= 2)

@@ -99,8 +99,8 @@ _QUAD_HALVINGS = 12
 # block and its temporaries stay in a core's L2 cache.
 _SAMPLE_BLOCK = 1 << 14
 
-# exp(-36) is below the spacing of floats near 1, so the logistic map is
-# saturated exactly past this point instead of being left to rounding.
+# Past |x| = 36 sigmoid clamps to its exact limits, 1 and 0. The formula
+# still gives 0.9999999999999998 up to x = 36.74 and about 1e-16 below -36.
 _SAT = 36.0
 
 
@@ -481,7 +481,7 @@ def _approx_mixture_quantiles(task: GaussianMixtureTask, t: np.ndarray) -> np.nd
 _K_MARGIN = 1e-6
 
 
-def estimate_K(task: GaussianMixtureTask, grid_size: int) -> float:
+def estimate_K(task: GaussianMixtureTask, grid_size: int = 100_000) -> float:
     """Estimate the CDF-relative smoothness constant of the optimal map.
 
     K bounds hstar(z') - hstar(z) by K (F(z') - F(z)) with F the score

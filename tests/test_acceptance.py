@@ -6,7 +6,7 @@ per criterion. Criterion 4 measures the sharpness rate on B in
 has not yet reached its B^-2 regime (over [6, 96] its slope is -1.3472),
 and far above it, at this n, fitted bins that share a value merge into
 one level set and flatten the curve. The test checks both conditions
-against frozen noise-free values from tests/oracles.py before the band.
+against frozen noise-free values from tests/frozen.py before the band.
 """
 
 import math
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from frozen import SHA_NOISE_FREE
 from oracles import sort_slice_fit
 from recalib.core import (
     BinningScheme,
@@ -43,16 +44,6 @@ from recalib.oracle import (
 )
 
 TASK05 = GaussianMixtureTask(0.5)
-
-# Sharpness risk of B bins cut at the exact score quantiles (pi = 0.5),
-# from tests/oracles.py.
-SHA_NOISE_FREE = {
-    48: 0.00039819842288256108,
-    64: 0.00022681466034127205,
-    96: 0.00010140316235811298,
-    128: 5.7148242238898351e-5,
-    192: 2.5434018224960403e-5,
-}
 
 
 def random_piecewise(rng: np.random.Generator) -> PiecewiseRecalibrator:

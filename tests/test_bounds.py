@@ -7,6 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from frozen import (
+    CAL_BOUND_1000_10_01,
+    CHERNOFF_01_2_01,
+    CHERNOFF_05_2_01,
+    GATE_THRESH_10_01,
+    SHIFT_APRIORI_EXAMPLE,
+    ZETA_75_1E6,
+    ZETA_76_1E6,
+    ZETA_77_1E6,
+)
 from oracles import optimal_bins_scan_ref
 from recalib.bounds import (
     BoundParams,
@@ -26,17 +36,6 @@ from recalib.bounds import (
 from recalib.core import (BinningScheme, PiecewiseRecalibrator, ShiftWeights, estimate_weights,
                           fit_recalibrator)
 from recalib.oracle import GaussianMixtureTask, _bin_moments, exact_shift_weights, sample
-
-# Frozen reference values, 40-digit arithmetic; regenerate with
-# `python3 tests/oracles.py`.
-CAL_BOUND_1000_10_01 = 0.033838997806812986
-GATE_THRESH_10_01 = 128219.28027046249
-ZETA_75_1E6 = 0.0038241324925172962
-ZETA_76_1E6 = 0.0038230038407442187
-ZETA_77_1E6 = 0.0038233669923967789
-CHERNOFF_01_2_01 = 1184
-CHERNOFF_05_2_01 = 237
-SHIFT_APRIORI_EXAMPLE = 4.4059393375386034
 
 
 # ------------------------------------------------------- calibration bound

@@ -37,11 +37,8 @@ from recalib.experiments import ExperimentConfig
 from recalib.fileio import fmt_float, write_text_atomic
 from recalib.oracle import GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights, sample
 
+from frozen import CAL_BOUND_1000_10_01, SHIFT_APRIORI_EXAMPLE, ZETA_76_1E6
 from oracles import read_columns_rowwise_ref
-
-CAL_BOUND_1000_10_01 = 0.033838997806812986
-ZETA_76_1E6 = 0.0038230038407442187
-SHIFT_APRIORI_EXAMPLE = 4.4059393375386034
 
 FIT_CSV = "z,y\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n"
 

@@ -42,6 +42,7 @@ from recalib.experiments import (
 from recalib.fileio import write_csv, write_json
 from recalib.oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
+from frozen import SHA_NOISE_FREE
 from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
 
 # Frozen slope regressions for the default base seed. The sharpness grid
@@ -51,18 +52,6 @@ from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
 # SHA_NOISE_FREE instead, see test_sha_rate_example_band.
 CAL_SLOPE_FROZEN = -1.1082649633295982
 SHA_SLOPE_FROZEN = -1.3512735806684029
-
-# Sharpness risk of B bins cut at the exact score quantiles (pi = 0.5),
-# from tests/oracles.py. On this grid the noise-free curve is already in
-# its B^-2 regime, while at n = 1e5 edge noise and the merging of fitted
-# bins that share a value still move the mean fitted risk by under 15%.
-SHA_NOISE_FREE = {
-    48: 0.00039819842288256108,
-    64: 0.00022681466034127205,
-    96: 0.00010140316235811298,
-    128: 5.7148242238898351e-5,
-    192: 2.5434018224960403e-5,
-}
 
 
 @pytest.fixture(scope="module")
@@ -573,7 +562,7 @@ def test_study_loop_peak_memory_is_one_draw(monkeypatch, run):
     # once before the loop, on a grid of its own, so it is taken as given.
     n, task = 200_000, GaussianMixtureTask(0.5)
     k_hat = estimate_K(task, 100_000)
-    monkeypatch.setattr(experiments, "estimate_K", lambda task, grid_size: k_hat)
+    monkeypatch.setattr(experiments, "estimate_K", lambda task: k_hat)
     run(ExperimentConfig(n_grid=(1_000,), B_grid=(6,), seeds=1))  # fills the H cache
     tracemalloc.start()
     try:

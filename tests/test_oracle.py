@@ -40,6 +40,31 @@ from recalib.oracle import (
 )
 from recalib.oracle import EmptyBinError
 
+from frozen import (
+    BAYES_01,
+    BAYES_05,
+    H_01,
+    H_05,
+    INJ_IDENTITY_01,
+    INJ_IDENTITY_05,
+    INJ_KINKED_05,
+    INJ_SHIFT_01,
+    INJ_SHIFT_05,
+    K_BULK,
+    MASS_03_02_07,
+    MEAN_03_02_07,
+    MEAN_Z_03,
+    PW3_MSE,
+    PW3_R_CAL,
+    PW3_R_SHA,
+    PW3_R_TOT,
+    PW3M_MSE,
+    PW3M_R_CAL,
+    PW3M_R_SHA,
+    PW3M_R_TOT,
+    SIGMOID_4,
+    VAR_HSTAR_05,
+)
 from oracles import (
     estimate_K_bisect_ref,
     piecewise_quad_ref,
@@ -49,39 +74,6 @@ from oracles import (
     sigmoid_array_masked_ref,
     sort_slice_fit,
 )
-
-# Frozen reference values, independent 40-digit arithmetic; regenerate
-# with `python3 tests/oracles.py`.
-SIGMOID_4 = 0.98201379003790844
-MEAN_Z_03 = 0.36218500741204939
-BAYES_05 = 0.017149352197684704
-BAYES_01 = 0.0092827393944385625
-VAR_HSTAR_05 = 0.2328506478023153
-MASS_03_02_07 = 0.22449886292187195
-MEAN_03_02_07 = 0.16591903376682361
-K_BULK = 18.521616940414207
-
-# Three-bin map under pi = 0.5: edges (0, 0.25, 0.6, 1), values (0.2, 0.5,
-# 0.9); the merged variant reuses 0.2 in the top bin.
-PW3_R_CAL = 0.028120616821602937
-PW3_R_SHA = 0.0081174078309346006
-PW3_R_TOT = 0.036238024652537538
-PW3_MSE = 0.053387376850222242
-PW3M_R_CAL = 0.10684050804598736
-PW3M_R_SHA = 0.22383471251359156
-PW3M_R_TOT = 0.33067522055957892
-PW3M_MSE = 0.34782457275726362
-
-# The task integral H = E[hstar(Z)^2], and the total risks of injective
-# maps under pi: the identity, the exact shift corrector from pi = 0.5,
-# and (under pi = 0.5) the kinked map min(2z, (1 + z) / 2).
-H_05 = 0.4828506478023153
-H_01 = 0.090717260605561443
-INJ_IDENTITY_01 = 0.0304217955191008
-INJ_SHIFT_01 = 0.02539033198814049
-INJ_IDENTITY_05 = 0.022555182715854659
-INJ_SHIFT_05 = 0.022555182715854659
-INJ_KINKED_05 = 0.052799592228207199
 
 TASK05 = GaussianMixtureTask(0.5)
 TASK03 = GaussianMixtureTask(0.3)
@@ -523,6 +515,7 @@ def test_step_approximations_of_identity_converge():
 def test_estimate_K_converges_to_bulk_supremum():
     k = estimate_K(TASK05, 100_000)
     assert k == pytest.approx(18.52161577549451, rel=1e-12)
+    assert estimate_K(TASK05) == k
     assert abs(k - K_BULK) / K_BULK < 1e-6
     assert k <= K_BULK + 1e-9
     half = estimate_K(TASK05, 50_000)
