@@ -103,7 +103,10 @@ def epsilon_delta(n: int, B: int, delta: float) -> float:
     sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B).
     A delta of zero (delta / 2 underflows to it from 5e-324) raises
     ZeroDivisionError."""
-    m = _index(n, "n") // _index(B, "B")
+    n, B = _index(n, "n"), _index(B, "B")
+    if n < 1 or B < 1:
+        raise ValueError("n and B must be positive integers")
+    m = n // B
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if m < 2:
@@ -154,9 +157,12 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
 
     ``zeta`` is convex in B, so a bisection finds the smallest B with
     zeta(B + 1) >= zeta(B) in about log2(n) evaluations. A vectorised scan
-    of the B within 64 of it then picks the first minimum, so the result,
-    ties broken toward the smaller B, is bitwise that of scanning the
-    whole range. Time and memory are O(log n). Returns
+    of the B within 64 of it then picks the first minimum, ties broken
+    toward the smaller B. Up to n = 1e11 that is bitwise the first minimum
+    of the whole range (test_optimal_bins_matches_exhaustive_scan). Once
+    the minimizer passes about 1e8, float zeta is flat to roundoff near
+    it, and the result is the first minimum within 64 of the bisection
+    point. Time and memory are O(log n). Returns
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
     logarithmic factor.
     """

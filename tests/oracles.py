@@ -373,15 +373,12 @@ def _sigmoid_float(x: float) -> float:
 
 
 def sigmoid_array_masked_ref(x: np.ndarray) -> np.ndarray:
-    """The logistic map over an array, one branch per sign mask, saturated
-    to exactly 0 and 1 for |x| > 36."""
+    """The logistic map over an array, one branch per sign mask."""
     out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
-    out[x > 36.0] = 1.0
-    out[x < -36.0] = 0.0
     return out
 
 

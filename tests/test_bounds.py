@@ -75,6 +75,13 @@ def test_epsilon_delta_formula():
         epsilon_delta(19, 10, 0.1)
 
 
+@pytest.mark.parametrize("n, B", [(100, 0), (100, -5), (-100, 5), (0, 5)])
+def test_epsilon_delta_refuses_nonpositive_n_and_B(n, B):
+    # B = 0 divided by zero, and a negative n or B reported floor(n / B) < 2.
+    with pytest.raises(ValueError, match="^n and B must be positive integers$"):
+        epsilon_delta(n, B, 0.1)
+
+
 @pytest.mark.parametrize("delta, error", [
     (5.0, ValueError), (1.0, ValueError), (-0.1, ValueError), (math.nan, ValueError),
     (1e-320, OverflowError),  # 2B / delta overflows to inf

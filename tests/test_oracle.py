@@ -98,9 +98,11 @@ def random_piecewise(rng: np.random.Generator) -> PiecewiseRecalibrator:
 
 # -------------------------------------------------------------- link maps
 
-def test_sigmoid_saturation_and_value():
+def test_sigmoid_tails_and_value():
     assert sigmoid(37.0) == 1.0
-    assert sigmoid(-37.0) == 0.0
+    low, want = sigmoid(-37.0), sigmoid_array_masked_ref(np.array([-37.0]))
+    assert low.view(np.uint64) == want.view(np.uint64)[0]
+    assert low == pytest.approx(math.exp(-37) / (1 + math.exp(-37)), rel=1e-15, abs=0.0)
     assert sigmoid(0.0) == 0.5
     assert sigmoid(4.0) == pytest.approx(SIGMOID_4, rel=1e-15)
 
@@ -139,15 +141,16 @@ def test_sigmoid_array_matches_masked_reference_bitwise():
     assert sigmoid(inplace, out=inplace) is inplace
     assert np.array_equal(inplace.view(np.uint64), want.view(np.uint64))
     nan = np.array([np.nan, 40.0, np.nan, -40.0])
+    tails = [1.0, sigmoid_array_masked_ref(np.array([-40.0]))[0]]
     for got in (sigmoid(nan), sigmoid(nan.copy(), out=nan.copy())):
-        assert np.isnan(got[::2]).all() and got[1::2].tolist() == [1.0, 0.0]
+        assert np.isnan(got[::2]).all() and got[1::2].tolist() == tails
 
 
 def test_logit_endpoints_and_roundtrip():
     assert logit(0.0) == -math.inf
     assert logit(1.0) == math.inf
-    for z in (0.001, 0.3, 0.5, 0.9, 0.999):
-        assert sigmoid(logit(z)) == pytest.approx(z, rel=1e-12)
+    for z in (1e-300, 1e-20, 1e-17, 0.001, 0.3, 0.5, 0.9, 0.999):
+        assert sigmoid(logit(z)) == pytest.approx(z, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         logit(-0.1)
     with pytest.raises(ValueError):
