@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseRecalibrator, ShiftWeights, _index, _reals
+from .core import PiecewiseRecalibrator, ShiftWeights, _index, _real, _reals
 
 __all__ = [
     "DEFAULT_C",
@@ -60,6 +60,9 @@ class BoundParams:
     def __post_init__(self) -> None:
         for name in ("n", "B"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
+        if self.K is not None:
+            object.__setattr__(self, "K", _real(self.K, "K"))
         if self.n < 1 or self.B < 1:
             raise ValueError("n and B must be positive integers")
         if not 0.0 < self.delta < 1.0:
@@ -85,9 +88,11 @@ class BoundReport:
     condition_detail: str
 
 
-def _check_weight_bracket(w_min: float, w_max: float) -> None:
+def _weight_bracket(w_min: float, w_max: float) -> tuple[float, float]:
+    w_min, w_max = _real(w_min, "w_min"), _real(w_max, "w_max")
     if not 0.0 < w_min <= w_max < math.inf:
         raise ValueError("weight bracket must be finite and satisfy 0 < w_min <= w_max")
+    return w_min, w_max
 
 
 def _finite(*values: float) -> None:
@@ -103,7 +108,7 @@ def epsilon_delta(n: int, B: int, delta: float) -> float:
     sqrt(log(2B / delta) / (2 (m - 1))) + 1 / m with m = floor(n / B).
     A delta of zero (delta / 2 underflows to it from 5e-324) raises
     ZeroDivisionError."""
-    n, B = _index(n, "n"), _index(B, "B")
+    n, B, delta = _index(n, "n"), _index(B, "B"), _real(delta, "delta")
     if n < 1 or B < 1:
         raise ValueError("n and B must be positive integers")
     m = n // B
@@ -138,35 +143,31 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
     return BoundReport(cal, sha, cal + sha, ok, detail)
 
 
-# Half-width of the window that optimal_bins scans around the bisection result.
-_WINDOW = 64
-
-
 def zeta(B: int | np.ndarray, n: int, delta: float, K: float) -> float | np.ndarray:
     """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
     a simplified proxy for the total risk bound, at a bin count B or at each
-    of an array of them, in float64. Where it overflows it is inf, unwarned:
-    ``optimal_bins`` decides with ``_finite``."""
+    of an array of them, in float64. A B below 1 (or NaN) raises ValueError.
+    Where it overflows it is inf, unwarned: ``optimal_bins`` decides with
+    ``_finite``."""
     B = np.asarray(B, dtype=np.float64)
+    if not B.min(initial=1.0) >= 1.0:  # NaN fails too
+        raise ValueError("B must be at least 1")
     with np.errstate(over="ignore"):
         return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
 
 
 def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
-    """Minimize ``zeta`` over the integer range B in [2, floor(n / 2)].
+    """Minimize ``zeta`` over the integer range B in [2, floor(n / 2)] by
+    bisection, in about log2(n) evaluations and O(1) memory.
 
-    ``zeta`` is convex in B, so a bisection finds the smallest B with
-    zeta(B + 1) >= zeta(B) in about log2(n) evaluations. A vectorised scan
-    of the B within 64 of it then picks the first minimum, ties broken
-    toward the smaller B. Up to n = 1e11 that is bitwise the first minimum
-    of the whole range (test_optimal_bins_matches_exhaustive_scan). Once
-    the minimizer passes about 1e8, float zeta is flat to roundoff near
-    it, and the result is the first minimum within 64 of the bisection
-    point. Time and memory are O(log n). Returns
+    The result is the B where the bisection finds that zeta stops
+    decreasing: zeta(B - 1) > zeta(B) <= zeta(B + 1), unless B is 2 or
+    floor(n / 2). Wherever float zeta is convex, as it is in exact
+    arithmetic, that is the first minimum of the range. Returns
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
     logarithmic factor.
     """
-    n = _index(n, "n")
+    n, delta, K = _index(n, "n"), _real(delta, "delta"), _real(K, "K")
     if n < 4:
         raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
     if not 0.0 < delta < 1.0:
@@ -181,11 +182,9 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
             hi = mid
         else:
             lo = mid + 1
-    Bs = np.arange(max(2, lo - _WINDOW), min(n // 2, lo + _WINDOW) + 1, dtype=np.float64)
-    vals = zeta(Bs, n, delta, K)
-    i = int(np.argmin(vals))  # first minimum, hence the smallest B on ties
-    _finite(vals[i])
-    return int(Bs[i]), float(vals[i])
+    value = float(zeta(lo, n, delta, K))
+    _finite(value)
+    return lo, value
 
 
 def shift_risk_bound_realized(rho: tuple[float, float], risk_P: float, *,
@@ -194,12 +193,15 @@ def shift_risk_bound_realized(rho: tuple[float, float], risk_P: float, *,
     ratios of estimated to true weight, rho = (rho_0, rho_1), with w_min and
     w_max bracketing the true importance weights:
     2 ((rho_0 - rho_1) / (rho_0 + rho_1))^2 + 2 (w_max^3 / w_min^2) risk_P."""
-    _check_weight_bracket(w_min, w_max)
-    rho0, rho1 = map(float, rho)
-    if any(not 0.0 < r < math.inf for r in (rho0, rho1)):
+    w_min, w_max = _weight_bracket(w_min, w_max)
+    rho, risk_P = _reals(rho, "rho"), _real(risk_P, "risk_P")
+    if len(rho) != 2:
+        raise ValueError(f"rho must hold two ratios, got {len(rho)}")
+    if any(not 0.0 < r < math.inf for r in rho):
         raise ValueError("realized weight ratios must be finite and positive")
     if not 0.0 <= risk_P < math.inf:
         raise ValueError("risk_P must be finite and nonnegative")
+    rho0, rho1 = rho
     lead = ((rho0 - rho1) / (rho0 + rho1)) ** 2
     bound = 2.0 * (lead + (w_max ** 3 / w_min ** 2) * risk_P)
     _finite(bound)
@@ -222,6 +224,8 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
     n_Q >= (27 / q_min) log(16 / delta).
     """
     n_P, n_Q, B = _index(n_P, "n_P"), _index(n_Q, "n_Q"), _index(B, "B")
+    delta, p_min, q_min, K = (_real(delta, "delta"), _real(p_min, "p_min"),
+                              _real(q_min, "q_min"), _real(K, "K"))
     if n_P < 1 or n_Q < 1 or B < 1:
         raise ValueError("n_P, n_Q and B must be positive integers")
     if not 0.0 < delta < 1.0:
@@ -229,7 +233,7 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
     for name, v in (("p_min", p_min), ("q_min", q_min)):
         if not 0.0 < v <= 0.5:
             raise ValueError(f"{name} must lie in (0, 1/2]")
-    _check_weight_bracket(w_min, w_max)
+    w_min, w_max = _weight_bracket(w_min, w_max)
     if not 0.0 <= K < math.inf:
         raise ValueError("K must be finite and nonnegative")
     cal_term = epsilon_delta(n_P, B, delta / 4.0) ** 2
@@ -253,6 +257,7 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
 def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:
     """Labels needed so plug-in weights fall within a factor beta of the truth:
     ceil(27 / ((beta - 1)^2 p_min) log(8 / delta)), valid for beta in (1, 2]."""
+    p_min, beta, delta = _real(p_min, "p_min"), _real(beta, "beta"), _real(delta, "delta")
     if not 0.0 < p_min < 1.0:
         raise ValueError("p_min must lie in (0, 1)")
     if not 1.0 < beta <= 2.0:

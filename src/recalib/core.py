@@ -87,6 +87,12 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
         raise OverflowError(f"{name} is too large for a float") from None
 
 
+def _real(value, name: str) -> float:
+    """One real number by the rule of ``_reals``: a bool or a string raises
+    TypeError instead of reading as 1 or being parsed."""
+    return _reals((value,), name)[0]
+
+
 def _index(value, name: str) -> int:
     """One size or count by the rule of ``_reals``: a bool or a non-integer
     raises TypeError instead of reading as 1 or being truncated."""

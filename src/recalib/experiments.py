@@ -23,8 +23,8 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
-from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _reals, _sorted_view,
-                   compose, estimate_weights, fit_recalibrator)
+from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _real, _reals,
+                   _sorted_view, compose, estimate_weights, fit_recalibrator)
 from .fileio import write_csv, write_json
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
@@ -91,7 +91,7 @@ class ExperimentConfig:
         for name in ("seeds", "base_seed", "n_P", "n_Q"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
         for name in ("delta", "pi_source", "pi_target"):
-            object.__setattr__(self, name, _reals((getattr(self, name),), name)[0])
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not isinstance(self.full_scale, bool):
             raise TypeError(f"full_scale must be a bool, not {type(self.full_scale).__name__}")
         # A str or a dict would iterate as characters or keys.
@@ -170,7 +170,8 @@ def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
     The entropy is the tuple (base_seed, *fields), so a cell keeps its
     stream no matter how the surrounding grid changes shape.
     """
-    return np.random.SeedSequence((int(base_seed),) + tuple(int(f) for f in fields))
+    return np.random.SeedSequence((_index(base_seed, "base_seed"),)
+                                  + _reals(fields, "fields", integer=True))
 
 
 def bins_cube_root(n: int) -> int:

@@ -52,7 +52,7 @@ from .core import (
     _concurrently,
     _evaluate,
     _index,
-    _reals,
+    _real,
     _score_array,
     _sorted_view,
 )
@@ -151,7 +151,7 @@ class GaussianMixtureTask:
     pi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pi", _reals((self.pi,), "pi")[0])
+        object.__setattr__(self, "pi", _real(self.pi, "pi"))
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must lie strictly between 0 and 1")
 
@@ -233,6 +233,7 @@ def hstar(task: GaussianMixtureTask, z):
 
 def exact_shift_weights(pi_source: float, pi_target: float) -> ShiftWeights:
     """Population importance weights w_k = Q[Y = k] / P[Y = k] between priors."""
+    pi_source, pi_target = _real(pi_source, "pi_source"), _real(pi_target, "pi_target")
     for name, v in (("pi_source", pi_source), ("pi_target", pi_target)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} must lie strictly between 0 and 1")

@@ -35,6 +35,7 @@ from recalib.bounds import (
 )
 from recalib.core import (BinningScheme, PiecewiseRecalibrator, ShiftWeights, estimate_weights,
                           fit_recalibrator)
+from recalib.experiments import cell_seed
 from recalib.oracle import GaussianMixtureTask, _bin_moments, exact_shift_weights, sample
 
 
@@ -158,10 +159,15 @@ def test_optimal_bins_zero_smoothness_picks_smallest():
 
 
 def test_optimal_bins_local_minimality():
-    for n in (1_000, 31_623, 10**6):
-        B_star, zeta_min = optimal_bins(n, 0.1, 1.0)
-        assert zeta_min <= zeta(B_star - 1, n, 0.1, 1.0) or B_star == 2
-        assert zeta_min <= zeta(B_star + 1, n, 0.1, 1.0)
+    # The contract: zeta(B - 1) > zeta(B) <= zeta(B + 1) at B_star, also
+    # past B_star = 9e7 (n = 1e24 and n = 1e20 at K = 400), where float
+    # zeta is flat to roundoff and need not be convex.
+    for n, delta, K in ((1_000, 0.1, 1.0), (31_623, 0.1, 1.0), (10**6, 0.1, 1.0),
+                        (10**24, 0.1, 1.0), (10**20, 0.1, 400.0)):
+        B_star, zeta_min = optimal_bins(n, delta, K)
+        assert zeta_min == zeta(B_star, n, delta, K)
+        assert zeta(B_star - 1, n, delta, K) > zeta_min or B_star == 2
+        assert zeta_min <= zeta(B_star + 1, n, delta, K)
 
 
 def test_optimal_bins_matches_exhaustive_scan():
@@ -487,3 +493,47 @@ def test_bound_params_fields():
     assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == [
         "p_min", "q_min", "w_min", "w_max", "K"]
     assert params["K"].default == 1.0
+
+
+BRACKET = dict(w_min=0.5, w_max=2.0)
+APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: BoundParams(n=100, B=10, delta=0.1, K=True), TypeError, "K"),
+    (lambda: BoundParams(n=100, B=10, delta="0.1"), TypeError, "delta"),
+    (lambda: optimal_bins(1000, 0.1, True), TypeError, "K"),
+    (lambda: optimal_bins(1000, "0.1", 1.0), TypeError, "delta"),
+    (lambda: epsilon_delta(1000, 10, "0.1"), TypeError, "delta"),
+    (lambda: chernoff_sample_requirement("0.1", 2.0, 0.1), TypeError, "p_min"),
+    (lambda: chernoff_sample_requirement(0.1, True, 0.1), TypeError, "beta"),
+    (lambda: chernoff_sample_requirement(0.1, 2.0, "0.1"), TypeError, "delta"),
+    (lambda: shift_risk_bound_apriori(**{**APRIORI, "delta": "0.1"}), TypeError, "delta"),
+    (lambda: shift_risk_bound_apriori(**{**APRIORI, "p_min": "0.1"}), TypeError, "p_min"),
+    (lambda: shift_risk_bound_apriori(**{**APRIORI, "q_min": True}), TypeError, "q_min"),
+    (lambda: shift_risk_bound_apriori(**{**APRIORI, "w_min": "0.5"}), TypeError, "w_min"),
+    (lambda: shift_risk_bound_apriori(**{**APRIORI, "w_max": True}), TypeError, "w_max"),
+    (lambda: shift_risk_bound_apriori(**APRIORI, K=True), TypeError, "K"),
+    (lambda: shift_risk_bound_realized((True, 1.0), 0.1, **BRACKET), TypeError, "rho"),
+    (lambda: shift_risk_bound_realized(("1", "1"), 0.1, **BRACKET), TypeError, "rho"),
+    (lambda: shift_risk_bound_realized((1.0, 1.0, 1.0), 0.1, **BRACKET), ValueError, "rho"),
+    (lambda: shift_risk_bound_realized((1.0, 1.0), True, **BRACKET), TypeError, "risk_P"),
+    (lambda: shift_risk_bound_realized((1.0, 1.0), 0.1, w_min="0.5", w_max=2.0),
+     TypeError, "w_min"),
+    (lambda: zeta(0, 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: zeta(-1, 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: zeta(math.nan, 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: zeta(np.array([1.0, 0.0, 2.0]), 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: cell_seed(0, 2.7), TypeError, "fields"),
+    (lambda: cell_seed(1.9, 3), TypeError, "base_seed"),
+    (lambda: cell_seed("3"), TypeError, "base_seed"),
+    (lambda: cell_seed(0, "3"), TypeError, "fields"),
+    (lambda: exact_shift_weights("0.5", 0.1), TypeError, "pi_source"),
+    (lambda: exact_shift_weights(0.5, True), TypeError, "pi_target"),
+])
+def test_real_arguments_follow_the_number_rule(call, error, name):
+    # A bool, a string or a float count raises naming the argument: before,
+    # True read as 1, "1" as 1.0, 2.7 as 2, B = 0 gave NaN with warnings,
+    # and a string delta failed on a comparison.
+    with pytest.raises(error, match=f"^{name} must"):
+        call()

@@ -214,6 +214,7 @@ def test_cell_seed_is_grid_shape_invariant():
     cell_b = next(c for c in b if (c.n, c.B) == (1_000, 6))
     assert cell_a == cell_b
     assert cell_seed(0, 1_000, 6, 0).entropy == (0, 1_000, 6, 0)
+    assert cell_seed(np.int64(0), np.int64(1_000), 6, 0).entropy == (0, 1_000, 6, 0)
 
 
 def test_study_units_follow_the_seed_rule():
