@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseRecalibrator, ShiftWeights, _index, _real, _reals
+from .core import (PiecewiseRecalibrator, ShiftWeights, _index, _probability, _real, _reals,
+                   _smoothness_constant)
 
 __all__ = [
     "DEFAULT_C",
@@ -60,15 +61,11 @@ class BoundParams:
     def __post_init__(self) -> None:
         for name in ("n", "B"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
-        object.__setattr__(self, "delta", _real(self.delta, "delta"))
+        object.__setattr__(self, "delta", _probability(self.delta, "delta"))
         if self.K is not None:
-            object.__setattr__(self, "K", _real(self.K, "K"))
+            object.__setattr__(self, "K", _smoothness_constant(self.K))
         if self.n < 1 or self.B < 1:
             raise ValueError("n and B must be positive integers")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.K is not None and not 0.0 <= self.K < math.inf:
-            raise ValueError("K must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,8 @@ def epsilon_delta(n: int, B: int, delta: float) -> float:
     if n < 1 or B < 1:
         raise ValueError("n and B must be positive integers")
     m = n // B
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    if delta != 0.0:  # zero raises ZeroDivisionError below
+        _probability(delta, "delta")
     if m < 2:
         raise InsufficientSampleError(
             f"floor(n / B) = {m} < 2; at least two points per bin are required"
@@ -146,12 +143,15 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
 def zeta(B: int | np.ndarray, n: int, delta: float, K: float) -> float | np.ndarray:
     """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
     a simplified proxy for the total risk bound, at a bin count B or at each
-    of an array of them, in float64. A B below 1 (or NaN) raises ValueError.
-    Where it overflows it is inf, unwarned: ``optimal_bins`` decides with
-    ``_finite``."""
+    of an array of them, in float64. B and n must be at least 1, delta in
+    (0, 1) and K finite and nonnegative, or ValueError. Where it overflows it
+    is inf, unwarned: ``optimal_bins`` decides with ``_finite``."""
     B = np.asarray(B, dtype=np.float64)
     if not B.min(initial=1.0) >= 1.0:  # NaN fails too
         raise ValueError("B must be at least 1")
+    n, delta, K = _index(n, "n"), _probability(delta, "delta"), _smoothness_constant(K)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     with np.errstate(over="ignore"):
         return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
 
@@ -167,13 +167,9 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
     logarithmic factor.
     """
-    n, delta, K = _index(n, "n"), _real(delta, "delta"), _real(K, "K")
+    n = _index(n, "n")
     if n < 4:
         raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 <= K < math.inf:
-        raise ValueError("K must be finite and nonnegative")
     lo, hi = 2, n // 2
     while lo < hi:
         mid = (lo + hi) // 2
@@ -224,18 +220,14 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
     n_Q >= (27 / q_min) log(16 / delta).
     """
     n_P, n_Q, B = _index(n_P, "n_P"), _index(n_Q, "n_Q"), _index(B, "B")
-    delta, p_min, q_min, K = (_real(delta, "delta"), _real(p_min, "p_min"),
-                              _real(q_min, "q_min"), _real(K, "K"))
+    delta, p_min, q_min, K = (_probability(delta, "delta"), _real(p_min, "p_min"),
+                              _real(q_min, "q_min"), _smoothness_constant(K))
     if n_P < 1 or n_Q < 1 or B < 1:
         raise ValueError("n_P, n_Q and B must be positive integers")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     for name, v in (("p_min", p_min), ("q_min", q_min)):
         if not 0.0 < v <= 0.5:
             raise ValueError(f"{name} must lie in (0, 1/2]")
     w_min, w_max = _weight_bracket(w_min, w_max)
-    if not 0.0 <= K < math.inf:
-        raise ValueError("K must be finite and nonnegative")
     cal_term = epsilon_delta(n_P, B, delta / 4.0) ** 2
     sha_term = 8.0 * K * K / (B * B)
     scale = 2.0 * w_max ** 3 / w_min ** 2
@@ -257,14 +249,13 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
 def chernoff_sample_requirement(p_min: float, beta: float, delta: float) -> int:
     """Labels needed so plug-in weights fall within a factor beta of the truth:
     ceil(27 / ((beta - 1)^2 p_min) log(8 / delta)), valid for beta in (1, 2]."""
-    p_min, beta, delta = _real(p_min, "p_min"), _real(beta, "beta"), _real(delta, "delta")
-    if not 0.0 < p_min < 1.0:
-        raise ValueError("p_min must lie in (0, 1)")
+    p_min, beta = _probability(p_min, "p_min"), _real(beta, "beta")
     if not 1.0 < beta <= 2.0:
         raise ValueError("beta must lie in (1, 2]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return math.ceil(27.0 / ((beta - 1.0) ** 2 * p_min) * math.log(8.0 / delta))
+    delta = _probability(delta, "delta")
+    labels = 27.0 / ((beta - 1.0) ** 2 * p_min) * math.log(8.0 / delta)
+    _finite(labels)
+    return math.ceil(labels)
 
 
 def balance_alpha(bin_probs) -> float:

@@ -93,6 +93,22 @@ def _real(value, name: str) -> float:
     return _reals((value,), name)[0]
 
 
+def _probability(value, name: str) -> float:
+    """One delta or prior by the rule of ``_real``, in (0, 1) or ValueError."""
+    value = _real(value, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
+def _smoothness_constant(value) -> float:
+    """K by the rule of ``_real``, finite and nonnegative or ValueError."""
+    value = _real(value, "K")
+    if not 0.0 <= value < np.inf:
+        raise ValueError("K must be finite and nonnegative")
+    return value
+
+
 def _index(value, name: str) -> int:
     """One size or count by the rule of ``_reals``: a bool or a non-integer
     raises TypeError instead of reading as 1 or being truncated."""
@@ -567,8 +583,8 @@ def estimate_weights(labels_P: Sequence[int] | np.ndarray,
     out = []
     for name, labels in (("source", labels_P), ("target", labels_Q)):
         y = np.asarray(labels)
-        if y.size == 0:
-            raise ValueError(f"the {name} label sample is empty")
+        if y.ndim != 1 or y.size == 0:
+            raise ValueError(f"the {name} labels must be a nonempty one-dimensional array")
         if not _binary(y):
             raise ValueError(f"the {name} labels must be 0 or 1")
         ones = int(np.count_nonzero(y))

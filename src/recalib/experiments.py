@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
-from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _real, _reals,
+from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _probability, _reals,
                    _sorted_view, compose, estimate_weights, fit_recalibrator)
 from .fileio import write_csv, write_json
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
@@ -91,7 +91,7 @@ class ExperimentConfig:
         for name in ("seeds", "base_seed", "n_P", "n_Q"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
         for name in ("delta", "pi_source", "pi_target"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, _probability(getattr(self, name), name))
         if not isinstance(self.full_scale, bool):
             raise TypeError(f"full_scale must be a bool, not {type(self.full_scale).__name__}")
         # A str or a dict would iterate as characters or keys.
@@ -105,15 +105,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} entries must be positive")
             if list(grid) != sorted(set(grid)):
                 raise ValueError(f"{name} must be strictly increasing")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        for name, v in (("pi_source", self.pi_source), ("pi_target", self.pi_target)):
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1")
         if self.n_P < 1 or self.n_Q < 1:
             raise ValueError("n_P and n_Q must be at least 1")
         bad = [m for m in self.methods if m not in VALID_METHODS]

@@ -52,7 +52,7 @@ from .core import (
     _concurrently,
     _evaluate,
     _index,
-    _real,
+    _probability,
     _score_array,
     _sorted_view,
 )
@@ -151,9 +151,7 @@ class GaussianMixtureTask:
     pi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pi", _real(self.pi, "pi"))
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError("pi must lie strictly between 0 and 1")
+        object.__setattr__(self, "pi", _probability(self.pi, "pi"))
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,8 @@ def hstar(task: GaussianMixtureTask, z):
 
 def exact_shift_weights(pi_source: float, pi_target: float) -> ShiftWeights:
     """Population importance weights w_k = Q[Y = k] / P[Y = k] between priors."""
-    pi_source, pi_target = _real(pi_source, "pi_source"), _real(pi_target, "pi_target")
-    for name, v in (("pi_source", pi_source), ("pi_target", pi_target)):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{name} must lie strictly between 0 and 1")
+    pi_source, pi_target = (_probability(pi_source, "pi_source"),
+                            _probability(pi_target, "pi_target"))
     return ShiftWeights(
         w=((1.0 - pi_target) / (1.0 - pi_source), pi_target / pi_source),
         provenance="exact",

@@ -35,7 +35,7 @@ from recalib.bounds import (
 )
 from recalib.core import (BinningScheme, PiecewiseRecalibrator, ShiftWeights, estimate_weights,
                           fit_recalibrator)
-from recalib.experiments import cell_seed
+from recalib.experiments import ExperimentConfig, cell_seed
 from recalib.oracle import GaussianMixtureTask, _bin_moments, exact_shift_weights, sample
 
 
@@ -226,7 +226,8 @@ def test_bounds_that_overflow_raise():
                  lambda: risk_bound_report(BoundParams(n=10**306, B=10**305, delta=0.1)),
                  lambda: shift_risk_bound_apriori(**{**shift, "K": 1e200}),
                  lambda: shift_risk_bound_apriori(**{**shift, "p_min": 1e-320}),
-                 lambda: shift_risk_bound_realized((1.1, 0.9), 1e308, w_min=0.2, w_max=1.8)):
+                 lambda: shift_risk_bound_realized((1.1, 0.9), 1e308, w_min=0.2, w_max=1.8),
+                 lambda: chernoff_sample_requirement(1e-300, 1.0000001, 0.1)):
         with pytest.raises(OverflowError, match="not finite"):
             call()
 
@@ -524,6 +525,13 @@ APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
     (lambda: zeta(-1, 1000, 0.1, 1.0), ValueError, "B"),
     (lambda: zeta(math.nan, 1000, 0.1, 1.0), ValueError, "B"),
     (lambda: zeta(np.array([1.0, 0.0, 2.0]), 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: zeta(10, True, 0.1, 1.0), TypeError, "n"),
+    (lambda: zeta(10, 2.5, 0.1, 1.0), TypeError, "n"),
+    (lambda: zeta(10, 0, 0.1, 1.0), ValueError, "n"),
+    (lambda: zeta(10, 1000, True, 1.0), TypeError, "delta"),
+    (lambda: zeta(10, 1000, "0.1", 1.0), TypeError, "delta"),
+    (lambda: zeta(10, 1000, 5.0, 1.0), ValueError, "delta"),
+    (lambda: zeta(10, 1000, 0.1, True), TypeError, "K"),
     (lambda: cell_seed(0, 2.7), TypeError, "fields"),
     (lambda: cell_seed(1.9, 3), TypeError, "base_seed"),
     (lambda: cell_seed("3"), TypeError, "base_seed"),
@@ -534,6 +542,37 @@ APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
 def test_real_arguments_follow_the_number_rule(call, error, name):
     # A bool, a string or a float count raises naming the argument: before,
     # True read as 1, "1" as 1.0, 2.7 as 2, B = 0 gave NaN with warnings,
-    # and a string delta failed on a comparison.
+    # a string delta failed on a comparison, and zeta took any n, delta and K.
     with pytest.raises(error, match=f"^{name} must"):
         call()
+
+
+RULE_SITES = [
+    pytest.param("delta", lambda v: zeta(10, 1000, v, 1.0), id="zeta"),
+    pytest.param("delta", lambda v: chernoff_sample_requirement(0.1, 2.0, v), id="chernoff"),
+    pytest.param("delta", lambda v: ExperimentConfig(delta=v), id="config-delta"),
+    pytest.param("pi", GaussianMixtureTask, id="task"),
+    pytest.param("pi_source", lambda v: exact_shift_weights(v, 0.1), id="exact-source"),
+    pytest.param("pi_target", lambda v: exact_shift_weights(0.5, v), id="exact-target"),
+    pytest.param("pi_source", lambda v: ExperimentConfig(pi_source=v), id="config-source"),
+    pytest.param("pi_target", lambda v: ExperimentConfig(pi_target=v), id="config-target"),
+]
+
+
+@pytest.mark.parametrize("name, call", RULE_SITES)
+@pytest.mark.parametrize("value", [0.0, 1.0, math.nan])
+def test_probability_rule_has_one_message(name, call, value):
+    # A delta or a prior outside (0, 1), NaN included, gets the same
+    # message wherever it is read.
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\)$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda K: zeta(10, 1000, 0.1, K), id="zeta"),
+    pytest.param(lambda K: BoundParams(n=100, B=10, delta=0.1, K=K), id="BoundParams"),
+])
+@pytest.mark.parametrize("K", [-1.0, math.inf, math.nan])
+def test_smoothness_rule_has_one_message(call, K):
+    with pytest.raises(ValueError, match="^K must be finite and nonnegative$"):
+        call(K)

@@ -328,7 +328,7 @@ def test_fit_bad_bins_flag(tmp_path):
         (("--bins", -3), "--bins must be at least 1, got -3"),
         (("--bins", 2, "--pi", 0.3), "--pi needs --task"),
         (("--K", "nan"), "--K must be finite and nonnegative, got nan"),
-        (("--task", "gaussian", "--pi", 0), "--pi: pi must lie strictly between 0 and 1"),
+        (("--task", "gaussian", "--pi", 0), "--pi: pi must lie in (0, 1)"),
     ):
         res = run("fit", "--input", bad, *flags, "--out", out)
         assert res.stderr == f"error: {message}\n", flags
@@ -1702,7 +1702,7 @@ MISTYPED_CONFIGS = [
     ("risk-grid", '{"seeds": true, "n_grid": [100], "B_grid": [6]}',
      "seeds must be integral numbers, not bool"),
     ("label-shift", '{"methods": "Source", "seeds": 1}', "methods must be a list or tuple, not str"),
-    ("label-shift", '{"pi_target": NaN, "seeds": 1}', "pi_target must lie strictly between 0 and 1"),
+    ("label-shift", '{"pi_target": NaN, "seeds": 1}', "pi_target must lie in (0, 1)"),
     # Past what a float holds, so float() raises OverflowError.
     ("label-shift", '{"pi_target": 1%s, "seeds": 1}' % ("0" * 400),
      "pi_target is too large for a float"),

@@ -535,6 +535,10 @@ def test_estimate_weights_rejects_bad_input():
         estimate_weights([], [0, 1])
     with pytest.raises(ValueError):
         estimate_weights([0, 2], [0, 1])
+    # Before, a 2-D array's labels were counted flat: w = (1.0, 1.0).
+    for source, target, name in (([[0, 1]], [1, 0], "source"), ([0, 1], [[1, 0]], "target")):
+        with pytest.raises(ValueError, match=f"^the {name} labels must be a nonempty one-dim"):
+            estimate_weights(source, target)
 
 
 # ---------------------------------------------------------------- compose
