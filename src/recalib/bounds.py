@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PiecewiseRecalibrator, ShiftWeights, _index, _probability, _real, _reals,
-                   _smoothness_constant)
+from .core import (PiecewiseRecalibrator, ShiftWeights, _index, _nonnegative, _probability,
+                   _real, _reals)
 
 __all__ = [
     "DEFAULT_C",
@@ -63,9 +63,7 @@ class BoundParams:
             object.__setattr__(self, name, _index(getattr(self, name), name))
         object.__setattr__(self, "delta", _probability(self.delta, "delta"))
         if self.K is not None:
-            object.__setattr__(self, "K", _smoothness_constant(self.K))
-        if self.n < 1 or self.B < 1:
-            raise ValueError("n and B must be positive integers")
+            object.__setattr__(self, "K", _nonnegative(self.K, "K"))
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,6 @@ def epsilon_delta(n: int, B: int, delta: float) -> float:
     A delta of zero (delta / 2 underflows to it from 5e-324) raises
     ZeroDivisionError."""
     n, B, delta = _index(n, "n"), _index(B, "B"), _real(delta, "delta")
-    if n < 1 or B < 1:
-        raise ValueError("n and B must be positive integers")
     m = n // B
     if delta != 0.0:  # zero raises ZeroDivisionError below
         _probability(delta, "delta")
@@ -143,15 +139,15 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
 def zeta(B: int | np.ndarray, n: int, delta: float, K: float) -> float | np.ndarray:
     """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
     a simplified proxy for the total risk bound, at a bin count B or at each
-    of an array of them, in float64. B and n must be at least 1, delta in
-    (0, 1) and K finite and nonnegative, or ValueError. Where it overflows it
-    is inf, unwarned: ``optimal_bins`` decides with ``_finite``."""
+    of an array of them, in float64. A B or an n below 1 raises
+    ValueError("B must be at least 1") or ("n must be at least 1"), and so
+    do a delta outside (0, 1) and a K that is not finite and nonnegative.
+    Where it overflows it is inf, unwarned: ``optimal_bins`` decides with
+    ``_finite``."""
     B = np.asarray(B, dtype=np.float64)
     if not B.min(initial=1.0) >= 1.0:  # NaN fails too
         raise ValueError("B must be at least 1")
-    n, delta, K = _index(n, "n"), _probability(delta, "delta"), _smoothness_constant(K)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, delta, K = _index(n, "n"), _probability(delta, "delta"), _nonnegative(K, "K")
     with np.errstate(over="ignore"):
         return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
 
@@ -165,11 +161,10 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     floor(n / 2). Wherever float zeta is convex, as it is in exact
     arithmetic, that is the first minimum of the range. Returns
     (B_star, zeta(B_star)). The minimizer grows like n^(1/3) up to a
-    logarithmic factor.
+    logarithmic factor. An n below 4, whose range is empty, raises
+    ValueError("n must be at least 4").
     """
-    n = _index(n, "n")
-    if n < 4:
-        raise ValueError("optimal_bins needs n >= 4 so the scan range is nonempty")
+    n = _index(n, "n", least=4)
     lo, hi = 2, n // 2
     while lo < hi:
         mid = (lo + hi) // 2
@@ -190,13 +185,11 @@ def shift_risk_bound_realized(rho: tuple[float, float], risk_P: float, *,
     w_max bracketing the true importance weights:
     2 ((rho_0 - rho_1) / (rho_0 + rho_1))^2 + 2 (w_max^3 / w_min^2) risk_P."""
     w_min, w_max = _weight_bracket(w_min, w_max)
-    rho, risk_P = _reals(rho, "rho"), _real(risk_P, "risk_P")
+    rho, risk_P = _reals(rho, "rho"), _nonnegative(risk_P, "risk_P")
     if len(rho) != 2:
         raise ValueError(f"rho must hold two ratios, got {len(rho)}")
     if any(not 0.0 < r < math.inf for r in rho):
         raise ValueError("realized weight ratios must be finite and positive")
-    if not 0.0 <= risk_P < math.inf:
-        raise ValueError("risk_P must be finite and nonnegative")
     rho0, rho1 = rho
     lead = ((rho0 - rho1) / (rho0 + rho1)) ** 2
     bound = 2.0 * (lead + (w_max ** 3 / w_min ** 2) * risk_P)
@@ -221,9 +214,7 @@ def shift_risk_bound_apriori(n_P: int, n_Q: int, B: int, delta: float, *,
     """
     n_P, n_Q, B = _index(n_P, "n_P"), _index(n_Q, "n_Q"), _index(B, "B")
     delta, p_min, q_min, K = (_probability(delta, "delta"), _real(p_min, "p_min"),
-                              _real(q_min, "q_min"), _smoothness_constant(K))
-    if n_P < 1 or n_Q < 1 or B < 1:
-        raise ValueError("n_P, n_Q and B must be positive integers")
+                              _real(q_min, "q_min"), _nonnegative(K, "K"))
     for name, v in (("p_min", p_min), ("q_min", q_min)):
         if not 0.0 < v <= 0.5:
             raise ValueError(f"{name} must lie in (0, 1/2]")

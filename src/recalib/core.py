@@ -101,18 +101,22 @@ def _probability(value, name: str) -> float:
     return value
 
 
-def _smoothness_constant(value) -> float:
-    """K by the rule of ``_real``, finite and nonnegative or ValueError."""
-    value = _real(value, "K")
+def _nonnegative(value, name: str) -> float:
+    """One real number by the rule of ``_real``, finite and nonnegative or ValueError."""
+    value = _real(value, name)
     if not 0.0 <= value < np.inf:
-        raise ValueError("K must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     return value
 
 
-def _index(value, name: str) -> int:
+def _index(value, name: str, least: int = 1) -> int:
     """One size or count by the rule of ``_reals``: a bool or a non-integer
-    raises TypeError instead of reading as 1 or being truncated."""
-    return _reals((value,), name, integer=True)[0]
+    raises TypeError instead of reading as 1 or being truncated, and a
+    value below ``least`` raises ValueError."""
+    value = _reals((value,), name, integer=True)[0]
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 def _score_array(values, frozen: bool = False) -> np.ndarray:
@@ -269,6 +273,8 @@ class PiecewiseRecalibrator:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scheme, BinningScheme):
+            raise TypeError("the scheme must be a BinningScheme")
         values = _reals(self.values, "values")
         counts = _reals(self.counts, "counts", integer=True)
         if len(values) != self.scheme.B or len(counts) != self.scheme.B:
@@ -342,6 +348,10 @@ class ShiftCorrector:
 
     weights: ShiftWeights
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.weights, ShiftWeights):
+            raise TypeError("the weights must be ShiftWeights")
+
 
 @dataclass(frozen=True)
 class Composite:
@@ -381,7 +391,7 @@ def _uniform_mass_bins(zs: np.ndarray, B: int) -> tuple[BinningScheme, np.ndarra
     ties make two edges coincide or leave a bin empty.
     """
     n = int(zs.size)
-    if B < 1 or B > n:
+    if B > n:
         raise ValueError(f"the bin count must satisfy 1 <= B <= n, got B={B} with n={n}")
     cut = (n * np.arange(1, B)) // B
     scheme = BinningScheme((0.0, *zs[cut - 1].tolist(), 1.0))

@@ -88,8 +88,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("n_grid", "B_grid"):
             object.__setattr__(self, name, _reals(getattr(self, name), name, integer=True))
-        for name in ("seeds", "base_seed", "n_P", "n_Q"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
+        for name, least in (("seeds", 1), ("base_seed", 0), ("n_P", 1), ("n_Q", 1)):
+            object.__setattr__(self, name, _index(getattr(self, name), name, least))
         for name in ("delta", "pi_source", "pi_target"):
             object.__setattr__(self, name, _probability(getattr(self, name), name))
         if not isinstance(self.full_scale, bool):
@@ -105,12 +105,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} entries must be positive")
             if list(grid) != sorted(set(grid)):
                 raise ValueError(f"{name} must be strictly increasing")
-        if self.seeds < 1:
-            raise ValueError("seeds must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
-        if self.n_P < 1 or self.n_Q < 1:
-            raise ValueError("n_P and n_Q must be at least 1")
         bad = [m for m in self.methods if m not in VALID_METHODS]
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {VALID_METHODS}, got {self.methods}")
@@ -165,15 +159,13 @@ def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
     The entropy is the tuple (base_seed, *fields), so a cell keeps its
     stream no matter how the surrounding grid changes shape.
     """
-    return np.random.SeedSequence((_index(base_seed, "base_seed"),)
+    return np.random.SeedSequence((_index(base_seed, "base_seed", least=0),)
                                   + _reals(fields, "fields", integer=True))
 
 
 def bins_cube_root(n: int) -> int:
     """ceil(n^(1/3)), exactly: integer Newton from above gives the floor."""
     n = _index(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
     b = 1 << -(-n.bit_length() // 3)  # a power of two above n^(1/3)
     while (c := (2 * b + n // (b * b)) // 3) < b:
         b = c

@@ -274,8 +274,6 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     arrays it returns (162 MiB with int64 labels).
     """
     n = _index(n, "n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.random(out=np.empty(n))
     y = np.empty(n, np.int8)
@@ -497,10 +495,7 @@ def estimate_K(task: GaussianMixtureTask, grid_size: int = 100_000) -> float:
     grid_size = 1e5 this takes about 0.01 s instead of 0.3 s (2-vCPU
     machine), and each (task, grid_size) is computed once per process.
     """
-    G = _index(grid_size, "grid_size")
-    if G < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    return _estimate_K(task, G)
+    return _estimate_K(task, _index(grid_size, "grid_size", least=1000))
 
 
 @functools.lru_cache(maxsize=64)

@@ -33,10 +33,11 @@ from recalib.bounds import (
     shift_risk_bound_realized,
     zeta,
 )
-from recalib.core import (BinningScheme, PiecewiseRecalibrator, ShiftWeights, estimate_weights,
-                          fit_recalibrator)
-from recalib.experiments import ExperimentConfig, cell_seed
-from recalib.oracle import GaussianMixtureTask, _bin_moments, exact_shift_weights, sample
+from recalib.core import (BinningScheme, LabeledSample, PiecewiseRecalibrator, ShiftWeights,
+                          estimate_weights, fit_recalibrator, umb_fit)
+from recalib.experiments import ExperimentConfig, bins_cube_root, cell_seed
+from recalib.oracle import (GaussianMixtureTask, _bin_moments, estimate_K, exact_shift_weights,
+                            sample)
 
 
 # ------------------------------------------------------- calibration bound
@@ -79,7 +80,8 @@ def test_epsilon_delta_formula():
 @pytest.mark.parametrize("n, B", [(100, 0), (100, -5), (-100, 5), (0, 5)])
 def test_epsilon_delta_refuses_nonpositive_n_and_B(n, B):
     # B = 0 divided by zero, and a negative n or B reported floor(n / B) < 2.
-    with pytest.raises(ValueError, match="^n and B must be positive integers$"):
+    # n is read first.
+    with pytest.raises(ValueError, match=f"^{'n' if n < 1 else 'B'} must be at least 1$"):
         epsilon_delta(n, B, 0.1)
 
 
@@ -308,7 +310,7 @@ def test_shift_params_validation():
         with pytest.raises(TypeError):
             apriori(**{field: 2.5})
         for bad in (0, -1):
-            with pytest.raises(ValueError, match="^n_P, n_Q and B must be positive integers$"):
+            with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
                 apriori(**{field: bad})
     for bad in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
@@ -545,6 +547,44 @@ def test_real_arguments_follow_the_number_rule(call, error, name):
     # a string delta failed on a comparison, and zeta took any n, delta and K.
     with pytest.raises(error, match=f"^{name} must"):
         call()
+
+
+APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, w_min=0.2, w_max=1.8)
+
+SIZE_SITES = [
+    pytest.param("n", 1, lambda v: BoundParams(n=v, B=10, delta=0.1), id="BoundParams-n"),
+    pytest.param("B", 1, lambda v: BoundParams(n=100, B=v, delta=0.1), id="BoundParams-B"),
+    pytest.param("n", 1, lambda v: epsilon_delta(v, 10, 0.1), id="epsilon_delta-n"),
+    pytest.param("B", 1, lambda v: epsilon_delta(100, v, 0.1), id="epsilon_delta-B"),
+    pytest.param("n", 1, lambda v: zeta(10, v, 0.1, 1.0), id="zeta"),
+    pytest.param("n", 4, lambda v: optimal_bins(v, 0.1, 1.0), id="optimal_bins"),
+    pytest.param("n_P", 1, lambda v: shift_risk_bound_apriori(**{**APRIORI, "n_P": v}),
+                 id="apriori-n_P"),
+    pytest.param("n_Q", 1, lambda v: shift_risk_bound_apriori(**{**APRIORI, "n_Q": v}),
+                 id="apriori-n_Q"),
+    pytest.param("B", 1, lambda v: shift_risk_bound_apriori(**{**APRIORI, "B": v}),
+                 id="apriori-B"),
+    pytest.param("n", 1, lambda v: sample(GaussianMixtureTask(0.5), v, 0), id="sample"),
+    pytest.param("grid_size", 1000, lambda v: estimate_K(GaussianMixtureTask(0.5), v),
+                 id="estimate_K"),
+    pytest.param("n", 1, bins_cube_root, id="bins_cube_root"),
+    pytest.param("seeds", 1, lambda v: ExperimentConfig(seeds=v), id="config-seeds"),
+    pytest.param("base_seed", 0, lambda v: ExperimentConfig(base_seed=v), id="config-base_seed"),
+    pytest.param("n_P", 1, lambda v: ExperimentConfig(n_P=v), id="config-n_P"),
+    pytest.param("n_Q", 1, lambda v: ExperimentConfig(n_Q=v), id="config-n_Q"),
+    pytest.param("base_seed", 0, cell_seed, id="cell_seed"),
+    pytest.param("B", 1, lambda v: umb_fit([0.1, 0.5, 0.9], v), id="umb_fit"),
+    pytest.param("B", 1, lambda v: fit_recalibrator(LabeledSample(z=[0.1, 0.9], y=[0, 1]), v),
+                 id="fit_recalibrator"),
+]
+
+
+@pytest.mark.parametrize("name, least, call", SIZE_SITES)
+def test_size_rule_has_one_message(name, least, call):
+    # A size, count or seed below its floor gets the same message wherever
+    # it is read.
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}$"):
+        call(least - 1)
 
 
 RULE_SITES = [

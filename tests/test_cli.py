@@ -1554,6 +1554,10 @@ def test_optbins_task_estimates_K():
 
 def test_optbins_small_n_exits_2():
     assert run("optbins", "--n", 3, "--K", 1).exit_code == 2
+    res = run("optbins", "--n", 3)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert [l for l in res.stderr.splitlines() if l.startswith("error:")] == [
+        "error: n must be at least 4"]
     # An n past the float range is refused, not a traceback.
     # So is a finite --K whose objective overflows to inf at every B.
     for flags in (("--n", 10**400, "--K", 1), ("--n", 1000, "--K", 1e200)):

@@ -576,6 +576,12 @@ def test_compose_rejects_wrong_component_types():
         Composite(outer=h, inner=g)
     with pytest.raises(TypeError):
         Composite(outer=g, inner=g)
+    # So do its parts, so a wrong part fails where it is built, not with an
+    # AttributeError on the first apply.
+    with pytest.raises(TypeError, match="^the weights must be ShiftWeights$"):
+        ShiftCorrector((1.0, 2.0))
+    with pytest.raises(TypeError, match="^the scheme must be a BinningScheme$"):
+        PiecewiseRecalibrator((0.0, 0.5, 1.0), (0.25, 0.75), (1, 1))
 
 
 # -------------------------------------------------------- type validation

@@ -101,7 +101,7 @@ def test_config_validation():
         ExperimentConfig(delta=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=0)
-    with pytest.raises(ValueError, match="base_seed must be nonnegative"):
+    with pytest.raises(ValueError, match="base_seed must be at least 0"):
         ExperimentConfig(base_seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(pi_target=0.0)
