@@ -21,7 +21,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 
@@ -44,6 +43,9 @@ from .core import (
     Recalibrator,
     ShiftCorrector,
     ShiftWeights,
+    _index,
+    _nonnegative,
+    _probability,
     _within,
     apply_batch,
     compose,
@@ -291,17 +293,11 @@ def _smoothness(k_const, task_name, pi) -> float | None:
     if pi is not None and task_name is None:
         raise ValueError("--pi needs --task")
     if k_const is not None:
-        if not 0.0 <= k_const < math.inf:
-            raise ValueError(f"--K must be finite and nonnegative, got {k_const!r}")
-        return float(k_const)
+        return _nonnegative(k_const, "K")
     if task_name == "gaussian":
         from .oracle import GaussianMixtureTask, estimate_K  # loads scipy
 
-        try:
-            task = GaussianMixtureTask(0.5 if pi is None else pi)
-        except ValueError as e:
-            raise ValueError(f"--pi: {e}") from e
-        return estimate_K(task)
+        return estimate_K(GaussianMixtureTask(0.5 if pi is None else pi))
     return None
 
 
@@ -393,16 +389,14 @@ def main() -> None:
 def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     """Fit a uniform-mass binned recalibrator and save it as a model file."""
     # Every flag is checked before the CSV is read, so a refusal is cheap.
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"--delta must lie in (0, 1), got {delta!r}")
+    delta = _probability(delta, "delta")
     auto = bins == "auto"
     if not auto:
         try:
             B = int(bins)
         except ValueError:
             raise ValueError(f"--bins must be an integer or 'auto', got {bins!r}") from None
-        if B < 1:
-            raise ValueError(f"--bins must be at least 1, got {B}")
+        B = _index(B, "B")
     # --bins auto needs a K to choose B; an integer --bins uses one only
     # for the smooth sharpness bound, as `bound` does.
     K = _smoothness(k_const, task_name, pi)

@@ -87,7 +87,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_grid", "B_grid"):
-            object.__setattr__(self, name, _reals(getattr(self, name), name, integer=True))
+            grid = _reals(getattr(self, name), name, integer=True)
+            object.__setattr__(self, name, tuple(_index(v, f"{name} entries") for v in grid))
         for name, least in (("seeds", 1), ("base_seed", 0), ("n_P", 1), ("n_Q", 1)):
             object.__setattr__(self, name, _index(getattr(self, name), name, least))
         for name in ("delta", "pi_source", "pi_target"):
@@ -101,8 +102,6 @@ class ExperimentConfig:
         for name, grid in (("n_grid", self.n_grid), ("B_grid", self.B_grid)):
             if not grid:
                 raise ValueError(f"{name} must be nonempty")
-            if any(v < 1 for v in grid):
-                raise ValueError(f"{name} entries must be positive")
             if list(grid) != sorted(set(grid)):
                 raise ValueError(f"{name} must be strictly increasing")
         bad = [m for m in self.methods if m not in VALID_METHODS]
@@ -156,11 +155,11 @@ def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) 
 def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
     """Deterministic substream for one experiment cell.
 
-    The entropy is the tuple (base_seed, *fields), so a cell keeps its
-    stream no matter how the surrounding grid changes shape.
+    The entropy is the tuple (base_seed, *fields), each an integer of at
+    least 0, so a cell keeps its stream however the grid changes shape.
     """
     return np.random.SeedSequence((_index(base_seed, "base_seed", least=0),)
-                                  + _reals(fields, "fields", integer=True))
+                                  + tuple(_index(v, "fields", least=0) for v in fields))
 
 
 def bins_cube_root(n: int) -> int:

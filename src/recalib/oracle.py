@@ -242,9 +242,11 @@ def exact_shift_weights(pi_source: float, pi_target: float) -> ShiftWeights:
 def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     """n independent draws (z_i, y_i) from the task.
 
-    ``seed`` may be an int or a numpy SeedSequence and feeds a PCG64
-    stream. The draw order is fixed: n uniforms decide the labels, then n
-    uniforms map through the inverse normal CDF to x, then z = sigmoid(x).
+    ``seed`` is an int, a sequence of ints (a list or tuple) or a numpy
+    SeedSequence, and feeds a PCG64 stream. Each int must be at least 0,
+    and None or a bool raises TypeError. The draw order is fixed: n
+    uniforms decide the labels, then n uniforms map through the inverse
+    normal CDF to x, then z = sigmoid(x).
     The same seed gives the same bits with the same numpy and scipy build
     on the same CPU features: numpy's float64 ``exp`` picks a SIMD kernel
     at run time, and on x86 its AVX-512 kernel differs from libm's ``exp``
@@ -274,6 +276,9 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     arrays it returns (162 MiB with int64 labels).
     """
     n = _index(n, "n")
+    if not isinstance(seed, np.random.SeedSequence):
+        entropy = seed if isinstance(seed, (list, tuple)) else (seed,)
+        seed = np.random.SeedSequence(tuple(_index(v, "seed", least=0) for v in entropy))
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.random(out=np.empty(n))
     y = np.empty(n, np.int8)

@@ -538,6 +538,8 @@ APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
     (lambda: cell_seed(1.9, 3), TypeError, "base_seed"),
     (lambda: cell_seed("3"), TypeError, "base_seed"),
     (lambda: cell_seed(0, "3"), TypeError, "fields"),
+    (lambda: sample(GaussianMixtureTask(0.5), 4, None), TypeError, "seed"),
+    (lambda: sample(GaussianMixtureTask(0.5), 4, True), TypeError, "seed"),
     (lambda: exact_shift_weights("0.5", 0.1), TypeError, "pi_source"),
     (lambda: exact_shift_weights(0.5, True), TypeError, "pi_target"),
 ])
@@ -572,7 +574,13 @@ SIZE_SITES = [
     pytest.param("base_seed", 0, lambda v: ExperimentConfig(base_seed=v), id="config-base_seed"),
     pytest.param("n_P", 1, lambda v: ExperimentConfig(n_P=v), id="config-n_P"),
     pytest.param("n_Q", 1, lambda v: ExperimentConfig(n_Q=v), id="config-n_Q"),
+    pytest.param("n_grid entries", 1, lambda v: ExperimentConfig(n_grid=(v, 10)),
+                 id="config-n_grid"),
+    pytest.param("B_grid entries", 1, lambda v: ExperimentConfig(B_grid=(v, 10)),
+                 id="config-B_grid"),
     pytest.param("base_seed", 0, cell_seed, id="cell_seed"),
+    pytest.param("fields", 0, lambda v: cell_seed(0, v), id="cell_seed-fields"),
+    pytest.param("seed", 0, lambda v: sample(GaussianMixtureTask(0.5), 4, v), id="sample-seed"),
     pytest.param("B", 1, lambda v: umb_fit([0.1, 0.5, 0.9], v), id="umb_fit"),
     pytest.param("B", 1, lambda v: fit_recalibrator(LabeledSample(z=[0.1, 0.9], y=[0, 1]), v),
                  id="fit_recalibrator"),

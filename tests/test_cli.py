@@ -322,18 +322,44 @@ def test_fit_bad_bins_flag(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("z,y\n0.1,2\n")
     for flags, message in (
-        (("--bins", 2, "--delta", 0), "--delta must lie in (0, 1), got 0.0"),
+        (("--bins", 2, "--delta", 0), "delta must lie in (0, 1)"),
         (("--bins", "several"), "--bins must be an integer or 'auto', got 'several'"),
-        (("--bins", 0), "--bins must be at least 1, got 0"),
-        (("--bins", -3), "--bins must be at least 1, got -3"),
+        (("--bins", 0), "B must be at least 1"),
+        (("--bins", -3), "B must be at least 1"),
         (("--bins", 2, "--pi", 0.3), "--pi needs --task"),
-        (("--K", "nan"), "--K must be finite and nonnegative, got nan"),
-        (("--task", "gaussian", "--pi", 0), "--pi: pi must lie in (0, 1)"),
+        (("--K", "nan"), "K must be finite and nonnegative"),
+        (("--task", "gaussian", "--pi", 0), "pi must lie in (0, 1)"),
     ):
         res = run("fit", "--input", bad, *flags, "--out", out)
         assert res.stderr == f"error: {message}\n", flags
         assert_input_error(res)
         assert res.stdout == "" and not out.exists(), flags
+
+
+def test_one_line_per_number_across_commands(tmp_path):
+    # A refused number prints the library's line for it, whichever command
+    # reads it; fit reads a malformed CSV, so the flag is reported first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("z,y\n0.1,2\n")
+    out = tmp_path / "m.json"
+    fit = ("fit", "--input", bad, "--out", out)
+
+    def everywhere(*flag):  # click takes the last of a repeated option
+        return ((*fit, "--bins", 2, *flag), ("bound", "--n", 100, "--B", 2, *flag),
+                ("bound-shift", *SHIFT_FLAGS, *flag), ("optbins", "--n", 100, "--K", 1, *flag))
+
+    cases = [("delta must lie in (0, 1)", everywhere("--delta", v)) for v in (0, 5, "nan")]
+    cases += [("K must be finite and nonnegative", everywhere("--K", v))
+              for v in (-1, "nan", "inf")]
+    cases += [("B must be at least 1", ((*fit, "--bins", 0), ("bound", "--n", 100, "--B", 0))),
+              ("pi must lie in (0, 1)", ((*fit, "--task", "gaussian", "--pi", 1),
+                                         ("optbins", "--n", 100, "--task", "gaussian", "--pi", 1)))]
+    for line, commands in cases:
+        for args in commands:
+            res = run(*args)
+            assert_input_error(res)
+            assert res.stderr == f"error: {line}\n", args
+            assert res.stdout == "" and not out.exists(), args
 
 
 def test_fit_unwritable_out_exits_2(tmp_path):

@@ -93,7 +93,7 @@ def test_desk_scale_caps_name_the_escape_hatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_grid=(1_000, 100))
-    with pytest.raises(ValueError, match="n_grid entries must be positive"):
+    with pytest.raises(ValueError, match="n_grid entries must be at least 1"):
         ExperimentConfig(n_grid=(0, 10))
     with pytest.raises(ValueError):
         ExperimentConfig(B_grid=())
