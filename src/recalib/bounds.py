@@ -136,25 +136,24 @@ def risk_bound_report(p: BoundParams) -> BoundReport:
     return BoundReport(cal, sha, cal + sha, ok, detail)
 
 
-def zeta(B: int | np.ndarray, n: int, delta: float, K: float) -> float | np.ndarray:
+def zeta(B: int, n: int, delta: float, K: float) -> float:
     """The bin-count selection objective (4B / n) log(4B / delta) + 8 K^2 / B^2,
-    a simplified proxy for the total risk bound, at a bin count B or at each
-    of an array of them, in float64. A B or an n below 1 raises
-    ValueError("B must be at least 1") or ("n must be at least 1"), and so
-    do a delta outside (0, 1) and a K that is not finite and nonnegative.
-    Where it overflows it is inf, unwarned: ``optimal_bins`` decides with
-    ``_finite``."""
-    B = np.asarray(B, dtype=np.float64)
-    if not B.min(initial=1.0) >= 1.0:  # NaN fails too
-        raise ValueError("B must be at least 1")
-    n, delta, K = _index(n, "n"), _probability(delta, "delta"), _nonnegative(K, "K")
+    a simplified proxy for the total risk bound, at one bin count B, in
+    float64. B and n follow the size rule (a B or an n below 1 raises
+    ValueError("B must be at least 1") or ("n must be at least 1")), and
+    a delta outside (0, 1) or a K that is not finite and nonnegative
+    raises too. Where it overflows it is inf, unwarned: ``optimal_bins``
+    decides with ``_finite``."""
+    B, n = np.float64(_index(B, "B")), _index(n, "n")
+    delta, K = _probability(delta, "delta"), _nonnegative(K, "K")
     with np.errstate(over="ignore"):
         return (4.0 * B / n) * np.log(4.0 * B / delta) + 8.0 * K * K / (B * B)
 
 
 def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     """Minimize ``zeta`` over the integer range B in [2, floor(n / 2)] by
-    bisection, in about log2(n) evaluations and O(1) memory.
+    bisection on int bin counts, in about log2(n) calls of ``zeta`` and
+    O(1) memory.
 
     The result is the B where the bisection finds that zeta stops
     decreasing: zeta(B - 1) > zeta(B) <= zeta(B + 1), unless B is 2 or
@@ -168,8 +167,7 @@ def optimal_bins(n: int, delta: float, K: float) -> tuple[int, float]:
     lo, hi = 2, n // 2
     while lo < hi:
         mid = (lo + hi) // 2
-        B = np.float64(mid)
-        if zeta(B + 1.0, n, delta, K) >= zeta(B, n, delta, K):
+        if zeta(mid + 1, n, delta, K) >= zeta(mid, n, delta, K):
             hi = mid
         else:
             lo = mid + 1

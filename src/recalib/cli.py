@@ -301,10 +301,9 @@ def _smoothness(k_const, task_name, pi) -> float | None:
     return None
 
 
-def _assume_unit_K() -> float:
+def _warn_unit_K() -> None:
     click.echo("warning: no smoothness constant given; assuming K=1 "
                "(pass --K or --task gaussian)", err=True)
-    return 1.0
 
 
 class _Path(click.ParamType):
@@ -402,8 +401,9 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     K = _smoothness(k_const, task_name, pi)
     (z, y), digest = _read_columns(input_path, ("z", "y"))
     data = LabeledSample(z=z, y=y)
-    if auto and K is None:
-        K = _assume_unit_K()
+    unit_K = auto and K is None
+    if unit_K:
+        K = 1.0
     # A data set too small for the flags exits 3; flags whose bounds
     # overflow (--K 1e200, --delta 1e-320) exit 2 before the model is written.
     try:
@@ -412,11 +412,11 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
         model = fit_recalibrator(data, B)
     except ValueError as e:
         raise _FitFailure(str(e)) from e
-    report = None
+    report = unavailable = None
     try:
         report = risk_bound_report(BoundParams(n=data.n, B=B, delta=delta, K=K))
     except InsufficientSampleError as e:
-        click.echo(f"warning: risk bound unavailable: {e}", err=True)
+        unavailable = e
     metadata = {
         "n": data.n,
         "B": B,
@@ -425,6 +425,11 @@ def cmd_fit(input_path, bins, delta, k_const, task_name, pi, out_path) -> None:
     }
     save_model(out_path, model, metadata)
     _wrote(out_path)
+    # The warnings follow the model, so a refused fit prints one error line.
+    if unit_K:
+        _warn_unit_K()
+    if unavailable is not None:
+        click.echo(f"warning: risk bound unavailable: {unavailable}", err=True)
     if report is not None and not report.conditions_met:
         click.echo(f"warning: sample-size gate not met ({report.condition_detail})", err=True)
     # Nothing goes to stdout until the model is written and every warning
@@ -549,9 +554,9 @@ def cmd_bound_shift(rho0, rho1, risk_p, **fields) -> None:
 def cmd_optbins(n, delta, k_const, task_name, pi) -> None:
     """Print the bin count minimizing the risk bound objective."""
     K = _smoothness(k_const, task_name, pi)
+    B_star, zeta_min = optimal_bins(n, delta, 1.0 if K is None else K)
     if K is None:
-        K = _assume_unit_K()
-    B_star, zeta_min = optimal_bins(n, delta, K)
+        _warn_unit_K()
     click.echo(f"B_star = {B_star}")
     click.echo(f"zeta_min = {fmt_float(zeta_min)}")
 

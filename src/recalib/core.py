@@ -19,7 +19,6 @@ import numbers
 import operator
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -457,34 +456,24 @@ def _concurrently(first, second, n: int) -> tuple:
     runs second(), for a call on n points. The caller runs both, in that
     order, when n < 2**17 or ``os.cpu_count()`` is below 2 or unknown.
 
-    The helper runs under the caller's ``np.geterr()``, since a new thread
-    starts from numpy's defaults. The caller always joins it, then raises
-    its exception, if any. ``first`` allocates no n-sized array and works
-    in place on the caller's buffers: the thread's own malloc arena keeps
-    the pages it frees, and a view whose helper sorted into a new array
-    raised the ``library`` benchmark's peak RSS from 154 to 159 MB.
+    The helper is a one-worker ``ThreadPoolExecutor``, imported here so
+    that no serial caller loads ``concurrent.futures``. It runs first()
+    under the caller's ``np.geterr()``, since a new thread starts from
+    numpy's defaults. Leaving the ``with`` block joins it, and
+    ``future.result()`` raises its exception, if any. ``first`` allocates
+    no n-sized array and works in place on the caller's buffers: the
+    thread's own malloc arena keeps the pages it frees, and a view whose
+    helper sorted into a new array raised the ``library`` benchmark's peak
+    RSS from 154 to 159 MB.
     """
     if n < _CONCURRENT_MIN or (os.cpu_count() or 1) < 2:
         return first(), second()
-    errors = np.geterr()
-    out = [None, None]  # first()'s result and exception
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper():
-        try:
-            with np.errstate(**errors):
-                out[0] = first()
-        except BaseException as e:  # raised again in the caller after the join
-            out[1] = e
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(np.errstate(**np.geterr())(first))
         result = second()
-    finally:
-        thread.join()
-    if out[1] is not None:
-        raise out[1]
-    return out[0], result
+    return future.result(), result
 
 
 def _sorted_view(data: LabeledSample) -> tuple[np.ndarray, np.ndarray]:

@@ -191,10 +191,14 @@ def test_optimal_bins_matches_exhaustive_scan():
 
 
 def test_zeta_on_an_array_is_the_scalar_calls():
-    Bs = np.concatenate((np.arange(1, 3000), [10**6, 10**9, 2**53, 10**17]))
+    # The objective evaluated on an array of bin counts, as
+    # optimal_bins_scan_ref does, is zeta at each count bit for bit.
+    Bs = np.concatenate((np.arange(1, 3000), [10**6, 10**9, 2**53, 10**17])).astype(np.float64)
     for n, delta, K in ((10**6, 0.1, 1.0), (10**11, 0.01, 0.3), (4, 0.5, 0.0), (10**6, 1e-320, 1.0)):
-        got = zeta(Bs, n, delta, K)
-        assert got.tolist() == [zeta(B, n, delta, K) for B in Bs.tolist()], (n, delta, K)
+        with np.errstate(over="ignore"):
+            want = (4.0 * Bs / n) * np.log(4.0 * Bs / delta) + 8.0 * K * K / (Bs * Bs)
+        got = [zeta(B, n, delta, K) for B in map(int, Bs)]
+        assert got == want.tolist(), (n, delta, K)
 
 
 def test_optimal_bins_cube_root_scaling():
@@ -525,8 +529,10 @@ APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
      TypeError, "w_min"),
     (lambda: zeta(0, 1000, 0.1, 1.0), ValueError, "B"),
     (lambda: zeta(-1, 1000, 0.1, 1.0), ValueError, "B"),
-    (lambda: zeta(math.nan, 1000, 0.1, 1.0), ValueError, "B"),
-    (lambda: zeta(np.array([1.0, 0.0, 2.0]), 1000, 0.1, 1.0), ValueError, "B"),
+    (lambda: zeta(True, 1000, 0.1, 1.0), TypeError, "B"),
+    (lambda: zeta(2.5, 1000, 0.1, 1.0), TypeError, "B"),
+    (lambda: zeta(math.nan, 1000, 0.1, 1.0), TypeError, "B"),
+    (lambda: zeta(np.array([1.0, 0.0, 2.0]), 1000, 0.1, 1.0), TypeError, "B"),
     (lambda: zeta(10, True, 0.1, 1.0), TypeError, "n"),
     (lambda: zeta(10, 2.5, 0.1, 1.0), TypeError, "n"),
     (lambda: zeta(10, 0, 0.1, 1.0), ValueError, "n"),
@@ -559,6 +565,7 @@ SIZE_SITES = [
     pytest.param("n", 1, lambda v: epsilon_delta(v, 10, 0.1), id="epsilon_delta-n"),
     pytest.param("B", 1, lambda v: epsilon_delta(100, v, 0.1), id="epsilon_delta-B"),
     pytest.param("n", 1, lambda v: zeta(10, v, 0.1, 1.0), id="zeta"),
+    pytest.param("B", 1, lambda v: zeta(v, 1000, 0.1, 1.0), id="zeta-B"),
     pytest.param("n", 4, lambda v: optimal_bins(v, 0.1, 1.0), id="optimal_bins"),
     pytest.param("n_P", 1, lambda v: shift_risk_bound_apriori(**{**APRIORI, "n_P": v}),
                  id="apriori-n_P"),

@@ -69,11 +69,11 @@ def _src_env() -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _scipy_modules_after(code: str, *args: str) -> str:
+def _modules_after(code: str, *args: str, package: str = "scipy") -> str:
     """Last stdout line of a fresh interpreter that runs ``code`` and then
-    prints the recalib.oracle flag and the sorted loaded scipy modules."""
+    prints the recalib.oracle flag and the sorted loaded ``package`` modules."""
     code += ("\nprint('recalib.oracle' in sys.modules, "
-             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
     return out.splitlines()[-1]
@@ -81,8 +81,11 @@ def _scipy_modules_after(code: str, *args: str) -> str:
 
 def test_cli_import_does_not_load_scipy():
     # The oracle and the experiments load on first use, so no command
-    # pays for scipy at start-up.
-    assert _scipy_modules_after("import sys, recalib.cli") == "False []"
+    # pays for scipy at start-up. Nor for concurrent.futures, which
+    # core._concurrently imports for its first call on 2**17 points.
+    assert _modules_after("import sys, recalib.cli") == "False []"
+    for module in ("recalib", "recalib.cli"):
+        assert _modules_after(f"import sys, {module}", package="concurrent") == "False []"
 
 
 def test_deployment_commands_do_not_load_scipy(tmp_path):
@@ -111,7 +114,7 @@ def test_deployment_commands_do_not_load_scipy(tmp_path):
             "for args in json.loads(sys.argv[1]):\n"
             "    main(args, standalone_mode=False)")
     argv = json.dumps([[str(a) for a in c] for c in commands])
-    assert _scipy_modules_after(code, argv) == "False []"
+    assert _modules_after(code, argv) == "False []"
     assert (tmp_path / "b.csv").read_text().startswith("z,z_cal\n")
 
 
@@ -136,7 +139,7 @@ for h in (pw, compose(shift, pw), MonotoneRecalibrator(lambda z: z), shift,
           MonotoneRecalibrator(lambda z: z * z)):
     population_risk(task, h)
 """
-    flag, modules = _scipy_modules_after(code).split(" ", 1)
+    flag, modules = _modules_after(code).split(" ", 1)
     modules = ast.literal_eval(modules)
     assert flag == "True" and "scipy.special" in modules
     loaded = {m.split(".")[1] for m in modules if "." in m}
@@ -164,7 +167,7 @@ def test_public_names_resolve():
     assert not hasattr(recalib, "phi_balance")
     with pytest.raises(ImportError):
         exec("from recalib import no_such_name", {})
-    assert _scipy_modules_after("import sys, recalib") == "False []"
+    assert _modules_after("import sys, recalib") == "False []"
 
 
 def test_pyproject_version_matches_package():
@@ -360,6 +363,25 @@ def test_one_line_per_number_across_commands(tmp_path):
             assert_input_error(res)
             assert res.stderr == f"error: {line}\n", args
             assert res.stdout == "" and not out.exists(), args
+
+
+def test_refused_fit_and_optbins_print_one_line(tmp_path):
+    # The K = 1 and risk-bound warnings follow the model, so a command
+    # refused before it prints only its error line.
+    three, four = tmp_path / "three.csv", tmp_path / "four.csv"
+    three.write_text("z,y\n0.1,0\n0.5,1\n0.9,1\n")
+    four.write_text(FIT_CSV)
+    out = tmp_path / "nodir" / "m.json"
+    for args, code, line in (
+        (("optbins", "--n", 3), 2, "n must be at least 4"),
+        (("fit", "--input", three, "--out", out), 3, "n must be at least 4"),
+        (("fit", "--input", four, "--bins", 3, "--out", out), 2,
+         f"{out}: No such file or directory"),
+    ):
+        res = run(*args)
+        assert res.exit_code == code, (args, res.output)
+        assert res.stderr == f"error: {line}\n", args
+        assert res.stdout == "" and not out.exists(), args
 
 
 def test_fit_unwritable_out_exits_2(tmp_path):
