@@ -1,1 +1,1 @@
-__version__ = "0.23.0"
+__version__ = "0.24.0"

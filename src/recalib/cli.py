@@ -48,7 +48,6 @@ from .core import (
     _probability,
     _within,
     apply_batch,
-    compose,
     estimate_weights,
     fit_recalibrator,
 )
@@ -488,7 +487,7 @@ def cmd_shift(labels_p_path, labels_q_path, base_model_path, out_path) -> None:
         if not isinstance(base, PiecewiseRecalibrator):
             raise ValueError(f"{base_model_path}: --base-model must hold a piecewise model")
         metadata["base_model"] = base_meta
-        model = compose(corrector, base)
+        model = Composite(outer=corrector, inner=base)
     save_model(out_path, model, metadata)
     _wrote(out_path)
     click.echo(f"estimated weights: w_0 = {fmt_float(weights.w[0])}, "

@@ -41,7 +41,6 @@ __all__ = [
     "apply",
     "apply_batch",
     "estimate_weights",
-    "compose",
 ]
 
 
@@ -71,8 +70,8 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
     """``values``, an iterable other than a string, as a tuple of floats,
     or of ints if ``integer``. Each distinct element type, not each
     element, must be a real number (an integer if ``integer``) and not a
-    bool: float() reads "01" as 0 and 1, and int() truncates 2.5. An
-    integer too large for a float raises OverflowError naming ``name``."""
+    bool: float() reads "01" as 0 and 1, and int() truncates 2.5. Any
+    value too large for a float raises OverflowError naming ``name``."""
     if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
         raise TypeError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
     values = tuple(values)
@@ -81,9 +80,10 @@ def _reals(values, name: str, integer: bool = False) -> tuple:
         if issubclass(t, bool) or not issubclass(t, kind):
             raise TypeError(f"{name} must be {kind.__name__.lower()} numbers, not {t.__name__}")
     try:
-        return tuple(map(operator.index if integer else float, values))
+        reals = tuple(map(float, values))
     except OverflowError:
         raise OverflowError(f"{name} is too large for a float") from None
+    return tuple(map(operator.index, values)) if integer else reals
 
 
 def _real(value, name: str) -> float:
@@ -109,9 +109,9 @@ def _nonnegative(value, name: str) -> float:
 
 
 def _index(value, name: str, least: int = 1) -> int:
-    """One size or count by the rule of ``_reals``: a bool or a non-integer
-    raises TypeError instead of reading as 1 or being truncated, and a
-    value below ``least`` raises ValueError."""
+    """One size or count by the rule of ``_reals``: TypeError for a bool or
+    a non-integer, which would read as 1 or be truncated, OverflowError
+    past the float range, and ValueError below ``least``."""
     value = _reals((value,), name, integer=True)[0]
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
@@ -354,7 +354,7 @@ class ShiftCorrector:
 
 @dataclass(frozen=True)
 class Composite:
-    """A shift corrector applied on top of a piecewise recalibrator."""
+    """The map z -> outer(inner(z)): a shift corrector atop a piecewise recalibrator."""
 
     outer: ShiftCorrector
     inner: PiecewiseRecalibrator
@@ -536,16 +536,21 @@ def _fit_view(view: tuple[np.ndarray, np.ndarray], B: int) -> PiecewiseRecalibra
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())
 
 
+def _piecewise(h) -> PiecewiseRecalibrator | None:
+    """h itself, a composite's ``flatten()`` (called nowhere else), or None."""
+    if isinstance(h, Composite):
+        return h.flatten()
+    return h if isinstance(h, PiecewiseRecalibrator) else None
+
+
 def _evaluate(h: Recalibrator, z: np.ndarray) -> np.ndarray:
     """Evaluate h on a float64 array of validated scores."""
-    if isinstance(h, PiecewiseRecalibrator):
-        return h.value_array[_bin_indices(h.scheme, z) - 1]
+    if (pw := _piecewise(h)) is not None:
+        return pw.value_array[_bin_indices(pw.scheme, z) - 1]
     if isinstance(h, ShiftCorrector):
         w0, w1 = h.weights.w
         num = w1 * z
         return num / (num + w0 * (1.0 - z))
-    if isinstance(h, Composite):
-        return _evaluate(h.flatten(), z)
     raise TypeError(f"not a recalibrator: {type(h).__name__}")
 
 
@@ -598,12 +603,3 @@ def estimate_weights(labels_P: Sequence[int] | np.ndarray,
     p_hat, q_hat = out
     w = (q_hat[0] / p_hat[0], q_hat[1] / p_hat[1])
     return ShiftWeights(w=w, provenance="plug-in", p_hat=p_hat, q_hat=q_hat)
-
-
-def compose(g: ShiftCorrector, h: PiecewiseRecalibrator) -> Composite:
-    """The two-stage recalibrator z -> g(h(z)); ``Composite`` checks the types.
-
-    The result is itself piecewise constant; ``Composite.flatten`` gives
-    that form with the inner edges preserved exactly.
-    """
-    return Composite(outer=g, inner=h)

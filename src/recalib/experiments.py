@@ -5,8 +5,8 @@ over (n, B) and a bin-count selection study, both drawn at ``pi_source``,
 and a label-shift comparison of four recalibration strategies evaluated
 under the target distribution.
 
-Every cell gets its own PCG64 substream derived from the base seed, so
-results are bitwise reproducible and adding or removing grid points
+Each cell draws ``sample(task, n, (base_seed, *cell fields))`` (``SEED_RULE``),
+so results are bitwise reproducible and adding or removing grid points
 never shifts the draws of the remaining cells. Identical configs produce
 byte-identical CSV output with the same numpy and scipy build on the same
 CPU features (see ``oracle.sample``).
@@ -23,8 +23,8 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
-from .core import (ClassAbsentError, ShiftCorrector, _fit_view, _index, _probability, _reals,
-                   _sorted_view, compose, estimate_weights, fit_recalibrator)
+from .core import (ClassAbsentError, Composite, ShiftCorrector, _fit_view, _index, _probability,
+                   _reals, _sorted_view, estimate_weights, fit_recalibrator)
 from .fileio import write_csv, write_json
 from .oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
 
@@ -39,7 +39,6 @@ __all__ = [
     "LabelShiftResult",
     "OptBRow",
     "OptimalBResult",
-    "cell_seed",
     "bins_cube_root",
     "mean_risk",
     "loglog_slope",
@@ -152,16 +151,6 @@ def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) 
     return replace(defaults if defaults is not None else ExperimentConfig(), **overrides)
 
 
-def cell_seed(base_seed: int, *fields: int) -> np.random.SeedSequence:
-    """Deterministic substream for one experiment cell.
-
-    The entropy is the tuple (base_seed, *fields), each an integer of at
-    least 0, so a cell keeps its stream however the grid changes shape.
-    """
-    return np.random.SeedSequence((_index(base_seed, "base_seed", least=0),)
-                                  + tuple(_index(v, "fields", least=0) for v in fields))
-
-
 def bins_cube_root(n: int) -> int:
     """ceil(n^(1/3)), exactly: integer Newton from above gives the floor."""
     n = _index(n, "n")
@@ -233,7 +222,7 @@ class OptimalBResult:
 
 
 def _fit_risks(task: GaussianMixtureTask, n: int, Bs: tuple[int, ...],
-               seed: np.random.SeedSequence) -> tuple[RiskReport, ...]:
+               seed: tuple[int, ...]) -> tuple[RiskReport, ...]:
     """The unit of both figures: draw n points from ``task``, fit UMB at
     each B in ``Bs`` and return the exact population risks, in that order.
     The draw is sorted once and let go; every B is fitted on that one view,
@@ -248,8 +237,8 @@ def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, 
     under (n_P, n_Q, k, 0, r) and the target under (n_P, n_Q, k, 1, r), r <= 100."""
     task_P, task_Q = GaussianMixtureTask(cfg.pi_source), GaussianMixtureTask(cfg.pi_target)
     for retry in range(101):
-        d_P = sample(task_P, cfg.n_P, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 0, retry))
-        d_Q = sample(task_Q, cfg.n_Q, cell_seed(cfg.base_seed, cfg.n_P, cfg.n_Q, k, 1, retry))
+        d_P = sample(task_P, cfg.n_P, (cfg.base_seed, cfg.n_P, cfg.n_Q, k, 0, retry))
+        d_Q = sample(task_Q, cfg.n_Q, (cfg.base_seed, cfg.n_P, cfg.n_Q, k, 1, retry))
         try:
             weights = estimate_weights(d_P.y, d_Q.y)
             break
@@ -260,7 +249,7 @@ def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, 
     corrector = ShiftCorrector(weights)
     h_P = fit_recalibrator(d_P, bins_cube_root(cfg.n_P))
     built = {
-        "Composite": compose(corrector, h_P),
+        "Composite": Composite(outer=corrector, inner=h_P),
         "Source": h_P,
         "LabelShift": corrector,
         "Target": fit_recalibrator(d_Q, bins_cube_root(cfg.n_Q)),
@@ -283,7 +272,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
                 cells.append(GridCell(n, B, None, ()))
                 continue
             bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
-            reports = tuple(_fit_risks(task, n, (B,), cell_seed(cfg.base_seed, n, B, k))[0]
+            reports = tuple(_fit_risks(task, n, (B,), (cfg.base_seed, n, B, k))[0]
                             for k in range(cfg.seeds))
             cells.append(GridCell(n, B, bound, reports))
     return tuple(cells)
@@ -325,7 +314,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
         feasible = tuple(B for B in cfg.B_grid if n // B >= 2)
         if not feasible:
             raise ValueError(f"no feasible bin count for n={n} in B_grid")
-        per_seed = [_fit_risks(task, n, feasible, cell_seed(cfg.base_seed, n, k)) for k in range(cfg.seeds)]
+        per_seed = [_fit_risks(task, n, feasible, (cfg.base_seed, n, k)) for k in range(cfg.seeds)]
         curve = tuple((B, functools.reduce(operator.add, (r.r_total for r in reports), 0.0) / cfg.seeds)
                       for B, reports in zip(feasible, zip(*per_seed)))
         B_exp = min(curve, key=lambda pair: pair[1])[0]

@@ -42,7 +42,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import (
-    Composite,
     EmptyBinError,
     LabeledSample,
     PiecewiseRecalibrator,
@@ -52,6 +51,7 @@ from .core import (
     _concurrently,
     _evaluate,
     _index,
+    _piecewise,
     _probability,
     _score_array,
     _sorted_view,
@@ -243,10 +243,13 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     """n independent draws (z_i, y_i) from the task.
 
     ``seed`` is an int, a sequence of ints (a list or tuple) or a numpy
-    SeedSequence, and feeds a PCG64 stream. Each int must be at least 0,
-    and None or a bool raises TypeError. The draw order is fixed: n
-    uniforms decide the labels, then n uniforms map through the inverse
-    normal CDF to x, then z = sigmoid(x).
+    SeedSequence, and feeds a PCG64 stream. Each int is read by the size
+    rule with floor 0, and None or a bool raises TypeError. Each
+    ``simulate`` cell draws ``sample(task, n, (base_seed, *cell fields))``.
+    numpy drops trailing zeros from the entropy, so ``(5, 0)`` draws what
+    ``5`` draws: each study keys its cells by tuples of one length. The
+    draw order is fixed: n uniforms decide the labels, then n uniforms map
+    through the inverse normal CDF to x, then z = sigmoid(x).
     The same seed gives the same bits with the same numpy and scipy build
     on the same CPU features: numpy's float64 ``exp`` picks a SIMD kernel
     at run time, and on x86 its AVX-512 kernel differs from libm's ``exp``
@@ -431,10 +434,8 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
     Raises ``QuadratureFailureError`` if that estimate stays above
     ``QUAD_TOL``.
     """
-    if isinstance(h, Composite):
-        return _piecewise_risk(task, h.flatten())
-    if isinstance(h, PiecewiseRecalibrator):
-        return _piecewise_risk(task, h)
+    if (pw := _piecewise(h)) is not None:
+        return _piecewise_risk(task, pw)
     if isinstance(h, (ShiftCorrector, MonotoneRecalibrator)):
         return _injective_risk(task, h)
     raise TypeError(f"cannot evaluate risk of {type(h).__name__}")
@@ -563,11 +564,7 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     such a split takes a stable argsort of the scores and one
     ``np.add.reduceat`` of the labels in that order instead.
     """
-    if isinstance(h, Composite):
-        pw = h.flatten()
-    elif isinstance(h, PiecewiseRecalibrator):
-        pw = h
-    else:
+    if (pw := _piecewise(h)) is None:
         raise TypeError("plug-in risks are defined for piecewise recalibrators")
     B = pw.scheme.B
     n = data.n

@@ -18,11 +18,11 @@ from frozen import SHA_NOISE_FREE
 from oracles import sort_slice_fit
 from recalib.core import (
     BinningScheme,
+    Composite,
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
     apply_batch,
-    compose,
     fit_recalibrator,
 )
 from recalib.experiments import (
@@ -194,7 +194,7 @@ def test_criterion_7_oracle_equivalences():
     identity = MonotoneRecalibrator(lambda z: z)
     recalibrators = (
         fitted,
-        compose(corr, fitted),
+        Composite(outer=corr, inner=fitted),
         corr,
         PiecewiseRecalibrator(BinningScheme((0.0, 1.0)), (0.5,), (1,)),
         identity,

@@ -35,7 +35,7 @@ from recalib.bounds import (
 )
 from recalib.core import (BinningScheme, LabeledSample, PiecewiseRecalibrator, ShiftWeights,
                           estimate_weights, fit_recalibrator, umb_fit)
-from recalib.experiments import ExperimentConfig, bins_cube_root, cell_seed
+from recalib.experiments import ExperimentConfig, bins_cube_root
 from recalib.oracle import (GaussianMixtureTask, _bin_moments, estimate_K, exact_shift_weights,
                             sample)
 
@@ -540,12 +540,15 @@ APRIORI = dict(n_P=10, n_Q=10, B=2, delta=0.1, p_min=0.1, q_min=0.1, **BRACKET)
     (lambda: zeta(10, 1000, "0.1", 1.0), TypeError, "delta"),
     (lambda: zeta(10, 1000, 5.0, 1.0), ValueError, "delta"),
     (lambda: zeta(10, 1000, 0.1, True), TypeError, "K"),
-    (lambda: cell_seed(0, 2.7), TypeError, "fields"),
-    (lambda: cell_seed(1.9, 3), TypeError, "base_seed"),
-    (lambda: cell_seed("3"), TypeError, "base_seed"),
-    (lambda: cell_seed(0, "3"), TypeError, "fields"),
+    (lambda: ExperimentConfig(base_seed=1.9), TypeError, "base_seed"),
+    (lambda: ExperimentConfig(base_seed="3"), TypeError, "base_seed"),
     (lambda: sample(GaussianMixtureTask(0.5), 4, None), TypeError, "seed"),
     (lambda: sample(GaussianMixtureTask(0.5), 4, True), TypeError, "seed"),
+    # A simulate cell's tuple seed, (base_seed, *cell fields).
+    (lambda: sample(GaussianMixtureTask(0.5), 4, (0, 2.7)), TypeError, "seed"),
+    (lambda: sample(GaussianMixtureTask(0.5), 4, (1.9, 3)), TypeError, "seed"),
+    (lambda: sample(GaussianMixtureTask(0.5), 4, ("3",)), TypeError, "seed"),
+    (lambda: sample(GaussianMixtureTask(0.5), 4, (0, "3")), TypeError, "seed"),
     (lambda: exact_shift_weights("0.5", 0.1), TypeError, "pi_source"),
     (lambda: exact_shift_weights(0.5, True), TypeError, "pi_target"),
 ])
@@ -585,9 +588,11 @@ SIZE_SITES = [
                  id="config-n_grid"),
     pytest.param("B_grid entries", 1, lambda v: ExperimentConfig(B_grid=(v, 10)),
                  id="config-B_grid"),
-    pytest.param("base_seed", 0, cell_seed, id="cell_seed"),
-    pytest.param("fields", 0, lambda v: cell_seed(0, v), id="cell_seed-fields"),
     pytest.param("seed", 0, lambda v: sample(GaussianMixtureTask(0.5), 4, v), id="sample-seed"),
+    pytest.param("seed", 0, lambda v: sample(GaussianMixtureTask(0.5), 4, (v, 3)),
+                 id="sample-tuple-seed"),
+    pytest.param("seed", 0, lambda v: sample(GaussianMixtureTask(0.5), 4, (0, v)),
+                 id="sample-tuple-seed-field"),
     pytest.param("B", 1, lambda v: umb_fit([0.1, 0.5, 0.9], v), id="umb_fit"),
     pytest.param("B", 1, lambda v: fit_recalibrator(LabeledSample(z=[0.1, 0.9], y=[0, 1]), v),
                  id="fit_recalibrator"),
@@ -600,6 +605,17 @@ def test_size_rule_has_one_message(name, least, call):
     # it is read.
     with pytest.raises(ValueError, match=f"^{name} must be at least {least}$"):
         call(least - 1)
+
+
+@pytest.mark.parametrize("name, least, call", SIZE_SITES)
+def test_size_past_the_float_range_names_itself(name, least, call):
+    # An integer that no float holds is refused where it is read, naming
+    # it, rather than raising Python's unnamed OverflowError later or being
+    # kept. A config reads a grid whole before its entries, so the grid is
+    # named.
+    name = name.removesuffix(" entries")
+    with pytest.raises(OverflowError, match=f"^{name} is too large for a float$"):
+        call(10**400)
 
 
 RULE_SITES = [

@@ -30,7 +30,6 @@ from recalib.core import (
     PiecewiseRecalibrator,
     ShiftCorrector,
     apply_batch,
-    compose,
     estimate_weights,
 )
 from recalib.experiments import ExperimentConfig
@@ -124,7 +123,7 @@ def test_studies_and_risks_do_not_load_scipy_integrate():
     code = """
 import sys
 import recalib.experiments as e
-from recalib.core import BinningScheme, PiecewiseRecalibrator, ShiftCorrector, compose
+from recalib.core import BinningScheme, Composite, PiecewiseRecalibrator, ShiftCorrector
 from recalib.oracle import (GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights,
                             population_risk)
 tiny = e.ExperimentConfig(n_grid=(1000,), B_grid=(6, 10), seeds=1, n_P=64, n_Q=27)
@@ -135,7 +134,7 @@ e.run_label_shift(e.ExperimentConfig(seeds=1))
 task = GaussianMixtureTask(0.3)
 pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.4, 1.0)), (0.2, 0.7), (1, 1))
 shift = ShiftCorrector(exact_shift_weights(0.5, 0.3))
-for h in (pw, compose(shift, pw), MonotoneRecalibrator(lambda z: z), shift,
+for h in (pw, Composite(outer=shift, inner=pw), MonotoneRecalibrator(lambda z: z), shift,
           MonotoneRecalibrator(lambda z: z * z)):
     population_risk(task, h)
 """
@@ -447,7 +446,7 @@ def test_apply_piecewise_bin_edges(tmp_path):
 
 def test_apply_composite_writes_apply_batch_values(tmp_path):
     pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.3, 0.7, 1.0)), (0.1, 0.45, 0.8), (2, 3, 4))
-    h = compose(ShiftCorrector(exact_shift_weights(0.5, 0.2)), pw)
+    h = Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.2)), inner=pw)
     model_path = tmp_path / "composite.json"
     save_model(str(model_path), h, {})
     z = np.concatenate(([0.0, 0.3, 0.7, 1.0], sample(GaussianMixtureTask(0.5), 500, seed=4).z))
@@ -984,7 +983,7 @@ def _writer_models():
     # Values 0.0 and -0.0 in different bins, so both bit patterns of zero
     # come out of each model.
     pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.3, 0.6, 1.0)), (0.0, -0.0, 0.875), (2, 2, 2))
-    return pw, compose(ShiftCorrector(exact_shift_weights(0.5, 0.2)), pw)
+    return pw, Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.2)), inner=pw)
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["piecewise", "composite"])
@@ -1152,7 +1151,7 @@ def test_model_round_trip_is_bitwise(tmp_path):
     models = (
         fitted,
         ShiftCorrector(plugin),
-        compose(ShiftCorrector(exact_shift_weights(0.5, 0.1)), fitted),
+        Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.1)), inner=fitted),
     )
     grid = np.linspace(0.0, 1.0, 10_001)
     for i, h in enumerate(models):
@@ -1173,7 +1172,7 @@ def test_evaluation_caches_stay_out_of_identity_and_bytes(tmp_path):
         (0.13371, 0.4242, 0.586, 0.9192),
         (3, 4, 5, 6),
     )
-    comp = compose(ShiftCorrector(exact_shift_weights(0.5, 0.1)), inner)
+    comp = Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.1)), inner=inner)
     for i, h in enumerate((inner, comp)):
         path, again = tmp_path / f"model_{i}.json", tmp_path / f"again_{i}.json"
         save_model(str(path), h, {})
@@ -1284,6 +1283,7 @@ def test_model_number_fields_must_be_json_numbers(tmp_path):
         (dict(piecewise, edges=5), "edges must be a sequence of numbers, not int"),
         # A JSON number, but past what a float holds.
         (dict(piecewise, edges=[0, 10 ** 400, 1]), "edges is too large for a float"),
+        (dict(piecewise, counts=[1, 10 ** 400]), "counts is too large for a float"),
         # Numbers the library refuses, and a missing field, share the prefix.
         ({"kind": "shift", "w": [5e-324, 5e-324], "provenance": "exact"},
          "class weights must be finite and at least 2.2250738585072014e-308"),
@@ -1532,6 +1532,12 @@ def test_bound_argument_errors():
         res = run(*args)
         assert_input_error(res)
         assert res.stdout == "" and "out of floating-point range" in res.stderr, args
+    # A size past the float range is named where it is read.
+    for args, name in ((("bound", "--n", 10**400, "--B", 10), "n"),
+                       (("bound-shift", *SHIFT_FLAGS, "--n-q", 10**400), "n_Q"),
+                       (("optbins", "--n", 10**400, "--K", 1), "n")):
+        assert run(*args).stderr == ("error: the inputs are out of floating-point range "
+                                     f"({name} is too large for a float)\n"), args
     # Non-finite label-shift inputs are refused, not printed as inf or nan.
     for flags in (("--w-max", "inf"), ("--w-min", "nan"), ("--p-min", "inf"),
                   ("--q-min", "nan"),

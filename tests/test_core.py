@@ -27,7 +27,6 @@ from recalib.core import (
     _sorted_view,
     apply,
     apply_batch,
-    compose,
     estimate_weights,
     fit_recalibrator,
     umb_fit,
@@ -477,7 +476,7 @@ def test_apply_batch_agrees_bitwise_with_apply():
     # 2,000 points: every fitted edge plus fresh scores.
     held = np.concatenate((pw_large.scheme.edge_array, distinct_scores(1498, 6)))
     for pw, zs in ((fit_recalibrator(small, 6), grid), (pw_large, held)):
-        for h in (pw, g, compose(g, pw), one_bin):
+        for h in (pw, g, Composite(outer=g, inner=pw), one_bin):
             batch = apply_batch(h, zs)
             scalar = np.array([apply(h, z) for z in zs])
             assert batch.tolist() == scalar.tolist()
@@ -489,7 +488,7 @@ def test_apply_batch_on_a_zero_d_array():
     pw = PiecewiseRecalibrator(BinningScheme((0.0, 1e-4, 2e-4, 1.0)), (0.1, 0.2, 0.3), (1, 1, 1))
     assert pw.scheme._cells[2]
     g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
-    for h in (pw, g, compose(g, pw)):
+    for h in (pw, g, Composite(outer=g, inner=pw)):
         for z in (0.0, 1.5e-4, 0.5, 1.0):
             got = apply_batch(h, np.float64(z))
             assert np.ndim(got) == 0 and got == apply(h, z)
@@ -541,12 +540,12 @@ def test_estimate_weights_rejects_bad_input():
             estimate_weights(source, target)
 
 
-# ---------------------------------------------------------------- compose
+# -------------------------------------------------------------- Composite
 
 def test_compose_identity_weights_equals_inner():
     data = LabeledSample(z=distinct_scores(40, 9), y=(distinct_scores(40, 10) < 0.5).astype(int))
     h = fit_recalibrator(data, 5)
-    comp = compose(ShiftCorrector(ShiftWeights((1.0, 1.0), "exact")), h)
+    comp = Composite(outer=ShiftCorrector(ShiftWeights((1.0, 1.0), "exact")), inner=h)
     for z in np.linspace(0.0, 1.0, 101):
         assert apply(comp, z) == apply(h, z)
 
@@ -554,7 +553,7 @@ def test_compose_identity_weights_equals_inner():
 def test_compose_flatten_values_and_edges():
     data = LabeledSample(z=[0.1, 0.2, 0.3, 0.4], y=[0, 1, 0, 1])
     h = fit_recalibrator(data, 2)
-    comp = compose(ShiftCorrector(ShiftWeights((1.8, 0.2), "exact")), h)
+    comp = Composite(outer=ShiftCorrector(ShiftWeights((1.8, 0.2), "exact")), inner=h)
     flat = comp.flatten()
     assert flat.values == (0.1, 0.1)
     assert flat.scheme.edges == h.scheme.edges
@@ -567,15 +566,13 @@ def test_compose_rejects_wrong_component_types():
     data = LabeledSample(z=[0.1, 0.2, 0.3, 0.4], y=[0, 1, 0, 1])
     h = fit_recalibrator(data, 2)
     g = ShiftCorrector(ShiftWeights((1.8, 0.2), "exact"))
-    with pytest.raises(TypeError):
-        compose(h, h)
-    with pytest.raises(TypeError):
-        compose(g, g)
-    # The check lives in Composite itself, so every construction path has it.
-    with pytest.raises(TypeError):
-        Composite(outer=h, inner=g)
-    with pytest.raises(TypeError):
+    # Composite checks each part, so every construction path has the check.
+    with pytest.raises(TypeError, match="^the outer map must be a ShiftCorrector$"):
+        Composite(outer=h, inner=h)
+    with pytest.raises(TypeError, match="^the inner map must be a PiecewiseRecalibrator$"):
         Composite(outer=g, inner=g)
+    with pytest.raises(TypeError, match="^the outer map must be a ShiftCorrector$"):
+        Composite(outer=h, inner=g)
     # So do its parts, so a wrong part fails where it is built, not with an
     # AttributeError on the first apply.
     with pytest.raises(TypeError, match="^the weights must be ShiftWeights$"):

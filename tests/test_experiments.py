@@ -26,7 +26,6 @@ from recalib.experiments import (
     VALID_METHODS,
     ExperimentConfig,
     bins_cube_root,
-    cell_seed,
     config_from_dict,
     default_opt_b_config,
     loglog_slope,
@@ -213,15 +212,28 @@ def test_cell_seed_is_grid_shape_invariant():
     cell_a = next(c for c in a if (c.n, c.B) == (1_000, 6))
     cell_b = next(c for c in b if (c.n, c.B) == (1_000, 6))
     assert cell_a == cell_b
-    assert cell_seed(0, 1_000, 6, 0).entropy == (0, 1_000, 6, 0)
-    assert cell_seed(np.int64(0), np.int64(1_000), 6, 0).entropy == (0, 1_000, 6, 0)
+    # The cell's stream is keyed by (base_seed, n, B, k) alone: numpy ints
+    # key it as Python ints do.
+    task = GaussianMixtureTask(0.5)
+    draw = sample(task, 1_000, (0, 1_000, 6, 0))
+    for seed in ((np.int64(0), np.int64(1_000), 6, 0), [0, 1_000, 6, 0],
+                 np.random.SeedSequence((0, 1_000, 6, 0))):
+        other = sample(task, 1_000, seed)
+        assert np.array_equal(other.z, draw.z) and np.array_equal(other.y, draw.y)
+    assert cell_a.reports == tuple(
+        population_risk(task, fit_recalibrator(sample(task, 1_000, (0, 1_000, 6, k)), 6))
+        for k in range(2))
 
 
-def test_study_units_follow_the_seed_rule():
+def test_study_units_follow_the_seed_rule(monkeypatch):
     # Each study result equals its units rebuilt by hand from the seed
     # rule, compared with ==, so running the units in any order or place
-    # must keep these keys.
+    # must keep these keys. Every unit draws sample(task, n, (base_seed,
+    # *fields)) itself, in the order listed.
     task = GaussianMixtureTask(0.5)
+    draws = []
+    monkeypatch.setattr(experiments, "sample",
+                        lambda t, n, seed: draws.append((t.pi, n, seed)) or sample(t, n, seed))
 
     def risk(n, B, seed):
         return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
@@ -229,37 +241,44 @@ def test_study_units_follow_the_seed_rule():
     # Risk grid: seed k of cell (n, B) is one draw keyed by (n, B, k).
     for cell in run_risk_grid(ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=2,
                                                base_seed=5)):
-        assert cell.reports == tuple(risk(1_000, cell.B, cell_seed(5, 1_000, cell.B, k))
+        assert cell.reports == tuple(risk(1_000, cell.B, (5, 1_000, cell.B, k))
                                      for k in range(2))
+    assert draws == [(0.5, 1_000, (5, 1_000, B, k)) for B in (6, 12) for k in range(2)]
+    draws.clear()
     # Opt-b: draw (n, k) serves every B, and the seeds add in order from 0.
     # At (100, 1) the sum depends on that order.
     row, = run_optimal_B(ExperimentConfig(n_grid=(100,), B_grid=(1, 6), seeds=3,
                                           base_seed=5)).rows
     for B, mean in row.risk_curve:
-        r0, r1, r2 = (risk(100, B, cell_seed(5, 100, k)).r_total for k in range(3))
+        r0, r1, r2 = (risk(100, B, (5, 100, k)).r_total for k in range(3))
         assert mean == (((0.0 + r0) + r1) + r2) / 3
         if B == 1:
             assert (r2 + r1) + r0 != ((0.0 + r0) + r1) + r2
+    assert draws == [(0.5, 100, (5, 100, k)) for k in range(3)]
+    draws.clear()
     # Label shift: try r of seed k draws (n_P, n_Q, k, 0, r) and
     # (n_P, n_Q, k, 1, r) until both hold both classes.
     cfg = ExperimentConfig(n_grid=(100,), B_grid=(6,), seeds=2,
                            n_P=100, n_Q=10, pi_target=0.01)
     P, Q = GaussianMixtureTask(0.5), GaussianMixtureTask(0.01)
-    expected, tries = [], 0
+    expected, tries, keys = [], 0, []
     for k in range(2):
         for r in range(101):
-            d_P = sample(P, 100, cell_seed(0, 100, 10, k, 0, r))
-            d_Q = sample(Q, 10, cell_seed(0, 100, 10, k, 1, r))
+            keys += [(0.5, 100, (0, 100, 10, k, 0, r)), (0.01, 10, (0, 100, 10, k, 1, r))]
+            d_P = sample(P, 100, keys[-2][2])
+            d_Q = sample(Q, 10, keys[-1][2])
             if 0 < d_P.y.sum() < 100 and 0 < d_Q.y.sum() < 10:
                 break
         tries += r
-        h = recalib.compose(recalib.ShiftCorrector(recalib.estimate_weights(d_P.y, d_Q.y)),
-                            fit_recalibrator(d_P, 5))
+        h = recalib.Composite(
+            outer=recalib.ShiftCorrector(recalib.estimate_weights(d_P.y, d_Q.y)),
+            inner=fit_recalibrator(d_P, 5))
         expected.append(population_risk(Q, h))
     result = run_label_shift(cfg)
     assert result.rows[0].method == "Composite"
     assert result.rows[0].reports == tuple(expected)
     assert result.replacements == tries == 14
+    assert draws == keys
 
 
 def test_risk_grid_and_opt_b_draw_from_pi_source():
@@ -273,13 +292,13 @@ def test_risk_grid_and_opt_b_draw_from_pi_source():
         return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
 
     for cell in run_risk_grid(cfg):
-        assert cell.reports == tuple(risk(cell.n, cell.B, cell_seed(3, cell.n, cell.B, k))
+        assert cell.reports == tuple(risk(cell.n, cell.B, (3, cell.n, cell.B, k))
                                      for k in range(2))
     result = run_optimal_B(cfg)
     assert result.K_hat == estimate_K(task, 100_000) != estimate_K(GaussianMixtureTask(0.5), 100_000)
     for row in result.rows:
         for B, mean in row.risk_curve:
-            r0, r1 = (risk(row.n, B, cell_seed(3, row.n, k)).r_total for k in range(2))
+            r0, r1 = (risk(row.n, B, (3, row.n, k)).r_total for k in range(2))
             assert mean == ((0.0 + r0) + r1) / 2
 
 

@@ -12,12 +12,12 @@ from scipy.special import expit, ndtr
 
 from recalib.core import (
     BinningScheme,
+    Composite,
     LabeledSample,
     PiecewiseRecalibrator,
     ShiftCorrector,
     _sorted_view,
     apply_batch,
-    compose,
     fit_recalibrator,
 )
 from recalib.oracle import (
@@ -424,7 +424,7 @@ def test_piecewise_risk_matches_per_bin_quadrature_reference():
 @pytest.mark.parametrize("n, B", [(10_000, 24), (100_000, 192), (1_000_000, 1024)])
 def test_fitted_and_composite_risks_match_per_bin_quadrature_reference(n, B):
     h = fit_recalibrator(sample(TASK05, n, seed=(n, B)), B)
-    comp = compose(ShiftCorrector(exact_shift_weights(0.5, 0.3)), h)
+    comp = Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.3)), inner=h)
     assert_matches_quad_ref(TASK05, h)
     assert_matches_quad_ref(TASK03, comp, comp.flatten())
 
@@ -597,7 +597,7 @@ def test_plugin_matches_loop_reference():
     for n, B in ((2_000, 1), (2_000, 5), (50_000, 96), (200_000, 501)):
         fitted_on = sample(TASK05, n, seed=(n, B))
         h = fit_recalibrator(fitted_on, B)
-        comp = compose(g, h)
+        comp = Composite(outer=g, inner=h)
         fresh = sample(TASK05, n, seed=(n, B, 1))
         tied = [_tied(fresh)] if B <= 96 else []  # 3 decimals leave bins of 501 empty
         for data in (fitted_on, fresh, *tied):
@@ -616,7 +616,7 @@ def test_plugin_matches_loop_reference():
 @pytest.mark.parametrize("n, B", [(2_000, 1), (2_000, 5), (50_000, 96), (200_000, 501)])
 def test_plugin_equals_argsort_reference_bitwise(n, B):
     h = fit_recalibrator(sample(TASK03, n, seed=(n, B, 2)), B)
-    comp = compose(ShiftCorrector(exact_shift_weights(0.3, 0.1)), h)
+    comp = Composite(outer=ShiftCorrector(exact_shift_weights(0.3, 0.1)), inner=h)
     fresh = sample(TASK03, n, seed=(n, B, 3))
     samples = [fresh, LabeledSample(np.round(fresh.z, 5), fresh.y)]
     if B <= 96:
@@ -678,7 +678,7 @@ def test_plugin_agrees_with_population_risk_on_fresh_sample():
 def test_plugin_flattens_composites():
     s = sample(TASK05, 2_000, seed=9)
     h = fit_recalibrator(s, 5)
-    comp = compose(ShiftCorrector(exact_shift_weights(0.5, 0.3)), h)
+    comp = Composite(outer=ShiftCorrector(exact_shift_weights(0.5, 0.3)), inner=h)
     a = empirical_risk_plugin(s, comp)
     b = empirical_risk_plugin(s, comp.flatten())
     assert (a.r_cal, a.r_sha, a.r_total, a.mse) == (b.r_cal, b.r_sha, b.r_total, b.mse)
