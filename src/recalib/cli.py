@@ -51,7 +51,7 @@ from .core import (
     estimate_weights,
     fit_recalibrator,
 )
-from .fileio import fmt_float, write_json, write_text_atomic
+from .fileio import fmt_float, write_csv, write_json, write_text_atomic
 
 MODEL_FORMAT_VERSION = 1
 
@@ -570,7 +570,7 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
     """Run a simulation study and write CSV results plus a JSON manifest."""
     from . import experiments as exp  # loads scipy
 
-    defaults, run_study, csv_name, write_study_csv, report = exp.studies()[experiment]
+    defaults, run_study, report = exp.studies()[experiment]
     overrides = {} if config_path is None else _read_json_object(config_path)
     if seed is not None:
         overrides["base_seed"] = seed
@@ -593,10 +593,11 @@ def cmd_simulate(experiment, config_path, seed, out_dir) -> None:
         raise ValueError(f"bad config: {e}") from e
     except MemoryError:  # sizes that pass the config checks but cannot be allocated
         raise ValueError("the study's samples do not fit in memory; lower its sample sizes")
-    extra, warning, summary = report(result, out_dir)
-    csv_path = os.path.join(out_dir, csv_name)
-    write_study_csv(result, csv_path)
-    _wrote(csv_path)
+    tables, extra, warning, summary = report(result, out_dir)
+    for name, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        write_csv(path, header, rows)
+        _wrote(path)
     manifest_path = os.path.join(out_dir, "manifest.json")
     exp.write_manifest(cfg, {"experiment": experiment, **extra}, manifest_path)
     _wrote(manifest_path)

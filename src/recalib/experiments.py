@@ -1,9 +1,9 @@
 """Seeded, deterministic experiment harness for the simulation studies.
 
-Three runners, one per ``simulate`` study (see ``studies``): a risk grid
-over (n, B) and a bin-count selection study, both drawn at ``pi_source``,
-and a label-shift comparison of four recalibration strategies evaluated
-under the target distribution.
+Three runners, one per ``simulate`` study, each paired in ``studies`` with
+a report that returns the study's CSV tables: a risk grid over (n, B) and a
+bin-count selection study, both drawn at ``pi_source``, and a label-shift
+comparison of four recalibration strategies under the target distribution.
 
 Each cell draws ``sample(task, n, (base_seed, *cell fields))`` (``SEED_RULE``),
 so results are bitwise reproducible and adding or removing grid points
@@ -49,8 +49,6 @@ __all__ = [
     "default_opt_b_config",
     "config_from_dict",
     "write_risk_grid_csv",
-    "write_label_shift_csv",
-    "write_opt_b_csv",
     "write_manifest",
     "studies",
 ]
@@ -323,9 +321,9 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     return OptimalBResult(tuple(rows), k_hat)
 
 
-def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
-    """One row per (cell, seed). Skipped cells emit a marker row with
-    seed -1 and empty numeric fields."""
+def _risk_grid_table(cells: tuple[GridCell, ...]) -> tuple[str, tuple, list]:
+    """One row per (cell, seed). Skipped cells emit a marker row with seed
+    -1 and empty numeric fields."""
     rows = []
     for cell in cells:
         bound = cell.bound
@@ -335,19 +333,14 @@ def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
         rows.extend((cell.n, cell.B, k, rep.r_cal, rep.r_sha, rep.r_total, rep.mse,
                      bound.cal_bound, bound.sha_bound, bound.risk_bound, bound.conditions_met)
                     for k, rep in enumerate(cell.reports))
-    write_csv(path, ("n", "B", "seed", "r_cal", "r_sha", "r", "mse",
-                     "cal_bound", "sha_bound", "risk_bound", "gates_ok"), rows)
+    return "risk_grid.csv", ("n", "B", "seed", "r_cal", "r_sha", "r", "mse",
+                             "cal_bound", "sha_bound", "risk_bound", "gates_ok"), rows
 
 
-def write_label_shift_csv(result: LabelShiftResult, path: str) -> None:
-    write_csv(path, ("method", "seed", "r_cal", "r_sha", "r", "mse"),
-              [(row.method, k, rep.r_cal, rep.r_sha, rep.r_total, rep.mse)
-               for row in result.rows for k, rep in enumerate(row.reports)])
-
-
-def write_opt_b_csv(result: OptimalBResult, path: str) -> None:
-    write_csv(path, ("n", "B_star_exp", "B_star_theory", "zeta_min"),
-              [(row.n, row.B_star_exp, row.B_star_theory, row.zeta_min) for row in result.rows])
+def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
+    """Write ``simulate risk-grid``'s risk_grid.csv to ``path``. It stays for
+    the benchmark, which checks the CLI's file against this output."""
+    write_csv(path, *_risk_grid_table(cells)[1:])
 
 
 def write_manifest(cfg: ExperimentConfig, extra: dict, path: str) -> None:
@@ -357,28 +350,33 @@ def write_manifest(cfg: ExperimentConfig, extra: dict, path: str) -> None:
 
 
 def studies() -> dict[str, tuple]:
-    """Each ``simulate`` study by name: (default config, runner, CSV name, CSV
-    writer, report). Built per call, so a runner or writer set on the module runs."""
-    def risk_grid_report(cells: tuple[GridCell, ...], out_dir: str) -> tuple[dict, str | None, str]:
+    """Each ``simulate`` study by name: (default config, runner, report). The
+    report of a result and out_dir is (tables, manifest extra, warning or None,
+    summary), each table a (file name, header, rows) that ``simulate`` writes.
+    Built per call, so a runner set on the module runs."""
+    def risk_grid_report(cells: tuple[GridCell, ...], out_dir: str) -> tuple:
         skipped = sum(c.bound is None for c in cells)
         extra = {"cells": [{"n": c.n, "B": c.B, "skipped": c.bound is None,
                             "gates_ok": c.bound is not None and c.bound.conditions_met} for c in cells]}
         warning = f"{skipped} cell(s) skipped (fewer than two points per bin)" if skipped else None
-        return extra, warning, f"risk grid written to {out_dir} ({len(cells)} cells, {skipped} skipped)"
-    def opt_b_report(result: OptimalBResult, out_dir: str) -> tuple[dict, str | None, str]:
-        return ({"K_hat": result.K_hat}, None,
+        return ([_risk_grid_table(cells)], extra, warning,
+                f"risk grid written to {out_dir} ({len(cells)} cells, {skipped} skipped)")
+    def opt_b_report(result: OptimalBResult, out_dir: str) -> tuple:
+        rows = [(row.n, row.B_star_exp, row.B_star_theory, row.zeta_min) for row in result.rows]
+        return ([("opt_b.csv", ("n", "B_star_exp", "B_star_theory", "zeta_min"), rows)],
+                {"K_hat": result.K_hat}, None,
                 f"bin-count study written to {out_dir} (K_hat = {result.K_hat:.4f})")
-    def label_shift_report(result: LabelShiftResult, out_dir: str) -> tuple[dict, str | None, str]:
+    def label_shift_report(result: LabelShiftResult, out_dir: str) -> tuple:
         n = result.replacements
-        return ({"B_P": result.B_P, "B_Q": result.B_Q, "replacements": n},
+        rows = [(row.method, k, rep.r_cal, rep.r_sha, rep.r_total, rep.mse)
+                for row in result.rows for k, rep in enumerate(row.reports)]
+        return ([("label_shift.csv", ("method", "seed", "r_cal", "r_sha", "r", "mse"), rows)],
+                {"B_P": result.B_P, "B_Q": result.B_Q, "replacements": n},
                 f"{n} draw(s) replaced because a class was absent" if n else None,
                 f"label-shift study written to {out_dir}")
 
     return {
-        "risk-grid": (ExperimentConfig(), run_risk_grid, "risk_grid.csv", write_risk_grid_csv,
-                      risk_grid_report),
-        "opt-b": (default_opt_b_config(), run_optimal_B, "opt_b.csv", write_opt_b_csv,
-                  opt_b_report),
-        "label-shift": (ExperimentConfig(), run_label_shift, "label_shift.csv",
-                        write_label_shift_csv, label_shift_report),
+        "risk-grid": (ExperimentConfig(), run_risk_grid, risk_grid_report),
+        "opt-b": (default_opt_b_config(), run_optimal_B, opt_b_report),
+        "label-shift": (ExperimentConfig(), run_label_shift, label_shift_report),
     }

@@ -609,7 +609,7 @@ def read_columns_rowwise_ref(path: str, header: tuple[str, ...], empty_ok: bool 
             hashlib.sha256(raw).hexdigest())
 
 
-# --------------------------------------------------------- study CSV writers
+# ------------------------------------------------------------ study CSVs
 
 def fmt_float(x: float) -> str:
     return repr(float(x))
@@ -636,7 +636,7 @@ def risk_grid_csv_ref(cells) -> str:
 
 
 def label_shift_csv_ref(result) -> str:
-    """The text the earlier ``write_label_shift_csv`` wrote."""
+    """The text of label_shift.csv, built line by line as its earlier writer did."""
     lines = ["method,seed,r_cal,r_sha,r,mse"]
     for row in result.rows:
         for k, rep in enumerate(row.reports):
@@ -649,7 +649,7 @@ def label_shift_csv_ref(result) -> str:
 
 
 def opt_b_csv_ref(result) -> str:
-    """The text the earlier ``write_opt_b_csv`` wrote."""
+    """The text of opt_b.csv, built line by line as its earlier writer did."""
     lines = ["n,B_star_exp,B_star_theory,zeta_min"]
     for row in result.rows:
         lines.append(",".join([

@@ -1812,6 +1812,69 @@ def test_simulate_refuses_oversized_samples(tmp_path, experiment, overrides, mes
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
+VALID_RISK_GRID_MANIFEST = """{
+  "cells": [
+    {
+      "B": 6,
+      "gates_ok": false,
+      "n": 100,
+      "skipped": false
+    }
+  ],
+  "config": {
+    "B_grid": [
+      6
+    ],
+    "base_seed": 3,
+    "delta": 0.05,
+    "full_scale": false,
+    "methods": [
+      "Source",
+      "LabelShift"
+    ],
+    "n_P": 200,
+    "n_Q": 50,
+    "n_grid": [
+      100
+    ],
+    "pi_source": 0.5,
+    "pi_target": 0.25,
+    "seeds": 1
+  },
+  "experiment": "risk-grid",
+  "library_version": "%s",
+  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+}
+"""
+
+VALID_OPT_B_MANIFEST = """{
+  "K_hat": 18.52161577549451,
+  "config": {
+    "B_grid": [
+      6
+    ],
+    "base_seed": 3,
+    "delta": 0.05,
+    "full_scale": false,
+    "methods": [
+      "Source",
+      "LabelShift"
+    ],
+    "n_P": 200,
+    "n_Q": 50,
+    "n_grid": [
+      100
+    ],
+    "pi_source": 0.5,
+    "pi_target": 0.25,
+    "seeds": 1
+  },
+  "experiment": "opt-b",
+  "library_version": "%s",
+  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+}
+"""
+
 VALID_LABEL_SHIFT_MANIFEST = """{
   "B_P": 6,
   "B_Q": 4,
@@ -1843,7 +1906,13 @@ VALID_LABEL_SHIFT_MANIFEST = """{
 """
 
 
-def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path):
+@pytest.mark.parametrize("experiment, expected", [
+    ("risk-grid", VALID_RISK_GRID_MANIFEST), ("opt-b", VALID_OPT_B_MANIFEST),
+    ("label-shift", VALID_LABEL_SHIFT_MANIFEST),
+], ids=["risk-grid", "opt-b", "label-shift"])
+def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path, experiment, expected):
+    # The config, the seed rule and each study's own fields: the risk
+    # grid's cells, opt-b's K_hat, label-shift's bin counts and replacements.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n_grid": [100], "B_grid": [6], "delta": 0.05, "seeds": 1, "base_seed": 3,
@@ -1851,10 +1920,10 @@ def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path):
         "methods": ["Source", "LabelShift"], "full_scale": False,
     }))
     out_dir = tmp_path / "out"
-    res = run("simulate", "label-shift", "--config", cfg, "--out-dir", out_dir)
+    res = run("simulate", experiment, "--config", cfg, "--out-dir", out_dir)
     assert res.exit_code == 0, res.stderr
     manifest = (out_dir / "manifest.json").read_text()
-    assert manifest == VALID_LABEL_SHIFT_MANIFEST % recalib.__version__
+    assert manifest == expected % recalib.__version__
 
 
 def test_simulate_label_shift(tmp_path):
@@ -1912,6 +1981,27 @@ def test_simulate_failed_write_leaves_no_file(tmp_path):
             assert res.stderr == f"error: {out_dir / blocked}: Is a directory\n"
             assert res.stdout == ""
             assert [p.name for p in out_dir.rglob("*")] == [blocked]
+
+    # A study with two tables whose second cannot be written loses the first.
+    studies = experiments.studies()
+    defaults, run_study, report = studies["risk-grid"]
+
+    def two_tables(result, out_dir):
+        (table,), *rest = report(result, out_dir)
+        return ([table, ("second.csv", *table[1:])], *rest)
+
+    out_dir = tmp_path / "two-tables"
+    (out_dir / "second.csv").mkdir(parents=True)
+    with mock.patch.object(experiments, "studies",
+                           lambda: {**studies, "risk-grid": (defaults, run_study, two_tables)}), \
+            mock.patch.object(cli, "write_csv", wraps=cli.write_csv) as write:
+        res = run("simulate", "risk-grid", "--config", cfg, "--out-dir", out_dir)
+    assert_input_error(res)
+    assert res.stderr == f"error: {out_dir / 'second.csv'}: Is a directory\n"
+    assert res.stdout == ""
+    assert [call.args[0] for call in write.call_args_list] == [
+        str(out_dir / "risk_grid.csv"), str(out_dir / "second.csv")]
+    assert [p.name for p in out_dir.rglob("*")] == ["second.csv"]
 
 
 def tree(root) -> dict:

@@ -33,9 +33,8 @@ from recalib.experiments import (
     run_label_shift,
     run_optimal_B,
     run_risk_grid,
-    write_label_shift_csv,
+    studies,
     write_manifest,
-    write_opt_b_csv,
     write_risk_grid_csv,
 )
 from recalib.fileio import write_csv, write_json
@@ -51,6 +50,12 @@ from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
 # SHA_NOISE_FREE instead, see test_sha_rate_example_band.
 CAL_SLOPE_FROZEN = -1.1082649633295982
 SHA_SLOPE_FROZEN = -1.3512735806684029
+
+
+def study_table(study: str, result) -> tuple:
+    """The one table, (file name, header, rows), of ``study``'s report."""
+    (table,), *_ = studies()[study][2](result, "out")
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -450,9 +455,10 @@ def test_label_shift_replaces_class_absent_draws():
 
 
 def test_label_shift_csv_format(tmp_path):
-    result = run_label_shift(ExperimentConfig(seeds=2))
-    out = tmp_path / "label_shift.csv"
-    write_label_shift_csv(result, str(out))
+    name, header, rows = study_table("label-shift", run_label_shift(ExperimentConfig(seeds=2)))
+    assert name == "label_shift.csv"
+    out = tmp_path / name
+    write_csv(str(out), header, rows)
     lines = out.read_text().splitlines()
     assert lines[0] == "method,seed,r_cal,r_sha,r,mse"
     assert len(lines) == 1 + 4 * 2
@@ -503,8 +509,10 @@ def test_optimal_B_flat_minimum():
 
 def test_opt_b_csv_format(tmp_path):
     cfg = ExperimentConfig(n_grid=(1_000,), B_grid=(6, 10, 16), seeds=1)
-    out = tmp_path / "opt_b.csv"
-    write_opt_b_csv(run_optimal_B(cfg), str(out))
+    name, header, rows = study_table("opt-b", run_optimal_B(cfg))
+    assert name == "opt_b.csv"
+    out = tmp_path / name
+    write_csv(str(out), header, rows)
     lines = out.read_text().splitlines()
     assert lines[0] == "n,B_star_exp,B_star_theory,zeta_min"
     assert len(lines) == 2
@@ -516,22 +524,27 @@ def test_opt_b_csv_format(tmp_path):
 
 
 def test_study_csvs_keep_the_reference_bytes(tmp_path):
-    # Each study CSV is a header plus rows through fileio.write_csv, and
+    # Each study CSV is its report's table written by fileio.write_csv, and
     # keeps the bytes of its earlier line-building loop: a risk grid with a
     # skip marker row, a label-shift run with replaced draws and a subset
-    # of the methods, and a bin-count study.
+    # of the methods, and a bin-count study. write_risk_grid_csv, which the
+    # benchmark checks the CLI's risk_grid.csv against, keeps them too.
     grid = run_risk_grid(ExperimentConfig(n_grid=(100, 1_000), B_grid=(6, 60), seeds=2))
     assert any(cell.bound is None for cell in grid)
     shift = run_label_shift(ExperimentConfig(seeds=2, n_P=100, n_Q=10, pi_target=0.01,
                                              methods=("LabelShift", "Composite")))
     assert shift.replacements == 14
     opt_b = run_optimal_B(ExperimentConfig(n_grid=(1_000, 10_000), B_grid=(6, 10, 16), seeds=2))
-    for write, ref, result in ((write_risk_grid_csv, risk_grid_csv_ref, grid),
-                               (write_label_shift_csv, label_shift_csv_ref, shift),
-                               (write_opt_b_csv, opt_b_csv_ref, opt_b)):
-        out = tmp_path / f"{write.__name__}.csv"
-        write(result, str(out))
-        assert out.read_bytes() == ref(result).encode(), write.__name__
+    for study, ref, result in (("risk-grid", risk_grid_csv_ref, grid),
+                               ("label-shift", label_shift_csv_ref, shift),
+                               ("opt-b", opt_b_csv_ref, opt_b)):
+        name, header, rows = study_table(study, result)
+        out = tmp_path / name
+        write_csv(str(out), header, rows)
+        assert out.read_bytes() == ref(result).encode(), study
+    out = tmp_path / "write_risk_grid_csv.csv"
+    write_risk_grid_csv(grid, str(out))
+    assert out.read_bytes() == risk_grid_csv_ref(grid).encode()
 
 
 def test_write_csv_fields_and_write_json_format(tmp_path):
