@@ -5,11 +5,15 @@ a report that returns the study's CSV tables: a risk grid over (n, B) and a
 bin-count selection study, both drawn at ``pi_source``, and a label-shift
 comparison of four recalibration strategies under the target distribution.
 
-Each cell draws ``sample(task, n, (base_seed, *cell fields))`` (``SEED_RULE``),
-so results are bitwise reproducible and adding or removing grid points
-never shifts the draws of the remaining cells. Identical configs produce
-byte-identical CSV output with the same numpy and scipy build on the same
-CPU features (see ``oracle.sample``).
+Each cell draws ``sample(task, n, (base_seed, tag, *cell fields))``
+(``SEED_RULE``), so results are bitwise reproducible and adding or removing
+grid points never shifts the draws of the remaining cells. The tag is the
+study's own (1 risk grid, 2 opt-b, 3 label shift; a new study takes the
+next): numpy drops a trailing zero within the first four entropy words, so
+without it the risk grid's (base_seed, n, B, 0) would be opt-b's
+(base_seed, n, k) at k = B. Identical configs produce byte-identical CSV
+output with the same numpy and scipy build on the same CPU features (see
+``oracle.sample``), and the manifest records both versions.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+import scipy
 
 from ._version import __version__
 from .bounds import BoundParams, BoundReport, optimal_bins, risk_bound_report
@@ -65,7 +70,7 @@ MAX_N = sys.maxsize // 8
 
 VALID_METHODS = ("Composite", "Source", "LabelShift", "Target")
 
-SEED_RULE = "PCG64(SeedSequence((base_seed, *cell_fields)))"
+SEED_RULE = "PCG64(SeedSequence((base_seed, study_tag, *cell_fields)))"
 
 
 @dataclass(frozen=True)
@@ -231,12 +236,12 @@ def _fit_risks(task: GaussianMixtureTask, n: int, Bs: tuple[int, ...],
 
 def _label_shift_draw(cfg: ExperimentConfig, k: int) -> tuple[tuple[RiskReport, ...], int]:
     """Seed k of the label-shift study: the target risks of ``cfg.methods``
-    in that order and the number of replaced draws. Try r draws the source
-    under (n_P, n_Q, k, 0, r) and the target under (n_P, n_Q, k, 1, r), r <= 100."""
+    in that order and the number of replaced draws. Try r <= 100 draws the
+    source under (3, n_P, n_Q, k, 0, r) and the target under (3, n_P, n_Q, k, 1, r)."""
     task_P, task_Q = GaussianMixtureTask(cfg.pi_source), GaussianMixtureTask(cfg.pi_target)
     for retry in range(101):
-        d_P = sample(task_P, cfg.n_P, (cfg.base_seed, cfg.n_P, cfg.n_Q, k, 0, retry))
-        d_Q = sample(task_Q, cfg.n_Q, (cfg.base_seed, cfg.n_P, cfg.n_Q, k, 1, retry))
+        d_P = sample(task_P, cfg.n_P, (cfg.base_seed, 3, cfg.n_P, cfg.n_Q, k, 0, retry))
+        d_Q = sample(task_Q, cfg.n_Q, (cfg.base_seed, 3, cfg.n_P, cfg.n_Q, k, 1, retry))
         try:
             weights = estimate_weights(d_P.y, d_Q.y)
             break
@@ -270,7 +275,7 @@ def run_risk_grid(cfg: ExperimentConfig) -> tuple[GridCell, ...]:
                 cells.append(GridCell(n, B, None, ()))
                 continue
             bound = risk_bound_report(BoundParams(n=n, B=B, delta=cfg.delta))
-            reports = tuple(_fit_risks(task, n, (B,), (cfg.base_seed, n, B, k))[0]
+            reports = tuple(_fit_risks(task, n, (B,), (cfg.base_seed, 1, n, B, k))[0]
                             for k in range(cfg.seeds))
             cells.append(GridCell(n, B, bound, reports))
     return tuple(cells)
@@ -301,7 +306,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     population risk of fits at that B, added in seed order from 0.0 (not by
     ``sum``, which compensates from Python 3.12). Each (n, seed) pair is one
     unit whose draw serves every feasible B, so the argmin is not blurred
-    by sampling noise between B values (the substream is keyed by (n, seed)
+    by sampling noise between B values (the substream is keyed by (2, n, seed)
     only). The theoretical minimizer feeds the estimated smoothness constant
     of the task at ``pi_source``, which is sampled, into the objective scan.
     """
@@ -312,7 +317,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
         feasible = tuple(B for B in cfg.B_grid if n // B >= 2)
         if not feasible:
             raise ValueError(f"no feasible bin count for n={n} in B_grid")
-        per_seed = [_fit_risks(task, n, feasible, (cfg.base_seed, n, k)) for k in range(cfg.seeds)]
+        per_seed = [_fit_risks(task, n, feasible, (cfg.base_seed, 2, n, k)) for k in range(cfg.seeds)]
         curve = tuple((B, functools.reduce(operator.add, (r.r_total for r in reports), 0.0) / cfg.seeds)
                       for B, reports in zip(feasible, zip(*per_seed)))
         B_exp = min(curve, key=lambda pair: pair[1])[0]
@@ -344,8 +349,9 @@ def write_risk_grid_csv(cells: tuple[GridCell, ...], path: str) -> None:
 
 
 def write_manifest(cfg: ExperimentConfig, extra: dict, path: str) -> None:
-    """JSON run manifest: config, seed rule, library version, run details."""
+    """JSON run manifest: config, seed rule, library, numpy and scipy versions, run details."""
     write_json(path, {"config": asdict(cfg), "library_version": __version__,
+                      "numpy_version": np.__version__, "scipy_version": scipy.__version__,
                       "seed_rule": SEED_RULE, **extra})
 
 

@@ -45,7 +45,6 @@ from .core import (
     EmptyBinError,
     LabeledSample,
     PiecewiseRecalibrator,
-    Recalibrator,
     ShiftCorrector,
     ShiftWeights,
     _concurrently,
@@ -62,7 +61,6 @@ __all__ = [
     "MU1",
     "QuadratureFailureError",
     "GaussianMixtureTask",
-    "MonotoneRecalibrator",
     "RiskReport",
     "sigmoid",
     "logit",
@@ -155,22 +153,6 @@ class GaussianMixtureTask:
 
 
 @dataclass(frozen=True)
-class MonotoneRecalibrator:
-    """An analytic recalibration map given as a strictly increasing callable.
-
-    The callable maps a float64 array of scores to an array of the same
-    shape, such as ``lambda z: apply_batch(c, hstar(task, z))``, and must
-    map [0, 1] strictly increasingly into [0, 1]; injectivity is what
-    makes the sharpness risk vanish and is the caller's responsibility.
-    This is how analytic maps such as the task posterior, or its
-    shift-corrected transport, enter risk evaluation without being
-    representable in the serializable recalibrator forms.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class RiskReport:
     """Population (or plug-in) risks of one recalibrator under one task.
 
@@ -245,9 +227,10 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     ``seed`` is an int, a sequence of ints (a list or tuple) or a numpy
     SeedSequence, and feeds a PCG64 stream. Each int is read by the size
     rule with floor 0, and None or a bool raises TypeError. Each
-    ``simulate`` cell draws ``sample(task, n, (base_seed, *cell fields))``.
-    numpy drops trailing zeros from the entropy, so ``(5, 0)`` draws what
-    ``5`` draws: each study keys its cells by tuples of one length. The
+    ``simulate`` cell draws ``sample(task, n, (base_seed, tag, *cell
+    fields))``. numpy drops trailing zeros within the entropy's first four
+    words, so ``(5, 0)`` draws what ``5`` draws: each study keys its cells
+    by tuples of one length, with its own tag in word 1. The
     draw order is fixed: n uniforms decide the labels, then n uniforms map
     through the inverse normal CDF to x, then z = sigmoid(x).
     The same seed gives the same bits with the same numpy and scipy build
@@ -391,16 +374,14 @@ def _piecewise_risk(task: GaussianMixtureTask, pw: PiecewiseRecalibrator) -> Ris
     return RiskReport(r_cal, r_sha, r_tot, r_tot + (task.pi - H), "quadrature", max(err, 1e-14))
 
 
-def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
+def _injective_risk(task: GaussianMixtureTask,
+                    fn: Callable[[np.ndarray], np.ndarray]) -> RiskReport:
     def f(x: np.ndarray) -> np.ndarray:
         z = sigmoid(x)
-        if isinstance(h, MonotoneRecalibrator):
-            hz = h.fn(z)
-            if np.shape(hz) != z.shape:
-                raise TypeError(f"MonotoneRecalibrator.fn gave shape {np.shape(hz)} for nodes "
-                                f"of shape {z.shape}: it must map the node array")
-        else:
-            hz = _evaluate(h, z)  # bit for bit what apply gives at each node
+        hz = fn(z)
+        if np.shape(hz) != z.shape:
+            raise TypeError(f"the map gave shape {np.shape(hz)} for nodes of shape {z.shape}: "
+                            "it must map the node array")
         return (hz - posterior(task, x)) ** 2 * _mixture_density(task, x)
 
     r, e1 = _quad(f, -X_WINDOW, X_WINDOW)
@@ -409,7 +390,7 @@ def _injective_risk(task: GaussianMixtureTask, h: Recalibrator) -> RiskReport:
 
 
 def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
-    """Exact population risks of a recalibrator under the task.
+    """Exact population risks of a recalibrator or analytic map under the task.
 
     Piecewise maps (including composites, through their flattened form)
     take bin masses m_b, positive masses a_b = P[Z in bin b, Y = 1] and
@@ -421,24 +402,30 @@ def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
     increasing maps have zero sharpness risk by injectivity and need a
     single integral. A constant map is the one-bin piecewise map, whose
     conditional mean is E[Y], and the raw score's risk is that of
-    ``MonotoneRecalibrator(lambda z: z)``.
+    ``lambda z: z``.
+
+    An analytic map is a plain callable from the float64 score array to
+    an array of its shape, such as ``lambda z: apply_batch(c, hstar(task,
+    z))``; it must map [0, 1] strictly increasingly into [0, 1], as
+    injectivity is what makes the sharpness risk vanish. It is called once
+    per node array, as is ``_evaluate`` for a shift map (bit for bit what
+    ``apply`` gives), and a result not of the nodes' shape raises
+    ``TypeError``, as does anything that is neither a map nor callable.
 
     H and the injective-map integral are taken by ``_quad``'s trapezoid
-    rule in x = logit(z). Shift maps are evaluated on the whole node array
-    at once, bit for bit as ``apply`` would evaluate them, and a
-    ``MonotoneRecalibrator``'s callable is called once per node array; it
-    raises ``TypeError`` if the result's shape is not the nodes' shape.
-    For smooth maps this takes 481 nodes and lands within about 1e-16 of
-    40-digit references; a map with a kink needs up to 983,041 nodes, and
-    the report's ``tolerance`` then carries the halving error estimate.
-    Raises ``QuadratureFailureError`` if that estimate stays above
-    ``QUAD_TOL``.
+    rule in x = logit(z). For smooth maps this takes 481 nodes and lands
+    within about 1e-16 of 40-digit references; a map with a kink needs up
+    to 983,041 nodes, and the report's ``tolerance`` then carries the
+    halving error estimate. Raises ``QuadratureFailureError`` if that
+    estimate stays above ``QUAD_TOL``.
     """
     if (pw := _piecewise(h)) is not None:
         return _piecewise_risk(task, pw)
-    if isinstance(h, (ShiftCorrector, MonotoneRecalibrator)):
-        return _injective_risk(task, h)
-    raise TypeError(f"cannot evaluate risk of {type(h).__name__}")
+    if isinstance(h, ShiftCorrector):
+        h = functools.partial(_evaluate, h)
+    if not callable(h):
+        raise TypeError(f"cannot evaluate risk of {type(h).__name__}")
+    return _injective_risk(task, h)
 
 
 def _mixture_quantiles(task: GaussianMixtureTask, t: np.ndarray) -> np.ndarray:

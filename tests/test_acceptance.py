@@ -36,7 +36,6 @@ from recalib.experiments import (
 )
 from recalib.oracle import (
     GaussianMixtureTask,
-    MonotoneRecalibrator,
     exact_shift_weights,
     hstar,
     population_risk,
@@ -69,12 +68,12 @@ def test_criterion_1_decomposition_identity():
 def test_criterion_2_optimality_fixed_points():
     # The optimal map carries zero risk; its shift-corrected transport
     # carries zero risk on the shifted task.
-    best = population_risk(TASK05, MonotoneRecalibrator(lambda z: hstar(TASK05, z)))
+    best = population_risk(TASK05, lambda z: hstar(TASK05, z))
     assert best.r_total <= 1e-10
     for pi_q in (0.1, 0.3):
         task_q = GaussianMixtureTask(pi_q)
         corr = ShiftCorrector(exact_shift_weights(0.5, pi_q))
-        transported = MonotoneRecalibrator(lambda z, c=corr: apply_batch(c, hstar(TASK05, z)))
+        transported = lambda z, c=corr: apply_batch(c, hstar(TASK05, z))
         assert population_risk(task_q, transported).r_total <= 1e-10
 
 
@@ -191,7 +190,7 @@ def test_criterion_7_oracle_equivalences():
 
     fitted = fit_recalibrator(sample(TASK05, 10_000, seed=101), 10)
     corr = ShiftCorrector(exact_shift_weights(0.5, 0.1))
-    identity = MonotoneRecalibrator(lambda z: z)
+    identity = lambda z: z
     recalibrators = (
         fitted,
         Composite(outer=corr, inner=fitted),

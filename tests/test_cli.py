@@ -17,6 +17,7 @@ from unittest import mock
 import click
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from recalib.core import (
 )
 from recalib.experiments import ExperimentConfig
 from recalib.fileio import fmt_float, write_text_atomic
-from recalib.oracle import GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights, sample
+from recalib.oracle import GaussianMixtureTask, exact_shift_weights, sample
 
 from frozen import CAL_BOUND_1000_10_01, SHIFT_APRIORI_EXAMPLE, ZETA_76_1E6
 from oracles import read_columns_rowwise_ref
@@ -124,8 +125,7 @@ def test_studies_and_risks_do_not_load_scipy_integrate():
 import sys
 import recalib.experiments as e
 from recalib.core import BinningScheme, Composite, PiecewiseRecalibrator, ShiftCorrector
-from recalib.oracle import (GaussianMixtureTask, MonotoneRecalibrator, exact_shift_weights,
-                            population_risk)
+from recalib.oracle import GaussianMixtureTask, exact_shift_weights, population_risk
 tiny = e.ExperimentConfig(n_grid=(1000,), B_grid=(6, 10), seeds=1, n_P=64, n_Q=27)
 e.run_risk_grid(tiny)
 e.run_optimal_B(tiny)
@@ -134,8 +134,7 @@ e.run_label_shift(e.ExperimentConfig(seeds=1))
 task = GaussianMixtureTask(0.3)
 pw = PiecewiseRecalibrator(BinningScheme((0.0, 0.4, 1.0)), (0.2, 0.7), (1, 1))
 shift = ShiftCorrector(exact_shift_weights(0.5, 0.3))
-for h in (pw, Composite(outer=shift, inner=pw), MonotoneRecalibrator(lambda z: z), shift,
-          MonotoneRecalibrator(lambda z: z * z)):
+for h in (pw, Composite(outer=shift, inner=pw), lambda z: z, shift, lambda z: z * z):
     population_risk(task, h)
 """
     flag, modules = _modules_after(code).split(" ", 1)
@@ -1161,8 +1160,8 @@ def test_model_round_trip_is_bitwise(tmp_path):
         assert meta == {"i": i}
         assert np.array_equal(apply_batch(h, grid), apply_batch(loaded, grid))
     # An analytic map has no model-file form.
-    with pytest.raises(TypeError, match="cannot serialize MonotoneRecalibrator"):
-        save_model(str(tmp_path / "monotone.json"), MonotoneRecalibrator(lambda z: z), {})
+    with pytest.raises(TypeError, match="cannot serialize function"):
+        save_model(str(tmp_path / "monotone.json"), lambda z: z, {})
     assert not (tmp_path / "monotone.json").exists()
 
 
@@ -1842,8 +1841,10 @@ VALID_RISK_GRID_MANIFEST = """{
     "seeds": 1
   },
   "experiment": "risk-grid",
-  "library_version": "%s",
-  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+  "library_version": "%(library)s",
+  "numpy_version": "%(numpy)s",
+  "scipy_version": "%(scipy)s",
+  "seed_rule": "PCG64(SeedSequence((base_seed, study_tag, *cell_fields)))"
 }
 """
 
@@ -1870,8 +1871,10 @@ VALID_OPT_B_MANIFEST = """{
     "seeds": 1
   },
   "experiment": "opt-b",
-  "library_version": "%s",
-  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+  "library_version": "%(library)s",
+  "numpy_version": "%(numpy)s",
+  "scipy_version": "%(scipy)s",
+  "seed_rule": "PCG64(SeedSequence((base_seed, study_tag, *cell_fields)))"
 }
 """
 
@@ -1899,9 +1902,11 @@ VALID_LABEL_SHIFT_MANIFEST = """{
     "seeds": 1
   },
   "experiment": "label-shift",
-  "library_version": "%s",
+  "library_version": "%(library)s",
+  "numpy_version": "%(numpy)s",
   "replacements": 0,
-  "seed_rule": "PCG64(SeedSequence((base_seed, *cell_fields)))"
+  "scipy_version": "%(scipy)s",
+  "seed_rule": "PCG64(SeedSequence((base_seed, study_tag, *cell_fields)))"
 }
 """
 
@@ -1911,8 +1916,9 @@ VALID_LABEL_SHIFT_MANIFEST = """{
     ("label-shift", VALID_LABEL_SHIFT_MANIFEST),
 ], ids=["risk-grid", "opt-b", "label-shift"])
 def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path, experiment, expected):
-    # The config, the seed rule and each study's own fields: the risk
-    # grid's cells, opt-b's K_hat, label-shift's bin counts and replacements.
+    # The config, the seed rule, the versions of the library, numpy and
+    # scipy, and each study's own fields: the risk grid's cells, opt-b's
+    # K_hat, label-shift's bin counts and replacements.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n_grid": [100], "B_grid": [6], "delta": 0.05, "seeds": 1, "base_seed": 3,
@@ -1923,7 +1929,8 @@ def test_simulate_config_with_every_field_type_keeps_manifest_bytes(tmp_path, ex
     res = run("simulate", experiment, "--config", cfg, "--out-dir", out_dir)
     assert res.exit_code == 0, res.stderr
     manifest = (out_dir / "manifest.json").read_text()
-    assert manifest == expected % recalib.__version__
+    assert manifest == expected % {"library": recalib.__version__, "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_simulate_label_shift(tmp_path):
@@ -1947,8 +1954,8 @@ def test_simulate_label_shift(tmp_path):
     res = run("simulate", "label-shift", "--config", cfg, "--out-dir", retry_dir)
     assert res.exit_code == 0, res.stderr
     assert res.stdout == f"label-shift study written to {retry_dir}\n"
-    assert res.stderr == "warning: 14 draw(s) replaced because a class was absent\n"
-    assert json.loads((retry_dir / "manifest.json").read_text())["replacements"] == 14
+    assert res.stderr == "warning: 8 draw(s) replaced because a class was absent\n"
+    assert json.loads((retry_dir / "manifest.json").read_text())["replacements"] == 8
 
 
 def test_simulate_opt_b(tmp_path):

@@ -48,8 +48,8 @@ from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
 # there is -1.3472, because B^2 r_sha still climbs from 0.147 at B = 6
 # towards its plateau near 0.94. The B^-2 band is checked on the grid of
 # SHA_NOISE_FREE instead, see test_sha_rate_example_band.
-CAL_SLOPE_FROZEN = -1.1082649633295982
-SHA_SLOPE_FROZEN = -1.3512735806684029
+CAL_SLOPE_FROZEN = -1.023763257836912
+SHA_SLOPE_FROZEN = -1.3517279056240379
 
 
 def study_table(study: str, result) -> tuple:
@@ -217,16 +217,16 @@ def test_cell_seed_is_grid_shape_invariant():
     cell_a = next(c for c in a if (c.n, c.B) == (1_000, 6))
     cell_b = next(c for c in b if (c.n, c.B) == (1_000, 6))
     assert cell_a == cell_b
-    # The cell's stream is keyed by (base_seed, n, B, k) alone: numpy ints
-    # key it as Python ints do.
+    # The cell's stream is keyed by (base_seed, 1, n, B, k) alone, 1 being
+    # the risk grid's study tag: numpy ints key it as Python ints do.
     task = GaussianMixtureTask(0.5)
-    draw = sample(task, 1_000, (0, 1_000, 6, 0))
-    for seed in ((np.int64(0), np.int64(1_000), 6, 0), [0, 1_000, 6, 0],
-                 np.random.SeedSequence((0, 1_000, 6, 0))):
+    draw = sample(task, 1_000, (0, 1, 1_000, 6, 0))
+    for seed in ((np.int64(0), 1, np.int64(1_000), 6, 0), [0, 1, 1_000, 6, 0],
+                 np.random.SeedSequence((0, 1, 1_000, 6, 0))):
         other = sample(task, 1_000, seed)
         assert np.array_equal(other.z, draw.z) and np.array_equal(other.y, draw.y)
     assert cell_a.reports == tuple(
-        population_risk(task, fit_recalibrator(sample(task, 1_000, (0, 1_000, 6, k)), 6))
+        population_risk(task, fit_recalibrator(sample(task, 1_000, (0, 1, 1_000, 6, k)), 6))
         for k in range(2))
 
 
@@ -234,7 +234,7 @@ def test_study_units_follow_the_seed_rule(monkeypatch):
     # Each study result equals its units rebuilt by hand from the seed
     # rule, compared with ==, so running the units in any order or place
     # must keep these keys. Every unit draws sample(task, n, (base_seed,
-    # *fields)) itself, in the order listed.
+    # tag, *fields)) itself, in the order listed, with the study's tag.
     task = GaussianMixtureTask(0.5)
     draws = []
     monkeypatch.setattr(experiments, "sample",
@@ -243,33 +243,33 @@ def test_study_units_follow_the_seed_rule(monkeypatch):
     def risk(n, B, seed):
         return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
 
-    # Risk grid: seed k of cell (n, B) is one draw keyed by (n, B, k).
+    # Risk grid: seed k of cell (n, B) is one draw keyed by (1, n, B, k).
     for cell in run_risk_grid(ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=2,
                                                base_seed=5)):
-        assert cell.reports == tuple(risk(1_000, cell.B, (5, 1_000, cell.B, k))
+        assert cell.reports == tuple(risk(1_000, cell.B, (5, 1, 1_000, cell.B, k))
                                      for k in range(2))
-    assert draws == [(0.5, 1_000, (5, 1_000, B, k)) for B in (6, 12) for k in range(2)]
+    assert draws == [(0.5, 1_000, (5, 1, 1_000, B, k)) for B in (6, 12) for k in range(2)]
     draws.clear()
-    # Opt-b: draw (n, k) serves every B, and the seeds add in order from 0.
+    # Opt-b: draw (2, n, k) serves every B, and the seeds add in order from 0.
     # At (100, 1) the sum depends on that order.
-    row, = run_optimal_B(ExperimentConfig(n_grid=(100,), B_grid=(1, 6), seeds=3,
+    row, = run_optimal_B(ExperimentConfig(n_grid=(100,), B_grid=(1, 6), seeds=4,
                                           base_seed=5)).rows
     for B, mean in row.risk_curve:
-        r0, r1, r2 = (risk(100, B, (5, 100, k)).r_total for k in range(3))
-        assert mean == (((0.0 + r0) + r1) + r2) / 3
+        r0, r1, r2, r3 = (risk(100, B, (5, 2, 100, k)).r_total for k in range(4))
+        assert mean == ((((0.0 + r0) + r1) + r2) + r3) / 4
         if B == 1:
-            assert (r2 + r1) + r0 != ((0.0 + r0) + r1) + r2
-    assert draws == [(0.5, 100, (5, 100, k)) for k in range(3)]
+            assert ((r3 + r2) + r1) + r0 != (((0.0 + r0) + r1) + r2) + r3
+    assert draws == [(0.5, 100, (5, 2, 100, k)) for k in range(4)]
     draws.clear()
-    # Label shift: try r of seed k draws (n_P, n_Q, k, 0, r) and
-    # (n_P, n_Q, k, 1, r) until both hold both classes.
+    # Label shift: try r of seed k draws (3, n_P, n_Q, k, 0, r) and
+    # (3, n_P, n_Q, k, 1, r) until both hold both classes.
     cfg = ExperimentConfig(n_grid=(100,), B_grid=(6,), seeds=2,
                            n_P=100, n_Q=10, pi_target=0.01)
     P, Q = GaussianMixtureTask(0.5), GaussianMixtureTask(0.01)
     expected, tries, keys = [], 0, []
     for k in range(2):
         for r in range(101):
-            keys += [(0.5, 100, (0, 100, 10, k, 0, r)), (0.01, 10, (0, 100, 10, k, 1, r))]
+            keys += [(0.5, 100, (0, 3, 100, 10, k, 0, r)), (0.01, 10, (0, 3, 100, 10, k, 1, r))]
             d_P = sample(P, 100, keys[-2][2])
             d_Q = sample(Q, 10, keys[-1][2])
             if 0 < d_P.y.sum() < 100 and 0 < d_Q.y.sum() < 10:
@@ -282,8 +282,48 @@ def test_study_units_follow_the_seed_rule(monkeypatch):
     result = run_label_shift(cfg)
     assert result.rows[0].method == "Composite"
     assert result.rows[0].reports == tuple(expected)
-    assert result.replacements == tries == 14
+    assert result.replacements == tries == 8
     assert draws == keys
+
+
+def test_no_two_study_draws_share_a_stream(monkeypatch):
+    # numpy drops a trailing zero within the first four entropy words, so
+    # two keys can name one stream: without the study tag, the risk grid's
+    # (0, n, B, 0) would be opt-b's (0, n, k) at k = B. Record the key of
+    # every draw the three studies make at their defaults, at CI's configs
+    # and at the paper-scale grids, and require one stream per distinct
+    # key. One small sample stands in for every draw, and stubs for the
+    # fits and risks, so no n-sized sample is drawn.
+    data = sample(GaussianMixtureTask(0.5), 64, 0)
+    keys = set()
+    monkeypatch.setattr(experiments, "sample", lambda t, n, seed: keys.add(seed) or data)
+    monkeypatch.setattr(experiments, "_fit_view", lambda view, B: None)
+    monkeypatch.setattr(experiments, "population_risk",
+                        lambda t, h: RiskReport(0.0, 0.0, 0.0, 0.0, "quadrature", 1e-14))
+    configs = ({}, {"n_grid": [100, 1_000, 10_000], "seeds": 2},
+               {"n_grid": [200_000], "B_grid": [6, 96], "seeds": 2},
+               {"n_grid": [1_000, 10_000], "B_grid": [6, 24], "seeds": 2, "pi_source": 0.1})
+    for over in configs:
+        run_risk_grid(config_from_dict(over))
+        run_optimal_B(config_from_dict(over, default_opt_b_config()))
+        run_label_shift(config_from_dict(over))
+    run_label_shift(ExperimentConfig(n_P=100, n_Q=10, pi_target=0.01, seeds=2))
+    # The paper's grids: n at half-decades over 1e2 ... 1e7, B log-spaced
+    # over 6 ... 1000, and opt-b's quarter octaves up to 2048.
+    half_decades = tuple(round(10 ** (k / 2)) for k in range(4, 15))
+    paper_B = (6, 12, 24, 48, 96, 192, 384, 768, 1_000)
+    quarter_octaves = default_opt_b_config().B_grid + (
+        304, 362, 431, 512, 609, 724, 861, 1024, 1218, 1448, 1722, 2048)
+    run_risk_grid(ExperimentConfig(n_grid=half_decades, B_grid=paper_B, seeds=10,
+                                   full_scale=True))
+    run_optimal_B(ExperimentConfig(n_grid=half_decades, B_grid=quarter_octaves, seeds=10,
+                                   full_scale=True))
+    assert len(quarter_octaves) == 35 and len(keys) > 1_000
+    streams = {}
+    for key in keys:
+        streams.setdefault(tuple(np.random.SeedSequence(key).generate_state(4)), []).append(key)
+    shared = [sorted(same) for same in streams.values() if len(same) > 1]
+    assert not shared, shared
 
 
 def test_risk_grid_and_opt_b_draw_from_pi_source():
@@ -297,13 +337,13 @@ def test_risk_grid_and_opt_b_draw_from_pi_source():
         return population_risk(task, fit_recalibrator(sample(task, n, seed), B))
 
     for cell in run_risk_grid(cfg):
-        assert cell.reports == tuple(risk(cell.n, cell.B, (3, cell.n, cell.B, k))
+        assert cell.reports == tuple(risk(cell.n, cell.B, (3, 1, cell.n, cell.B, k))
                                      for k in range(2))
     result = run_optimal_B(cfg)
     assert result.K_hat == estimate_K(task, 100_000) != estimate_K(GaussianMixtureTask(0.5), 100_000)
     for row in result.rows:
         for B, mean in row.risk_curve:
-            r0, r1 = (risk(row.n, B, (3, row.n, k)).r_total for k in range(2))
+            r0, r1 = (risk(row.n, B, (3, 2, row.n, k)).r_total for k in range(2))
             assert mean == ((0.0 + r0) + r1) / 2
 
 
@@ -449,7 +489,7 @@ def test_label_shift_replaces_class_absent_draws():
     cfg = ExperimentConfig(n_grid=(100,), B_grid=(6,), seeds=2,
                            n_P=100, n_Q=10, pi_target=0.01)
     result = run_label_shift(cfg)
-    assert result.replacements == 14
+    assert result.replacements == 8
     assert result.B_P == 5 and result.B_Q == 3
     assert all(len(row.reports) == 2 for row in result.rows)
 
@@ -497,7 +537,7 @@ def test_optimal_B_flat_minimum():
         {"n_grid": [1_000, 10_000, 100_000], "seeds": 40}, default_opt_b_config()
     )
     result = run_optimal_B(cfg)
-    assert tuple(row.B_star_exp for row in result.rows) == (48, 96, 228)
+    assert tuple(row.B_star_exp for row in result.rows) == (48, 114, 256)
     for row in result.rows:
         curve = list(row.risk_curve)
         idx = next(i for i, (B, _) in enumerate(curve) if B == row.B_star_exp)
@@ -533,7 +573,7 @@ def test_study_csvs_keep_the_reference_bytes(tmp_path):
     assert any(cell.bound is None for cell in grid)
     shift = run_label_shift(ExperimentConfig(seeds=2, n_P=100, n_Q=10, pi_target=0.01,
                                              methods=("LabelShift", "Composite")))
-    assert shift.replacements == 14
+    assert shift.replacements == 8
     opt_b = run_optimal_B(ExperimentConfig(n_grid=(1_000, 10_000), B_grid=(6, 10, 16), seeds=2))
     for study, ref, result in (("risk-grid", risk_grid_csv_ref, grid),
                                ("label-shift", label_shift_csv_ref, shift),
@@ -567,7 +607,7 @@ def test_write_csv_fields_and_write_json_format(tmp_path):
     (run_risk_grid, ExperimentConfig(n_grid=(1_000,), B_grid=(6, 12), seeds=3), False),
     (run_optimal_B, ExperimentConfig(n_grid=(1_000, 2_000), B_grid=(6, 12), seeds=3), False),
     (run_label_shift, ExperimentConfig(seeds=3), True),
-    # 14 replaced draws: a failed try's pair is gone before the next try.
+    # 8 replaced draws: a failed try's pair is gone before the next try.
     (run_label_shift, ExperimentConfig(seeds=2, n_P=100, n_Q=10, pi_target=0.01), True),
 ])
 def test_study_loops_release_each_draw_before_the_next(monkeypatch, run, cfg, paired):

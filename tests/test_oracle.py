@@ -22,7 +22,6 @@ from recalib.core import (
 )
 from recalib.oracle import (
     GaussianMixtureTask,
-    MonotoneRecalibrator,
     QuadratureFailureError,
     RiskReport,
     _bin_moments,
@@ -82,7 +81,7 @@ TASK01 = GaussianMixtureTask(0.1)
 PW3 = PiecewiseRecalibrator(BinningScheme((0.0, 0.25, 0.6, 1.0)), (0.2, 0.5, 0.9), (1, 1, 1))
 PW3M = PiecewiseRecalibrator(BinningScheme((0.0, 0.25, 0.6, 1.0)), (0.2, 0.5, 0.2), (1, 1, 1))
 # The raw score as a map, for its risk under the task.
-IDENTITY = MonotoneRecalibrator(lambda z: z)
+IDENTITY = lambda z: z
 
 
 def random_piecewise(rng: np.random.Generator) -> PiecewiseRecalibrator:
@@ -339,7 +338,7 @@ def test_bin_moments_of_empty_and_reversed_bins():
 
 def test_optimal_map_is_a_fixed_point():
     for task in (TASK05, TASK01):
-        rep = population_risk(task, MonotoneRecalibrator(lambda z, t=task: hstar(t, z)))
+        rep = population_risk(task, lambda z, t=task: hstar(t, z))
         assert rep.r_cal <= 1e-10
         assert rep.r_sha == 0.0
         assert rep.method == "quadrature"
@@ -350,7 +349,7 @@ def test_transported_optimal_map_is_calibrated_on_target():
         task_q = GaussianMixtureTask(pi_q)
         corr = ShiftCorrector(exact_shift_weights(0.5, pi_q))
         fn = lambda z, c=corr: apply_batch(c, hstar(TASK05, z))
-        rep = population_risk(task_q, MonotoneRecalibrator(fn))
+        rep = population_risk(task_q, fn)
         assert rep.r_cal <= 1e-10
         assert rep.r_sha == 0.0
 
@@ -478,17 +477,18 @@ def test_mse_agrees_with_monte_carlo():
 def test_monotone_map_must_return_an_array_of_the_nodes_shape():
     for fn in (lambda z: 0.5, lambda z: z[:-1], lambda z: z[:, None]):
         with pytest.raises(TypeError, match="shape"):
-            population_risk(TASK05, MonotoneRecalibrator(fn))
-    # A bare callable is no recalibrator at all.
-    with pytest.raises(TypeError, match="cannot evaluate risk of function"):
-        population_risk(TASK05, lambda z: z)
+            population_risk(TASK05, fn)
+    # What is neither a map nor callable has no risk.
+    for h in (0.5, exact_shift_weights(0.5, 0.1)):
+        with pytest.raises(TypeError, match=f"cannot evaluate risk of {type(h).__name__}"):
+            population_risk(TASK05, h)
 
 
 def test_injective_maps_have_zero_sharpness_risk():
     maps = (
         IDENTITY,
         ShiftCorrector(exact_shift_weights(0.5, 0.1)),
-        MonotoneRecalibrator(lambda z: z**2),
+        lambda z: z**2,
     )
     for h in maps:
         assert population_risk(TASK05, h).r_sha == 0.0
@@ -743,7 +743,7 @@ def test_kinked_integrands_stay_within_their_error_budget():
     # where the kink falls in the grid. The reported error must still
     # cover the true one, or the rule must refuse: never a quiet miss.
     try:
-        kinked = MonotoneRecalibrator(lambda z: np.minimum(2 * z, (1 + z) / 2))
+        kinked = lambda z: np.minimum(2 * z, (1 + z) / 2)
         rep = population_risk(TASK05, kinked)
     except QuadratureFailureError:
         pass
