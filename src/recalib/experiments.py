@@ -141,7 +141,7 @@ def default_opt_b_config() -> ExperimentConfig:
     )
 
 
-def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) -> ExperimentConfig:
+def config_from_dict(overrides: dict, defaults: ExperimentConfig) -> ExperimentConfig:
     """Build a config from JSON-style overrides on top of defaults.
 
     Unknown keys raise ValueError so typos do not silently fall back to
@@ -151,7 +151,7 @@ def config_from_dict(overrides: dict, defaults: ExperimentConfig | None = None) 
     for key in overrides:
         if key not in names:
             raise ValueError(f"unknown config key {key!r}")
-    return replace(defaults if defaults is not None else ExperimentConfig(), **overrides)
+    return replace(defaults, **overrides)
 
 
 def bins_cube_root(n: int) -> int:
@@ -164,15 +164,23 @@ def bins_cube_root(n: int) -> int:
 
 
 def mean_risk(reports: tuple[RiskReport, ...], field: str) -> float:
-    return float(np.mean([getattr(r, field) for r in reports]))
+    """Mean of ``field`` over the reports, added in seed order from 0.0 (``sum``
+    compensates from Python 3.12, and ``np.mean`` adds pairwise)."""
+    if not reports:
+        raise ValueError("mean_risk needs at least one report")
+    return functools.reduce(operator.add, (getattr(r, field) for r in reports), 0.0) / len(reports)
 
 
 def loglog_slope(x, y) -> tuple[float, float]:
     """OLS slope of log10(y) on log10(x) and its residual standard error."""
-    lx = np.log10(np.asarray(x, dtype=np.float64))
-    ly = np.log10(np.asarray(y, dtype=np.float64))
-    if lx.size != ly.size or lx.size < 2:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.size != y.size or x.size < 2:
         raise ValueError("need at least two (x, y) pairs")
+    if not (np.all((0.0 < x) & (x < np.inf)) and np.all((0.0 < y) & (y < np.inf))):
+        raise ValueError("loglog_slope needs finite positive x and y values")
+    lx, ly = np.log10(x), np.log10(y)
+    if np.all(lx == lx[0]):
+        raise ValueError("loglog_slope needs at least two distinct x values")
     mx = lx.mean()
     sxx = float(((lx - mx) ** 2).sum())
     slope = float(((lx - mx) * (ly - ly.mean())).sum() / sxx)
@@ -302,9 +310,8 @@ def run_label_shift(cfg: ExperimentConfig) -> LabelShiftResult:
 def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
     """Locate the risk-minimizing bin count per n and compare with theory.
 
-    The empirical minimizer is the argmin over B_grid of the mean total
-    population risk of fits at that B, added in seed order from 0.0 (not by
-    ``sum``, which compensates from Python 3.12). Each (n, seed) pair is one
+    The empirical minimizer is the argmin over B_grid of ``mean_risk`` of
+    the total population risks of fits at that B. Each (n, seed) pair is one
     unit whose draw serves every feasible B, so the argmin is not blurred
     by sampling noise between B values (the substream is keyed by (2, n, seed)
     only). The theoretical minimizer feeds the estimated smoothness constant
@@ -318,8 +325,7 @@ def run_optimal_B(cfg: ExperimentConfig) -> OptimalBResult:
         if not feasible:
             raise ValueError(f"no feasible bin count for n={n} in B_grid")
         per_seed = [_fit_risks(task, n, feasible, (cfg.base_seed, 2, n, k)) for k in range(cfg.seeds)]
-        curve = tuple((B, functools.reduce(operator.add, (r.r_total for r in reports), 0.0) / cfg.seeds)
-                      for B, reports in zip(feasible, zip(*per_seed)))
+        curve = tuple((B, mean_risk(reports, "r_total")) for B, reports in zip(feasible, zip(*per_seed)))
         B_exp = min(curve, key=lambda pair: pair[1])[0]
         B_theory, zeta_min = optimal_bins(n, cfg.delta, k_hat)
         rows.append(OptBRow(n, B_exp, B_theory, zeta_min, curve))

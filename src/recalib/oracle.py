@@ -21,10 +21,10 @@ injective h the conditional mean E[Y | h(Z)] equals hstar(Z), so the
 sharpness risk vanishes identically and the total risk is one quadrature.
 
 Quadrature. Both integrals left, H = E[hstar(Z)^2] and the total risk of
-an injective map, are taken in x = logit(z) over [-12, 12] by a nested
-composite trapezoid rule on numpy arrays (``_quad``). Their integrands
-are Gaussian-weighted logistic terms, analytic in the strip
-|Im x| < pi/4 (the nearest poles of sigmoid(4x + logit(pi))) and
+an injective map, are taken in x = logit(z) over [-12, 12] (``X_WINDOW``)
+by a nested composite trapezoid rule on numpy arrays (``_quad``). Their
+integrands are Gaussian-weighted logistic terms, analytic in the strip
+|Im x| < pi/4 (the nearest poles of sigmoid(4x + logit(pi))), and
 negligible at the window's ends, and there the trapezoid rule converges
 geometrically in the number of nodes (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 2014): a few
@@ -168,12 +168,9 @@ class RiskReport:
     r_sha: float
     r_total: float
     mse: float
-    method: str
     tolerance: float
 
     def __post_init__(self) -> None:
-        if self.method not in ("quadrature", "monte_carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
         if min(self.r_cal, self.r_sha, self.r_total, self.mse) < 0.0:
             raise ValueError("risks must be nonnegative")
         if self.tolerance <= 0.0:
@@ -302,9 +299,9 @@ def _bin_moments(task: GaussianMixtureTask, edges) -> tuple[np.ndarray, np.ndarr
     return pos + (1.0 - task.pi) * d0, pos
 
 
-def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tuple[float, float]:
-    """Nested composite trapezoid rule for f over [x_lo, x_hi]; returns
-    (value, abserr).
+def _quad(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Nested composite trapezoid rule for f over the oracle's one window,
+    [-X_WINDOW, X_WINDOW]; returns (value, abserr).
 
     f takes a float64 array of nodes and returns its values there. The
     rule starts on 240 equal intervals; each refinement halves the step,
@@ -327,13 +324,13 @@ def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tu
     finite.
     """
     n = _QUAD_INTERVALS
-    step = (x_hi - x_lo) / n
-    y = f(np.linspace(x_lo, x_hi, n + 1))
+    step = 2.0 * X_WINDOW / n
+    y = f(np.linspace(-X_WINDOW, X_WINDOW, n + 1))
     total = step * (float(np.sum(y)) - 0.5 * float(y[0] + y[-1]))
     prev = 0.0
     for _ in range(_QUAD_HALVINGS):
         step *= 0.5
-        new = 0.5 * total + step * float(np.sum(f(x_lo + step * np.arange(1, 2 * n, 2))))
+        new = 0.5 * total + step * float(np.sum(f(-X_WINDOW + step * np.arange(1, 2 * n, 2))))
         diff = abs(new - total)
         err = max(diff, prev)  # a NaN diff stays NaN
         total, n, prev = new, 2 * n, diff
@@ -341,7 +338,7 @@ def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tu
             break
     if not err <= QUAD_TOL:
         raise QuadratureFailureError(
-            f"quadrature on [{x_lo:.3f}, {x_hi:.3f}] achieved only {err:.2e} absolute error"
+            f"quadrature on [{-X_WINDOW:.3f}, {X_WINDOW:.3f}] achieved only {err:.2e} absolute error"
         )
     return total, err
 
@@ -349,7 +346,7 @@ def _quad(f: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float) -> tu
 @functools.lru_cache(maxsize=64)
 def _hstar_sq_moment(task: GaussianMixtureTask) -> tuple[float, float]:
     """H = E[hstar(Z)^2]; the irreducible mse term E[hstar (1 - hstar)] is pi - H."""
-    return _quad(lambda x: posterior(task, x) ** 2 * _mixture_density(task, x), -X_WINDOW, X_WINDOW)
+    return _quad(lambda x: posterior(task, x) ** 2 * _mixture_density(task, x))
 
 
 def _level_means(values: np.ndarray, pos, mass) -> np.ndarray:
@@ -371,7 +368,7 @@ def _piecewise_risk(task: GaussianMixtureTask, pw: PiecewiseRecalibrator) -> Ris
     r_tot = H + float(np.sum(v * (v * mass - 2.0 * pos)))
     r_sha = H + float(np.sum(nu * (nu * mass - 2.0 * pos)))
     r_cal = float(np.sum(mass * (v - nu) ** 2))
-    return RiskReport(r_cal, r_sha, r_tot, r_tot + (task.pi - H), "quadrature", max(err, 1e-14))
+    return RiskReport(r_cal, r_sha, r_tot, r_tot + (task.pi - H), max(err, 1e-14))
 
 
 def _injective_risk(task: GaussianMixtureTask,
@@ -384,9 +381,9 @@ def _injective_risk(task: GaussianMixtureTask,
                             "it must map the node array")
         return (hz - posterior(task, x)) ** 2 * _mixture_density(task, x)
 
-    r, e1 = _quad(f, -X_WINDOW, X_WINDOW)
+    r, e1 = _quad(f)
     H, e2 = _hstar_sq_moment(task)
-    return RiskReport(r, 0.0, r, r + (task.pi - H), "quadrature", max(e1 + e2, 1e-14))
+    return RiskReport(r, 0.0, r, r + (task.pi - H), max(e1 + e2, 1e-14))
 
 
 def population_risk(task: GaussianMixtureTask, h) -> RiskReport:
@@ -594,4 +591,4 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     r_sha = max(float(np.sum(p_s * (level_mean[bin_of] - mu_s) ** 2 - p_s * var_hat)), 0.0)
     bayes = float(np.sum(p_s * var_hat * m_s))
     r_tot = r_cal + r_sha
-    return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, "monte_carlo", 1e-14)
+    return RiskReport(r_cal, r_sha, r_tot, r_tot + bayes, 1e-14)

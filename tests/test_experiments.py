@@ -17,6 +17,7 @@ from recalib.bounds import (
     optimal_bins,
     risk_bound_report,
     shift_risk_bound_apriori,
+    shift_risk_bound_realized,
 )
 from recalib.experiments import (
     DESK_B_CAP,
@@ -38,7 +39,8 @@ from recalib.experiments import (
     write_risk_grid_csv,
 )
 from recalib.fileio import write_csv, write_json
-from recalib.oracle import GaussianMixtureTask, RiskReport, estimate_K, population_risk, sample
+from recalib.oracle import (GaussianMixtureTask, RiskReport, estimate_K, exact_shift_weights,
+                            population_risk, sample)
 
 from frozen import SHA_NOISE_FREE
 from oracles import label_shift_csv_ref, opt_b_csv_ref, risk_grid_csv_ref
@@ -118,12 +120,12 @@ def test_config_validation():
 
 
 def test_config_from_dict():
-    cfg = config_from_dict({"n_grid": [100, 200], "seeds": 3})
+    cfg = config_from_dict({"n_grid": [100, 200], "seeds": 3}, ExperimentConfig())
     assert cfg.n_grid == (100, 200)
     assert cfg.seeds == 3
-    assert config_from_dict({}) == ExperimentConfig()
+    assert config_from_dict({}, ExperimentConfig()) == ExperimentConfig()
     with pytest.raises(ValueError, match="unknown config key"):
-        config_from_dict({"n_gird": [100]})
+        config_from_dict({"n_gird": [100]}, ExperimentConfig())
 
 
 _SIZE_TASK = GaussianMixtureTask(0.5)
@@ -203,12 +205,33 @@ def test_loglog_slope_recovers_exact_power_law():
         loglog_slope([10.0, 100.0], [1.0])
 
 
+@pytest.mark.parametrize("x, y, match", [
+    ([1, 2, 3], [1, 0, 2], "finite positive"),
+    ([1, 2, 3], [-1, 2, 3], "finite positive"),
+    ([0, 2, 3], [1, 2, 3], "finite positive"),
+    ([1, 2], [1, math.nan], "finite positive"),
+    ([1, math.inf], [1, 2], "finite positive"),
+    ([5, 5, 5], [1, 2, 3], "two distinct x values"),
+])
+def test_loglog_slope_refuses_what_it_cannot_compute(x, y, match):
+    # Each of these took a log of a nonpositive value or divided by a zero
+    # spread: a RuntimeWarning (an error under the suite's filter), or a
+    # silent NaN slope.
+    with pytest.raises(ValueError, match=match):
+        loglog_slope(x, y)
+
+
 def test_mean_risk():
     reports = (
-        RiskReport(0.1, 0.2, 0.3, 0.35, "quadrature", 1e-12),
-        RiskReport(0.3, 0.2, 0.5, 0.55, "quadrature", 1e-12),
+        RiskReport(0.1, 0.2, 0.3, 0.35, 1e-12),
+        RiskReport(0.3, 0.2, 0.5, 0.55, 1e-12),
     )
     assert mean_risk(reports, "r_cal") == pytest.approx(0.2, rel=1e-15)
+    # Seed order from 0.0: ten 0.1s add to 0.9999999999999999, where
+    # np.mean's pairwise sum gives 1.0.
+    assert mean_risk(reports[:1] * 10, "r_cal") == 0.09999999999999999 != np.mean([0.1] * 10)
+    with pytest.raises(ValueError, match="at least one report"):
+        mean_risk((), "r_cal")
 
 
 def test_cell_seed_is_grid_shape_invariant():
@@ -299,14 +322,14 @@ def test_no_two_study_draws_share_a_stream(monkeypatch):
     monkeypatch.setattr(experiments, "sample", lambda t, n, seed: keys.add(seed) or data)
     monkeypatch.setattr(experiments, "_fit_view", lambda view, B: None)
     monkeypatch.setattr(experiments, "population_risk",
-                        lambda t, h: RiskReport(0.0, 0.0, 0.0, 0.0, "quadrature", 1e-14))
+                        lambda t, h: RiskReport(0.0, 0.0, 0.0, 0.0, 1e-14))
     configs = ({}, {"n_grid": [100, 1_000, 10_000], "seeds": 2},
                {"n_grid": [200_000], "B_grid": [6, 96], "seeds": 2},
                {"n_grid": [1_000, 10_000], "B_grid": [6, 24], "seeds": 2, "pi_source": 0.1})
     for over in configs:
-        run_risk_grid(config_from_dict(over))
+        run_risk_grid(config_from_dict(over, ExperimentConfig()))
         run_optimal_B(config_from_dict(over, default_opt_b_config()))
-        run_label_shift(config_from_dict(over))
+        run_label_shift(config_from_dict(over, ExperimentConfig()))
     run_label_shift(ExperimentConfig(n_P=100, n_Q=10, pi_target=0.01, seeds=2))
     # The paper's grids: n at half-decades over 1e2 ... 1e7, B log-spaced
     # over 6 ... 1000, and opt-b's quarter octaves up to 2048.
@@ -451,7 +474,7 @@ def test_manifest_round_trips_config(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(cfg, {"experiment": "risk-grid", "cells": 1}, str(path))
     payload = json.loads(path.read_text())
-    assert config_from_dict(payload["config"]) == cfg
+    assert config_from_dict(payload["config"], ExperimentConfig()) == cfg
     assert payload["seed_rule"] == SEED_RULE
     assert payload["library_version"] == recalib.__version__
     assert payload["experiment"] == "risk-grid"
@@ -494,6 +517,33 @@ def test_label_shift_replaces_class_absent_draws():
     assert all(len(row.reports) == 2 for row in result.rows)
 
 
+@pytest.mark.parametrize("n_P, n_Q", [(1_000, 100), (10_000, 1_000)])
+def test_label_shift_realized_bound_holds_against_the_exact_oracle(n_P, n_Q):
+    # The paper's label-shift theorem: under Q the Composite's exact risk is
+    # at most shift_risk_bound_realized of rho = w_hat / w and the source
+    # fit's exact risk under P. Each seed is redrawn with the study's keys
+    # and retry rule, so the Composite's risk is the study's own.
+    cfg = ExperimentConfig(n_P=n_P, n_Q=n_Q)
+    P, Q = GaussianMixtureTask(cfg.pi_source), GaussianMixtureTask(cfg.pi_target)
+    w = exact_shift_weights(cfg.pi_source, cfg.pi_target).w
+    composite = run_label_shift(cfg).rows[VALID_METHODS.index("Composite")].reports
+    for k in range(cfg.seeds):
+        for r in range(101):
+            d_P = sample(P, n_P, (cfg.base_seed, 3, n_P, n_Q, k, 0, r))
+            d_Q = sample(Q, n_Q, (cfg.base_seed, 3, n_P, n_Q, k, 1, r))
+            if 0 < d_P.y.sum() < n_P and 0 < d_Q.y.sum() < n_Q:
+                break
+        w_hat = recalib.estimate_weights(d_P.y, d_Q.y)
+        h_P = fit_recalibrator(d_P, bins_cube_root(n_P))
+        h = recalib.Composite(outer=recalib.ShiftCorrector(w_hat), inner=h_P)
+        r_Q = population_risk(Q, h).r_total
+        assert r_Q == composite[k].r_total
+        rho = (w_hat.w[0] / w[0], w_hat.w[1] / w[1])
+        bound = shift_risk_bound_realized(rho, population_risk(P, h_P).r_total,
+                                          w_min=min(w), w_max=max(w))
+        assert r_Q <= bound, (k, r_Q, bound)
+
+
 def test_label_shift_csv_format(tmp_path):
     name, header, rows = study_table("label-shift", run_label_shift(ExperimentConfig(seeds=2)))
     assert name == "label_shift.csv"
@@ -522,6 +572,19 @@ def test_optimal_B_small_run():
         curve = dict(row.risk_curve)
         assert curve[row.B_star_exp] == min(curve.values())
     assert run_optimal_B(cfg) == result
+
+
+def test_opt_b_curve_is_the_seed_mean_of_its_units():
+    # Each point of the curve that picks B_star_exp is mean_risk of that
+    # B's per-seed reports, so opt_b.csv and any summary share one mean.
+    cfg = config_from_dict({"n_grid": [100, 1_000, 10_000], "seeds": 2}, default_opt_b_config())
+    task = GaussianMixtureTask(cfg.pi_source)
+    for row in run_optimal_B(cfg).rows:
+        Bs = tuple(B for B, _ in row.risk_curve)
+        per_seed = [experiments._fit_risks(task, row.n, Bs, (cfg.base_seed, 2, row.n, k))
+                    for k in range(cfg.seeds)]
+        assert row.risk_curve == tuple((B, mean_risk(reports, "r_total"))
+                                       for B, reports in zip(Bs, zip(*per_seed)))
 
 
 def test_optimal_B_rejects_infeasible_grid():
