@@ -382,29 +382,33 @@ class Composite:
 Recalibrator = Union[PiecewiseRecalibrator, ShiftCorrector, Composite]
 
 
-def _uniform_mass_bins(zs: np.ndarray, B: int) -> tuple[BinningScheme, np.ndarray]:
-    """Uniform-mass edges over sorted scores ``zs`` and the count per bin.
+def _tally(sorted_values: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """Counts of ``sorted_values`` in the right-closed runs (-inf, uppers[0]],
+    (uppers[0], uppers[1]], ...: tied values never straddle an upper end.
+    The one home of the bin membership rule for data read in sorted order."""
+    return np.diff(np.searchsorted(sorted_values, uppers, side="right"), prepend=0)
 
-    Counts follow the right-closed membership rule, so tied scores all
-    fall on the same side of an edge. Raises ``DegenerateBinsError`` when
-    ties make two edges coincide or leave a bin empty.
+
+def _uniform_mass_bins(zs: np.ndarray, B: int) -> BinningScheme:
+    """Uniform-mass edges over sorted scores ``zs``.
+
+    Raises ``DegenerateBinsError`` when ties make two edges coincide or
+    leave a bin empty, one continuity failure: distinct scores give every
+    bin at least floor(n / B) >= 1 points. As the edges strictly increase,
+    bin b < B holds the score at its top edge, so only bin B can be empty,
+    exactly when B > 1 and the largest score is the last interior edge.
     """
     n = int(zs.size)
     if B > n:
         raise ValueError(f"the bin count must satisfy 1 <= B <= n, got B={B} with n={n}")
     cut = (n * np.arange(1, B)) // B
     scheme = BinningScheme((0.0, *zs[cut - 1].tolist(), 1.0))
-    # For distinct scores every bin holds at least floor(n / B) >= 1 points,
-    # so an empty bin here means ties pushed mass across a quantile edge,
-    # the same continuity failure as coincident edges.
-    counts = np.diff(np.searchsorted(zs, scheme.edge_array[1:], side="right"), prepend=0)
-    if counts.min() == 0:
-        empty = int(np.argmin(counts)) + 1
+    if B > 1 and zs[-1] == scheme.edges[-2]:
         raise DegenerateBinsError(
-            f"bin {empty} of {B} receives no sample points; the scores contain "
+            f"bin {B} of {B} receives no sample points; the scores contain "
             "ties at a quantile boundary. Jitter the scores or use fewer bins."
         )
-    return scheme, counts
+    return scheme
 
 
 def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
@@ -416,7 +420,7 @@ def umb_fit(scores: Sequence[float] | np.ndarray, B: int) -> BinningScheme:
     two edges coincide, ``ValueError`` when B is not in [1, n] or a score
     falls outside [0, 1], and ``TypeError`` when the scores are not numbers.
     """
-    return _uniform_mass_bins(np.sort(_score_array(scores)), _index(B, "B"))[0]
+    return _uniform_mass_bins(np.sort(_score_array(scores)), _index(B, "B"))
 
 
 def _bin_indices(scheme: BinningScheme, z: np.ndarray) -> np.ndarray:
@@ -530,9 +534,9 @@ def fit_recalibrator(data: LabeledSample, B: int) -> PiecewiseRecalibrator:
 def _fit_view(view: tuple[np.ndarray, np.ndarray], B: int) -> PiecewiseRecalibrator:
     """``fit_recalibrator`` on a sample's ``_sorted_view``: O(B log n)."""
     zs, zs_pos = view
-    scheme, counts = _uniform_mass_bins(zs, _index(B, "B"))
-    pos = np.diff(np.searchsorted(zs_pos, scheme.edge_array[1:], side="right"), prepend=0)
-    values = pos / counts
+    scheme = _uniform_mass_bins(zs, _index(B, "B"))
+    counts = _tally(zs, scheme.edge_array[1:])
+    values = _tally(zs_pos, scheme.edge_array[1:]) / counts
     return PiecewiseRecalibrator(scheme, values.tolist(), counts.tolist())
 
 

@@ -54,6 +54,7 @@ from .core import (
     _probability,
     _score_array,
     _sorted_view,
+    _tally,
 )
 
 __all__ = [
@@ -221,32 +222,30 @@ def exact_shift_weights(pi_source: float, pi_target: float) -> ShiftWeights:
 def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     """n independent draws (z_i, y_i) from the task.
 
-    ``seed`` is an int, a sequence of ints (a list or tuple) or a numpy
-    SeedSequence, and feeds a PCG64 stream. Each int is read by the size
-    rule with floor 0, and None or a bool raises TypeError. Each
+    ``seed`` is an int, a non-empty sequence of ints (a list or tuple) or
+    a numpy SeedSequence, and feeds a PCG64 stream. Each int is read by
+    the size rule with floor 0; None or a bool raises TypeError, and an
+    empty sequence ValueError, as numpy would read it as seed 0. Each
     ``simulate`` cell draws ``sample(task, n, (base_seed, tag, *cell
     fields))``. numpy drops trailing zeros within the entropy's first four
     words, so ``(5, 0)`` draws what ``5`` draws: each study keys its cells
-    by tuples of one length, with its own tag in word 1. The
-    draw order is fixed: n uniforms decide the labels, then n uniforms map
-    through the inverse normal CDF to x, then z = sigmoid(x).
-    The same seed gives the same bits with the same numpy and scipy build
-    on the same CPU features: numpy's float64 ``exp`` picks a SIMD kernel
-    at run time, and on x86 its AVX-512 kernel differs from libm's ``exp``
-    in the last bit on some inputs.
+    by tuples of one length, with its own tag in word 1. The draw order is
+    fixed: n uniforms decide the labels, then n uniforms map through the
+    inverse normal CDF to x, then z = sigmoid(x). The same seed gives the
+    same bits with the same numpy and scipy build on the same CPU
+    features: numpy's float64 ``exp`` picks a SIMD kernel at run time, and
+    on x86 its AVX-512 kernel differs from libm's ``exp`` in the last bit
+    on some inputs.
 
     Both uniform streams go through one float64 buffer, which becomes the
-    sample's z: the labels are read off the first stream before the second
-    overwrites it. The second stream's first half, a whole number of
-    blocks, is drawn in one call, and then each half is mapped block by
-    block, in place: ``ndtri``, the label means (a two-entry table;
-    addition commutes, so the bits are those of mean + ndtri(u)) and the
-    logistic map. The second half draws each block before mapping it.
-    From 2**17 points on two or more CPUs the first half is mapped on
-    ``core._concurrently``'s helper thread while the caller draws and maps
-    the second; PCG64 gives the same doubles whether a stretch is drawn
-    in one call or in several, so the bits do not depend on the split. A
-    block's passes stay in cache and its temporaries are block-sized, so
+    sample's z: the labels are read off the first stream before the
+    second, drawn in one call, overwrites it. Each half (the first a whole
+    number of blocks) is then mapped block by block, in place: ``ndtri``,
+    the label means (a two-entry table; addition commutes, so the bits are
+    those of mean + ndtri(u)) and the logistic map. From 2**17 points on
+    two or more CPUs ``core._concurrently``'s helper thread maps the first
+    half while the caller maps the second, with the bits of a serial map.
+    A block's passes stay in cache and its temporaries are block-sized, so
     besides the labels the draw holds one n-sized float array. The labels
     are int8, one byte each, written as booleans into a buffer the draw
     owns. Both arrays pass to ``LabeledSample`` without a copy.
@@ -261,24 +260,24 @@ def sample(task: GaussianMixtureTask, n: int, seed) -> LabeledSample:
     n = _index(n, "n")
     if not isinstance(seed, np.random.SeedSequence):
         entropy = seed if isinstance(seed, (list, tuple)) else (seed,)
+        if not entropy:
+            raise ValueError("seed must hold at least one int, got an empty sequence")
         seed = np.random.SeedSequence(tuple(_index(v, "seed", least=0) for v in entropy))
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.random(out=np.empty(n))
     y = np.empty(n, np.int8)
     np.less(x, task.pi, out=y.view(np.bool_))
+    rng.random(out=x)
     mid = n // 2 // _SAMPLE_BLOCK * _SAMPLE_BLOCK
-    rng.random(out=x[:mid])
 
-    def mapped(start, stop, draw):
+    def mapped(start, stop):
         for i in range(start, stop, _SAMPLE_BLOCK):
             block = x[i:i + _SAMPLE_BLOCK]  # mid is a multiple of the block
-            if draw:
-                rng.random(out=block)
             ndtri(block, out=block)
             block += _MEANS.take(y[i:i + _SAMPLE_BLOCK])
             sigmoid(block, out=block)
 
-    _concurrently(lambda: mapped(0, mid, False), lambda: mapped(mid, n, True), n)
+    _concurrently(lambda: mapped(0, mid), lambda: mapped(mid, n), n)
     return LabeledSample._adopt(x, y)
 
 
@@ -538,14 +537,13 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     into the mse; both r_total and mse are assembled by addition so the
     report identities hold exactly.
 
-    Cost: the sample's ``_sorted_view`` (two sorts, freed on return),
-    then O(B log n) for the bin boundaries and O(S log n) for the S
-    slices: the positives before sorted record i number
-    searchsorted(positive scores, z_(i), 'right'), with z_(i) the i-th
-    smallest score. That count is only right where a slice boundary
-    does not split a run of tied scores, since the stable order of the
-    records decides which tied records fall on each side; a sample with
-    such a split takes a stable argsort of the scores and one
+    Cost: the sample's ``_sorted_view`` (two sorts, freed on return), then
+    ``core._tally``'s binary searches: O(B log n) for each bin's count and
+    positives and O(S log n) for the S slices, whose positives are those
+    at or below each slice's last score. That count is only right where a
+    slice boundary does not split a run of tied scores, as the stable
+    order of the records decides which tied records fall on each side; a
+    sample with such a split takes a stable argsort of the scores and one
     ``np.add.reduceat`` of the labels in that order instead.
     """
     if (pw := _piecewise(h)) is None:
@@ -553,11 +551,9 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     B = pw.scheme.B
     n = data.n
     zs, zs_pos = _sorted_view(data)
-    # Bins are contiguous in sorted order; the boundary of bin b is the
-    # first index strictly past edge u_b (right-closed bins).
-    stops = np.searchsorted(zs, pw.scheme.edge_array[1:-1], side="right")
-    starts = np.concatenate(([0], stops))
-    counts = np.diff(starts, append=n)
+    # Bins are contiguous in sorted order; bin b starts at sorted record starts[b].
+    counts = _tally(zs, pw.scheme.edge_array[1:])
+    starts = np.cumsum(counts) - counts
     if counts.min() == 0:
         empty = int(np.argmin(counts)) + 1
         raise EmptyBinError(f"bin {empty} of {B} received no evaluation points")
@@ -576,9 +572,8 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     if np.any(zs[cut - 1] == zs[cut]):
         pos_s = np.add.reduceat(data.y[np.argsort(data.z, kind="stable")], lo, dtype=np.int64)
     else:
-        below = np.searchsorted(zs_pos, zs[cut - 1], side="right")
-        pos_s = np.diff(below, prepend=0, append=zs_pos.size)
-    pos = np.bincount(bin_of, weights=pos_s, minlength=B)
+        pos_s = _tally(zs_pos, np.append(zs[cut - 1], 1.0))
+    pos = _tally(zs_pos, pw.scheme.edge_array[1:])
 
     values = pw.value_array
     level_mean = _level_means(values, pos, counts)

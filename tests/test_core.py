@@ -231,8 +231,18 @@ def test_fit_boundary_ties_fail_loudly():
     # point into the first two bins, leaving the third empty. That is a
     # tie artifact, so construction refuses rather than silently merging.
     data = LabeledSample(z=[0.2, 0.2, 0.2, 0.4, 0.4, 0.4], y=[0, 1, 0, 1, 0, 1])
-    with pytest.raises(DegenerateBinsError):
+    with pytest.raises(DegenerateBinsError, match="^bin 3 of 3 receives no sample points"):
         fit_recalibrator(data, 3)
+
+
+def test_only_the_last_bin_can_be_left_empty():
+    # Each bin below the last holds the score at its top edge, so the edge
+    # step names bin B exactly when the largest score is the last interior
+    # edge. Both cases also catch a check made on any other bin.
+    with pytest.raises(DegenerateBinsError, match="^bin 2 of 2 receives no sample points"):
+        umb_fit([0.1, 0.5, 0.5, 0.5], 2)
+    assert umb_fit([0.1, 0.5, 0.5, 0.6], 2).edges == (0.0, 0.5, 1.0)
+    assert umb_fit([0.0, 0.0], 1).edges == (0.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)

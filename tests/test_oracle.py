@@ -280,6 +280,10 @@ def test_helper_thread_changes_no_bits(monkeypatch, pi, n):
 def test_sample_validation():
     with pytest.raises(ValueError):
         sample(TASK05, 0, seed=1)
+    # numpy reads empty entropy as 0, which would silently draw seed 0's stream.
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="seed"):
+            sample(TASK05, 10, seed=empty)
 
 
 # ------------------------------------------------------ interval moments
