@@ -527,24 +527,23 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
     ratio the fit computed.
 
     The sharpness risk compares each bin's conditional mean against the
-    optimal map at sub-bin resolution: every bin is sliced into
-    ceil(sqrt(m)) equal-count runs of the sorted scores, each slice mean
-    standing in for the optimal map there. The squared gaps carry an
-    upward noise bias of Var(slice mean), so the unbiased binary-variance
-    estimate mu(1-mu)/(m_s - 1) is subtracted per slice (clipped at zero
-    overall). The same slice variances, with the matching m_s/(m_s - 1)
-    correction, estimate the irreducible term that turns the total risk
-    into the mse; both r_total and mse are assembled by addition so the
-    report identities hold exactly.
+    optimal map at sub-bin resolution: a bin of m records is cut into
+    k = ceil(sqrt(m)) slices, each slice mean standing in for the optimal
+    map there. A slice is read like a bin, as a right-closed run of the
+    sorted scores ending at the bin's score of rank floor(m (j + 1) / k)
+    for slice j. Tied scores share one slice and a slice that an earlier
+    one swallows whole is dropped, so the report does not depend on the
+    order of the records; distinct scores give equal-count slices. The
+    squared gaps carry an upward noise bias of Var(slice mean), so the
+    unbiased binary-variance estimate mu(1-mu)/(m_s - 1) is subtracted per
+    slice (clipped at zero overall). The same slice variances, with the
+    matching m_s/(m_s - 1) correction, estimate the irreducible term that
+    turns the total risk into the mse; both r_total and mse are assembled
+    by addition so the report identities hold exactly.
 
     Cost: the sample's ``_sorted_view`` (two sorts, freed on return), then
     ``core._tally``'s binary searches: O(B log n) for each bin's count and
-    positives and O(S log n) for the S slices, whose positives are those
-    at or below each slice's last score. That count is only right where a
-    slice boundary does not split a run of tied scores, as the stable
-    order of the records decides which tied records fall on each side; a
-    sample with such a split takes a stable argsort of the scores and one
-    ``np.add.reduceat`` of the labels in that order instead.
+    positives and O(S log n) for the S slices, on any sample.
     """
     if (pw := _piecewise(h)) is None:
         raise TypeError("plug-in risks are defined for piecewise recalibrators")
@@ -558,21 +557,16 @@ def empirical_risk_plugin(data: LabeledSample, h) -> RiskReport:
         empty = int(np.argmin(counts)) + 1
         raise EmptyBinError(f"bin {empty} of {B} received no evaluation points")
 
-    # Slice j of bin b starts at sorted record starts[b] + floor(m j / k),
+    # Slice j of bin b ends at sorted record starts[b] + floor(m (j + 1) / k) - 1,
     # with m = counts[b] and k = ceil(sqrt(m)) slices; the float square
     # root is exact here, as any count is far below 2**52.
     k = np.ceil(np.sqrt(counts)).astype(np.int64)
     bin_of = np.repeat(np.arange(B), k)
     j = np.arange(bin_of.size) - np.repeat(np.cumsum(k) - k, k)
-    m, kb = counts[bin_of], k[bin_of]
-    offset = (m * j) // kb
-    m_s = (m * (j + 1)) // kb - offset
-    lo = starts[bin_of] + offset
-    cut = lo[1:]  # lo[0] == 0
-    if np.any(zs[cut - 1] == zs[cut]):
-        pos_s = np.add.reduceat(data.y[np.argsort(data.z, kind="stable")], lo, dtype=np.int64)
-    else:
-        pos_s = _tally(zs_pos, np.append(zs[cut - 1], 1.0))
+    upper = zs[starts[bin_of] + (counts[bin_of] * (j + 1)) // k[bin_of] - 1]
+    m_s, pos_s = _tally(zs, upper), _tally(zs_pos, upper)
+    kept = m_s > 0
+    bin_of, m_s, pos_s = bin_of[kept], m_s[kept], pos_s[kept]
     pos = _tally(zs_pos, pw.scheme.edge_array[1:])
 
     values = pw.value_array

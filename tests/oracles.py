@@ -12,8 +12,11 @@ piecewise population risks as a reference for their closed form, and
 reference for its bounded search, ``sigmoid_array_masked_ref`` the
 earlier two-mask logistic map as a reference for its one-pass form, and
 ``estimate_K_bisect_ref`` and ``plugin_argsort_ref`` the earlier
-full-grid bisection of the smoothness estimate and the argsort plug-in
-risk as bitwise references for their faster successors, and
+full-grid bisection of the smoothness estimate and the rank-sliced
+argsort plug-in risk as bitwise references for their faster successors
+(the latter on distinct scores, where rank slices and right-closed
+slices hold the same records), ``plugin_right_closed_ref`` the plug-in
+risk with right-closed slices, bitwise on any scores, and
 ``bin_indices_searchsorted_ref`` the earlier binary-search bin lookup
 as the bitwise reference for its grid-table successor, and
 ``sample_where_ref`` the earlier masked-select sampler as the bitwise
@@ -439,7 +442,10 @@ def piecewise_quad_ref(pi: float, edges, values):
 def plugin_loop_ref(z, y, edges, values):
     """The plug-in risks (r_cal, r_sha, r_total, mse) by a loop over bins
     and over the ceil(sqrt(m)) slices of each bin, with level sets merged
-    through mass-weighted means. Every bin must receive a record.
+    through mass-weighted means. Slice s of k ends after the last record
+    tied with the bin's record of rank floor(m (s + 1) / k), so tied scores
+    share a slice; a slice left empty is skipped. Every bin must receive a
+    record.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.size
@@ -462,10 +468,13 @@ def plugin_loop_ref(z, y, edges, values):
         r_cal += masses[b] * (values[b] - level_mean[b]) ** 2
         m = int(counts[b])
         n_slices = math.isqrt(m - 1) + 1
-        cuts = starts[b] + (m * np.arange(n_slices + 1)) // n_slices
+        last = starts[b] + (m * np.arange(1, n_slices + 1)) // n_slices - 1
+        cuts = np.concatenate(([starts[b]], np.searchsorted(z_sorted, z_sorted[last], side="right")))
         for s in range(n_slices):
             chunk = y_sorted[cuts[s]:cuts[s + 1]]
             m_s = chunk.size
+            if m_s == 0:
+                continue
             mu_s = chunk.mean()
             p_s = m_s / n
             r_sha += p_s * (level_mean[b] - mu_s) ** 2
@@ -522,6 +531,49 @@ def plugin_argsort_ref(z, y, edges, values):
     m_s = (m * (j + 1)) // kb - offset
     pos_s = np.add.reduceat(y[order], starts[bin_of] + offset)
     pos = np.bincount(bin_of, weights=pos_s, minlength=B)
+
+    values = np.asarray(values, dtype=np.float64)
+    _, level = np.unique(values, return_inverse=True)
+    pos_l = np.bincount(level, weights=pos)
+    mass_l = np.bincount(level, weights=counts)
+    level_mean = np.divide(pos_l, mass_l, out=np.zeros_like(pos_l), where=mass_l > 0.0)[level]
+    r_cal = float(np.sum(counts / n * (values - level_mean) ** 2))
+
+    mu_s = pos_s / m_s
+    p_s = m_s / n
+    var_hat = mu_s * (1.0 - mu_s) / np.maximum(m_s - 1, 1)
+    r_sha = max(float(np.sum(p_s * (level_mean[bin_of] - mu_s) ** 2 - p_s * var_hat)), 0.0)
+    bayes = float(np.sum(p_s * var_hat * m_s))
+    r_tot = r_cal + r_sha
+    return r_cal, r_sha, r_tot, r_tot + bayes
+
+
+def plugin_right_closed_ref(z, y, edges, values):
+    """The plug-in risks (r_cal, r_sha, r_total, mse) with every bin and
+    slice read as a right-closed run of the sorted scores: slice j of a
+    bin's k ends after the last record scored at most the bin's score of
+    rank floor(m (j + 1) / k), so tied scores share a slice and the labels
+    of a run are summed whatever the order of its records; empty slices
+    are dropped. Level-set means pooled from integer label sums and
+    counts. Every bin must receive a record."""
+    z = np.asarray(z, dtype=np.float64)
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    below = np.concatenate(([0], np.cumsum(np.asarray(y).astype(np.int64)[order])))
+    n = z.size
+    B = len(values)
+    stops = np.searchsorted(zs, np.asarray(edges, dtype=np.float64)[1:], side="right")
+    starts = np.concatenate(([0], stops[:-1]))
+    counts = stops - starts
+    pos = below[stops] - below[starts]
+    k = np.ceil(np.sqrt(counts)).astype(np.int64)
+    bin_of = np.repeat(np.arange(B), k)
+    j = np.arange(bin_of.size) - np.repeat(np.cumsum(k) - k, k)
+    ends = np.searchsorted(zs, zs[starts[bin_of] + (counts[bin_of] * (j + 1)) // k[bin_of] - 1],
+                           side="right")
+    begins = np.concatenate(([0], ends[:-1]))
+    m_s, pos_s = ends - begins, below[ends] - below[begins]
+    bin_of, pos_s, m_s = bin_of[m_s > 0], pos_s[m_s > 0], m_s[m_s > 0]
 
     values = np.asarray(values, dtype=np.float64)
     _, level = np.unique(values, return_inverse=True)

@@ -69,6 +69,7 @@ from oracles import (
     piecewise_quad_ref,
     plugin_argsort_ref,
     plugin_loop_ref,
+    plugin_right_closed_ref,
     sample_where_ref,
     sigmoid_array_masked_ref,
     sort_slice_fit,
@@ -626,16 +627,22 @@ def test_plugin_equals_argsort_reference_bitwise(n, B):
     for data in samples:
         for m, pw in ((h, h), (comp, comp.flatten())):
             got = empirical_risk_plugin(data, m)
-            want = plugin_argsort_ref(data.z, data.y, pw.scheme.edges, pw.values)
-            assert (got.r_cal, got.r_sha, got.r_total, got.mse) == want, (n, B)
+            got = (got.r_cal, got.r_sha, got.r_total, got.mse)
+            assert got == plugin_right_closed_ref(data.z, data.y, pw.scheme.edges, pw.values), \
+                (n, B)
+            if data is fresh:
+                # Distinct scores: the rank slices of the earlier plug-in
+                # hold the same records, so its bits are kept.
+                assert got == plugin_argsort_ref(data.z, data.y, pw.scheme.edges, pw.values), \
+                    (n, B)
 
 
 def test_label_counts_beyond_one_byte():
     # Labels are held in one byte; every count of them must not be. 1e5
     # scores at 3 decimals, 80% positive, split so the median falls between
     # two distinct scores: each of the B = 2 bins holds about 40,000
-    # positives, and each plug-in slice about 180, while the ties force the
-    # plug-in's reduceat path.
+    # positives, and each plug-in slice about 180, all counted by
+    # ``_tally`` over int8 labels.
     rng = np.random.default_rng(18)
     half = 50_000
     z = np.concatenate((np.round(rng.uniform(0.0, 0.499, half), 3),
@@ -650,7 +657,33 @@ def test_label_counts_beyond_one_byte():
     assert min(np.array(h.values) * np.array(h.counts)) > 127 * 200
     assert (h.scheme.edges, h.values, h.counts) == sort_slice_fit(z, y, 2)
     got = empirical_risk_plugin(data, h)
-    assert (got.r_cal, got.r_sha, got.r_total, got.mse) == plugin_argsort_ref(
+    assert (got.r_cal, got.r_sha, got.r_total, got.mse) == plugin_right_closed_ref(
+        z, y, h.scheme.edges, h.values)
+
+
+def test_plugin_is_invariant_to_record_order():
+    # Ties straddle the rank cuts of the slices; right-closed slices give
+    # every tied run to one slice, whatever the order of its records.
+    h = fit_recalibrator(sample(TASK05, 20_000, seed=55), 10)
+    tied = _tied(sample(TASK05, 20_000, seed=(55, 1)))
+    rng = np.random.default_rng(55)
+    reports = set()
+    for _ in range(5):
+        order = rng.permutation(tied.n)
+        rep = empirical_risk_plugin(LabeledSample(tied.z[order], tied.y[order]), h)
+        reports.add((rep.r_cal, rep.r_sha, rep.r_total, rep.mse))
+    assert len(reports) == 1, reports
+
+    # Three distinct scores over 1000 records: every slice ends at one of
+    # them, so all but one slice per score are swallowed whole and drop
+    # out with no 0/0.
+    h = PiecewiseRecalibrator(BinningScheme((0.0, 0.5, 1.0)), (0.25, 0.75), (1, 1))
+    z = rng.choice([0.1, 0.2, 0.7], 1000)
+    y = (rng.random(1000) < z).astype(np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = empirical_risk_plugin(LabeledSample(z, y), h)
+    assert (got.r_cal, got.r_sha, got.r_total, got.mse) == plugin_right_closed_ref(
         z, y, h.scheme.edges, h.values)
 
 

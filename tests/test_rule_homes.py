@@ -2,7 +2,10 @@
 built only by ``oracle.sample``, a composite is flattened only by
 ``core._piecewise``, which every evaluation path calls, and right-closed
 counts are read off sorted data only by ``core._tally``, the one
-right-sided binary search."""
+right-sided binary search, whose readers are the fit's bins and the
+plug-in risk's bins and slices. No ``argsort`` or ``reduceat`` is called
+anywhere: a stable order of the records would make a tied sample's
+result depend on the order in which its records come."""
 
 import ast
 import glob
@@ -13,6 +16,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # A right-sided ``searchsorted``, keyed apart from the left-sided lookups
 # that place single scores in bins.
 RIGHT = 'searchsorted(side="right")'
+
+# Calls that no function in src/ may make.
+BANNED = ("argsort", "reduceat")
 
 # Call, by callable name or RIGHT -> the one function, as module.qualname,
 # that may make it.
@@ -38,14 +44,14 @@ def call_key(call: ast.Call):
 
 
 def calls_by_site() -> dict[str, list[str]]:
-    """Each call in ``src/`` keyed in HOMES, as "module.qualname: name"
+    """Each call in ``src/`` keyed in HOMES or BANNED, as "module.qualname"
     for the function that makes it (module level reads as the module)."""
     found = {}
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Call) and (key := call_key(node)) in HOMES:
+        if isinstance(node, ast.Call) and ((key := call_key(node)) in HOMES or key in BANNED):
             found.setdefault(key, []).append(".".join((module, *scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -57,7 +63,7 @@ def calls_by_site() -> dict[str, list[str]]:
 
 
 def test_streams_are_built_and_composites_flattened_in_one_place():
-    found = calls_by_site()
+    found = {name: sites for name, sites in calls_by_site().items() if name in HOMES}
     stray = {name: [site for site in sites if site != HOMES[name]]
              for name, sites in found.items()}
     assert not any(stray.values()), stray
@@ -71,3 +77,10 @@ def test_right_closed_counts_have_one_search():
     # left-sided lookups of BinningScheme._cells and _bin_indices stay.
     found = calls_by_site()
     assert found.get(RIGHT) == ["core._tally"], found.get(RIGHT)
+
+
+def test_no_record_order_path():
+    # Sorted data is read only through sorted values and right-closed
+    # runs, never through a permutation of the records.
+    banned = {name: sites for name, sites in calls_by_site().items() if name in BANNED}
+    assert not banned, banned
